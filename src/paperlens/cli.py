@@ -106,7 +106,8 @@ def build_parser() -> _Parser:
     _add_config_flags(p)
     p.add_argument("--manifest", required=True, help="manifest of documents to annotate")
     p.add_argument("--out", required=True, help="output directory for batch files")
-    p.add_argument("--resume", action="store_true", help="skip batches recorded in the checkpoint")
+    p.add_argument("--resume", action="store_true",
+                   help="skip batches the checkpoint records with the current plan's digest")
     p.add_argument("--context-asset", dest="context_asset",
                    help="file with the context excerpt appended to the prompt")
     p.add_argument("--context-description", dest="context_description",
@@ -122,7 +123,7 @@ def build_parser() -> _Parser:
     _add_config_flags(p)
     p.add_argument("--dir", required=True, help="directory containing batch_*_output.txt")
     p.add_argument("--dry-run", dest="dry_run", action="store_true",
-                   help="list input files and token estimates; no provider calls")
+                   help="print the next pass, its input files and token estimates; no provider calls")
     p.add_argument("--audit", action="store_true",
                    help="log redacted request/response bodies to an audit file")
 
@@ -257,11 +258,9 @@ def _cmd_filter(args: argparse.Namespace) -> int:
     directory = Path(args.dir)
 
     if args.dry_run:
-        files = sorted(directory.glob("batch_*_output.txt"))
-        if not files:
-            raise CliError(f"no batch output files found in {directory}")
-        print(f"plan: filter {len(files)} batch files")
-        for path in files:
+        plan = runner.plan_filter(directory)
+        print(f"plan: filter pass {plan.pass_number} over {len(plan.inputs)} batch files")
+        for _, path in plan.inputs:
             text = path.read_text(encoding="utf-8")
             print(f"  {path.name}: ~{provider.estimate_tokens(text)} payload tokens")
         return 0
@@ -295,8 +294,10 @@ def _cmd_parse(args: argparse.Namespace) -> int:
 
     all_records = []
     warning_count = 0
+    indices = []
     for path in files:
         index = int(path.stem.split("_")[1])
+        indices.append(index)
         parsed, warnings = records.parse_batch_output(path.read_text(encoding="utf-8"), index)
         all_records.extend(parsed)
         warning_count += len(warnings)
@@ -308,9 +309,16 @@ def _cmd_parse(args: argparse.Namespace) -> int:
         manifest_hash = corpus.manifest_digest(corpus.load_manifest(args.manifest))
 
     passes = 0
-    state_path = directory / runner.FILTER_STATE_FILE
-    if args.filtered and state_path.exists():
-        passes = int(json.loads(state_path.read_text(encoding="utf-8")).get("passes", 0))
+    if args.filtered:
+        # The dataset is only as filtered as its least-filtered batch.
+        state = runner.FilterState.load(directory)
+        passes = min(state.batch_passes.get(i, 0) for i in indices)
+        for index in state.lagging(indices):
+            print(
+                f"warning: batch {index} holds filter pass {state.batch_passes.get(index, 0)} "
+                f"of {state.passes}; re-run filter to finish the pass",
+                file=sys.stderr,
+            )
 
     ds = records.Dataset(
         records=all_records,

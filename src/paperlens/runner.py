@@ -1,22 +1,28 @@
 """Plan document batches and execute annotation, filter, and query runs.
 
-Runs are resumable: every completed batch is recorded in a checkpoint file
-written atomically (temp-then-rename), so a crash between jobs never leaves
-a checkpoint referencing a missing output file. Failed batches are recorded
-and do not halt the remaining jobs; long runs must survive transient faults.
+Annotation and filter passes run on one executor: batches go to the provider
+on up to ``max_inflight`` threads, and each output is written atomically
+(temp-then-rename) before its completion is recorded, so a crash between
+jobs never leaves a checkpoint referencing a missing output file.
+Completion is keyed by a digest of what the batch sends, so a resumed run
+skips only batches the current plan would send unchanged. Failed batches
+are recorded and do not halt the remaining jobs; long runs must survive
+transient faults.
 """
 
 from __future__ import annotations
 
 import enum
+import hashlib
 import json
 import logging
 import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable, Iterable
 
 from . import provider
 from .corpus import CorpusManifest, DocumentRef, load_text, manifest_digest
@@ -73,22 +79,39 @@ class RunnerConfig:
             raise ValueError("batch_size must be >= 1")
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    tmp.write_text(text, encoding="utf-8")
+    tmp.replace(path)
+
+
 @dataclass
 class Checkpoint:
-    """Which planned batches have completed, bound to a manifest digest."""
+    """Which planned batches have completed, bound to a manifest digest.
+
+    ``digests`` maps each completed batch index to the digest of the request
+    it sent (see ``_batch_digest``); a resumed run trusts a completion only
+    when that digest matches the current plan's.
+    """
 
     manifest_hash: str
     completed: set[int] = field(default_factory=set)
+    digests: dict[int, str] = field(default_factory=dict)
+
+    def mark(self, index: int, digest: str) -> None:
+        self.completed.add(index)
+        self.digests[index] = digest
 
     def save(self, path: str | Path) -> None:
-        path = Path(path)
         body = json.dumps(
-            {"manifest_hash": self.manifest_hash, "completed": sorted(self.completed)},
+            {
+                "manifest_hash": self.manifest_hash,
+                "completed": sorted(self.completed),
+                "digests": {str(i): d for i, d in self.digests.items()},
+            },
             sort_keys=True,
         )
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(body + "\n", encoding="utf-8")
-        tmp.replace(path)
+        _write_atomic(Path(path), body + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "Checkpoint":
@@ -96,6 +119,7 @@ class Checkpoint:
         return cls(
             manifest_hash=raw.get("manifest_hash", ""),
             completed=set(int(i) for i in raw.get("completed", [])),
+            digests={int(i): str(d) for i, d in raw.get("digests", {}).items()},
         )
 
 
@@ -192,6 +216,84 @@ def _batch_payload(job: BatchJob, refs: dict[str, DocumentRef]) -> str:
     return "\n\n".join(parts)
 
 
+def _prompt_without_payload(bundle: PromptBundle) -> str:
+    return replace(bundle, payload_text="").render()
+
+
+def _batch_digest(parts: Iterable[str], prompt: str, config: provider.ProviderConfig) -> str:
+    """sha256 identifying one batch request: its payload identity (doc ids or
+    input text), the rendered prompt without payload, the model and dialect.
+
+    Each field is length-prefixed so that no two field lists collide.
+    """
+    h = hashlib.sha256()
+    for part in (*parts, prompt, config.model_name, config.dialect):
+        data = part.encode("utf-8")
+        h.update(len(data).to_bytes(8, "big"))
+        h.update(data)
+    return h.hexdigest()
+
+
+# A batch that fails with one of these is recorded and the run continues.
+_BATCH_ERRORS = (provider.ProviderError, RunnerError, OSError, KeyError)
+
+
+@dataclass(frozen=True)
+class _Batch:
+    """One planned provider call of an annotation or filter pass."""
+
+    index: int
+    digest: str
+    output_path: Path
+    request: Callable[[], tuple[PromptBundle, str]]  # -> (bundle, payload text)
+
+
+def _run_batches(
+    batches: list[_Batch],
+    client: provider.ChatClient,
+    record: Callable[[_Batch], None],
+) -> tuple[dict[int, str], list[tuple[int, str]]]:
+    """Send every batch on up to ``max_inflight`` threads.
+
+    Each response is written to the batch's output path before ``record``
+    runs for it under a lock, so a checkpoint saved by ``record`` never names
+    a missing file. Returns the response texts by index and the failures as
+    ``(index, error)``, both in batch-index order whichever call finishes
+    first. Errors outside ``_BATCH_ERRORS`` (and interrupts) cancel the
+    batches not yet started and propagate.
+    """
+    ordered = sorted(batches, key=lambda b: b.index)
+    responses: dict[int, str] = {}
+    failures: list[tuple[int, str]] = []
+    if not ordered:
+        return responses, failures
+    lock = threading.Lock()
+
+    def execute(batch: _Batch) -> str:
+        bundle, payload = batch.request()
+        text = client.complete(bundle, payload).text
+        _write_atomic(batch.output_path, text)
+        with lock:
+            record(batch)
+        return text
+
+    with ThreadPoolExecutor(max_workers=min(client.config.max_inflight, len(ordered))) as pool:
+        futures = [pool.submit(execute, batch) for batch in ordered]
+        try:
+            for batch, future in zip(ordered, futures):
+                try:
+                    responses[batch.index] = future.result()
+                except _BATCH_ERRORS as exc:
+                    failures.append((batch.index, str(exc)))
+        except BaseException:
+            for future in futures:
+                future.cancel()
+            raise
+    for index, error in failures:
+        logger.error("batch %d failed: %s", index, error)
+    return responses, failures
+
+
 def run_annotation(
     jobs: list[BatchJob],
     bundle: PromptBundle,
@@ -201,34 +303,26 @@ def run_annotation(
 ) -> RunSummary:
     """Execute pending annotation jobs, checkpointing after each.
 
-    With ``resume`` set, jobs already recorded in the checkpoint are skipped
-    without provider calls; the checkpoint must belong to the same manifest.
-    Failed jobs are recorded and the run continues. Jobs execute concurrently
-    up to the provider's in-flight limit; checkpoint updates are serialized.
+    With ``resume`` set, a job is skipped without provider calls only when
+    the checkpoint (which must belong to the same manifest) records it with
+    the digest the current plan gives it and its output file exists; every
+    other job runs. Failed jobs are recorded and the run continues. Jobs
+    execute concurrently up to the provider's in-flight limit; checkpoint
+    updates are serialized.
     """
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ck_path = out_dir / CHECKPOINT_FILE
     digest = manifest_digest(manifest)
 
-    if ck_path.exists():
-        checkpoint = Checkpoint.load(ck_path)
-        if cfg.resume:
-            if checkpoint.manifest_hash != digest:
-                raise CheckpointMismatch(
-                    f"checkpoint in {out_dir} belongs to a different manifest; "
-                    "re-plan or clear the output directory"
-                )
-        else:
-            checkpoint = Checkpoint(manifest_hash=digest)
-    else:
-        checkpoint = Checkpoint(manifest_hash=digest)
-    checkpoint.save(ck_path)
-
-    planned = {job.index for job in jobs}
-    if not checkpoint.completed <= planned:
-        stale = sorted(checkpoint.completed - planned)
-        raise CheckpointMismatch(f"checkpoint references unplanned batches: {stale}")
+    previous = Checkpoint(manifest_hash=digest)
+    if cfg.resume and ck_path.exists():
+        previous = Checkpoint.load(ck_path)
+        if previous.manifest_hash != digest:
+            raise CheckpointMismatch(
+                f"checkpoint in {out_dir} belongs to a different manifest; "
+                "re-plan or clear the output directory"
+            )
 
     refs = {ref.doc_id: ref for ref in manifest.documents}
     for job in jobs:
@@ -236,51 +330,40 @@ def run_annotation(
         if missing:
             raise RunnerError(f"batch {job.index} references unknown documents: {missing}")
 
-    calls_before = client.calls
-    ck_lock = threading.Lock()
-    skipped = 0
-
-    def execute(job: BatchJob) -> BatchJob:
-        payload = _batch_payload(job, refs)
-        response = client.complete(bundle.with_payload_refs(job.doc_ids), payload)
-        out_path = Path(job.output_path)
-        tmp = out_path.with_suffix(out_path.suffix + ".tmp")
-        tmp.write_text(response.text, encoding="utf-8")
-        tmp.replace(out_path)
-        with ck_lock:
-            checkpoint.completed.add(job.index)
-            checkpoint.save(ck_path)
-        return job
-
-    runnable = []
+    prompt = _prompt_without_payload(bundle)
+    checkpoint = Checkpoint(manifest_hash=digest)
+    pending: list[_Batch] = []
     for job in jobs:
-        if cfg.resume and job.index in checkpoint.completed:
+        job_digest = _batch_digest(job.doc_ids, prompt, client.config)
+        if previous.digests.get(job.index) == job_digest and Path(job.output_path).exists():
+            checkpoint.mark(job.index, job_digest)
             job.status = JobStatus.DONE
-            skipped += 1
-        else:
-            runnable.append(job)
+            continue
+        pending.append(
+            _Batch(
+                index=job.index,
+                digest=job_digest,
+                output_path=Path(job.output_path),
+                request=lambda job=job: (bundle.with_payload_refs(job.doc_ids), _batch_payload(job, refs)),
+            )
+        )
+    checkpoint.save(ck_path)
 
-    def guarded(job: BatchJob) -> BatchJob:
-        try:
-            execute(job)
-            job.status = JobStatus.DONE
-        except (provider.ProviderError, RunnerError, OSError, KeyError) as exc:
-            job.status = JobStatus.FAILED
-            job.error = str(exc)
-            logger.error("batch %d failed: %s", job.index, exc)
-        return job
+    def record(batch: _Batch) -> None:
+        checkpoint.mark(batch.index, batch.digest)
+        checkpoint.save(ck_path)
 
-    workers = max(1, min(client.config.max_inflight, len(runnable) or 1))
-    if runnable:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(guarded, runnable))
-
-    failures = [(job.index, job.error) for job in jobs if job.status is JobStatus.FAILED]
+    calls_before = client.calls
+    _, failures = _run_batches(pending, client, record)
+    errors = dict(failures)
+    for job in jobs:
+        job.status = JobStatus.FAILED if job.index in errors else JobStatus.DONE
+        job.error = errors.get(job.index, "")
     return RunSummary(
         total=len(jobs),
         completed=sum(1 for j in jobs if j.status is JobStatus.DONE),
         failed=len(failures),
-        skipped=skipped,
+        skipped=len(jobs) - len(pending),
         provider_calls=client.calls - calls_before,
         failures=failures,
     )
@@ -331,60 +414,138 @@ def _batch_files(directory: Path, suffix: str) -> list[tuple[int, Path]]:
     return sorted(found)
 
 
+@dataclass
+class FilterState:
+    """Filter progress of one output directory (``filter_state.json``).
+
+    ``passes`` is the number of the latest pass started; ``batch_passes``
+    maps each batch index to the pass its ``batch_{n}_filtered.txt`` holds
+    (a batch whose input was empty counts as filtered without a file);
+    ``digests`` maps each batch to the digest of its latest filter request.
+    """
+
+    passes: int = 0
+    batch_passes: dict[int, int] = field(default_factory=dict)
+    digests: dict[int, str] = field(default_factory=dict)
+
+    def lagging(self, indices: Iterable[int]) -> list[int]:
+        """Batches among ``indices`` that have not finished the latest pass."""
+        return [i for i in indices if self.batch_passes.get(i, 0) < self.passes]
+
+    def save(self, path: str | Path) -> None:
+        body = json.dumps(
+            {
+                "passes": self.passes,
+                "batch_passes": {str(i): n for i, n in self.batch_passes.items()},
+                "digests": {str(i): d for i, d in self.digests.items()},
+            },
+            sort_keys=True,
+        )
+        _write_atomic(Path(path), body + "\n")
+
+    @classmethod
+    def load(cls, directory: str | Path) -> "FilterState":
+        directory = Path(directory)
+        path = directory / FILTER_STATE_FILE
+        if not path.exists():
+            return cls()
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        passes = int(raw.get("passes", 0))
+        if "batch_passes" in raw:
+            batch_passes = {int(i): int(n) for i, n in raw["batch_passes"].items()}
+        else:  # written before per-batch passes were recorded
+            batch_passes = {i: passes for i, _ in _batch_files(directory, "filtered")}
+        digests = {int(i): str(d) for i, d in raw.get("digests", {}).items()}
+        return cls(passes=passes, batch_passes=batch_passes, digests=digests)
+
+
+@dataclass
+class FilterPlan:
+    """What the next ``run_filter`` call over a directory will do."""
+
+    pass_number: int
+    inputs: list[tuple[int, Path]]  # (batch index, input file), index order
+    state: FilterState
+
+
+def plan_filter(output_dir: str | Path) -> FilterPlan:
+    """Choose the filter pass and input files for the next filter call.
+
+    When the latest pass left batches behind (they failed, or their batch
+    output appeared later), the call finishes that pass over the lagging
+    batches only. Otherwise it starts the next pass over every batch. A
+    batch's input is its filtered file once it has passed the filter, and
+    its raw ``batch_{n}_output.txt`` before that.
+    """
+    directory = Path(output_dir)
+    indices = [i for i, _ in _batch_files(directory, "output")]
+    if not indices:
+        raise RunnerError(f"no batch output files found in {directory}")
+    state = FilterState.load(directory)
+    lagging = state.lagging(indices)
+    pass_number = state.passes if lagging else state.passes + 1
+    inputs = []
+    for index in lagging or indices:
+        path = directory / f"batch_{index}_filtered.txt"
+        if state.batch_passes.get(index, 0) < 1 or not path.exists():
+            path = directory / f"batch_{index}_output.txt"
+        inputs.append((index, path))
+    return FilterPlan(pass_number=pass_number, inputs=inputs, state=state)
+
+
 def run_filter(
     output_dir: str | Path,
     client: provider.ChatClient,
     templates_dir: str | Path | None = None,
 ) -> RetentionStats:
-    """Apply the strict filter prompt to each batch output file.
+    """Apply the strict filter prompt to the batch files ``plan_filter`` picks.
 
     Writes ``batch_{n}_filtered.txt`` next to each ``batch_{n}_output.txt``
     and reports retention (kept / input records, counted by the parser). A
     warning is flagged when the overall exclusion rate falls short of the
-    50% quota. Every invocation increments the recorded pass count; from the
-    second pass on, the previously filtered files are the input.
+    50% quota. Each call either finishes the latest pass for the batches it
+    left behind or starts the next pass, whose inputs are the previously
+    filtered files. Batches run concurrently up to the provider's in-flight
+    limit; ``filter_state.json`` records each batch's pass as it completes.
     """
     directory = Path(output_dir)
     state_path = directory / FILTER_STATE_FILE
-    passes = 0
-    if state_path.exists():
-        passes = int(json.loads(state_path.read_text(encoding="utf-8")).get("passes", 0))
+    plan = plan_filter(directory)
+    state = plan.state
+    state.passes = plan.pass_number
+    stats = RetentionStats(pass_number=plan.pass_number)
 
-    source_suffix = "filtered" if passes >= 1 else "output"
-    inputs = _batch_files(directory, source_suffix)
-    if not inputs and source_suffix == "filtered":
-        inputs = _batch_files(directory, "output")
-    if not inputs:
-        raise RunnerError(f"no batch output files found in {directory}")
-
-    stats = RetentionStats(pass_number=passes + 1)
-    for index, path in inputs:
+    texts: dict[int, str] = {}
+    pending: list[_Batch] = []
+    for index, path in plan.inputs:
         text = path.read_text(encoding="utf-8")
         if not text.strip():
             logger.info("skipping empty batch file %s", path.name)
             stats.skipped.append(path.name)
+            state.batch_passes[index] = state.batch_passes.get(index, 0) + 1
             continue
-        bundle = build_filter_prompt(text, templates_dir=templates_dir)
-        bundle = bundle.with_payload_refs((path.name,))
-        try:
-            response = client.complete(bundle)
-        except provider.ProviderError as exc:
-            stats.failures.append((index, str(exc)))
-            logger.error("filter pass failed for %s: %s", path.name, exc)
-            continue
+        bundle = build_filter_prompt(text, templates_dir=templates_dir).with_payload_refs((path.name,))
+        texts[index] = text
+        pending.append(
+            _Batch(
+                index=index,
+                digest=_batch_digest((text,), _prompt_without_payload(bundle), client.config),
+                output_path=directory / f"batch_{index}_filtered.txt",
+                request=lambda bundle=bundle: (bundle, ""),
+            )
+        )
+    state.save(state_path)
 
-        out_path = directory / f"batch_{index}_filtered.txt"
-        tmp = out_path.with_suffix(out_path.suffix + ".tmp")
-        tmp.write_text(response.text, encoding="utf-8")
-        tmp.replace(out_path)
+    def record(batch: _Batch) -> None:
+        state.batch_passes[batch.index] = state.batch_passes.get(batch.index, 0) + 1
+        state.digests[batch.index] = batch.digest
+        state.save(state_path)
 
-        total = len(parse_batch_output(text, index)[0])
-        kept = len(parse_batch_output(response.text, index)[0])
+    responses, stats.failures = _run_batches(pending, client, record)
+    for index, response in responses.items():
+        total = len(parse_batch_output(texts[index], index)[0])
+        kept = len(parse_batch_output(response, index)[0])
         stats.per_batch[index] = (kept, total)
-
-    tmp = state_path.with_suffix(state_path.suffix + ".tmp")
-    tmp.write_text(json.dumps({"passes": passes + 1}) + "\n", encoding="utf-8")
-    tmp.replace(state_path)
 
     if stats.quota_warning:
         logger.warning(

@@ -178,6 +178,46 @@ def test_resume_through_cli_makes_no_calls(pipeline_dirs, capsys):
     assert "0 provider calls" in capsys.readouterr().err
 
 
+def test_filter_dry_run_lists_next_pass_inputs(pipeline_dirs, capsys):
+    tmp_path, manifest_path, fixtures = pipeline_dirs
+    config = write_config(tmp_path, fixtures)
+    out_dir = tmp_path / "run"
+    main(["annotate", "--config", str(config), "--manifest", str(manifest_path),
+          "--out", str(out_dir), "--batch-size", "2"])
+    capsys.readouterr()
+    assert main(["filter", "--config", str(config), "--dir", str(out_dir), "--dry-run"]) == 0
+    first = capsys.readouterr().out
+    assert "pass 1" in first and "batch_0_output.txt" in first
+
+    assert main(["filter", "--config", str(config), "--dir", str(out_dir)]) == 0
+    capsys.readouterr()
+    assert main(["filter", "--config", str(config), "--dir", str(out_dir), "--dry-run"]) == 0
+    second = capsys.readouterr().out
+    assert "pass 2" in second
+    assert "batch_0_filtered.txt" in second and "batch_1_filtered.txt" in second
+    assert "_output.txt" not in second
+
+
+def test_parse_filtered_stamps_lagging_pass_count(pipeline_dirs, capsys):
+    tmp_path, manifest_path, fixtures = pipeline_dirs
+    config = write_config(tmp_path, fixtures)
+    out_dir = tmp_path / "run"
+    main(["annotate", "--config", str(config), "--manifest", str(manifest_path),
+          "--out", str(out_dir), "--batch-size", "2"])
+    assert main(["filter", "--config", str(config), "--dir", str(out_dir)]) == 0
+    # Pass 2 has a response for batch 1 only; batch 0 fails and keeps its
+    # pass-1 filtered file.
+    assert main(["filter", "--config", str(config), "--dir", str(out_dir)]) == 2
+    assert (out_dir / "batch_0_filtered.txt").exists()
+    capsys.readouterr()
+
+    dataset_path = tmp_path / "lagging.records.jsonl"
+    assert main(["parse", "--dir", str(out_dir), "--out", str(dataset_path), "--filtered"]) == 0
+    assert load_dataset(dataset_path).filter_pass_count == 1
+    err = capsys.readouterr().err
+    assert "batch 0" in err and "batch 1" not in err
+
+
 def test_prompts_show(capsys):
     assert main(["prompts", "show", "--kind", "annotation"]) == 0
     out = capsys.readouterr().out

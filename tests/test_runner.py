@@ -1,6 +1,7 @@
 """Batch planning, checkpointed runs, filter passes, and query tests."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import batch_output_text, make_record, make_stub, synthetic_manifest, write_corpus
 from paperlens.corpus import ingest
-from paperlens.prompts import build_annotation_prompt
+from paperlens.prompts import ContextAsset, build_annotation_prompt
 from paperlens.provider import ContextOverflow, ProviderConfig, stub_key, write_stub_fixture
 from paperlens.runner import (
     CheckpointMismatch,
@@ -257,6 +258,91 @@ def test_checkpoint_never_references_missing_output(tmp_path, monkeypatch):
         assert (out / f"batch_{index}_output.txt").exists()
 
 
+def test_resume_after_batch_size_change_annotates_every_document(tmp_path):
+    """A checkpoint written under batch_size=2 must not mark the first batch
+    of a batch_size=3 plan as done: that batch now holds doc2 as well."""
+    manifest = _corpus_on_disk(tmp_path, 4)
+    out = tmp_path / "out"
+    fixtures = tmp_path / "fixtures"
+    cfg2 = RunnerConfig(batch_size=2, output_dir=str(out))
+    cfg3 = RunnerConfig(batch_size=3, output_dir=str(out), resume=True)
+    jobs2, jobs3 = plan_batches(manifest, cfg2), plan_batches(manifest, cfg3)
+    _fixtures_for_jobs(fixtures, jobs2 + jobs3, lambda j: "annotated " + ",".join(j.doc_ids))
+    client = make_stub(fixtures)
+    run_annotation(jobs2[:1], BUNDLE, manifest, client, cfg2)
+    assert json.loads((out / "checkpoint.json").read_text())["completed"] == [0]
+
+    summary = run_annotation(jobs3, BUNDLE, manifest, client, cfg3)
+
+    assert summary.skipped == 0 and summary.completed == 2
+    assert summary.provider_calls == 2
+    assert "doc2" in (out / "batch_0_output.txt").read_text()
+
+
+def test_resume_with_changed_context_asset_reruns_every_batch(tmp_path):
+    manifest = _corpus_on_disk(tmp_path, 4)
+    out = tmp_path / "out"
+    cfg = RunnerConfig(batch_size=2, output_dir=str(out))
+    jobs = plan_batches(manifest, cfg)
+    fixtures = tmp_path / "fixtures"
+    _fixtures_for_jobs(fixtures, jobs, lambda j: f"batch {j.index}")
+    client = make_stub(fixtures)
+    bundles = []
+    for name in ("first", "second"):
+        asset_path = tmp_path / f"{name}_excerpt.txt"
+        asset_path.write_text(f"The {name} survey excerpt.", encoding="utf-8")
+        bundles.append(build_annotation_prompt(asset=ContextAsset.from_file(asset_path)))
+    run_annotation(jobs, bundles[0], manifest, client, cfg)
+
+    cfg_resume = RunnerConfig(batch_size=2, output_dir=str(out), resume=True)
+    summary = run_annotation(plan_batches(manifest, cfg_resume), bundles[1], manifest, client, cfg_resume)
+
+    assert summary.skipped == 0
+    assert summary.provider_calls == len(jobs)
+
+
+def test_resume_reruns_batch_whose_output_is_missing(tmp_path):
+    manifest = _corpus_on_disk(tmp_path, 4)
+    out = tmp_path / "out"
+    cfg = RunnerConfig(batch_size=2, output_dir=str(out))
+    jobs = plan_batches(manifest, cfg)
+    fixtures = tmp_path / "fixtures"
+    _fixtures_for_jobs(fixtures, jobs, lambda j: f"batch {j.index}")
+    client = make_stub(fixtures)
+    run_annotation(jobs, BUNDLE, manifest, client, cfg)
+    (out / "batch_1_output.txt").unlink()
+
+    cfg_resume = RunnerConfig(batch_size=2, output_dir=str(out), resume=True)
+    summary = run_annotation(plan_batches(manifest, cfg_resume), BUNDLE, manifest, client, cfg_resume)
+
+    assert summary.skipped == 1 and summary.provider_calls == 1
+    assert (out / "batch_1_output.txt").read_text() == "batch 1"
+
+
+def test_checkpoint_records_every_batch_under_contention(tmp_path):
+    """More workers than cores and a short switch interval: every completion
+    must reach checkpoint.json with its digest."""
+    manifest = _corpus_on_disk(tmp_path, 48)
+    out = tmp_path / "out"
+    cfg = RunnerConfig(batch_size=2, output_dir=str(out))
+    jobs = plan_batches(manifest, cfg)
+    fixtures = tmp_path / "fixtures"
+    _fixtures_for_jobs(fixtures, jobs, lambda j: f"batch {j.index}")
+    client = make_stub(fixtures, max_inflight=8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        summary = run_annotation(jobs, BUNDLE, manifest, client, cfg)
+    finally:
+        sys.setswitchinterval(interval)
+
+    assert summary.completed == len(jobs) == 24
+    checkpoint = json.loads((out / "checkpoint.json").read_text())
+    assert checkpoint["completed"] == list(range(len(jobs)))
+    assert sorted(int(i) for i in checkpoint["digests"]) == list(range(len(jobs)))
+    assert len(set(checkpoint["digests"].values())) == len(jobs)
+
+
 # --- run_filter ------------------------------------------------------------------
 
 
@@ -342,6 +428,81 @@ def test_filter_pass_count_recorded_and_reapplies(tmp_path):
     assert second.per_batch[0] == (1, 2)
     state = json.loads((out / "filter_state.json").read_text())
     assert state["passes"] == 2
+
+
+def _two_pass_fixtures(fixtures: Path, made: dict[int, list]) -> None:
+    """Pass 1 keeps the first two records of a batch, pass 2 the first one."""
+    for index, recs in made.items():
+        write_stub_fixture(fixtures, "filter", [f"batch_{index}_output.txt"], batch_output_text(recs[:2]))
+        write_stub_fixture(fixtures, "filter", [f"batch_{index}_filtered.txt"], batch_output_text(recs[:1]))
+
+
+def test_filter_failed_batch_keeps_its_pass_number(tmp_path):
+    out = tmp_path / "out"
+    made = _write_batch_outputs(out, {0: 4, 1: 4})
+    fixtures = tmp_path / "fixtures"
+    _two_pass_fixtures(fixtures, made)
+    client = make_stub(fixtures, max_retries=0)
+    run_filter(out, client)
+    client.script.fail_counts[f"filter-{stub_key('filter', ['batch_1_filtered.txt'])}"] = -1
+
+    second = run_filter(out, client)
+
+    assert second.pass_number == 2
+    assert [index for index, _ in second.failures] == [1]
+    state = json.loads((out / "filter_state.json").read_text())
+    assert state["passes"] == 2
+    assert state["batch_passes"] == {"0": 2, "1": 1}
+
+
+def test_filter_finishes_a_failed_pass_before_starting_the_next(tmp_path):
+    out = tmp_path / "out"
+    made = _write_batch_outputs(out, {0: 4, 1: 4})
+    fixtures = tmp_path / "fixtures"
+    _two_pass_fixtures(fixtures, made)
+    client = make_stub(fixtures, max_retries=0)
+    run_filter(out, client)
+    key1 = f"filter-{stub_key('filter', ['batch_1_filtered.txt'])}"
+    client.script.fail_counts[key1] = -1
+    run_filter(out, client)
+    client.script.fail_counts.clear()
+    calls_before = client.calls
+
+    resumed = run_filter(out, client)
+
+    assert client.calls - calls_before == 1  # only the lagging batch
+    assert resumed.pass_number == 2
+    assert resumed.per_batch == {1: (1, 2)}
+    assert not resumed.failures
+    state = json.loads((out / "filter_state.json").read_text())
+    assert state["passes"] == 2
+    assert state["batch_passes"] == {"0": 2, "1": 2}
+    assert (out / "batch_0_filtered.txt").read_text() == batch_output_text(made[0][:1])
+    assert (out / "batch_1_filtered.txt").read_text() == batch_output_text(made[1][:1])
+
+
+def test_filter_uses_max_inflight_without_changing_results(tmp_path):
+    def run(max_inflight: int):
+        out = tmp_path / f"out{max_inflight}"
+        made = _write_batch_outputs(out, {i: 2 + i for i in range(4)})
+        fixtures = tmp_path / f"fixtures{max_inflight}"
+        for index, recs in made.items():
+            write_stub_fixture(fixtures, "filter", [f"batch_{index}_output.txt"], batch_output_text(recs[:1]))
+        client = make_stub(fixtures, max_inflight=max_inflight)
+        client.send_delay_s = 0.05
+        stats = run_filter(out, client)
+        files = {p.name: p.read_bytes() for p in sorted(out.glob("batch_*.txt"))}
+        return client, stats, files
+
+    serial_client, serial, serial_files = run(1)
+    pooled_client, pooled, pooled_files = run(2)
+
+    assert serial_client.inflight_high_water == 1
+    assert pooled_client.inflight_high_water == 2
+    assert list(pooled.per_batch.items()) == list(serial.per_batch.items())
+    assert pooled.skipped == serial.skipped
+    assert pooled.failures == serial.failures
+    assert pooled_files == serial_files
 
 
 # --- run_query -------------------------------------------------------------------
