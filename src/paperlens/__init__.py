@@ -27,7 +27,6 @@ from .corpus import (
     load_text,
     manifest_digest,
     manifest_to_jsonl,
-    resolve_category,
     sample,
     save_manifest,
 )
@@ -53,7 +52,6 @@ from .provider import (
 from .records import (
     Dataset,
     ExampleRecord,
-    dedupe,
     export_document,
     load_dataset,
     parse_batch_output,
@@ -110,7 +108,6 @@ __all__ = [
     "classify_tag",
     "corpus_distribution",
     "dataset_distribution",
-    "dedupe",
     "emit_report",
     "estimate_tokens",
     "export_document",
@@ -126,7 +123,6 @@ __all__ = [
     "plan_batches",
     "prevalence_estimate",
     "render_record",
-    "resolve_category",
     "richness_table",
     "run_annotation",
     "run_filter",

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
+from .atomic import write_atomic
 from .taxonomy import MAIN_AREAS, SubjectArea, classify_tag
 
 if TYPE_CHECKING:
@@ -284,7 +285,7 @@ def emit_report(
     """Write the human-readable report and the machine-readable CSV.
 
     Output is deterministic for fixed inputs: rerunning produces identical
-    bytes. Returns (report path, csv path).
+    bytes. Each file is replaced atomically. Returns (report path, csv path).
     """
     dest = Path(destination)
     try:
@@ -328,12 +329,11 @@ def emit_report(
 
     report_path = dest / "report.txt"
     csv_path = dest / "richness.csv"
-    report_path.write_text("\n".join(lines), encoding="utf-8")
+    write_atomic(report_path, "\n".join(lines))
     if dataset.total == 0:
-        csv_path.write_text(
-            "area,corpus_count,corpus_share,dataset_count,dataset_share,coefficient\n",
-            encoding="utf-8",
+        write_atomic(
+            csv_path, "area,corpus_count,corpus_share,dataset_count,dataset_share,coefficient\n"
         )
     else:
-        csv_path.write_text(_richness_csv(corpus, dataset, richness_table(corpus, dataset)), encoding="utf-8")
+        write_atomic(csv_path, _richness_csv(corpus, dataset, richness_table(corpus, dataset)))
     return report_path, csv_path

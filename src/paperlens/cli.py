@@ -12,10 +12,12 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from . import analytics, corpus, prompts, provider, records, runner, verify
-from .config import ConfigError, GlobalConfig, apply_overrides, load_config
+from . import analytics, corpus, prompts, provider, records, runner, taxonomy, verify
+from .atomic import write_atomic
+from .config import OVERRIDABLE, ConfigError, GlobalConfig, apply_overrides, load_config
 
 logger = logging.getLogger("paperlens")
 
@@ -31,9 +33,13 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser) -> argparse._ArgumentGroup:
     group = parser.add_argument_group("configuration")
     group.add_argument("--config", help="path to a JSON config file")
+    return group
+
+
+def _add_provider_flags(group: argparse._ArgumentGroup) -> None:
     group.add_argument("--dialect", choices=["openai", "gemini", "stub"], help="provider dialect")
     group.add_argument("--base-url", dest="base_url", help="provider base URL")
     group.add_argument("--model", dest="model_name", help="model name")
@@ -54,21 +60,14 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                        help="per-request transport timeout in seconds")
     group.add_argument("--fixtures-dir", dest="fixtures_dir",
                        help="stub dialect: directory of canned responses")
-    group.add_argument("--batch-size", dest="batch_size", type=int,
-                       help="documents per annotation batch")
     group.add_argument("--prompts-dir", dest="prompts_dir",
                        help="directory of prompt template sections")
 
 
 def _config_from_args(args: argparse.Namespace) -> GlobalConfig:
-    cfg = load_config(getattr(args, "config", None))
-    names = (
-        "dialect", "base_url", "model_name", "api_key_env", "context_window_tokens",
-        "max_output_tokens", "max_retries", "backoff_base_ms", "max_inflight",
-        "temperature", "timeout_s", "fixtures_dir", "batch_size", "prompts_dir",
-    )
-    overrides = {n: getattr(args, n, None) for n in names}
-    return apply_overrides(cfg, **overrides)
+    """The --config file's settings, overridden by each flag named after a config field."""
+    overrides = {name: getattr(args, name, None) for name in OVERRIDABLE}
+    return apply_overrides(load_config(args.config), **overrides)
 
 
 def _parse_tiers(spec: str) -> analytics.TierFractions:
@@ -103,7 +102,10 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="manifest file to write")
 
     p = sub.add_parser("annotate", help="run the annotation prompt over document batches")
-    _add_config_flags(p)
+    group = _add_config_flags(p)
+    _add_provider_flags(group)
+    group.add_argument("--batch-size", dest="batch_size", type=int,
+                       help="documents per annotation batch")
     p.add_argument("--manifest", required=True, help="manifest of documents to annotate")
     p.add_argument("--out", required=True, help="output directory for batch files")
     p.add_argument("--resume", action="store_true",
@@ -120,7 +122,7 @@ def build_parser() -> _Parser:
                    help="log redacted request/response bodies to an audit file")
 
     p = sub.add_parser("filter", help="apply the strict quality filter to batch outputs")
-    _add_config_flags(p)
+    _add_provider_flags(_add_config_flags(p))
     p.add_argument("--dir", required=True, help="directory containing batch_*_output.txt")
     p.add_argument("--dry-run", dest="dry_run", action="store_true",
                    help="print the next pass, its input files and token estimates; no provider calls")
@@ -137,8 +139,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="check record quotes against their source documents")
     p.add_argument("--dataset", required=True, help="dataset file to verify")
     p.add_argument("--manifest", required=True, help="manifest resolving source documents")
-    p.add_argument("--threshold", type=float, default=None,
-                   help="similarity threshold (default 0.85)")
+    p.add_argument("--threshold", type=float,
+                   help="similarity threshold (default: the config's, else 0.85)")
     p.add_argument("--out", help="write the annotated dataset here")
     p.add_argument("--report", help="write the verification summary as JSON here")
     _add_config_flags(p)
@@ -151,7 +153,7 @@ def build_parser() -> _Parser:
     p.add_argument("--taxonomy", help="JSON file overriding the tag-to-area table")
 
     p = sub.add_parser("query", help="ask a follow-up question over a dataset")
-    _add_config_flags(p)
+    _add_provider_flags(_add_config_flags(p))
     p.add_argument("--dataset", required=True, help="dataset file to attach")
     p.add_argument("--question", required=True, help="the follow-up question")
     p.add_argument("--log", help="transcript file (default: alongside the dataset)")
@@ -214,12 +216,8 @@ def _make_client(cfg: GlobalConfig, args: argparse.Namespace, out_dir: Path | No
 def _cmd_annotate(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     manifest = corpus.load_manifest(args.manifest)
-    run_cfg = runner.RunnerConfig(
-        batch_size=cfg.runner.batch_size,
-        output_dir=args.out,
-        resume=args.resume,
-        skip_oversize=args.skip_oversize,
-    )
+    # --batch-size, --resume and --skip-oversize reach cfg.runner as overrides.
+    run_cfg = replace(cfg.runner, output_dir=args.out)
 
     asset = None
     if args.context_asset:
@@ -233,7 +231,7 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
         print(f"prompt estimate: {bundle.estimated_tokens} tokens")
         refs = {r.doc_id: r for r in manifest.documents}
         for job in jobs:
-            doc_tokens = sum(provider.estimate_tokens("x" * refs[d].char_count) for d in job.doc_ids)
+            doc_tokens = sum(provider.tokens_for_chars(refs[d].char_count) for d in job.doc_ids)
             print(
                 f"  batch {job.index}: {len(job.doc_ids)} docs, ~{doc_tokens} doc tokens "
                 f"-> {job.output_path}"
@@ -285,19 +283,14 @@ def _cmd_filter(args: argparse.Namespace) -> int:
 def _cmd_parse(args: argparse.Namespace) -> int:
     directory = Path(args.dir)
     suffix = "filtered" if args.filtered else "output"
-    files = sorted(
-        (p for p in directory.glob(f"batch_*_{suffix}.txt")),
-        key=lambda p: int(p.stem.split("_")[1]),
-    )
+    files = runner._batch_files(directory, suffix)
     if not files:
         raise CliError(f"no batch_*_{suffix}.txt files found in {directory}")
 
     all_records = []
     warning_count = 0
-    indices = []
-    for path in files:
-        index = int(path.stem.split("_")[1])
-        indices.append(index)
+    indices = [index for index, _ in files]
+    for index, path in files:
         parsed, warnings = records.parse_batch_output(path.read_text(encoding="utf-8"), index)
         all_records.extend(parsed)
         warning_count += len(warnings)
@@ -335,8 +328,7 @@ def _cmd_parse(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    threshold = args.threshold if args.threshold is not None else cfg.threshold
+    threshold = _config_from_args(args).threshold
     manifest = corpus.load_manifest(args.manifest)
     ds = records.load_dataset(args.dataset, corpus.manifest_digest(manifest))
 
@@ -374,7 +366,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 for r in summary.unverified_records
             ],
         }
-        Path(args.report).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+        write_atomic(args.report, json.dumps(report, indent=2) + "\n")
         print(f"verification report -> {args.report}", file=sys.stderr)
     return 0
 
@@ -384,11 +376,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     ds = records.load_dataset(args.dataset, corpus.manifest_digest(manifest))
     tiers = _parse_tiers(args.tiers) if args.tiers else analytics.TierFractions()
 
-    table = None
-    if args.taxonomy:
-        from .taxonomy import load_table
-
-        table = load_table(args.taxonomy)
+    table = taxonomy.load_table(args.taxonomy) if args.taxonomy else None
 
     corpus_table = analytics.corpus_distribution(manifest, table)
     dataset_table = analytics.dataset_distribution(ds, manifest, table)
@@ -414,7 +402,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     ds = records.load_dataset(args.dataset)
-    Path(args.out).write_text(records.export_document(ds), encoding="utf-8")
+    write_atomic(args.out, records.export_document(ds))
     print(f"exported {len(ds.records)} records -> {args.out}", file=sys.stderr)
     return 0
 
@@ -476,6 +464,7 @@ def main(argv: list[str] | None = None) -> int:
         runner.RunnerError,
         analytics.AnalyticsError,
         provider.ProviderError,
+        taxonomy.TaxonomyError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
-from .analytics import TierFractions
 from .provider import ProviderConfig
 from .runner import RunnerConfig
 
@@ -26,7 +25,17 @@ class GlobalConfig:
     runner: RunnerConfig = RunnerConfig()
     prompts_dir: str | None = None
     threshold: float = 0.85
-    tiers: TierFractions = TierFractions()
+
+
+# The GlobalConfig fields that hold a nested config object, by name.
+_SECTIONS = {f.name: type(f.default) for f in fields(GlobalConfig) if is_dataclass(f.default)}
+
+#: Every name ``apply_overrides`` accepts, mapped to the section holding it
+#: (None for a top-level field).
+OVERRIDABLE: dict[str, str | None] = {
+    **{f.name: None for f in fields(GlobalConfig) if f.name not in _SECTIONS},
+    **{f.name: section for section, cls in _SECTIONS.items() for f in fields(cls)},
+}
 
 
 def _build(cls, raw: dict, where: str):
@@ -61,49 +70,35 @@ def load_config(path: str | Path | None = None) -> GlobalConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
 
-    known = {"provider", "runner", "prompts_dir", "threshold", "tiers"}
-    unknown = set(raw) - known
+    unknown = set(raw) - {f.name for f in fields(GlobalConfig)}
     if unknown:
         raise ConfigError(f"{path}: unknown section(s) {sorted(unknown)}")
 
-    provider = _build(ProviderConfig, raw.get("provider", {}), f"{path}: provider")
-    runner = _build(RunnerConfig, raw.get("runner", {}), f"{path}: runner")
-    tiers = _build(TierFractions, raw.get("tiers", {}), f"{path}: tiers")
     return GlobalConfig(
-        provider=provider,
-        runner=runner,
+        **{name: _build(cls, raw.get(name, {}), f"{path}: {name}") for name, cls in _SECTIONS.items()},
         prompts_dir=raw.get("prompts_dir"),
-        threshold=float(raw.get("threshold", 0.85)),
-        tiers=tiers,
+        threshold=float(raw.get("threshold", GlobalConfig.threshold)),
     )
 
 
 def apply_overrides(config: GlobalConfig, **overrides) -> GlobalConfig:
     """Apply non-None flag overrides onto a loaded config.
 
-    Provider and runner fields are addressed by their own names; unknown
-    names raise to catch wiring mistakes early.
+    Provider and runner fields are addressed by their own names (see
+    ``OVERRIDABLE``); unknown names raise to catch wiring mistakes early.
     """
-    provider_fields = {f.name for f in fields(ProviderConfig)}
-    runner_fields = {f.name for f in fields(RunnerConfig)}
-    provider_kwargs = {}
-    runner_kwargs = {}
-    top_kwargs = {}
+    top: dict[str, object] = {}
+    nested: dict[str, dict[str, object]] = {section: {} for section in _SECTIONS}
     for name, value in overrides.items():
         if value is None:
             continue
-        if name in provider_fields:
-            provider_kwargs[name] = value
-        elif name in runner_fields:
-            runner_kwargs[name] = value
-        elif name in ("prompts_dir", "threshold", "tiers"):
-            top_kwargs[name] = value
-        else:
+        if name not in OVERRIDABLE:
             raise ConfigError(f"unknown config override {name!r}")
-    if provider_kwargs:
-        config = replace(config, provider=replace(config.provider, **provider_kwargs))
-    if runner_kwargs:
-        config = replace(config, runner=replace(config.runner, **runner_kwargs))
-    if top_kwargs:
-        config = replace(config, **top_kwargs)
-    return config
+        section = OVERRIDABLE[name]
+        if section is None:
+            top[name] = value
+        else:
+            nested[section][name] = value
+    for section, kwargs in nested.items():
+        top[section] = replace(getattr(config, section), **kwargs)
+    return replace(config, **top)

@@ -16,10 +16,10 @@ import random
 import re
 import shlex
 import subprocess
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
+from .atomic import write_atomic
 from .verify import normalize
 
 logger = logging.getLogger(__name__)
@@ -128,7 +128,6 @@ def ingest(
     source_dir: str | Path,
     metadata_file: str | Path | None = None,
     extract_cmd: str | None = None,
-    max_workers: int | None = None,
 ) -> IngestResult:
     """Build a manifest from a directory of PDFs with extracted-text sidecars.
 
@@ -136,7 +135,10 @@ def ingest(
     in the metadata file, or (when ``extract_cmd`` is set) a successful run
     of the external extractor. Documents without resolvable text appear in
     the skip report; they are never silently dropped. The metadata file may
-    also supply title, authors, and category_tag per doc_id.
+    also supply title, authors, and category_tag per doc_id. A document's
+    category tag is its metadata entry's, else the tag embedded in its PDF,
+    else the one in its filename, else None (unknown is a value, not an
+    error).
     """
     src = Path(source_dir)
     if not src.is_dir():
@@ -149,7 +151,7 @@ def ingest(
         key=lambda p: p.stem,
     )
 
-    pending: list[tuple[Path, Path, dict]] = []
+    refs: list[DocumentRef] = []
     skipped: list[SkipReport] = []
     for pdf in pdfs:
         entry = metadata.get(pdf.stem, {})
@@ -164,32 +166,23 @@ def ingest(
         if text_path is None:
             skipped.append(SkipReport(pdf.stem, str(pdf), "no extracted text found"))
             continue
-        pending.append((pdf, text_path, entry))
-
-    def make_ref(item: tuple[Path, Path, dict]) -> DocumentRef | SkipReport:
-        pdf, text_path, entry = item
         try:
             raw = text_path.read_text(encoding="utf-8", errors="replace")
         except OSError as exc:
-            return SkipReport(pdf.stem, str(pdf), f"unreadable text file: {exc}")
+            skipped.append(SkipReport(pdf.stem, str(pdf), f"unreadable text file: {exc}"))
+            continue
         tag = entry.get("category_tag") or _embedded_pdf_tag(pdf) or _filename_tag(pdf.stem)
-        return DocumentRef(
-            doc_id=pdf.stem,
-            path=str(pdf),
-            text_path=str(text_path),
-            title=entry.get("title", ""),
-            authors=tuple(entry.get("authors", ())),
-            category_tag=tag,
-            char_count=len(normalize(raw)),
+        refs.append(
+            DocumentRef(
+                doc_id=pdf.stem,
+                path=str(pdf),
+                text_path=str(text_path),
+                title=entry.get("title", ""),
+                authors=tuple(entry.get("authors", ())),
+                category_tag=tag,
+                char_count=len(normalize(raw)),
+            )
         )
-
-    refs: list[DocumentRef] = []
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        for result in pool.map(make_ref, pending):
-            if isinstance(result, SkipReport):
-                skipped.append(result)
-            else:
-                refs.append(result)
 
     for skip in skipped:
         logger.warning("skipped %s: %s", skip.doc_id, skip.reason)
@@ -277,23 +270,6 @@ def _filename_tag(stem: str) -> str | None:
     return None
 
 
-def resolve_category(ref: DocumentRef, metadata_file: str | Path | None = None) -> str | None:
-    """Resolve a document's category tag.
-
-    Precedence: metadata file entry, then embedded PDF metadata, then the
-    filename heuristic. Returns None (the unknown sentinel) when no source
-    resolves; unknown is a value, not an error.
-    """
-    if metadata_file:
-        entry = _load_metadata(metadata_file).get(ref.doc_id, {})
-        if entry.get("category_tag"):
-            return str(entry["category_tag"])
-    tag = _embedded_pdf_tag(ref.path)
-    if tag:
-        return tag
-    return _filename_tag(ref.doc_id)
-
-
 # ---------------------------------------------------------------------------
 # Manifest serialization
 # ---------------------------------------------------------------------------
@@ -332,10 +308,7 @@ def manifest_to_jsonl(manifest: CorpusManifest) -> str:
 
 def save_manifest(manifest: CorpusManifest, path: str | Path) -> None:
     """Write a manifest atomically (temp file, then rename)."""
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(manifest_to_jsonl(manifest), encoding="utf-8")
-    tmp.replace(path)
+    write_atomic(path, manifest_to_jsonl(manifest))
 
 
 def load_manifest(path: str | Path) -> CorpusManifest:

@@ -23,6 +23,8 @@ from typing import TYPE_CHECKING
 
 import requests
 
+from .atomic import write_atomic
+
 if TYPE_CHECKING:
     from .prompts import PromptBundle
 
@@ -119,9 +121,12 @@ def estimate_tokens(text: str) -> int:
 
     Monotone in input length; empty text estimates to zero.
     """
-    if not text:
-        return 0
-    return math.ceil(math.ceil(len(text) / _CHARS_PER_TOKEN) * _SAFETY_MARGIN)
+    return tokens_for_chars(len(text))
+
+
+def tokens_for_chars(char_count: int) -> int:
+    """``estimate_tokens`` of any text of ``char_count`` characters."""
+    return math.ceil(math.ceil(char_count / _CHARS_PER_TOKEN) * _SAFETY_MARGIN)
 
 
 def stub_key(kind: str, payload_refs: tuple[str, ...] | list[str]) -> str:
@@ -380,7 +385,7 @@ def write_stub_fixture(
     fixtures_dir = Path(fixtures_dir)
     fixtures_dir.mkdir(parents=True, exist_ok=True)
     path = fixtures_dir / f"{kind}-{stub_key(kind, payload_refs)}.txt"
-    path.write_text(text, encoding="utf-8")
+    write_atomic(path, text)
     return path
 
 

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
+from .atomic import write_atomic
+
 if TYPE_CHECKING:
     from .verify import VerificationResult
 
@@ -383,7 +385,6 @@ def _record_from_json(raw: dict[str, Any]) -> ExampleRecord:
 
 def save_dataset(ds: Dataset, path: str | Path) -> None:
     """Write a dataset as line-delimited records (atomic temp-then-rename)."""
-    path = Path(path)
     lines = [
         json.dumps(
             {
@@ -397,9 +398,7 @@ def save_dataset(ds: Dataset, path: str | Path) -> None:
     ]
     for record in ds.records:
         lines.append(json.dumps(_record_to_json(record), ensure_ascii=False, sort_keys=True))
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    tmp.replace(path)
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_dataset(path: str | Path, expect_manifest_hash: str | None = None) -> Dataset:
@@ -449,26 +448,4 @@ def load_dataset(path: str | Path, expect_manifest_hash: str | None = None) -> D
         records=records,
         source_manifest_hash=stored_hash,
         filter_pass_count=int(header.get("filter_pass_count", 0)),
-    )
-
-
-def dedupe(ds: Dataset) -> Dataset:
-    """Drop repeated reports of the same example, keeping the first.
-
-    Two records are duplicates when source_doc_id, quote, finding, and
-    commentary all coincide; records differing only in commentary are two
-    distinct readings and are both kept. Stable and idempotent.
-    """
-    seen: set[tuple[str, str | None, str, str]] = set()
-    kept: list[ExampleRecord] = []
-    for record in ds.records:
-        key = (record.source_doc_id, record.quote, record.finding, record.commentary)
-        if key in seen:
-            continue
-        seen.add(key)
-        kept.append(record)
-    return Dataset(
-        records=kept,
-        source_manifest_hash=ds.source_manifest_hash,
-        filter_pass_count=ds.filter_pass_count,
     )

@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from . import provider
+from .atomic import write_atomic
 from .corpus import CorpusManifest, DocumentRef, load_text, manifest_digest
 from .prompts import PromptBundle, build_filter_prompt, build_query_prompt
 from .records import parse_batch_output
@@ -79,12 +80,6 @@ class RunnerConfig:
             raise ValueError("batch_size must be >= 1")
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    tmp.replace(path)
-
-
 @dataclass
 class Checkpoint:
     """Which planned batches have completed, bound to a manifest digest.
@@ -111,7 +106,7 @@ class Checkpoint:
             },
             sort_keys=True,
         )
-        _write_atomic(Path(path), body + "\n")
+        write_atomic(path, body + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "Checkpoint":
@@ -141,7 +136,7 @@ class RunSummary:
 
 def _doc_tokens(ref: DocumentRef) -> int:
     header = _DOC_HEADER.format(doc_id=ref.doc_id, title=ref.title)
-    return provider.estimate_tokens("x" * ref.char_count) + provider.estimate_tokens(header)
+    return provider.tokens_for_chars(ref.char_count) + provider.estimate_tokens(header)
 
 
 def plan_batches(
@@ -272,7 +267,7 @@ def _run_batches(
     def execute(batch: _Batch) -> str:
         bundle, payload = batch.request()
         text = client.complete(bundle, payload).text
-        _write_atomic(batch.output_path, text)
+        write_atomic(batch.output_path, text)
         with lock:
             record(batch)
         return text
@@ -402,13 +397,16 @@ class RetentionStats:
         return self.records_in > 0 and self.overall_retention > 0.5
 
 
-_BATCH_FILE_RE = re.compile(r"batch_(\d+)_(output|filtered)\.txt$")
-
-
 def _batch_files(directory: Path, suffix: str) -> list[tuple[int, Path]]:
+    """The ``batch_{n}_{suffix}.txt`` files in a directory as (n, path), by n.
+
+    Only names the runner writes count; a stray ``batch_old_output.txt`` or
+    ``batch_1_x_output.txt`` is not a batch file.
+    """
+    name = re.compile(rf"batch_(0|[1-9][0-9]*)_{suffix}\.txt")
     found = []
     for path in directory.glob(f"batch_*_{suffix}.txt"):
-        m = _BATCH_FILE_RE.search(path.name)
+        m = name.fullmatch(path.name)
         if m:
             found.append((int(m.group(1)), path))
     return sorted(found)
@@ -441,7 +439,7 @@ class FilterState:
             },
             sort_keys=True,
         )
-        _write_atomic(Path(path), body + "\n")
+        write_atomic(path, body + "\n")
 
     @classmethod
     def load(cls, directory: str | Path) -> "FilterState":

@@ -15,7 +15,7 @@ from pathlib import Path
 
 
 class TaxonomyError(Exception):
-    """Raised for malformed taxonomy override files."""
+    """Raised for unreadable or malformed taxonomy override files."""
 
 
 class SubjectArea(enum.Enum):
@@ -117,6 +117,8 @@ def load_table(path: str | Path) -> dict[str, SubjectArea]:
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise TaxonomyError(f"cannot read taxonomy file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise TaxonomyError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):

@@ -23,17 +23,6 @@ if TYPE_CHECKING:
     from .corpus import CorpusManifest
     from .records import Dataset, ExampleRecord
 
-# Ligatures not already expanded by NFKC are listed here as a safety net.
-_LIGATURES = {
-    "ﬀ": "ff",
-    "ﬁ": "fi",
-    "ﬂ": "fl",
-    "ﬃ": "ffi",
-    "ﬄ": "ffl",
-    "ﬅ": "ft",
-    "ﬆ": "st",
-}
-
 _SOFT_HYPHEN = "­"
 _DEHYPHEN_RE = re.compile(r"(?<=\w)[-­][ \t]*\r?\n\s*(?=\w)")
 _WS_RE = re.compile(r"\s+")
@@ -50,15 +39,12 @@ _MIN_SEGMENT_CHARS = 4
 def normalize(text: str) -> str:
     """Normalize text for matching.
 
-    Applies, in order: Unicode compatibility normalization (NFKC), ligature
-    expansion, de-hyphenation of line-break hyphens, collapse of whitespace
-    runs to single spaces, and soft-hyphen removal. Case is preserved. The
-    result is idempotent under re-application.
+    Applies, in order: Unicode compatibility normalization (NFKC, which also
+    expands the ligatures U+FB00-FB06), de-hyphenation of line-break hyphens,
+    collapse of whitespace runs to single spaces, and soft-hyphen removal.
+    Case is preserved. The result is idempotent under re-application.
     """
     text = unicodedata.normalize("NFKC", text)
-    for lig, expansion in _LIGATURES.items():
-        if lig in text:
-            text = text.replace(lig, expansion)
     text = _DEHYPHEN_RE.sub("", text)
     text = _WS_RE.sub(" ", text)
     text = text.replace(_SOFT_HYPHEN, "")
@@ -320,7 +306,6 @@ def verify_dataset(
     ds: "Dataset",
     manifest: "CorpusManifest",
     threshold: float = 0.85,
-    max_workers: int | None = None,
 ) -> tuple["Dataset", VerificationSummary]:
     """Verify every quoted record in a dataset against its source document.
 
@@ -351,7 +336,7 @@ def verify_dataset(
         result = best_match(record.quote, doc_text, threshold)
         return replace(record, verification=result)
 
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+    with ThreadPoolExecutor() as pool:
         annotated = list(pool.map(check, ds.records))
 
     for record in annotated:

@@ -4,6 +4,8 @@ The richness and prevalence expectations here are the published reference
 values the tool must reproduce from its own arithmetic.
 """
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -286,6 +288,22 @@ def test_report_unwritable_destination(tmp_path):
     corpus = DistributionTable.from_counts(C_COUNTS)
     with pytest.raises(AnalyticsError, match="destination"):
         emit_report(corpus, corpus, None, target)
+
+
+def test_report_write_failure_keeps_old_report(tmp_path, monkeypatch):
+    corpus = DistributionTable.from_counts(C_COUNTS)
+    dataset = DistributionTable.from_counts(D_COUNTS)
+    dest = tmp_path / "r"
+    dest.mkdir()
+    (dest / "report.txt").write_bytes(b"previous report")
+
+    def fail(self, target):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "replace", fail)
+    with pytest.raises(OSError):
+        emit_report(corpus, dataset, None, dest)
+    assert (dest / "report.txt").read_bytes() == b"previous report"
 
 
 def test_from_counts_rejects_negative():

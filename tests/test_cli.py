@@ -57,6 +57,12 @@ def test_unknown_flag_exits_one(capsys):
                  "--bogus-flag"]) == 1
     err = capsys.readouterr().err
     assert "usage" in err.lower()
+    # Subcommands take only the config flags they read.
+    for argv in (["verify", "--dataset", "d", "--manifest", "m", "--dialect", "stub"],
+                 ["filter", "--dir", "d", "--batch-size", "2"],
+                 ["query", "--dataset", "d", "--question", "q", "--batch-size", "2"]):
+        assert main(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_unknown_command_exits_one(capsys):
@@ -218,6 +224,25 @@ def test_parse_filtered_stamps_lagging_pass_count(pipeline_dirs, capsys):
     assert "batch 0" in err and "batch 1" not in err
 
 
+def test_parse_ignores_stray_batch_files(pipeline_dirs, capsys):
+    tmp_path, manifest_path, fixtures = pipeline_dirs
+    config = write_config(tmp_path, fixtures)
+    out_dir = tmp_path / "run"
+    main(["annotate", "--config", str(config), "--manifest", str(manifest_path),
+          "--out", str(out_dir), "--batch-size", "2"])
+    stray = batch_output_text([make_record(9, doc_id="paper9", batch_index=1)])
+    (out_dir / "batch_old_output.txt").write_text(stray, encoding="utf-8")
+    (out_dir / "batch_1_x_output.txt").write_text(stray, encoding="utf-8")
+
+    dataset_path = tmp_path / "raw.records.jsonl"
+    assert main(["parse", "--dir", str(out_dir), "--out", str(dataset_path)]) == 0
+    ds = load_dataset(dataset_path)
+    assert [(r.batch_index, r.source_doc_id) for r in ds.records] == [
+        (0, "paper0"), (0, "paper1"), (1, "paper2"), (1, "paper3"),
+    ]
+    assert "from 2 files" in capsys.readouterr().err
+
+
 def test_prompts_show(capsys):
     assert main(["prompts", "show", "--kind", "annotation"]) == 0
     out = capsys.readouterr().out
@@ -240,11 +265,30 @@ def test_stats_with_tiers_flag(pipeline_dirs, tmp_path, capsys):
                  "--out", str(stats_dir), "--tiers", "0.9,0.9,0.9"]) == 1
 
 
-def test_missing_files_are_user_errors(tmp_path, capsys):
+def test_missing_files_are_user_errors(pipeline_dirs, tmp_path, capsys):
     assert main(["ingest", "--source", str(tmp_path / "nope"), "--out", "m"]) == 1
     assert main(["verify", "--dataset", str(tmp_path / "no.jsonl"),
                  "--manifest", str(tmp_path / "no-m.jsonl")]) == 1
     assert main(["export", "--dataset", str(tmp_path / "no.jsonl"), "--out", "x"]) == 1
+
+    _, manifest_path, _ = pipeline_dirs
+    from paperlens.records import Dataset, save_dataset
+
+    ds_path = tmp_path / "empty.records.jsonl"
+    save_dataset(Dataset(), ds_path)
+    malformed = tmp_path / "malformed-taxonomy.json"
+    malformed.write_text("{not json", encoding="utf-8")
+    for taxonomy in (tmp_path / "no-taxonomy.json", malformed):
+        assert main(["stats", "--manifest", str(manifest_path), "--dataset", str(ds_path),
+                     "--out", str(tmp_path / "stats"), "--taxonomy", str(taxonomy)]) == 1
+        assert taxonomy.name in capsys.readouterr().err
+
+
+def test_config_tiers_section_is_rejected(tmp_path, capsys):
+    # Tiers come from `stats --tiers`; the config file has no tiers section.
+    config = write_config(tmp_path, tmp_path, tiers={"high": 0.2, "borderline": 0.6, "low": 0.2})
+    assert main(["verify", "--config", str(config), "--dataset", "d", "--manifest", "m"]) == 1
+    assert "unknown section(s) ['tiers']" in capsys.readouterr().err
 
 
 HELP_FLAGS = {

@@ -16,7 +16,6 @@ from paperlens.corpus import (
     load_text,
     manifest_digest,
     manifest_to_jsonl,
-    resolve_category,
     sample,
     save_manifest,
 )
@@ -195,7 +194,7 @@ def test_char_count_matches_loaded_text(tmp_path):
     assert ref.char_count == len(load_text(ref))
 
 
-# --- resolve_category --------------------------------------------------------
+# --- category resolution (ingest) --------------------------------------------
 
 
 def test_metadata_entry_wins(tmp_path):
@@ -205,13 +204,12 @@ def test_metadata_entry_wins(tmp_path):
         [{"doc_id": "math0003117-math.CO", "category_tag": "math.AG"}],
     )
     ref = ingest(src, meta).manifest.documents[0]
-    assert resolve_category(ref, meta) == "math.AG"
+    assert ref.category_tag == "math.AG"
 
 
 def test_filename_heuristic(tmp_path):
     src = write_corpus(tmp_path / "src", {"math0003117-math.CO": "x"})
     ref = ingest(src).manifest.documents[0]
-    assert resolve_category(ref) == "math.CO"
     assert ref.category_tag == "math.CO"
 
 
@@ -228,7 +226,6 @@ def test_embedded_pdf_metadata(tmp_path):
     (src / "paper1.txt").write_text("text", encoding="utf-8")
     ref = ingest(src).manifest.documents[0]
     assert ref.category_tag == "math.GT"
-    assert resolve_category(ref) == "math.GT"
 
 
 def test_arxiv_stamp_fallback(tmp_path):
@@ -242,7 +239,6 @@ def test_arxiv_stamp_fallback(tmp_path):
 def test_no_source_resolves_to_unknown(tmp_path):
     src = write_corpus(tmp_path / "src", {"plainname": "x"})
     ref = ingest(src).manifest.documents[0]
-    assert resolve_category(ref) is None
     assert ref.category_tag is None
 
 

@@ -19,6 +19,7 @@ from paperlens.provider import (
     estimate_tokens,
     make_client,
     stub_key,
+    tokens_for_chars,
     write_stub_fixture,
 )
 
@@ -49,6 +50,11 @@ def test_estimate_concat_monotone():
 def test_estimate_monotone_property(a, b):
     assert estimate_tokens(a + b) >= estimate_tokens(a)
     assert estimate_tokens(a) >= 0
+
+
+@given(st.text(max_size=2000))
+def test_tokens_for_chars_matches_estimate(s):
+    assert tokens_for_chars(len(s)) == estimate_tokens(s)
 
 
 # --- stub provider -----------------------------------------------------------

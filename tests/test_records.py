@@ -1,4 +1,4 @@
-"""Parser, renderer, persistence, and dedupe tests.
+"""Parser, renderer, and persistence tests.
 
 The WORKED_ITEMS fixtures re-type real model-output items (the exact label
 shapes the annotation runs produce, including the Example/Finding synonym
@@ -16,7 +16,6 @@ from paperlens.records import (
     Dataset,
     DatasetError,
     ExampleRecord,
-    dedupe,
     export_document,
     load_dataset,
     parse_batch_output,
@@ -388,36 +387,6 @@ def test_manifest_digest_mismatch_warns(tmp_path, caplog):
     with caplog.at_level("WARNING"):
         load_dataset(path, expect_manifest_hash="different")
     assert any("different manifest" in m for m in caplog.messages)
-
-
-# --- dedupe --------------------------------------------------------------------
-
-
-def test_dedupe_removes_exact_duplicate():
-    a = make_record(1)
-    dup = ExampleRecord(**{**a.__dict__})
-    ds = Dataset(records=[a, make_record(2), dup])
-    out = dedupe(ds)
-    assert len(out.records) == 2
-
-
-def test_dedupe_idempotent():
-    ds = Dataset(records=[make_record(1), make_record(1), make_record(2)])
-    once = dedupe(ds)
-    assert dedupe(once) == once
-
-
-def test_dedupe_keeps_commentary_variants():
-    a = make_record(1)
-    b = ExampleRecord(**{**a.__dict__, "commentary": "a different reading"})
-    out = dedupe(Dataset(records=[a, b]))
-    assert len(out.records) == 2
-
-
-def test_dedupe_preserves_order():
-    recs = [make_record(3), make_record(1), make_record(3), make_record(2)]
-    out = dedupe(Dataset(records=recs))
-    assert [r.source_doc_id for r in out.records] == ["paper0003", "paper0001", "paper0002"]
 
 
 # --- export --------------------------------------------------------------------
