@@ -26,6 +26,12 @@ class GlobalConfig:
     prompts_dir: str | None = None
     threshold: float = 0.85
 
+    def __post_init__(self) -> None:
+        t = self.threshold
+        if isinstance(t, bool) or not isinstance(t, (int, float)) or not 0 < t <= 1:
+            raise ConfigError(f"threshold must be a number in (0, 1], got {t!r}")
+        object.__setattr__(self, "threshold", float(t))
+
 
 # The GlobalConfig fields that hold a nested config object, by name.
 _SECTIONS = {f.name: type(f.default) for f in fields(GlobalConfig) if is_dataclass(f.default)}
@@ -39,6 +45,8 @@ OVERRIDABLE: dict[str, str | None] = {
 
 
 def _build(cls, raw: dict, where: str):
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where}: must be a JSON object")
     known = {f.name for f in fields(cls)}
     unknown = set(raw) - known
     if unknown:
@@ -74,11 +82,17 @@ def load_config(path: str | Path | None = None) -> GlobalConfig:
     if unknown:
         raise ConfigError(f"{path}: unknown section(s) {sorted(unknown)}")
 
-    return GlobalConfig(
-        **{name: _build(cls, raw.get(name, {}), f"{path}: {name}") for name, cls in _SECTIONS.items()},
-        prompts_dir=raw.get("prompts_dir"),
-        threshold=float(raw.get("threshold", GlobalConfig.threshold)),
-    )
+    sections = {name: _build(cls, raw.get(name, {}), f"{path}: {name}") for name, cls in _SECTIONS.items()}
+    if "output_dir" in raw.get("runner", {}):
+        raise ConfigError(f"{path}: runner: output_dir is not read from a file; use `annotate --out`")
+    try:
+        return GlobalConfig(
+            **sections,
+            prompts_dir=raw.get("prompts_dir"),
+            threshold=raw.get("threshold", GlobalConfig.threshold),
+        )
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def apply_overrides(config: GlobalConfig, **overrides) -> GlobalConfig:

@@ -2,18 +2,23 @@
 
 Extracted text mangles typography (ligatures, line-break hyphenation, soft
 hyphens, whitespace), so both the quote and the document are pushed through
-the same normalization before matching. Matching slides windows of length
-0.8x to 1.2x the quote over the document and scores them by normalized edit
-distance; mathematical notation inside a quote is treated as a flexible gap
-because extraction renders formulas unpredictably.
+the same normalization before matching. A quote scores the best normalized
+edit distance over document windows of 0.8x to 1.2x its length; the score
+and span are exactly those of checking every window, ties going to the
+earliest start and then the shortest window. Bit-parallel edit distance
+(Myers 1999) and semi-global passes (Sellers 1980) that bound what each
+window start can reach keep that affordable on long documents.
+Mathematical notation inside a quote is treated as a flexible gap because
+extraction renders formulas unpredictably.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import re
+import time
 import unicodedata
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -22,6 +27,8 @@ import numpy as np
 if TYPE_CHECKING:
     from .corpus import CorpusManifest
     from .records import Dataset, ExampleRecord
+
+logger = logging.getLogger(__name__)
 
 _SOFT_HYPHEN = "­"
 _DEHYPHEN_RE = re.compile(r"(?<=\w)[-­][ \t]*\r?\n\s*(?=\w)")
@@ -53,6 +60,23 @@ def normalize(text: str) -> str:
     return text.strip()
 
 
+class _NormalizedDoc(str):
+    """A document text that is ``normalize``'s output, with its code points.
+
+    ``verify_dataset`` wraps each source document once and passes it to
+    ``best_match`` as the document text, which then neither normalizes nor
+    encodes it again. Slices are plain strings.
+    """
+
+    codes: np.ndarray
+
+    @classmethod
+    def wrap(cls, normalized: str) -> "_NormalizedDoc":
+        doc = cls(normalized)
+        doc.codes = _codepoints(doc)
+        return doc
+
+
 @dataclass(frozen=True)
 class VerificationResult:
     """Outcome of matching one quote against one document."""
@@ -72,8 +96,87 @@ class VerificationResult:
 
 def _codepoints(text: str) -> np.ndarray:
     if not text:
-        return np.empty(0, dtype=np.int64)
-    return np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32).astype(np.int64)
+        return np.empty(0, dtype=np.int32)
+    return np.frombuffer(text.encode("utf-32-le"), dtype=np.int32)
+
+
+def _bitmask(flags: np.ndarray) -> int:
+    """The int whose bit t is set exactly where ``flags[t]`` is true."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
+def _bits(x: int, count: int) -> np.ndarray:
+    """Bits 0 .. count-1 of ``x`` as a 0/1 int8 array."""
+    raw = np.frombuffer(x.to_bytes((count + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=count, bitorder="little").view(np.int8)
+
+
+def _edit_rows(quote: str, text: np.ndarray, pv: int, carry: int, mask: int) -> np.ndarray:
+    """Bit-parallel edit-distance DP (Myers, J. ACM 46(3), 1999) of ``quote``
+    against ``text``, one quote character per step, one bit per text position.
+
+    Row i of the table holds, at column t + 1, the cost of aligning
+    ``quote[:i]`` with text ending at position t. The bits of ``pv`` (and of
+    the internal ``mv``) mark the columns where a row rises (falls) by one
+    from the previous column; ``pv`` on entry describes row 0. Bits of
+    ``carry`` mark the columns whose left neighbour is a column-0 cell,
+    which rises by one per quote character; ``mask`` covers every column
+    in use. Text codes of -1 match nothing. Returns the last row's steps,
+    +1, 0 or -1 per text position.
+    """
+    count = len(text)
+    eq = {c: _bitmask(text == c) for c in set(map(ord, quote))}
+    mv = 0
+    for ch in quote:
+        e = eq[ord(ch)]
+        xv = e | mv
+        xh = (((e & pv) + pv) ^ pv) | e
+        # Complements are taken against ``mask``: CPython's bitwise
+        # operations on negative ints are several times slower.
+        ph = mv | (mask ^ (xh | pv))
+        mh = ((pv & xh) << 1) & mask
+        ph = ((ph << 1) | carry) & mask
+        pv = mh | (mask ^ (xv | ph))
+        mv = ph & xv
+    return _bits(pv, count) - _bits(mv, count)
+
+
+def _best_end_distances(quote: str, codes: np.ndarray) -> np.ndarray:
+    """``D[e] = min_s editdistance(quote, doc[s:e])`` for ``e`` in ``0..len(doc)``.
+
+    Sellers' semi-global distance (J. Algorithms 1(4), 1980): row 0 is all
+    zeros, so an alignment may start anywhere in the document.
+    """
+    steps = _edit_rows(quote, codes, 0, 1, (1 << len(codes)) - 1)
+    dist = np.empty(len(codes) + 1, dtype=np.int32)
+    dist[0] = len(quote)
+    np.cumsum(steps, out=dist[1:])
+    dist[1:] += len(quote)
+    return dist
+
+
+def _rewarded_end_costs(quote: str, codes: np.ndarray, num: int, den: int) -> np.ndarray:
+    """``den * min_s [editdistance(quote, doc[s:e]) - (num/den) * (e - s)]`` for every end ``e``.
+
+    Sellers' pass where each document character a window spans earns
+    ``num/den``; scaling by ``den`` keeps the arithmetic in integers. Rows
+    are stored minus ``den`` per column, which makes the horizontal moves a
+    running minimum.
+    """
+    n = len(codes)
+    dtype = np.int32 if den * (n + len(quote) + 1) < 2**31 else np.int64
+    prev = (num - den) * np.arange(n + 1, dtype=dtype)
+    cur = np.empty_like(prev)
+    diag = np.empty(n, dtype=dtype)
+    for ch in quote:
+        cur[0] = prev[0] + den
+        np.add(prev[1:], den, out=cur[1:])
+        np.multiply(codes == ord(ch), den, out=diag)
+        np.subtract(prev[:-1], diag, out=diag)
+        np.minimum(cur[1:], diag, out=cur[1:])
+        np.minimum.accumulate(cur, out=cur)
+        prev, cur = cur, prev
+    return prev + (den - num) * np.arange(n + 1, dtype=dtype)
 
 
 def _window_scores(
@@ -86,35 +189,35 @@ def _window_scores(
     """Best normalized similarity at each window start.
 
     For each start s, computes edit distances of the quote against every
-    prefix d[s:s+j] in one DP sweep and returns the best similarity
+    prefix d[s:s+j] and returns the best similarity
     1 - dist/max(|quote|, j) over window lengths j in [min_len, max_len],
-    along with the window end that achieves it.
+    along with the shortest window length that achieves it. All starts run
+    through one bit-parallel DP, each in its own slot of ``width + 1`` bits;
+    the spare top bit of each slot is never set, so the DP's additions
+    cannot carry from one window into the next.
     """
     m = len(quote)
     n = len(doc_codes)
     width = min(max_len, n)
     n_starts = len(starts)
 
-    codes = np.full((n_starts, width), -1, dtype=np.int64)
-    for i, s in enumerate(starts):
-        chunk = doc_codes[s : s + width]
-        codes[i, : len(chunk)] = chunk
+    idx = starts.reshape(-1, 1) + np.arange(width + 1)
+    windows = np.where(idx < n, doc_codes[np.minimum(idx, n - 1)], -1)
+    windows[:, width] = -1
+    slot = np.ones(width + 1, dtype=bool)
+    slot[width] = False
+    first = np.zeros(width + 1, dtype=bool)
+    first[0] = True
+    mask = _bitmask(np.tile(slot, n_starts))
+    steps = _edit_rows(quote, windows.ravel(), mask, _bitmask(np.tile(first, n_starts)), mask)
 
-    offsets = np.arange(width + 1, dtype=np.int32)
-    prev = np.broadcast_to(offsets, (n_starts, width + 1)).copy()
-    cur = np.empty_like(prev)
-    for ch in quote:
-        cost = (codes != ord(ch)).astype(np.int32)
-        cur[:, 0] = prev[:, 0] + 1
-        np.minimum(prev[:, :-1] + cost, prev[:, 1:] + 1, out=cur[:, 1:])
-        cur -= offsets
-        np.minimum.accumulate(cur, axis=1, out=cur)
-        cur += offsets
-        prev, cur = cur, prev
+    dist = np.empty((n_starts, width + 1), dtype=np.int32)
+    dist[:, 0] = m
+    np.cumsum(steps.reshape(n_starts, width + 1)[:, :width], axis=1, out=dist[:, 1:])
+    dist[:, 1:] += m
 
     lengths = np.arange(width + 1, dtype=np.int64)
-    denom = np.maximum(m, lengths)
-    sims = 1.0 - prev / denom
+    sims = 1.0 - dist / np.maximum(m, lengths)
 
     # Mask window lengths outside [min_len, max_len] or past the document
     # end; when the remaining document is shorter than min_len the longest
@@ -129,12 +232,140 @@ def _window_scores(
     return best_sim, best_j
 
 
+class _SideBounds:
+    """Upper bounds on the similarity of every window ending at each position.
+
+    Built on the reversed quote and document, the same bounds hold for every
+    window starting at each position. ``short_lb`` bounds the edit distance
+    of windows no longer than the quote (whose score divides by |quote|);
+    ``long_ub`` bounds the similarity of longer windows directly.
+    """
+
+    def __init__(self, quote: str, codes: np.ndarray, min_len: int, max_len: int) -> None:
+        self.quote, self.codes = quote, codes
+        self.m, self.min_len, self.max_len = len(quote), min_len, max_len
+        dist = _best_end_distances(quote, codes).astype(np.float64)
+        self.short_lb = dist
+        # A window of length j > |q| has distance >= max(D, j - |q|), so its
+        # similarity 1 - max(D, j - |q|)/j peaks where those two meet.
+        j = np.clip(self.m + dist, self.m + 1, max_len)
+        self.long_ub = 1.0 - np.maximum(dist, j - self.m) / j
+
+    def reward(self, num: int, den: int) -> None:
+        """Tighten with the pass rewarding each spanned character by r = num/den.
+
+        Every window of length j has distance >= G + r*j, where G is that
+        pass's value: so short windows have distance >= G + r*min_len, and
+        long windows similarity <= 1 - r - G/j.
+        """
+        r = num / den
+        g = _rewarded_end_costs(self.quote, self.codes, num, den) / den
+        np.maximum(self.short_lb, g + r * self.min_len, out=self.short_lb)
+        # -G/j is largest at the longest window if G >= 0, else the shortest.
+        j = np.where(g >= 0, self.max_len, self.m + 1)
+        np.minimum(self.long_ub, 1.0 - r - g / j, out=self.long_ub)
+
+    def bound(self) -> np.ndarray:
+        return np.maximum(1.0 - self.short_lb / self.m, self.long_ub)
+
+
+def _window_max(a: np.ndarray, w: int) -> np.ndarray:
+    """``out[i] = max(a[i : i + w])`` for every full window, by doubling spans."""
+    out, span = a, 1
+    while 2 * span <= w:
+        out = np.maximum(out[:-span], out[span:])
+        span *= 2
+    return np.maximum(out[: len(a) - w + 1], out[w - span : len(a) - span + 1])
+
+
+#: Documents with at most this many window starts have every start scored.
+_FULL_SCAN_STARTS = 64
+#: Starts scored before and between bounding passes, highest bound first.
+_PROBE_STARTS = 32
+#: Upper limit on the bits one ``_window_scores`` call packs.
+_BLOCK_BITS = 1 << 18
+#: A rewarded pass costs about as much as scoring this many times
+#: len(doc) / max_len window starts.
+_PASS_COST = 2
+#: Rewarded passes (forward or reversed) run at most this many times per match.
+_MAX_PASSES = 4
+#: Slack for float rounding when a bound is compared with a similarity.
+_TOL = 1e-9
+
+
+def _match_pruned(quote: str, codes: np.ndarray, min_len: int, max_len: int) -> tuple[float, int, int]:
+    """The exact best window, scoring only starts whose bound can still win.
+
+    Every start's bound is the lower of its start-side bound and the best
+    end-side bound over the ends its windows reach. A start is scored only
+    while that bound is at least the best similarity found so far, so the
+    first-best start of a full scan is always among those scored.
+    """
+    m, n = len(quote), len(codes)
+    n_starts = n - min_len + 1
+    ends = _SideBounds(quote, codes, min_len, max_len)
+    begins = _SideBounds(quote[::-1], codes[::-1].copy(), min_len, max_len)
+
+    def upper() -> np.ndarray:
+        reach = np.concatenate([ends.bound()[min_len:], np.full(max_len - min_len, -np.inf)])
+        by_end = _window_max(reach, max_len - min_len + 1)[:n_starts]
+        return np.minimum(begins.bound()[::-1][:n_starts], by_end)
+
+    sims = np.full(n_starts, -1.0)
+    lens = np.zeros(n_starts, dtype=np.int64)
+    done = np.zeros(n_starts, dtype=bool)
+    bound = upper()
+
+    def score(live: np.ndarray, count: int) -> None:
+        """Score the ``count`` live starts with the highest bounds."""
+        if live.size > count:
+            live = live[np.argpartition(-bound[live], count - 1)[:count]]
+        live = np.sort(live)
+        sims[live], lens[live] = _window_scores(quote, codes, live, min_len, max_len)
+        done[live] = True
+
+    score(np.arange(n_starts), _PROBE_STARTS)
+    block = max(1, _BLOCK_BITS // (min(max_len, n) + 1))
+    pass_starts = _PASS_COST * n // max_len
+    # Sides not yet tightened at the current reward.
+    todo: list[_SideBounds] = []
+    reward, passes = 2.0, 0
+    while True:
+        top = int(np.argmax(sims))
+        best = sims[top]
+        live = np.flatnonzero(~done & (bound >= best - _TOL))
+        if not live.size:
+            break
+        if live.size > pass_starts and passes < _MAX_PASSES:
+            # Reward each spanned character by exactly 1 - best: a window
+            # longer than the quote can beat the best only where that pass
+            # is negative.
+            den = max(m, int(lens[top]))
+            num = round((1.0 - best) * den)
+            if num / den < reward:
+                reward, todo = num / den, [ends, begins]
+            if todo:
+                todo.pop(0).reward(num, den)
+                passes += 1
+                np.minimum(bound, upper(), out=bound)
+                live = live[bound[live] >= best - _TOL]
+                if live.size:
+                    score(live, _PROBE_STARTS)
+                continue
+        score(live, block)
+
+    s = int(np.argmax(sims))
+    return float(sims[s]), s, s + int(lens[s])
+
+
 def _match_literal(quote: str, doc: str) -> tuple[float, int, int]:
     """Best window match of a literal (math-free) quote in a document.
 
-    Returns (similarity, span_start, span_end) over the normalized document.
-    Uses a coarse stride of |quote|/10 and refines around the best coarse
-    hits with stride 1.
+    Returns (similarity, span_start, span_end) over the normalized document:
+    exactly what scoring every window of 0.8x to 1.2x the quote length at
+    every start would return, ties going to the earliest start and then the
+    shortest window. Windows shorter than 0.8x count only when the whole
+    document is that short. A long document is searched by ``_match_pruned``.
     """
     if not doc:
         return 0.0, 0, 0
@@ -145,33 +376,14 @@ def _match_literal(quote: str, doc: str) -> tuple[float, int, int]:
     m = len(quote)
     min_len = max(1, math.floor(0.8 * m))
     max_len = max(1, math.ceil(1.2 * m))
-    doc_codes = _codepoints(doc)
+    doc_codes = doc.codes if isinstance(doc, _NormalizedDoc) else _codepoints(doc)
     n = len(doc_codes)
-
-    coarse_stride = max(1, m // 10)
-    last_start = max(0, n - min_len)
-    coarse_starts = np.arange(0, last_start + 1, coarse_stride, dtype=np.int64)
-    sims, ends = _window_scores(quote, doc_codes, coarse_starts, min_len, max_len)
-
-    if coarse_stride == 1:
-        best = int(np.argmax(sims))
-        s = int(coarse_starts[best])
-        return float(sims[best]), s, s + int(ends[best])
-
-    # Refine around the strongest coarse hits so the stride cannot hide the
-    # true optimum between samples.
-    top = np.argsort(sims)[::-1][:3]
-    fine: set[int] = set()
-    for i in top:
-        center = int(coarse_starts[i])
-        lo = max(0, center - coarse_stride)
-        hi = min(last_start, center + coarse_stride)
-        fine.update(range(lo, hi + 1))
-    fine_starts = np.array(sorted(fine), dtype=np.int64)
-    sims_f, ends_f = _window_scores(quote, doc_codes, fine_starts, min_len, max_len)
-    best = int(np.argmax(sims_f))
-    s = int(fine_starts[best])
-    return float(sims_f[best]), s, s + int(ends_f[best])
+    if n - min_len + 1 > _FULL_SCAN_STARTS:
+        return _match_pruned(quote, doc_codes, min_len, max_len)
+    starts = np.arange(max(0, n - min_len) + 1, dtype=np.int64)
+    sims, ends = _window_scores(quote, doc_codes, starts, min_len, max_len)
+    best = int(np.argmax(sims))
+    return float(sims[best]), best, best + int(ends[best])
 
 
 def _split_math(quote: str) -> list[tuple[str, int]]:
@@ -193,8 +405,13 @@ def best_match(quote: str, doc_text: str, threshold: float = 0.85) -> Verificati
     """Find the closest occurrence of a quote in a document.
 
     Both inputs are normalized first. An exact substring scores 1.0.
-    Otherwise the similarity is the best over windows of 0.8x to 1.2x the
-    quote length: 1 - edit_distance / max(window length, quote length).
+    Otherwise the similarity is the best over windows of
+    floor(0.8 |q|) to ceil(1.2 |q|) characters of the document:
+    1 - edit_distance / max(window length, quote length). It is exact:
+    the value a check of every window at every start gives. Among equally
+    good windows the span is the earliest-starting, then the shortest.
+    Shorter windows count only when the whole document is shorter than
+    floor(0.8 |q|); it is then scored as one window.
     Quotes containing inline math are matched segment-by-segment, with each
     math span allowed to stand in for up to three times its length in the
     document.
@@ -207,7 +424,7 @@ def best_match(quote: str, doc_text: str, threshold: float = 0.85) -> Verificati
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
 
     q = normalize(quote)
-    d = normalize(doc_text)
+    d = doc_text if isinstance(doc_text, _NormalizedDoc) else normalize(doc_text)
     if not q:
         return VerificationResult(matched=False, similarity=0.0, threshold_used=threshold)
 
@@ -312,48 +529,54 @@ def verify_dataset(
     Records whose source document is not in the manifest are skipped and
     reported; records without a quote are counted separately, not failed.
     Near-misses (similarity within REVIEW_BAND below the threshold) are
-    additionally listed for human review. Matching runs in a thread pool,
-    one task per record, with results merged in dataset order.
+    additionally listed for human review. Each source document is read,
+    normalized and encoded once, then ``best_match`` runs once per quoted
+    record, in dataset order.
     """
     from .corpus import load_text
     from .records import Dataset
 
+    started = time.perf_counter()
     refs = {ref.doc_id: ref for ref in manifest.documents}
-    texts: dict[str, str] = {}
+    docs: dict[str, _NormalizedDoc] = {}
     for record in ds.records:
         doc_id = record.source_doc_id
-        if record.quote and doc_id in refs and doc_id not in texts:
-            texts[doc_id] = load_text(refs[doc_id])
+        if record.quote and doc_id in refs and doc_id not in docs:
+            # load_text returns normalize's output already.
+            docs[doc_id] = _NormalizedDoc.wrap(load_text(refs[doc_id]))
 
     summary = VerificationSummary()
-
-    def check(record: "ExampleRecord") -> "ExampleRecord":
-        if not record.quote:
-            return record
-        doc_text = texts.get(record.source_doc_id)
-        if doc_text is None:
-            return record
-        result = best_match(record.quote, doc_text, threshold)
-        return replace(record, verification=result)
-
-    with ThreadPoolExecutor() as pool:
-        annotated = list(pool.map(check, ds.records))
-
-    for record in annotated:
+    annotated: list["ExampleRecord"] = []
+    exact = 0
+    for record in ds.records:
         if not record.quote:
             summary.no_quote += 1
-        elif record.source_doc_id not in texts:
+            annotated.append(record)
+            continue
+        doc = docs.get(record.source_doc_id)
+        if doc is None:
             summary.skipped += 1
             summary.skipped_doc_ids.append(record.source_doc_id)
-        elif record.verification is not None and record.verification.matched:
+            annotated.append(record)
+            continue
+        result = best_match(record.quote, doc, threshold)
+        record = replace(record, verification=result)
+        annotated.append(record)
+        exact += result.similarity == 1.0
+        if result.matched:
             summary.verified += 1
         else:
             summary.unverified += 1
             summary.unverified_records.append(record)
-            sim = record.verification.similarity if record.verification else 0.0
-            if threshold - REVIEW_BAND <= sim < threshold:
+            if threshold - REVIEW_BAND <= result.similarity < threshold:
                 summary.review_records.append(record)
 
+    quoted = summary.verified + summary.unverified
+    logger.info(
+        "verify: %d quoted records against %d documents, %d exact hits, "
+        "%d non-exact matcher calls, %d skipped, %.2f s",
+        quoted, len(docs), exact, quoted - exact, summary.skipped, time.perf_counter() - started,
+    )
     annotated_ds = Dataset(
         records=annotated,
         source_manifest_hash=ds.source_manifest_hash,

@@ -4,6 +4,7 @@ brute-force oracle where the spec pins one."""
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,6 +48,49 @@ def oracle_similarity(quote: str, doc: str) -> float:
             sim = 1.0 - reference_levenshtein(q, window) / max(m, length)
             best = max(best, sim)
     return best
+
+
+def exhaustive_best_window(quote: str, doc: str) -> tuple[float, int, int]:
+    """(similarity, start, end) of the first best window of a stride-1 scan.
+
+    Starts run over 0 .. len(doc) - floor(0.8 |q|) in order and lengths over
+    floor(0.8 |q|) .. ceil(1.2 |q|) shortest first; only a document shorter
+    than the shortest window is taken whole. A later window replaces the
+    best only when strictly better. The edit-distance table is filled cell
+    by cell, each cell for all starts at once.
+    """
+    q, d = normalize(quote), normalize(doc)
+    if q in d:
+        return 1.0, d.index(q), d.index(q) + len(q)
+    m, n = len(q), len(d)
+    lo = max(1, math.floor(0.8 * m))
+    hi = max(1, math.ceil(1.2 * m))
+    starts = np.arange(max(0, n - lo) + 1)
+    width = min(hi, n)
+    codes = np.array([ord(c) for c in d] + [-1] * width)
+    windows = [codes[starts + j] for j in range(width)]
+    row = [np.full(len(starts), j) for j in range(width + 1)]  # dist(q[:0], window[:j])
+    for i, ch in enumerate(q, start=1):
+        new = [np.full(len(starts), i)]
+        for j in range(1, width + 1):
+            new.append(np.minimum(np.minimum(row[j] + 1, new[j - 1] + 1),
+                                  row[j - 1] + (windows[j - 1] != ord(ch))))
+        row = new
+    best = (-1.0, 0, 0)
+    for k, s in enumerate(starts):
+        remaining = n - s
+        for length in range(min(lo, remaining), min(hi, remaining) + 1):
+            sim = 1.0 - int(row[length][k]) / max(m, length)
+            if sim > best[0]:
+                best = (sim, int(s), int(s) + length)
+    return best
+
+
+def _substituted(rng: random.Random, text: str, share: float, alphabet: str) -> str:
+    chars = list(text)
+    for pos in rng.sample(range(len(chars)), int(share * len(chars))):
+        chars[pos] = rng.choice(alphabet)
+    return "".join(chars)
 
 
 # --- normalize ---------------------------------------------------------------
@@ -143,6 +187,66 @@ def test_matches_exhaustive_oracle_on_random_fixtures():
         quote = "".join(quote)
         got = best_match(quote, doc, 0.85).similarity
         assert got == pytest.approx(oracle_similarity(quote, doc), abs=1e-9)
+
+
+# Documents several times the window length, so that a scan at a stride of
+# |q|/10 skips window starts. Each case: (seed, doc chars, quote chars, share
+# of the quote substituted, or None for a quote of random words). Seeds 99,
+# 110, 148 and 193 are cases where a coarse scan refined around its top hits
+# reports a lower similarity (99, 148, 193) or a later span (110).
+STRIDED_CASES = [
+    (1, 1200, 40, None),
+    (99, 2500, 100, None),
+    (110, 2500, 130, None),
+    (148, 2500, 150, None),
+    (193, 3000, 100, None),
+    (5, 1500, 30, 0.4),
+    (6, 2200, 80, 0.25),
+    (7, 2800, 120, 0.1),
+    (8, 1600, 320, 0.3),
+]
+
+
+@pytest.mark.parametrize("seed,doc_chars,quote_chars,share", STRIDED_CASES)
+def test_strided_documents_match_exhaustive_oracle(seed, doc_chars, quote_chars, share):
+    rng = random.Random(seed)
+    words = ("orbit group bound proof lemma shows that the why structure class "
+             "homotopy sharp counting argument symmetry forces").split()
+
+    def text(chars: int) -> str:
+        out = ""
+        while len(out) < chars:
+            out += rng.choice(words) + " "
+        return out[:chars].strip()
+
+    doc = text(doc_chars)
+    if share is None:
+        quote = text(quote_chars)
+    else:
+        start = rng.randrange(len(doc) - quote_chars)
+        quote = _substituted(rng, doc[start : start + quote_chars], share, "xyzqj0123")
+    want_sim, want_start, want_end = exhaustive_best_window(quote, doc)
+    result = best_match(quote, doc, threshold=1e-9)
+    assert result.similarity == pytest.approx(want_sim, abs=1e-12)
+    assert (result.span_start, result.span_end) == (want_start, want_end)
+
+
+def test_short_windows_count_only_when_the_document_is_short():
+    quote = "the group hello world"  # 21 characters: windows of 16 to 26
+    doc = "\u2026by the structure of the group hel"
+    # The 13-character tail "the group hel" would score 1 - 8/21 = 0.619;
+    # it is shorter than 16 characters, so the best window is a full one.
+    result = best_match(quote, doc, 0.85)
+    assert result.similarity == pytest.approx(10 / 21, abs=1e-12)
+    full_windows = [
+        1.0 - reference_levenshtein(normalize(quote), normalize(doc)[s : s + n]) / max(21, n)
+        for s in range(len(normalize(doc)) - 16 + 1)
+        for n in range(16, 27)
+        if s + n <= len(normalize(doc))
+    ]
+    assert result.similarity == pytest.approx(max(full_windows), abs=1e-12)
+    # A document shorter than the shortest window is scored whole.
+    assert best_match(quote, "the group hel", 0.85).similarity == pytest.approx(13 / 21, abs=1e-12)
 
 
 def test_empty_quote_is_an_error():
