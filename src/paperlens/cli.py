@@ -108,13 +108,13 @@ def build_parser() -> _Parser:
                        help="documents per annotation batch")
     p.add_argument("--manifest", required=True, help="manifest of documents to annotate")
     p.add_argument("--out", required=True, help="output directory for batch files")
-    p.add_argument("--resume", action="store_true", default=None,
+    p.add_argument("--resume", action="store_true",
                    help="skip batches the checkpoint records with the current plan's digest")
     p.add_argument("--context-asset", dest="context_asset",
                    help="file with the context excerpt appended to the prompt")
     p.add_argument("--context-description", dest="context_description",
                    help="how the prompt should describe the context excerpt")
-    p.add_argument("--skip-oversize", dest="skip_oversize", action="store_true", default=None,
+    p.add_argument("--skip-oversize", dest="skip_oversize", action="store_true",
                    help="skip documents that alone exceed the context window")
     p.add_argument("--dry-run", dest="dry_run", action="store_true",
                    help="print the batch plan and token estimates; no provider calls")

@@ -44,6 +44,10 @@ OVERRIDABLE: dict[str, str | None] = {
 }
 
 
+#: RunnerConfig fields that only an ``annotate`` flag sets, with that flag.
+_FLAG_ONLY = {"output_dir": "--out", "resume": "--resume", "skip_oversize": "--skip-oversize"}
+
+
 def _build(cls, raw: dict, where: str):
     if not isinstance(raw, dict):
         raise ConfigError(f"{where}: must be a JSON object")
@@ -83,8 +87,9 @@ def load_config(path: str | Path | None = None) -> GlobalConfig:
         raise ConfigError(f"{path}: unknown section(s) {sorted(unknown)}")
 
     sections = {name: _build(cls, raw.get(name, {}), f"{path}: {name}") for name, cls in _SECTIONS.items()}
-    if "output_dir" in raw.get("runner", {}):
-        raise ConfigError(f"{path}: runner: output_dir is not read from a file; use `annotate --out`")
+    for name, flag in _FLAG_ONLY.items():
+        if name in raw.get("runner", {}):
+            raise ConfigError(f"{path}: runner: {name} is not read from a file; use `annotate {flag}`")
     try:
         return GlobalConfig(
             **sections,

@@ -14,6 +14,7 @@ extraction renders formulas unpredictably.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import re
@@ -48,33 +49,34 @@ def normalize(text: str) -> str:
 
     Applies, in order: Unicode compatibility normalization (NFKC, which also
     expands the ligatures U+FB00-FB06), de-hyphenation of line-break hyphens,
-    collapse of whitespace runs to single spaces, and soft-hyphen removal.
-    Case is preserved. The result is idempotent under re-application.
+    collapse of whitespace runs to single spaces, soft-hyphen removal, and
+    NFKC again. Case is preserved. The result is idempotent under
+    re-application.
     """
     text = unicodedata.normalize("NFKC", text)
     text = _DEHYPHEN_RE.sub("", text)
     text = _WS_RE.sub(" ", text)
     text = text.replace(_SOFT_HYPHEN, "")
-    # Soft-hyphen removal can butt two spaces together; collapse once more.
+    # Removing hyphens can join a letter to a combining mark (or a Hangul
+    # jamo to the next) that NFKC composes, so compose once more; and it
+    # can butt two spaces together, so collapse once more.
+    text = unicodedata.normalize("NFKC", text)
     text = _WS_RE.sub(" ", text)
     return text.strip()
 
 
 class _NormalizedDoc(str):
-    """A document text that is ``normalize``'s output, with its code points.
+    """A document text that is ``normalize``'s output.
 
     ``verify_dataset`` wraps each source document once and passes it to
-    ``best_match`` as the document text, which then neither normalizes nor
-    encodes it again. Slices are plain strings.
+    ``best_match`` as the document text, which then does not normalize it
+    again. Its code points are encoded on the first match that is not an
+    exact substring, then kept. Slices are plain strings.
     """
 
-    codes: np.ndarray
-
-    @classmethod
-    def wrap(cls, normalized: str) -> "_NormalizedDoc":
-        doc = cls(normalized)
-        doc.codes = _codepoints(doc)
-        return doc
+    @functools.cached_property
+    def codes(self) -> np.ndarray:
+        return _codepoints(self)
 
 
 @dataclass(frozen=True)
@@ -278,17 +280,14 @@ def _window_max(a: np.ndarray, w: int) -> np.ndarray:
     return np.maximum(out[: len(a) - w + 1], out[w - span : len(a) - span + 1])
 
 
-#: Documents with at most this many window starts have every start scored.
-_FULL_SCAN_STARTS = 64
-#: Starts scored before and between bounding passes, highest bound first.
+#: Starts scored first, highest bound first. A document with no more
+#: starts than this has every start scored and no bounding pass.
 _PROBE_STARTS = 32
 #: Upper limit on the bits one ``_window_scores`` call packs.
 _BLOCK_BITS = 1 << 18
 #: A rewarded pass costs about as much as scoring this many times
 #: len(doc) / max_len window starts.
 _PASS_COST = 2
-#: Rewarded passes (forward or reversed) run at most this many times per match.
-_MAX_PASSES = 4
 #: Slack for float rounding when a bound is compared with a similarity.
 _TOL = 1e-9
 
@@ -327,16 +326,17 @@ def _match_pruned(quote: str, codes: np.ndarray, min_len: int, max_len: int) -> 
     score(np.arange(n_starts), _PROBE_STARTS)
     block = max(1, _BLOCK_BITS // (min(max_len, n) + 1))
     pass_starts = _PASS_COST * n // max_len
-    # Sides not yet tightened at the current reward.
+    # Sides not yet tightened at the current reward. The reward falls only
+    # when the best rises, so the passes end.
     todo: list[_SideBounds] = []
-    reward, passes = 2.0, 0
+    reward = 2.0
     while True:
         top = int(np.argmax(sims))
         best = sims[top]
         live = np.flatnonzero(~done & (bound >= best - _TOL))
         if not live.size:
             break
-        if live.size > pass_starts and passes < _MAX_PASSES:
+        if live.size > pass_starts:
             # Reward each spanned character by exactly 1 - best: a window
             # longer than the quote can beat the best only where that pass
             # is negative.
@@ -346,11 +346,7 @@ def _match_pruned(quote: str, codes: np.ndarray, min_len: int, max_len: int) -> 
                 reward, todo = num / den, [ends, begins]
             if todo:
                 todo.pop(0).reward(num, den)
-                passes += 1
                 np.minimum(bound, upper(), out=bound)
-                live = live[bound[live] >= best - _TOL]
-                if live.size:
-                    score(live, _PROBE_STARTS)
                 continue
         score(live, block)
 
@@ -378,7 +374,7 @@ def _match_literal(quote: str, doc: str) -> tuple[float, int, int]:
     max_len = max(1, math.ceil(1.2 * m))
     doc_codes = doc.codes if isinstance(doc, _NormalizedDoc) else _codepoints(doc)
     n = len(doc_codes)
-    if n - min_len + 1 > _FULL_SCAN_STARTS:
+    if n - min_len + 1 > _PROBE_STARTS:
         return _match_pruned(quote, doc_codes, min_len, max_len)
     starts = np.arange(max(0, n - min_len) + 1, dtype=np.int64)
     sims, ends = _window_scores(quote, doc_codes, starts, min_len, max_len)
@@ -543,11 +539,11 @@ def verify_dataset(
         doc_id = record.source_doc_id
         if record.quote and doc_id in refs and doc_id not in docs:
             # load_text returns normalize's output already.
-            docs[doc_id] = _NormalizedDoc.wrap(load_text(refs[doc_id]))
+            docs[doc_id] = _NormalizedDoc(load_text(refs[doc_id]))
 
     summary = VerificationSummary()
     annotated: list["ExampleRecord"] = []
-    exact = 0
+    perfect = 0
     for record in ds.records:
         if not record.quote:
             summary.no_quote += 1
@@ -562,7 +558,7 @@ def verify_dataset(
         result = best_match(record.quote, doc, threshold)
         record = replace(record, verification=result)
         annotated.append(record)
-        exact += result.similarity == 1.0
+        perfect += result.similarity == 1.0
         if result.matched:
             summary.verified += 1
         else:
@@ -573,9 +569,9 @@ def verify_dataset(
 
     quoted = summary.verified + summary.unverified
     logger.info(
-        "verify: %d quoted records against %d documents, %d exact hits, "
-        "%d non-exact matcher calls, %d skipped, %.2f s",
-        quoted, len(docs), exact, quoted - exact, summary.skipped, time.perf_counter() - started,
+        "verify: %d quoted records against %d documents, %d at similarity 1.0, "
+        "%d below, %d skipped, %.2f s",
+        quoted, len(docs), perfect, quoted - perfect, summary.skipped, time.perf_counter() - started,
     )
     annotated_ds = Dataset(
         records=annotated,

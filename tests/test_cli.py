@@ -307,41 +307,17 @@ def test_threshold_flag_out_of_range_is_user_error(capsys):
     assert "threshold must be a number in (0, 1]" in capsys.readouterr().err
 
 
-def test_config_file_resume_skips_done_batches(pipeline_dirs, capsys):
+@pytest.mark.parametrize("name, value, flag", [
+    ("output_dir", "elsewhere", "annotate --out"),
+    ("resume", True, "annotate --resume"),
+    ("skip_oversize", True, "annotate --skip-oversize"),
+])
+def test_config_file_flag_only_runner_fields_are_rejected(pipeline_dirs, capsys, name, value, flag):
     tmp_path, manifest_path, fixtures = pipeline_dirs
-    out_dir = tmp_path / "run"
-    argv = ["annotate", "--manifest", str(manifest_path), "--out", str(out_dir), "--batch-size", "2"]
-    assert main(argv + ["--config", str(write_config(tmp_path, fixtures))]) == 0
-    capsys.readouterr()
-    resume_config = tmp_path / "resume"
-    resume_config.mkdir()
-    config = write_config(resume_config, fixtures, runner={"resume": True})
-    assert main(argv + ["--config", str(config)]) == 0
-    assert "2 resumed, 0 failed, 0 provider calls" in capsys.readouterr().err
-
-
-def test_config_file_skip_oversize_skips_documents(pipeline_dirs, capsys):
-    tmp_path, manifest_path, _ = pipeline_dirs
-    config = write_config(tmp_path, tmp_path, runner={"skip_oversize": True})
-    from paperlens.prompts import build_annotation_prompt
-
-    raw = json.loads(config.read_text())
-    # Room for the prompt and the output, but for no document.
-    prompt_tokens = build_annotation_prompt().estimated_tokens
-    raw["provider"].update(context_window_tokens=prompt_tokens + 1001, max_output_tokens=1000)
-    config.write_text(json.dumps(raw), encoding="utf-8")
-    argv = ["annotate", "--config", str(config), "--manifest", str(manifest_path),
-            "--out", str(tmp_path / "run"), "--dry-run"]
-    assert main(argv) == 0
-    assert "plan: 0 batches" in capsys.readouterr().out
-
-
-def test_config_file_output_dir_is_rejected(pipeline_dirs, capsys):
-    tmp_path, manifest_path, fixtures = pipeline_dirs
-    config = write_config(tmp_path, fixtures, runner={"output_dir": str(tmp_path / "elsewhere")})
+    config = write_config(tmp_path, fixtures, runner={name: value})
     assert main(["annotate", "--config", str(config), "--manifest", str(manifest_path),
                  "--out", str(tmp_path / "run"), "--dry-run"]) == 1
-    assert "annotate --out" in capsys.readouterr().err
+    assert f"runner: {name} is not read from a file; use `{flag}`" in capsys.readouterr().err
 
 
 HELP_FLAGS = {

@@ -3,6 +3,7 @@ brute-force oracle where the spec pins one."""
 
 import math
 import random
+import unicodedata
 
 import numpy as np
 import pytest
@@ -131,6 +132,13 @@ def test_case_preserved():
 @given(st.text(max_size=200))
 def test_normalize_idempotent(text):
     once = normalize(text)
+    assert normalize(once) == once
+
+
+@pytest.mark.parametrize("text", ["e\u00ad\u0301", "\u1100-\n\u1161", "\u1100\u00ad\u1161"])
+def test_normalize_idempotent_when_a_removed_hyphen_joins_composable_characters(text):
+    once = normalize(text)
+    assert once == unicodedata.normalize("NFC", once)
     assert normalize(once) == once
 
 
@@ -381,6 +389,34 @@ def test_verify_dataset_no_quote_and_skipped(tmp_path):
     assert summary.counts["no_quote"] == 1
     assert summary.counts["skipped"] == 1
     assert summary.skipped_doc_ids == ["missing-doc"]
+
+
+def test_verify_dataset_agrees_with_best_match_on_raw_text(tmp_path):
+    # The soft hyphen sits between a letter and its combining accent.
+    text = "Le th\u00e9or\u00e8me est d\u00e9montr\u00e9 par la caf" + "e\u00ad\u0301 du coin."
+    manifest = _disk_corpus(tmp_path, {"a": text})
+    quote = "par la caf\u00e9 du coin"
+    ds = Dataset(records=[ExampleRecord(source_doc_id="a", finding="f", quote=quote)])
+    annotated, _ = verify_dataset(ds, manifest, 0.85)
+    assert annotated.records[0].verification == best_match(quote, text, 0.85)
+    assert annotated.records[0].verification.similarity == 1.0
+
+
+def test_verify_dataset_logs_counts(tmp_path, caplog):
+    manifest = _disk_corpus(tmp_path, {"a": "Honest text about proofs and structures." * 3})
+    ds = Dataset(
+        records=[
+            ExampleRecord(source_doc_id="a", finding="f", quote="Honest text about proofs"),
+            ExampleRecord(source_doc_id="a", finding="f", quote="ZZXXQQ fabricated nonsense 9931"),
+            ExampleRecord(source_doc_id="gone", finding="f", quote="anything at all"),
+        ]
+    )
+    with caplog.at_level("INFO", logger="paperlens.verify"):
+        verify_dataset(ds, manifest, 0.85)
+    assert any(
+        m.startswith("verify: 2 quoted records against 1 documents, 1 at similarity 1.0, 1 below, 1 skipped, ")
+        for m in caplog.messages
+    )
 
 
 def test_verification_result_invariants():
