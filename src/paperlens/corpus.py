@@ -12,10 +12,12 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import random
 import re
 import shlex
 import subprocess
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -140,6 +142,7 @@ def ingest(
     else the one in its filename, else None (unknown is a value, not an
     error).
     """
+    started = time.perf_counter()
     src = Path(source_dir)
     if not src.is_dir():
         raise CorpusError(f"source directory not readable: {src}")
@@ -187,6 +190,10 @@ def ingest(
     for skip in skipped:
         logger.warning("skipped %s: %s", skip.doc_id, skip.reason)
 
+    logger.info(
+        "ingest: %d documents ingested, %d skipped, %.2f s",
+        len(refs), len(skipped), time.perf_counter() - started,
+    )
     return IngestResult(manifest=CorpusManifest.build(refs), skipped=tuple(skipped))
 
 
@@ -235,6 +242,10 @@ def _canonical_tag(tag: str) -> str:
     return f"{archive.lower()}.{subject.upper()}"
 
 
+#: Bytes of a large PDF's head, and of its tail, scanned for a category tag.
+_PDF_SCAN_BYTES = 1_000_000
+
+
 def _embedded_pdf_tag(pdf_path: str | Path) -> str | None:
     """Scan a PDF's raw bytes for a category tag in its info dictionary.
 
@@ -242,15 +253,18 @@ def _embedded_pdf_tag(pdf_path: str | Path) -> str | None:
     the common uncompressed-info case only; compressed metadata streams
     resolve to None and fall through to the filename heuristic.
     """
-    path = Path(pdf_path)
+    # Info dictionaries sit near the head or the trailer; a file over twice
+    # _PDF_SCAN_BYTES has only its head and its tail of that size read.
     try:
-        data = path.read_bytes()
+        with open(pdf_path, "rb") as fh:
+            if os.fstat(fh.fileno()).st_size > 2 * _PDF_SCAN_BYTES:
+                data = fh.read(_PDF_SCAN_BYTES)
+                fh.seek(-_PDF_SCAN_BYTES, os.SEEK_END)
+                data += fh.read()
+            else:
+                data = fh.read()
     except OSError:
         return None
-    # Info dictionaries sit near the head or the trailer; avoid scanning
-    # the whole body of large files.
-    if len(data) > 2_000_000:
-        data = data[:1_000_000] + data[-1_000_000:]
     text = data.decode("latin-1", errors="replace")
     for m in re.finditer(r"/(?:Subject|Keywords)\s*\(([^)]{0,400})\)", text):
         tag = _TAG_RE.search(m.group(1))

@@ -31,9 +31,11 @@ if TYPE_CHECKING:
 
 logger = logging.getLogger(__name__)
 
-_SOFT_HYPHEN = "­"
-_DEHYPHEN_RE = re.compile(r"(?<=\w)[-­][ \t]*\r?\n\s*(?=\w)")
-_WS_RE = re.compile(r"\s+")
+_SOFT_HYPHEN = "\u00ad"
+# A line-break hyphen after a word character, with the break and the indent.
+# Led by the hyphen so that ``re`` searches for a literal. A match is one
+# hyphen then whitespace, so the "-" pass neither makes nor breaks a "\u00ad" one.
+_DEHYPHEN_RES = tuple(re.compile(rf"{h}(?<=\w{h})[ \t]*\r?\n\s*(?=\w)") for h in ("-", _SOFT_HYPHEN))
 
 # Inline math spans as they appear in model-reported quotes.
 _MATH_SPAN_RE = re.compile(r"\$\$.+?\$\$|\$[^$\n]+\$|\\\(.+?\\\)|\\\[.+?\\\]", re.DOTALL)
@@ -48,21 +50,21 @@ def normalize(text: str) -> str:
     """Normalize text for matching.
 
     Applies, in order: Unicode compatibility normalization (NFKC, which also
-    expands the ligatures U+FB00-FB06), de-hyphenation of line-break hyphens,
-    collapse of whitespace runs to single spaces, soft-hyphen removal, and
-    NFKC again. Case is preserved. The result is idempotent under
-    re-application.
+    expands the ligatures U+FB00-FB06), removal of line-break hyphens and of
+    soft hyphens, NFKC again only if the removals left text outside NFKC (a
+    letter joined to a combining mark, or two Hangul jamo), and one collapse
+    of whitespace runs to single spaces, trimmed. That equals a collapse after
+    each step: ``str.split`` and ``re``'s ``\\s`` take the same characters,
+    and every whitespace character NFKC leaves is a starter it never composes.
+    Case is preserved; the result is idempotent.
     """
     text = unicodedata.normalize("NFKC", text)
-    text = _DEHYPHEN_RE.sub("", text)
-    text = _WS_RE.sub(" ", text)
+    for pattern in _DEHYPHEN_RES:
+        text = pattern.sub("", text)
     text = text.replace(_SOFT_HYPHEN, "")
-    # Removing hyphens can join a letter to a combining mark (or a Hangul
-    # jamo to the next) that NFKC composes, so compose once more; and it
-    # can butt two spaces together, so collapse once more.
-    text = unicodedata.normalize("NFKC", text)
-    text = _WS_RE.sub(" ", text)
-    return text.strip()
+    if not unicodedata.is_normalized("NFKC", text):
+        text = unicodedata.normalize("NFKC", text)
+    return " ".join(text.split())
 
 
 class _NormalizedDoc(str):
@@ -97,8 +99,6 @@ class VerificationResult:
 
 
 def _codepoints(text: str) -> np.ndarray:
-    if not text:
-        return np.empty(0, dtype=np.int32)
     return np.frombuffer(text.encode("utf-32-le"), dtype=np.int32)
 
 

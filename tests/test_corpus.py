@@ -1,6 +1,7 @@
 """Ingestion, sampling, text loading, and category resolution tests."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -103,6 +104,14 @@ def test_ingest_extractor_hook(tmp_path):
     result = ingest(src, extract_cmd="cp {pdf} {txt}")
     assert len(result.manifest) == 1
     assert (src / "a.txt").exists()
+
+
+def test_ingest_logs_counts(tmp_path, caplog):
+    src = write_corpus(tmp_path / "src", {"a": "aa", "b": "bb"})
+    (src / "c.pdf").write_bytes(FAKE_PDF)  # no sidecar: skipped
+    with caplog.at_level("INFO", logger="paperlens.corpus"):
+        ingest(src)
+    assert any(m.startswith("ingest: 2 documents ingested, 1 skipped, ") for m in caplog.messages)
 
 
 # --- sample ------------------------------------------------------------------
@@ -234,6 +243,40 @@ def test_arxiv_stamp_fallback(tmp_path):
     (src / "p.pdf").write_bytes(b"%PDF-1.4\n(arXiv:math/0003117v1 [math.CO] 20 Mar 2000)\n%%EOF")
     (src / "p.txt").write_text("text", encoding="utf-8")
     assert ingest(src).manifest.documents[0].category_tag == "math.CO"
+
+
+def _large_pdf(path, info_at: int) -> None:
+    """A 3 MB PDF whose info dictionary starts ``info_at`` bytes in."""
+    info = b"1 0 obj\n<< /Subject (math.CO) >>\nendobj\n"
+    body = bytearray(b"%PDF-1.4\n" + b"%" * (3_000_000 - 16) + b"\n%%EOF\n")
+    body[info_at : info_at + len(info)] = info
+    path.write_bytes(bytes(body))
+
+
+def test_embedded_pdf_metadata_in_the_last_megabyte(tmp_path):
+    src = write_corpus(tmp_path / "src", {"p-math.AG": "text"})
+    _large_pdf(src / "p-math.AG.pdf", info_at=2_500_000)
+    assert ingest(src).manifest.documents[0].category_tag == "math.CO"
+
+
+def test_embedded_pdf_metadata_mid_file_is_not_scanned(tmp_path):
+    src = write_corpus(tmp_path / "src", {"p-math.AG": "text"})
+    _large_pdf(src / "p-math.AG.pdf", info_at=1_500_000)
+    assert ingest(src).manifest.documents[0].category_tag == "math.AG"
+
+
+def test_large_pdf_is_not_read_whole(tmp_path):
+    src = write_corpus(tmp_path / "src", {"p": "text"})
+    with open(src / "p.pdf", "wb") as fh:
+        fh.write(b"%PDF-1.4\n")
+        fh.truncate(50_000_000)  # sparse: takes no disk space
+    tracemalloc.start()
+    try:
+        ingest(src)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000
 
 
 def test_no_source_resolves_to_unknown(tmp_path):

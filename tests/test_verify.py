@@ -3,11 +3,13 @@ brute-force oracle where the spec pins one."""
 
 import math
 import random
+import re
+import sys
 import unicodedata
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paperlens.corpus import CorpusManifest, DocumentRef
@@ -32,23 +34,7 @@ def reference_levenshtein(a: str, b: str) -> int:
 
 def oracle_similarity(quote: str, doc: str) -> float:
     """Exhaustive best window similarity per the matching definition."""
-    q, d = normalize(quote), normalize(doc)
-    if q in d:
-        return 1.0
-    m = len(q)
-    lo = max(1, math.floor(0.8 * m))
-    hi = max(1, math.ceil(1.2 * m))
-    best = 0.0
-    for s in range(len(d)):
-        max_here = min(hi, len(d) - s)
-        lengths = range(lo, max_here + 1) if max_here >= lo else [max_here]
-        for length in lengths:
-            if length < 1:
-                continue
-            window = d[s : s + length]
-            sim = 1.0 - reference_levenshtein(q, window) / max(m, length)
-            best = max(best, sim)
-    return best
+    return exhaustive_best_window(quote, doc)[0]
 
 
 def exhaustive_best_window(quote: str, doc: str) -> tuple[float, int, int]:
@@ -85,6 +71,25 @@ def exhaustive_best_window(quote: str, doc: str) -> tuple[float, int, int]:
             if sim > best[0]:
                 best = (sim, int(s), int(s) + length)
     return best
+
+
+_REFERENCE_DEHYPHEN_RE = re.compile(r"(?<=\w)[-\u00ad][ \t]*\r?\n\s*(?=\w)")
+_REFERENCE_WS_RE = re.compile(r"\s+")
+
+
+def reference_normalize(text: str) -> str:
+    """Normalization one step at a time, whitespace collapsed after each.
+
+    ``normalize`` folds these passes together and must return the same
+    string for every input.
+    """
+    text = unicodedata.normalize("NFKC", text)
+    text = _REFERENCE_DEHYPHEN_RE.sub("", text)
+    text = _REFERENCE_WS_RE.sub(" ", text)
+    text = text.replace("\u00ad", "")
+    text = unicodedata.normalize("NFKC", text)
+    text = _REFERENCE_WS_RE.sub(" ", text)
+    return text.strip()
 
 
 def _substituted(rng: random.Random, text: str, share: float, alphabet: str) -> str:
@@ -140,6 +145,33 @@ def test_normalize_idempotent_when_a_removed_hyphen_joins_composable_characters(
     once = normalize(text)
     assert once == unicodedata.normalize("NFC", once)
     assert normalize(once) == once
+
+
+# Whitespace of every kind NFKC keeps or maps to a space, hyphens and line
+# breaks, combining marks, Hangul jamo, ligatures, and word characters.
+_NORMALIZE_ALPHABET = (
+    list(" \t\n\v\f\r\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2028\u202f\u3000")
+    + [chr(c) for c in range(0x2000, 0x200B)]
+    + ["-", "\u00ad", "\r\n", "\u0301", "\u0308", "\u0323", "\u1100", "\u1161", "\u11a8"]
+    + [chr(c) for c in range(0xFB00, 0xFB07)]
+    + list("abzAZ\u00e909_")
+)
+
+
+@settings(max_examples=500)
+@given(st.lists(st.sampled_from(_NORMALIZE_ALPHABET), max_size=40).map("".join))
+@example("mathe\u00ad\nmatics")  # a soft hyphen at a line break
+@example("a\u00ad-\nb")  # removing the soft hyphen first would join a and b
+@example("e\u00ad\u0301 \u1100-\n\u1161")  # removals that join composable characters
+def test_normalize_equals_the_step_by_step_reference(text):
+    assert normalize(text) == reference_normalize(text)
+
+
+def test_regex_whitespace_is_str_whitespace():
+    # normalize collapses whitespace with str.split; the definition is re's \s.
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    by_re = [m.start() for m in re.finditer(r"\s", every)]
+    assert by_re == [i for i, c in enumerate(every) if c.isspace()]
 
 
 # --- best_match --------------------------------------------------------------
