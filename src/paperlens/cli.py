@@ -231,7 +231,7 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
         print(f"prompt estimate: {bundle.estimated_tokens} tokens")
         refs = {r.doc_id: r for r in manifest.documents}
         for job in jobs:
-            doc_tokens = sum(provider.tokens_for_chars(refs[d].char_count) for d in job.doc_ids)
+            doc_tokens = sum(runner._doc_tokens(refs[d]) for d in job.doc_ids)
             print(
                 f"  batch {job.index}: {len(job.doc_ids)} docs, ~{doc_tokens} doc tokens "
                 f"-> {job.output_path}"

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
+from .atomic import read_json
 from .provider import ProviderConfig
 from .runner import RunnerConfig
 
@@ -72,16 +72,7 @@ def load_config(path: str | Path | None = None) -> GlobalConfig:
         if not env:
             return GlobalConfig()
         path = env
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-
+    raw = read_json(path, ConfigError)
     unknown = set(raw) - {f.name for f in fields(GlobalConfig)}
     if unknown:
         raise ConfigError(f"{path}: unknown section(s) {sorted(unknown)}")

@@ -10,7 +10,6 @@ order; all operations here are pure given the filesystem snapshot.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import os
 import random
@@ -21,7 +20,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .atomic import write_atomic
+from .atomic import jsonl_text, read_jsonl, write_atomic
 from .verify import normalize
 
 logger = logging.getLogger(__name__)
@@ -95,21 +94,22 @@ class IngestResult:
     skipped: tuple[SkipReport, ...] = ()
 
 
-def _load_metadata(path: str | Path) -> dict[str, dict]:
-    """Load a doc_id-keyed metadata file (one JSON object per line)."""
-    entries: dict[str, dict] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}:{lineno}: malformed metadata line: {exc}") from exc
-            if not isinstance(entry, dict) or "doc_id" not in entry:
-                raise CorpusError(f"{path}:{lineno}: metadata entry missing doc_id")
-            entries[str(entry["doc_id"])] = entry
-    return entries
+#: Metadata fields, with what each value must be and a check for it.
+_METADATA_FIELDS = {
+    "title": ("a string", lambda v: isinstance(v, str)),
+    "text_path": ("a string", lambda v: isinstance(v, str)),
+    "authors": ("a list of strings", lambda v: isinstance(v, list) and all(isinstance(a, str) for a in v)),
+    "category_tag": ("a string or null", lambda v: v is None or isinstance(v, str)),
+}
+
+
+def _metadata_entry(entry: dict) -> tuple[str, dict]:
+    if "doc_id" not in entry:
+        raise ValueError("metadata entry missing doc_id")
+    for name, (kind, ok) in _METADATA_FIELDS.items():
+        if name in entry and not ok(entry[name]):
+            raise TypeError(f"metadata field {name!r} must be {kind}, got {entry[name]!r}")
+    return str(entry["doc_id"]), entry
 
 
 def _run_extractor(extract_cmd: str, pdf: Path, txt: Path) -> bool:
@@ -147,7 +147,7 @@ def ingest(
     if not src.is_dir():
         raise CorpusError(f"source directory not readable: {src}")
 
-    metadata = _load_metadata(metadata_file) if metadata_file else {}
+    metadata = dict(read_jsonl(metadata_file, CorpusError, _metadata_entry)[1]) if metadata_file else {}
 
     pdfs = sorted(
         (p for p in src.iterdir() if p.is_file() and p.suffix.lower() == ".pdf"),
@@ -289,35 +289,38 @@ def _filename_tag(stem: str) -> str | None:
 # ---------------------------------------------------------------------------
 
 
+def _ref_to_json(ref: DocumentRef) -> dict:
+    return {
+        "doc_id": ref.doc_id,
+        "path": ref.path,
+        "text_path": ref.text_path,
+        "title": ref.title,
+        "authors": list(ref.authors),
+        "category_tag": ref.category_tag,
+        "char_count": ref.char_count,
+    }
+
+
+def _ref_from_json(raw: dict) -> DocumentRef:
+    return DocumentRef(
+        doc_id=raw["doc_id"],
+        path=raw["path"],
+        text_path=raw["text_path"],
+        title=raw.get("title", ""),
+        authors=tuple(raw.get("authors", ())),
+        category_tag=raw.get("category_tag"),
+        char_count=int(raw.get("char_count", 0)),
+    )
+
+
 def manifest_to_jsonl(manifest: CorpusManifest) -> str:
     """Serialize a manifest to its canonical line-delimited form."""
-    lines = [
-        json.dumps(
-            {
-                "format": MANIFEST_FORMAT,
-                "sample_seed": manifest.sample_seed,
-                "parent_size": manifest.parent_size,
-            },
-            sort_keys=True,
-        )
-    ]
-    for ref in manifest.documents:
-        lines.append(
-            json.dumps(
-                {
-                    "doc_id": ref.doc_id,
-                    "path": ref.path,
-                    "text_path": ref.text_path,
-                    "title": ref.title,
-                    "authors": list(ref.authors),
-                    "category_tag": ref.category_tag,
-                    "char_count": ref.char_count,
-                },
-                ensure_ascii=False,
-                sort_keys=True,
-            )
-        )
-    return "\n".join(lines) + "\n"
+    header = {
+        "format": MANIFEST_FORMAT,
+        "sample_seed": manifest.sample_seed,
+        "parent_size": manifest.parent_size,
+    }
+    return jsonl_text(map(_ref_to_json, manifest.documents), header)
 
 
 def save_manifest(manifest: CorpusManifest, path: str | Path) -> None:
@@ -327,41 +330,7 @@ def save_manifest(manifest: CorpusManifest, path: str | Path) -> None:
 
 def load_manifest(path: str | Path) -> CorpusManifest:
     """Load a manifest written by save_manifest."""
-    path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise CorpusError(f"cannot read manifest {path}: {exc}") from exc
-    if not lines:
-        raise CorpusError(f"{path}: empty manifest file")
-
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise CorpusError(f"{path}:1: malformed manifest header: {exc}") from exc
-    if header.get("format") != MANIFEST_FORMAT:
-        raise CorpusError(f"{path}: unrecognized manifest format {header.get('format')!r}")
-
-    refs = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            raw = json.loads(line)
-            refs.append(
-                DocumentRef(
-                    doc_id=raw["doc_id"],
-                    path=raw["path"],
-                    text_path=raw["text_path"],
-                    title=raw.get("title", ""),
-                    authors=tuple(raw.get("authors", ())),
-                    category_tag=raw.get("category_tag"),
-                    char_count=int(raw.get("char_count", 0)),
-                )
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise CorpusError(f"{path}:{lineno}: malformed manifest line: {exc}") from exc
-
+    header, refs = read_jsonl(path, CorpusError, _ref_from_json, format=MANIFEST_FORMAT)
     return CorpusManifest(
         documents=tuple(refs),
         sample_seed=header.get("sample_seed"),

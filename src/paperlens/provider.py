@@ -10,7 +10,6 @@ window; the budget check happens before any network activity.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import math
 import os
@@ -23,7 +22,7 @@ from typing import TYPE_CHECKING
 
 import requests
 
-from .atomic import write_atomic
+from .atomic import append_jsonl, write_atomic
 
 if TYPE_CHECKING:
     from .prompts import PromptBundle
@@ -164,8 +163,6 @@ class ChatClient:
 
         key = f"{bundle.kind.value}-{stub_key(bundle.kind.value, bundle.payload_refs)}"
         start = time.perf_counter()
-        last_error: Exception | None = None
-        attempts = 0
         for attempt in range(self.config.max_retries + 1):
             attempts = attempt + 1
             try:
@@ -181,7 +178,6 @@ class ChatClient:
                             self._inflight -= 1
                 break
             except TransientError as exc:
-                last_error = exc
                 if attempt == self.config.max_retries:
                     raise ExhaustedRetries(attempts, exc) from exc
                 delay = self._backoff_delay(attempt)
@@ -193,8 +189,6 @@ class ChatClient:
                     exc,
                 )
                 time.sleep(delay)
-        else:  # pragma: no cover - loop always breaks or raises
-            raise ExhaustedRetries(attempts, last_error or ProviderError("no attempts made"))
 
         response.attempts = attempts
         response.latency_ms = int((time.perf_counter() - start) * 1000)
@@ -226,8 +220,7 @@ class ChatClient:
             "attempts": response.attempts,
         }
         with self._lock:
-            with open(self.audit_path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(entry, ensure_ascii=False) + "\n")
+            append_jsonl(self.audit_path, entry)
 
     def _send(self, prompt: str, key: str) -> ModelResponse:
         raise NotImplementedError
@@ -351,12 +344,10 @@ class StubChatClient(ChatClient):
         config: ProviderConfig,
         audit_path: str | Path | None = None,
         script: StubScript | None = None,
-        default_response: str | None = None,
     ) -> None:
         super().__init__(config, audit_path)
         self.fixtures_dir = Path(config.fixtures_dir) if config.fixtures_dir else None
         self.script = script or StubScript()
-        self.default_response = default_response
         self.send_delay_s = 0.0  # test hook for concurrency assertions
 
     def _send(self, prompt: str, key: str) -> ModelResponse:
@@ -368,8 +359,6 @@ class StubChatClient(ChatClient):
             path = self.fixtures_dir / f"{key}.txt"
             if path.exists():
                 return ModelResponse(text=path.read_text(encoding="utf-8"))
-        if self.default_response is not None:
-            return ModelResponse(text=self.default_response)
         raise StubFixtureMissing(
             f"no stub fixture {key}.txt in {self.fixtures_dir or '(no fixtures dir)'}"
         )

@@ -10,14 +10,13 @@ everything comes from the input text after markup stripping.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from .atomic import write_atomic
+from .atomic import read_jsonl, write_jsonl
 
 if TYPE_CHECKING:
     from .verify import VerificationResult
@@ -385,20 +384,13 @@ def _record_from_json(raw: dict[str, Any]) -> ExampleRecord:
 
 def save_dataset(ds: Dataset, path: str | Path) -> None:
     """Write a dataset as line-delimited records (atomic temp-then-rename)."""
-    lines = [
-        json.dumps(
-            {
-                "format": DATASET_FORMAT,
-                "manifest_hash": ds.source_manifest_hash,
-                "filter_pass_count": ds.filter_pass_count,
-                "count": len(ds.records),
-            },
-            sort_keys=True,
-        )
-    ]
-    for record in ds.records:
-        lines.append(json.dumps(_record_to_json(record), ensure_ascii=False, sort_keys=True))
-    write_atomic(path, "\n".join(lines) + "\n")
+    header = {
+        "format": DATASET_FORMAT,
+        "manifest_hash": ds.source_manifest_hash,
+        "filter_pass_count": ds.filter_pass_count,
+        "count": len(ds.records),
+    }
+    write_jsonl(path, map(_record_to_json, ds.records), header)
 
 
 def load_dataset(path: str | Path, expect_manifest_hash: str | None = None) -> Dataset:
@@ -408,30 +400,7 @@ def load_dataset(path: str | Path, expect_manifest_hash: str | None = None) -> D
     in ``expect_manifest_hash`` that differs from the stored one logs a
     warning (the corpus changed since the dataset was built) but loads.
     """
-    path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise DatasetError(f"cannot read dataset {path}: {exc}") from exc
-    if not lines:
-        raise DatasetError(f"{path}: empty dataset file")
-
-    try:
-        header = json.loads(lines[0])
-        if header.get("format") != DATASET_FORMAT:
-            raise ValueError(f"unrecognized format {header.get('format')!r}")
-    except (json.JSONDecodeError, ValueError) as exc:
-        raise DatasetError(f"{path}:1: malformed dataset header: {exc}") from exc
-
-    records = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            records.append(_record_from_json(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise DatasetError(f"{path}:{lineno}: malformed record line: {exc}") from exc
-
+    header, records = read_jsonl(path, DatasetError, _record_from_json, format=DATASET_FORMAT)
     expected = header.get("count")
     if expected is not None and expected != len(records):
         raise DatasetError(

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 import hashlib
-import json
 import logging
 import re
 import threading
@@ -25,7 +24,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from . import provider
-from .atomic import write_atomic
+from .atomic import append_jsonl, read_json, write_atomic, write_json
 from .corpus import CorpusManifest, DocumentRef, load_text, manifest_digest
 from .prompts import PromptBundle, build_filter_prompt, build_query_prompt
 from .records import parse_batch_output
@@ -63,7 +62,6 @@ class BatchJob:
     doc_ids: tuple[str, ...]
     output_path: str
     status: JobStatus = JobStatus.PENDING
-    error: str = ""
 
 
 @dataclass(frozen=True)
@@ -98,24 +96,19 @@ class Checkpoint:
         self.digests[index] = digest
 
     def save(self, path: str | Path) -> None:
-        body = json.dumps(
-            {
-                "manifest_hash": self.manifest_hash,
-                "completed": sorted(self.completed),
-                "digests": {str(i): d for i, d in self.digests.items()},
-            },
-            sort_keys=True,
-        )
-        write_atomic(path, body + "\n")
+        write_json(path, {
+            "manifest_hash": self.manifest_hash,
+            "completed": sorted(self.completed),
+            "digests": {str(i): d for i, d in self.digests.items()},
+        })
 
     @classmethod
     def load(cls, path: str | Path) -> "Checkpoint":
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(
+        return read_json(path, RunnerError, lambda raw: cls(
             manifest_hash=raw.get("manifest_hash", ""),
             completed=set(int(i) for i in raw.get("completed", [])),
             digests={int(i): str(d) for i, d in raw.get("digests", {}).items()},
-        )
+        ))
 
 
 @dataclass
@@ -350,10 +343,9 @@ def run_annotation(
 
     calls_before = client.calls
     _, failures = _run_batches(pending, client, record)
-    errors = dict(failures)
+    failed = {index for index, _ in failures}
     for job in jobs:
-        job.status = JobStatus.FAILED if job.index in errors else JobStatus.DONE
-        job.error = errors.get(job.index, "")
+        job.status = JobStatus.FAILED if job.index in failed else JobStatus.DONE
     return RunSummary(
         total=len(jobs),
         completed=sum(1 for j in jobs if j.status is JobStatus.DONE),
@@ -431,15 +423,11 @@ class FilterState:
         return [i for i in indices if self.batch_passes.get(i, 0) < self.passes]
 
     def save(self, path: str | Path) -> None:
-        body = json.dumps(
-            {
-                "passes": self.passes,
-                "batch_passes": {str(i): n for i, n in self.batch_passes.items()},
-                "digests": {str(i): d for i, d in self.digests.items()},
-            },
-            sort_keys=True,
-        )
-        write_atomic(path, body + "\n")
+        write_json(path, {
+            "passes": self.passes,
+            "batch_passes": {str(i): n for i, n in self.batch_passes.items()},
+            "digests": {str(i): d for i, d in self.digests.items()},
+        })
 
     @classmethod
     def load(cls, directory: str | Path) -> "FilterState":
@@ -447,14 +435,17 @@ class FilterState:
         path = directory / FILTER_STATE_FILE
         if not path.exists():
             return cls()
-        raw = json.loads(path.read_text(encoding="utf-8"))
-        passes = int(raw.get("passes", 0))
-        if "batch_passes" in raw:
-            batch_passes = {int(i): int(n) for i, n in raw["batch_passes"].items()}
-        else:  # written before per-batch passes were recorded
-            batch_passes = {i: passes for i, _ in _batch_files(directory, "filtered")}
-        digests = {int(i): str(d) for i, d in raw.get("digests", {}).items()}
-        return cls(passes=passes, batch_passes=batch_passes, digests=digests)
+
+        def convert(raw: dict) -> "FilterState":
+            passes = int(raw.get("passes", 0))
+            if "batch_passes" in raw:
+                batch_passes = {int(i): int(n) for i, n in raw["batch_passes"].items()}
+            else:  # written before per-batch passes were recorded
+                batch_passes = {i: passes for i, _ in _batch_files(directory, "filtered")}
+            digests = {int(i): str(d) for i, d in raw.get("digests", {}).items()}
+            return cls(passes=passes, batch_passes=batch_passes, digests=digests)
+
+        return read_json(path, RunnerError, convert)
 
 
 @dataclass
@@ -586,11 +577,9 @@ def run_query(
         ) from exc
 
     log = Path(log_path) if log_path else dataset_path.with_name(dataset_path.name + QUERY_LOG_SUFFIX)
-    entry = {
+    append_jsonl(log, {
         "ts": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "question": question,
         "answer": response.text,
-    }
-    with open(log, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(entry, ensure_ascii=False) + "\n")
+    })
     return response.text

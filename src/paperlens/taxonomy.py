@@ -10,8 +10,9 @@ corpora outside mathematics.
 from __future__ import annotations
 
 import enum
-import json
 from pathlib import Path
+
+from .atomic import read_json
 
 
 class TaxonomyError(Exception):
@@ -114,16 +115,7 @@ def load_table(path: str | Path) -> dict[str, SubjectArea]:
     tags, e.g. ``{"geometry": ["math.AG", ...], ...}``. Unknown area names
     and tags assigned to more than one area are rejected.
     """
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise TaxonomyError(f"cannot read taxonomy file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise TaxonomyError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise TaxonomyError(f"{path}: expected an object mapping area names to tag lists")
-
+    raw = read_json(path, TaxonomyError)
     by_value = {area.value: area for area in SubjectArea}
     groups: dict[SubjectArea, tuple[str, ...]] = {}
     for name, tags in raw.items():

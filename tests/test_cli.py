@@ -343,3 +343,64 @@ def test_help_names_all_flags(command, flags, capsys):
     help_text = capsys.readouterr().out
     for flag in flags:
         assert flag in help_text, f"{command} --help missing {flag}"
+
+
+def test_annotate_dry_run_prints_planned_doc_tokens(pipeline_dirs, capsys):
+    from paperlens.runner import _doc_tokens
+
+    tmp_path, manifest_path, _ = pipeline_dirs
+    config = write_config(tmp_path, tmp_path / "no-fixtures-here")
+    assert main(["annotate", "--config", str(config), "--manifest", str(manifest_path),
+                 "--out", str(tmp_path / "run"), "--batch-size", "2", "--dry-run"]) == 0
+    out = capsys.readouterr().out
+    refs = load_manifest(manifest_path).documents
+    for index in (0, 1):
+        planned = sum(_doc_tokens(ref) for ref in refs[2 * index : 2 * index + 2])
+        assert f"batch {index}: 2 docs, ~{planned} doc tokens" in out
+
+
+def test_malformed_checkpoint_on_resume_is_user_error(pipeline_dirs, capsys):
+    tmp_path, manifest_path, fixtures = pipeline_dirs
+    config = write_config(tmp_path, fixtures)
+    out_dir = tmp_path / "run"
+    out_dir.mkdir()
+    (out_dir / "checkpoint.json").write_text("{not json", encoding="utf-8")
+    assert main(["annotate", "--config", str(config), "--manifest", str(manifest_path),
+                 "--out", str(out_dir), "--batch-size", "2", "--resume"]) == 1
+    assert "checkpoint.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["filter"], ["filter", "--dry-run"], ["parse", "--filtered", "--out", "parsed.records.jsonl"]],
+)
+def test_malformed_filter_state_is_user_error(pipeline_dirs, capsys, command):
+    tmp_path, manifest_path, fixtures = pipeline_dirs
+    config = write_config(tmp_path, fixtures)
+    out_dir = tmp_path / "run"
+    main(["annotate", "--config", str(config), "--manifest", str(manifest_path),
+          "--out", str(out_dir), "--batch-size", "2"])
+    assert main(["filter", "--config", str(config), "--dir", str(out_dir)]) == 0
+    (out_dir / "filter_state.json").write_text("{not json", encoding="utf-8")
+    capsys.readouterr()
+    if command[0] == "filter":
+        command = command + ["--config", str(config)]
+    else:
+        command = command[:-1] + [str(tmp_path / command[-1])]
+    assert main(command + ["--dir", str(out_dir)]) == 1
+    assert "filter_state.json" in capsys.readouterr().err
+
+
+def test_missing_metadata_file_is_user_error(tmp_path, capsys):
+    src = write_corpus(tmp_path / "src", {"a": "alpha"})
+    assert main(["ingest", "--source", str(src), "--metadata", str(tmp_path / "no-meta.jsonl"),
+                 "--out", str(tmp_path / "m.jsonl")]) == 1
+    assert "no-meta.jsonl" in capsys.readouterr().err
+
+
+def test_manifest_header_not_an_object_is_user_error(tmp_path, capsys):
+    manifest_path = tmp_path / "m.jsonl"
+    manifest_path.write_text("[]\n", encoding="utf-8")
+    assert main(["sample", "--manifest", str(manifest_path), "--n", "1", "--seed", "1",
+                 "--out", str(tmp_path / "s.jsonl")]) == 1
+    assert "m.jsonl:1" in capsys.readouterr().err

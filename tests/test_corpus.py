@@ -343,3 +343,69 @@ def test_load_manifest_malformed_line(tmp_path):
         fh.write("{broken\n")
     with pytest.raises(CorpusError, match=r"m\.jsonl:3"):
         load_manifest(path)
+
+
+@pytest.mark.parametrize("header", ["[]", "null"])
+def test_load_manifest_header_not_an_object(tmp_path, header):
+    path = tmp_path / "m.jsonl"
+    path.write_text(header + "\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match=r"m\.jsonl:1"):
+        load_manifest(path)
+
+
+def test_load_manifest_entry_not_an_object(tmp_path):
+    path = tmp_path / "m.jsonl"
+    save_manifest(synthetic_manifest(1), path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("[]\n")
+    with pytest.raises(CorpusError, match=r"m\.jsonl:3"):
+        load_manifest(path)
+
+
+def test_load_manifest_skips_blank_lines(tmp_path):
+    path = tmp_path / "m.jsonl"
+    manifest = synthetic_manifest(2)
+    lines = manifest_to_jsonl(manifest).splitlines()
+    path.write_text("\n" + "\n\n".join(lines) + "\n\n", encoding="utf-8")
+    assert load_manifest(path) == manifest
+
+
+def test_ingest_missing_metadata_file(tmp_path):
+    src = write_corpus(tmp_path / "src", {"a": "alpha"})
+    with pytest.raises(CorpusError, match=r"no-meta\.jsonl"):
+        ingest(src, tmp_path / "no-meta.jsonl")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("title", 5),
+        ("text_path", ["x.txt"]),
+        ("authors", "Ann"),
+        ("authors", ["Ann", 3]),
+        ("category_tag", 5),
+    ],
+)
+def test_ingest_rejects_metadata_field_of_wrong_type(tmp_path, field, value):
+    src = write_corpus(tmp_path / "src", {"a": "alpha"})
+    meta = write_metadata(tmp_path / "meta.jsonl", [{"doc_id": "b"}, {"doc_id": "a", field: value}])
+    with pytest.raises(CorpusError, match=rf"meta\.jsonl:2: .*{field}"):
+        ingest(src, meta)
+
+
+def test_ingest_accepts_null_category_tag(tmp_path):
+    src = write_corpus(tmp_path / "src", {"a": "alpha"})
+    meta = write_metadata(
+        tmp_path / "meta.jsonl",
+        [{"doc_id": "a", "title": "T", "authors": ["Ann", "Bo"], "category_tag": None}],
+    )
+    ref = ingest(src, meta).manifest.documents[0]
+    assert (ref.title, ref.authors, ref.category_tag) == ("T", ("Ann", "Bo"), None)
+
+
+def test_ingest_metadata_line_not_an_object(tmp_path):
+    src = write_corpus(tmp_path / "src", {"a": "alpha"})
+    meta = tmp_path / "meta.jsonl"
+    meta.write_text('{"doc_id": "a"}\n\n["a"]\n', encoding="utf-8")
+    with pytest.raises(CorpusError, match=r"meta\.jsonl:3"):
+        ingest(src, meta)

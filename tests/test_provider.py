@@ -146,6 +146,15 @@ def test_audit_log_written_and_redacted(tmp_path, monkeypatch):
     assert "super-secret-value" not in audit.read_text()
 
 
+def test_audit_log_lines_have_sorted_keys(tmp_path):
+    write_stub_fixture(tmp_path, "annotation", ["d"], "answer")
+    client = make_stub(tmp_path)
+    client.audit_path = tmp_path / "audit.jsonl"
+    client.complete(bundle_for(["d"]), "payload")
+    entry = json.loads(client.audit_path.read_text(encoding="utf-8"))
+    assert list(entry) == sorted(entry)
+
+
 # --- config validation -------------------------------------------------------
 
 

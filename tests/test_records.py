@@ -380,6 +380,24 @@ def test_malformed_line_reports_line_number(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("line", [0, 2])
+def test_line_not_an_object_reports_line_number(tmp_path, line):
+    path = tmp_path / "n.records.jsonl"
+    save_dataset(random_dataset(3, seed=2), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[line] = "[]"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(DatasetError, match=rf"n\.records\.jsonl:{line + 1}"):
+        load_dataset(path)
+
+
+def test_wrong_format_is_rejected(tmp_path):
+    path = tmp_path / "f.records.jsonl"
+    path.write_text('{"format": "paperlens-manifest/1"}\n', encoding="utf-8")
+    with pytest.raises(DatasetError, match=r"f\.records\.jsonl:1: .*paperlens-manifest/1"):
+        load_dataset(path)
+
+
 def test_manifest_digest_mismatch_warns(tmp_path, caplog):
     ds = random_dataset(2, seed=3)
     path = tmp_path / "h.records.jsonl"

@@ -167,6 +167,17 @@ def test_resume_skips_completed(tmp_path):
     assert summary.skipped == 2
 
 
+@pytest.mark.parametrize("text", ["{not json", "[]", '{"completed": ["x"]}'])
+def test_resume_with_damaged_checkpoint_names_it(tmp_path, text):
+    manifest = _corpus_on_disk(tmp_path, 2)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "checkpoint.json").write_text(text, encoding="utf-8")
+    cfg = RunnerConfig(batch_size=2, output_dir=str(out), resume=True)
+    with pytest.raises(RunnerError, match="checkpoint.json"):
+        run_annotation(plan_batches(manifest, cfg), BUNDLE, manifest, make_stub(tmp_path), cfg)
+
+
 def test_resume_runs_only_missing(tmp_path):
     manifest = _corpus_on_disk(tmp_path, 4)
     out = tmp_path / "out"
@@ -430,6 +441,15 @@ def test_filter_pass_count_recorded_and_reapplies(tmp_path):
     assert state["passes"] == 2
 
 
+@pytest.mark.parametrize("text", ["{not json", "[]", '{"batch_passes": []}'])
+def test_filter_with_damaged_state_names_it(tmp_path, text):
+    out = tmp_path / "out"
+    _write_batch_outputs(out, {0: 2})
+    (out / "filter_state.json").write_text(text, encoding="utf-8")
+    with pytest.raises(RunnerError, match="filter_state.json"):
+        run_filter(out, make_stub(tmp_path))
+
+
 def _two_pass_fixtures(fixtures: Path, made: dict[int, list]) -> None:
     """Pass 1 keeps the first two records of a batch, pass 2 the first one."""
     for index, recs in made.items():
@@ -526,6 +546,16 @@ def test_query_returns_answer_and_logs(tmp_path):
 
     run_query(ds, "list tradeoff cases", client)
     assert len(log.read_text().splitlines()) == 2  # append-only
+
+
+def test_query_log_lines_have_sorted_keys(tmp_path):
+    ds = tmp_path / "data.records.jsonl"
+    ds.write_text('{"format": "paperlens-records/1"}\n', encoding="utf-8")
+    fixtures = tmp_path / "fixtures"
+    write_stub_fixture(fixtures, "query", ["data.records.jsonl"], "answer")
+    log = tmp_path / "q.jsonl"
+    run_query(ds, "question", make_stub(fixtures), log_path=log)
+    assert list(json.loads(log.read_text(encoding="utf-8"))) == ["answer", "question", "ts"]
 
 
 def test_query_oversized_dataset_names_tokens(tmp_path):
