@@ -20,11 +20,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import requests
-
 from .atomic import append_jsonl, write_atomic
 
 if TYPE_CHECKING:
+    import requests
+
     from .prompts import PromptBundle
 
 logger = logging.getLogger(__name__)
@@ -182,10 +182,10 @@ class ChatClient:
                     raise ExhaustedRetries(attempts, exc) from exc
                 delay = self._backoff_delay(attempt)
                 logger.warning(
-                    "transient provider failure (attempt %d/%d), retrying in %.1fs: %s",
+                    "transient provider failure (attempt %d/%d), retrying in %.0f ms: %s",
                     attempts,
                     self.config.max_retries + 1,
-                    delay,
+                    delay * 1000,
                     exc,
                 )
                 time.sleep(delay)
@@ -236,7 +236,13 @@ class HttpChatClient(ChatClient):
         session: requests.Session | None = None,
     ) -> None:
         super().__init__(config, audit_path)
-        self._session = session or requests.Session()
+        if session is None:
+            # Loaded here, not at module level: only the HTTP dialects need
+            # the HTTP stack, and every offline command would pay for it.
+            import requests
+
+            session = requests.Session()
+        self._session = session
 
     def _api_key(self) -> str:
         key = os.environ.get(self.config.api_key_env, "")
@@ -268,6 +274,8 @@ class HttpChatClient(ChatClient):
                 "max_tokens": cfg.max_output_tokens,
                 "temperature": cfg.temperature,
             }
+
+        import requests
 
         try:
             resp = self._session.post(url, json=body, headers=headers, timeout=cfg.timeout_s)

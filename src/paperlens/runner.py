@@ -1,7 +1,7 @@
 """Plan document batches and execute annotation, filter, and query runs.
 
-Annotation and filter passes run on one executor: batches go to the provider
-on up to ``max_inflight`` threads, and each output is written atomically
+Annotation and filter passes run on one executor: up to ``max_inflight``
+batches are at the provider at once, and each output is written atomically
 (temp-then-rename) before its completion is recorded, so a crash between
 jobs never leaves a checkpoint referencing a missing output file.
 Completion is keyed by a digest of what the batch sends, so a resumed run
@@ -241,14 +241,18 @@ def _run_batches(
     client: provider.ChatClient,
     record: Callable[[_Batch], None],
 ) -> tuple[dict[int, str], list[tuple[int, str]]]:
-    """Send every batch on up to ``max_inflight`` threads.
+    """Send every batch, at most ``max_inflight`` of them in flight at once.
 
-    Each response is written to the batch's output path before ``record``
-    runs for it under a lock, so a checkpoint saved by ``record`` never names
-    a missing file. Returns the response texts by index and the failures as
-    ``(index, error)``, both in batch-index order whichever call finishes
-    first. Errors outside ``_BATCH_ERRORS`` (and interrupts) cancel the
-    batches not yet started and propagate.
+    The pool has twice ``max_inflight`` workers: while some wait in a
+    provider call, the others build payloads, write outputs and sleep
+    through retry backoff outside the ``max_inflight`` slots, which the
+    client's gate alone limits. Each response is written to the batch's
+    output path before ``record`` runs for it under a lock, so a checkpoint
+    saved by ``record`` never names a missing file. Returns the response
+    texts by index and the failures as ``(index, error)``, both in
+    batch-index order whichever call finishes first. Errors outside
+    ``_BATCH_ERRORS`` (and interrupts) cancel the batches not yet started
+    and propagate.
     """
     ordered = sorted(batches, key=lambda b: b.index)
     responses: dict[int, str] = {}
@@ -265,7 +269,7 @@ def _run_batches(
             record(batch)
         return text
 
-    with ThreadPoolExecutor(max_workers=min(client.config.max_inflight, len(ordered))) as pool:
+    with ThreadPoolExecutor(max_workers=min(2 * client.config.max_inflight, len(ordered))) as pool:
         futures = [pool.submit(execute, batch) for batch in ordered]
         try:
             for batch, future in zip(ordered, futures):

@@ -1,13 +1,20 @@
 """Token estimation, budgeting, retry, stub determinism, and HTTP dialects."""
 
 import json
+import logging
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
+import requests
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_stub
+from conftest import batch_output_text, make_record, make_stub, write_corpus
+from paperlens.corpus import ingest, save_manifest
 from paperlens.prompts import PromptBundle, PromptKind
 from paperlens.provider import (
     AuthError,
@@ -114,6 +121,18 @@ def test_permanent_failure_exhausts_retries(tmp_path, monkeypatch):
     with pytest.raises(ExhaustedRetries) as err:
         client.complete(bundle_for(["d"]))
     assert err.value.attempts == 3  # max_retries + 1
+
+
+def test_retry_log_shows_the_delay_in_milliseconds(tmp_path, monkeypatch, caplog):
+    monkeypatch.setattr("paperlens.provider.time.sleep", lambda s: None)
+    write_stub_fixture(tmp_path, "annotation", ["d"], "eventually")
+    client = make_stub(tmp_path, backoff_base_ms=5)
+    client.script.fail_counts[f"annotation-{stub_key('annotation', ['d'])}"] = 1
+    with caplog.at_level(logging.WARNING, logger="paperlens.provider"):
+        client.complete(bundle_for(["d"]))
+    [message] = caplog.messages
+    # 5 ms with +-25% jitter: 3.75 to 6.25 ms.
+    assert any(f"retrying in {ms} ms" in message for ms in (4, 5, 6)), message
 
 
 def test_inflight_high_water_respects_limit(tmp_path):
@@ -294,3 +313,98 @@ def test_persistent_5xx_exhausts(monkeypatch):
     with pytest.raises(ExhaustedRetries):
         client.complete(bundle_for(["d"]))
     assert len(session.requests) == 3
+
+
+class RaisingSession(FakeSession):
+    """Scripted transport whose script may also hold exceptions to raise."""
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        response = super().post(url, json=json, headers=headers, timeout=timeout)
+        if isinstance(response, Exception):
+            raise response
+        return response
+
+
+def test_transport_failure_retried_then_succeeds(monkeypatch):
+    monkeypatch.setenv("TEST_API_KEY", "k")
+    monkeypatch.setattr("paperlens.provider.time.sleep", lambda s: None)
+    session = RaisingSession([requests.ConnectionError("connection reset"), openai_ok("ok")])
+    response = http_client("openai", session).complete(bundle_for(["d"]))
+    assert response.text == "ok"
+    assert response.attempts == 2
+
+
+def test_persistent_transport_failure_exhausts(monkeypatch):
+    monkeypatch.setenv("TEST_API_KEY", "k")
+    monkeypatch.setattr("paperlens.provider.time.sleep", lambda s: None)
+    session = RaisingSession([requests.ConnectionError("connection reset")] * 3)
+    with pytest.raises(ExhaustedRetries, match="transport failure") as err:
+        http_client("openai", session).complete(bundle_for(["d"]))
+    assert err.value.attempts == 3
+    assert len(session.requests) == 3
+
+
+# --- the HTTP stack loads only for an HTTP client ----------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(code, *args):
+    """Run ``code`` in a fresh interpreter that imports this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_importing_the_package_leaves_requests_unloaded():
+    proc = run_python(
+        "import sys, paperlens, paperlens.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('requests', 'urllib3', 'charset_normalizer', 'idna')))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_stub_call_leaves_requests_unloaded(tmp_path):
+    write_stub_fixture(tmp_path, "annotation", ["d"], "canned")
+    proc = run_python(
+        "import sys\n"
+        "from paperlens.prompts import PromptBundle, PromptKind\n"
+        "from paperlens.provider import ProviderConfig, make_client\n"
+        "client = make_client(ProviderConfig(dialect='stub', fixtures_dir=sys.argv[1]))\n"
+        "bundle = PromptBundle(kind=PromptKind.ANNOTATION, instructions='x', payload_refs=('d',))\n"
+        "print(client.complete(bundle).text, 'requests' in sys.modules)",
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["canned", "False"]
+
+
+def test_stub_annotate_runs_without_requests(tmp_path):
+    docs = {f"paper{i}": f"Body of paper {i}, which explains why claim {i} holds." for i in range(2)}
+    manifest = ingest(write_corpus(tmp_path / "src", docs)).manifest
+    manifest_path = tmp_path / "manifest.jsonl"
+    save_manifest(manifest, manifest_path)
+    doc_ids = [r.doc_id for r in manifest.documents]
+    records = [make_record(i, doc_id=doc_ids[i]) for i in range(2)]
+    write_stub_fixture(tmp_path / "fixtures", "annotation", doc_ids, batch_output_text(records))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"provider": {"dialect": "stub", "fixtures_dir": str(tmp_path / "fixtures")}}))
+    out = tmp_path / "run"
+    proc = run_python(
+        "import sys; sys.modules['requests'] = None\n"
+        "from paperlens.cli import main\nsys.exit(main(sys.argv[1:]))",
+        "annotate", "--config", config, "--manifest", manifest_path, "--out", out,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "batch_0_output.txt").read_text(encoding="utf-8") == batch_output_text(records)
+
+
+def test_http_client_without_session_needs_requests(monkeypatch):
+    monkeypatch.setitem(sys.modules, "requests", None)
+    with pytest.raises(ImportError):
+        HttpChatClient(ProviderConfig(dialect="openai"))

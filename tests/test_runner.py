@@ -354,6 +354,33 @@ def test_checkpoint_records_every_batch_under_contention(tmp_path):
     assert len(set(checkpoint["digests"].values())) == len(jobs)
 
 
+def test_batch_is_sent_while_another_waits_through_backoff(tmp_path):
+    """A worker sleeping through a retry backoff holds no in-flight slot, so
+    the next batch goes out during that wait even at max_inflight=1."""
+    manifest = _corpus_on_disk(tmp_path, 4)
+    cfg = RunnerConfig(batch_size=2, output_dir=str(tmp_path / "out"))
+    jobs = plan_batches(manifest, cfg)
+    fixtures = tmp_path / "fixtures"
+    _fixtures_for_jobs(fixtures, jobs, lambda j: f"batch {j.index}")
+    client = make_stub(fixtures, max_inflight=1, backoff_base_ms=300)
+    keys = [f"annotation-{stub_key('annotation', list(job.doc_ids))}" for job in jobs]
+    client.script.fail_counts[keys[0]] = 1
+    sends = []
+    real_send = client._send
+
+    def recording_send(prompt, key):
+        sends.append(key)
+        return real_send(prompt, key)
+
+    client._send = recording_send
+    summary = run_annotation(jobs, BUNDLE, manifest, client, cfg)
+
+    assert summary.completed == 2 and summary.failed == 0
+    assert sorted(sends) == sorted([keys[0], keys[0], keys[1]])
+    assert sends[-1] == keys[0]  # batch 1 went out during batch 0's backoff
+    assert client.inflight_high_water == 1
+
+
 # --- run_filter ------------------------------------------------------------------
 
 
