@@ -207,6 +207,11 @@ def prevalence_estimate(
 # ---------------------------------------------------------------------------
 
 
+def _cells(table: DistributionTable, area: SubjectArea, width: int) -> str:
+    """One area's count, ``width`` characters wide, and its share in percent."""
+    return f"{table.count(area):>{width}}{table.share(area) * 100:>8.1f}%"
+
+
 def _format_table(
     corpus: DistributionTable,
     dataset: DistributionTable,
@@ -215,30 +220,19 @@ def _format_table(
     header = (
         f"{'Area':<28}{'Corpus':>8}{'C':>9}{'Dataset':>9}{'D':>9}{'D/C':>8}"
     )
-    lines = [header, "-" * len(header)]
-    for row in rows:
-        lines.append(
-            f"{row.area.label:<28}"
-            f"{corpus.count(row.area):>8}"
-            f"{row.corpus_share * 100:>8.1f}%"
-            f"{dataset.count(row.area):>9}"
-            f"{row.dataset_share * 100:>8.1f}%"
-            f"{row.display_coefficient:>8}"
-        )
-    lines.append("-" * len(header))
-    other = SubjectArea.OTHER
-    lines.append(
-        f"{'Other (shown, not rated)':<28}"
-        f"{corpus.count(other):>8}"
-        f"{corpus.share(other) * 100:>8.1f}%"
-        f"{dataset.count(other):>9}"
-        f"{dataset.share(other) * 100:>8.1f}%"
-        f"{'':>8}"
-    )
-    lines.append(
-        f"{'Total':<28}{corpus.total:>8}{'':>9}{dataset.total:>9}{'':>9}{'':>8}"
-    )
-    return lines
+    rule = "-" * len(header)
+
+    def line(label: str, area: SubjectArea, coefficient: str) -> str:
+        return f"{label:<28}{_cells(corpus, area, 8)}{_cells(dataset, area, 9)}{coefficient:>8}"
+
+    return [
+        header,
+        rule,
+        *(line(row.area.label, row.area, row.display_coefficient) for row in rows),
+        rule,
+        line("Other (shown, not rated)", SubjectArea.OTHER, ""),
+        f"{'Total':<28}{corpus.total:>8}{'':>9}{dataset.total:>9}{'':>9}{'':>8}",
+    ]
 
 
 def _richness_csv(
@@ -246,33 +240,23 @@ def _richness_csv(
     dataset: DistributionTable,
     rows: list[RichnessRow],
 ) -> str:
+    """The header, then the eight named areas and Other unless the dataset is empty."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
         ["area", "corpus_count", "corpus_share", "dataset_count", "dataset_share", "coefficient"]
     )
-    for row in rows:
-        writer.writerow(
-            [
-                row.area.label,
-                corpus.count(row.area),
-                repr(row.corpus_share),
-                dataset.count(row.area),
-                repr(row.dataset_share),
-                repr(row.coefficient) if row.coefficient is not None else "",
-            ]
-        )
-    other = SubjectArea.OTHER
-    writer.writerow(
-        [
-            other.label,
-            corpus.count(other),
-            repr(corpus.share(other)),
-            dataset.count(other),
-            repr(dataset.share(other)),
-            "",
-        ]
-    )
+    if dataset.total > 0:
+        coefficients = [(row.area, row.coefficient) for row in rows] + [(SubjectArea.OTHER, None)]
+        for area, coefficient in coefficients:
+            writer.writerow([
+                area.label,
+                corpus.count(area),
+                repr(corpus.share(area)),
+                dataset.count(area),
+                repr(dataset.share(area)),
+                repr(coefficient) if coefficient is not None else "",
+            ])
     return buf.getvalue()
 
 
@@ -293,6 +277,7 @@ def emit_report(
     except OSError as exc:
         raise AnalyticsError(f"cannot write to destination {dest}: {exc}") from exc
 
+    rows = richness_table(corpus, dataset)
     lines: list[str] = []
     lines.append("Subject-area distribution and explanatory-richness coefficients")
     lines.append("=" * 64)
@@ -301,12 +286,9 @@ def emit_report(
         lines.append("The dataset has zero contributing papers; no coefficients computed.")
         lines.append("")
         lines.append("Corpus distribution:")
-        for area in list(MAIN_AREAS) + [SubjectArea.OTHER]:
-            lines.append(
-                f"  {area.label:<28}{corpus.count(area):>8}{corpus.share(area) * 100:>8.1f}%"
-            )
+        for area in (*MAIN_AREAS, SubjectArea.OTHER):
+            lines.append(f"  {area.label:<28}{_cells(corpus, area, 8)}")
     else:
-        rows = richness_table(corpus, dataset)
         lines.extend(_format_table(corpus, dataset, rows))
     lines.append("")
 
@@ -330,10 +312,5 @@ def emit_report(
     report_path = dest / "report.txt"
     csv_path = dest / "richness.csv"
     write_atomic(report_path, "\n".join(lines))
-    if dataset.total == 0:
-        write_atomic(
-            csv_path, "area,corpus_count,corpus_share,dataset_count,dataset_share,coefficient\n"
-        )
-    else:
-        write_atomic(csv_path, _richness_csv(corpus, dataset, richness_table(corpus, dataset)))
+    write_atomic(csv_path, _richness_csv(corpus, dataset, rows))
     return report_path, csv_path

@@ -40,7 +40,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> argparse._ArgumentGrou
 
 
 def _add_provider_flags(group: argparse._ArgumentGroup) -> None:
-    group.add_argument("--dialect", choices=["openai", "gemini", "stub"], help="provider dialect")
+    group.add_argument("--dialect", choices=provider.DIALECTS, help="provider dialect")
     group.add_argument("--base-url", dest="base_url", help="provider base URL")
     group.add_argument("--model", dest="model_name", help="model name")
     group.add_argument("--api-key-env", dest="api_key_env", help="env var holding the API key")

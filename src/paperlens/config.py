@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import typing
 from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -48,6 +49,23 @@ OVERRIDABLE: dict[str, str | None] = {
 _FLAG_ONLY = {"output_dir": "--out", "resume": "--resume", "skip_oversize": "--skip-oversize"}
 
 
+def _check_types(cls, raw: dict, where: str) -> None:
+    """Raise unless each value in ``raw`` has its field's declared type.
+
+    A float field also takes an int; a bool fills only a bool field.
+    """
+    hints = typing.get_type_hints(cls)
+    for name, value in raw.items():
+        allowed = typing.get_args(hints[name]) or (hints[name],)
+        if isinstance(value, bool):
+            ok = bool in allowed
+        else:
+            ok = isinstance(value, allowed) or (float in allowed and isinstance(value, int))
+        if not ok:
+            names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+            raise ConfigError(f"{where}: {name} must be {names}, got {value!r}")
+
+
 def _build(cls, raw: dict, where: str):
     if not isinstance(raw, dict):
         raise ConfigError(f"{where}: must be a JSON object")
@@ -55,9 +73,10 @@ def _build(cls, raw: dict, where: str):
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"{where}: unknown option(s) {sorted(unknown)}")
+    _check_types(cls, raw, where)
     try:
         return cls(**raw)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ConfigError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -81,14 +100,8 @@ def load_config(path: str | Path | None = None) -> GlobalConfig:
     for name, flag in _FLAG_ONLY.items():
         if name in raw.get("runner", {}):
             raise ConfigError(f"{path}: runner: {name} is not read from a file; use `annotate {flag}`")
-    try:
-        return GlobalConfig(
-            **sections,
-            prompts_dir=raw.get("prompts_dir"),
-            threshold=raw.get("threshold", GlobalConfig.threshold),
-        )
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    top = {name: value for name, value in raw.items() if name not in _SECTIONS}
+    return _build(GlobalConfig, {**top, **sections}, str(path))
 
 
 def apply_overrides(config: GlobalConfig, **overrides) -> GlobalConfig:
@@ -109,6 +122,9 @@ def apply_overrides(config: GlobalConfig, **overrides) -> GlobalConfig:
             top[name] = value
         else:
             nested[section][name] = value
-    for section, kwargs in nested.items():
-        top[section] = replace(getattr(config, section), **kwargs)
-    return replace(config, **top)
+    try:
+        for section, kwargs in nested.items():
+            top[section] = replace(getattr(config, section), **kwargs)
+        return replace(config, **top)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc

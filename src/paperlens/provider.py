@@ -74,11 +74,15 @@ class StubFixtureMissing(ProviderError):
     """The stub provider has no canned response for a request key."""
 
 
+#: Every value ``ProviderConfig.dialect`` takes.
+DIALECTS = ("openai", "gemini", "stub")
+
+
 @dataclass(frozen=True)
 class ProviderConfig:
     """Connection, budgeting, and pacing settings for one provider."""
 
-    dialect: str = "openai"  # "openai" | "gemini" | "stub"
+    dialect: str = "openai"  # one of DIALECTS
     base_url: str = "https://api.openai.com/v1"
     model_name: str = "gpt-4.1"
     api_key_env: str = "PAPERLENS_API_KEY"
@@ -94,6 +98,8 @@ class ProviderConfig:
     fixtures_dir: str | None = None
 
     def __post_init__(self) -> None:
+        if self.dialect not in DIALECTS:
+            raise ValueError(f"dialect must be one of {', '.join(DIALECTS)}, got {self.dialect!r}")
         if self.context_window_tokens < self.max_output_tokens:
             raise ValueError("context_window_tokens must be >= max_output_tokens")
         if self.max_inflight < 1:
@@ -394,6 +400,4 @@ def make_client(
     """Build the client matching the configured dialect."""
     if config.dialect == "stub":
         return StubChatClient(config, audit_path)
-    if config.dialect in ("openai", "gemini"):
-        return HttpChatClient(config, audit_path, session=session)
-    raise ValueError(f"unknown provider dialect {config.dialect!r}")
+    return HttpChatClient(config, audit_path, session=session)

@@ -6,8 +6,9 @@ the same normalization before matching. A quote scores the best normalized
 edit distance over document windows of 0.8x to 1.2x its length; the score
 and span are exactly those of checking every window, ties going to the
 earliest start and then the shortest window. Bit-parallel edit distance
-(Myers 1999) and semi-global passes (Sellers 1980) that bound what each
-window start can reach keep that affordable on long documents.
+(Myers 1999) and semi-global passes (Sellers 1980) over the reversed quote
+and document, which bound what each window start can reach, keep that
+affordable on long documents.
 Mathematical notation inside a quote is treated as a flexible gap because
 extraction renders formulas unpredictably.
 """
@@ -234,19 +235,20 @@ def _window_scores(
     return best_sim, best_j
 
 
-class _SideBounds:
-    """Upper bounds on the similarity of every window ending at each position.
+class _StartBounds:
+    """Upper bounds on the similarity of every window starting at each position.
 
-    Built on the reversed quote and document, the same bounds hold for every
-    window starting at each position. ``short_lb`` bounds the edit distance
-    of windows no longer than the quote (whose score divides by |quote|);
-    ``long_ub`` bounds the similarity of longer windows directly.
+    Built from semi-global passes over the reversed quote and document, in
+    which a window starting at s is one ending at len(doc) - s. ``short_lb``
+    bounds the edit distance of windows no longer than the quote (whose
+    score divides by |quote|); ``long_ub`` bounds the similarity of longer
+    windows directly. Both are indexed by position in the reversed document.
     """
 
     def __init__(self, quote: str, codes: np.ndarray, min_len: int, max_len: int) -> None:
-        self.quote, self.codes = quote, codes
+        self.quote, self.codes = quote[::-1], codes[::-1].copy()
         self.m, self.min_len, self.max_len = len(quote), min_len, max_len
-        dist = _best_end_distances(quote, codes).astype(np.float64)
+        dist = _best_end_distances(self.quote, self.codes).astype(np.float64)
         self.short_lb = dist
         # A window of length j > |q| has distance >= max(D, j - |q|), so its
         # similarity 1 - max(D, j - |q|)/j peaks where those two meet.
@@ -258,7 +260,7 @@ class _SideBounds:
 
         Every window of length j has distance >= G + r*j, where G is that
         pass's value: so short windows have distance >= G + r*min_len, and
-        long windows similarity <= 1 - r - G/j.
+        long windows similarity <= 1 - r - G/j. The bounds only fall.
         """
         r = num / den
         g = _rewarded_end_costs(self.quote, self.codes, num, den) / den
@@ -268,16 +270,9 @@ class _SideBounds:
         np.minimum(self.long_ub, 1.0 - r - g / j, out=self.long_ub)
 
     def bound(self) -> np.ndarray:
-        return np.maximum(1.0 - self.short_lb / self.m, self.long_ub)
-
-
-def _window_max(a: np.ndarray, w: int) -> np.ndarray:
-    """``out[i] = max(a[i : i + w])`` for every full window, by doubling spans."""
-    out, span = a, 1
-    while 2 * span <= w:
-        out = np.maximum(out[:-span], out[span:])
-        span *= 2
-    return np.maximum(out[: len(a) - w + 1], out[w - span : len(a) - span + 1])
+        """The bound at each start 0 .. len(doc) - min_len."""
+        by_end = np.maximum(1.0 - self.short_lb / self.m, self.long_ub)
+        return by_end[::-1][: len(self.codes) - self.min_len + 1]
 
 
 #: Starts scored first, highest bound first. A document with no more
@@ -295,25 +290,18 @@ _TOL = 1e-9
 def _match_pruned(quote: str, codes: np.ndarray, min_len: int, max_len: int) -> tuple[float, int, int]:
     """The exact best window, scoring only starts whose bound can still win.
 
-    Every start's bound is the lower of its start-side bound and the best
-    end-side bound over the ends its windows reach. A start is scored only
-    while that bound is at least the best similarity found so far, so the
-    first-best start of a full scan is always among those scored.
+    Each start's bound comes from ``_StartBounds`` alone. A start is scored
+    only while that bound is at least the best similarity found so far, so
+    the first-best start of a full scan is always among those scored.
     """
     m, n = len(quote), len(codes)
     n_starts = n - min_len + 1
-    ends = _SideBounds(quote, codes, min_len, max_len)
-    begins = _SideBounds(quote[::-1], codes[::-1].copy(), min_len, max_len)
-
-    def upper() -> np.ndarray:
-        reach = np.concatenate([ends.bound()[min_len:], np.full(max_len - min_len, -np.inf)])
-        by_end = _window_max(reach, max_len - min_len + 1)[:n_starts]
-        return np.minimum(begins.bound()[::-1][:n_starts], by_end)
+    starts = _StartBounds(quote, codes, min_len, max_len)
+    bound = starts.bound()
 
     sims = np.full(n_starts, -1.0)
     lens = np.zeros(n_starts, dtype=np.int64)
     done = np.zeros(n_starts, dtype=bool)
-    bound = upper()
 
     def score(live: np.ndarray, count: int) -> None:
         """Score the ``count`` live starts with the highest bounds."""
@@ -326,9 +314,8 @@ def _match_pruned(quote: str, codes: np.ndarray, min_len: int, max_len: int) -> 
     score(np.arange(n_starts), _PROBE_STARTS)
     block = max(1, _BLOCK_BITS // (min(max_len, n) + 1))
     pass_starts = _PASS_COST * n // max_len
-    # Sides not yet tightened at the current reward. The reward falls only
-    # when the best rises, so the passes end.
-    todo: list[_SideBounds] = []
+    # One rewarded pass per fall of the reward. The reward falls only when
+    # the best rises, so the passes end.
     reward = 2.0
     while True:
         top = int(np.argmax(sims))
@@ -343,10 +330,9 @@ def _match_pruned(quote: str, codes: np.ndarray, min_len: int, max_len: int) -> 
             den = max(m, int(lens[top]))
             num = round((1.0 - best) * den)
             if num / den < reward:
-                reward, todo = num / den, [ends, begins]
-            if todo:
-                todo.pop(0).reward(num, den)
-                np.minimum(bound, upper(), out=bound)
+                reward = num / den
+                starts.reward(num, den)
+                bound = starts.bound()
                 continue
         score(live, block)
 

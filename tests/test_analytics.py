@@ -275,6 +275,29 @@ def test_report_contents_and_determinism(tmp_path):
     assert len(csv_text.splitlines()) == 10  # header + 8 areas + Other
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+# Each case: corpus counts, dataset counts, prevalence. The first has an area
+# with no corpus papers, so its coefficient is undefined.
+STATS_CASES = {
+    "zero_corpus_share": (
+        {**C_COUNTS, SubjectArea.LOGIC_SET_THEORY: 0}, D_COUNTS, prevalence_estimate(735, 5000)
+    ),
+    "zero_contributors": (C_COUNTS, {}, prevalence_estimate(0, 5000)),
+    "no_prevalence": (C_COUNTS, D_COUNTS, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STATS_CASES))
+def test_report_and_csv_bytes_match_golden_files(tmp_path, case):
+    corpus, dataset, prevalence = STATS_CASES[case]
+    report, csv_path = emit_report(
+        DistributionTable.from_counts(corpus), DistributionTable.from_counts(dataset), prevalence, tmp_path
+    )
+    assert report.read_bytes() == (GOLDEN / f"stats_{case}_report.txt").read_bytes()
+    assert csv_path.read_bytes() == (GOLDEN / f"stats_{case}_richness.csv").read_bytes()
+
+
 def test_report_empty_dataset(tmp_path):
     corpus = DistributionTable.from_counts(C_COUNTS)
     dataset = DistributionTable.from_counts({})

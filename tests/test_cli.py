@@ -307,6 +307,71 @@ def test_threshold_flag_out_of_range_is_user_error(capsys):
     assert "threshold must be a number in (0, 1]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, values, name", [
+    ("provider", {"dialect": "azure"}, "dialect"),
+    (None, {"prompts_dir": 5}, "prompts_dir"),
+    ("provider", {"dialect": "stub", "fixtures_dir": 5}, "fixtures_dir"),
+    ("provider", {"dialect": "openai", "base_url": 5}, "base_url"),
+])
+def test_config_value_of_wrong_type_is_user_error(pipeline_dirs, capsys, monkeypatch, section, values, name):
+    tmp_path, manifest_path, fixtures = pipeline_dirs
+    # With a key present an HTTP client would get as far as building its URL.
+    monkeypatch.setenv("PAPERLENS_API_KEY", "not-a-real-key")
+    config = write_config(tmp_path, fixtures)
+    raw = json.loads(config.read_text(encoding="utf-8"))
+    (raw[section] if section else raw).update(values)
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["annotate", "--config", str(config), "--manifest", str(manifest_path),
+                 "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and name in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("section, name, value", [
+    ("provider", "max_retries", 1.5),
+    ("provider", "max_retries", True),
+    ("provider", "temperature", "0"),
+    ("provider", "timeout_s", False),
+    ("runner", "batch_size", "10"),
+    (None, "prompts_dir", ["templates"]),
+])
+def test_config_fields_are_checked_against_their_declared_types(tmp_path, section, name, value):
+    from paperlens.config import ConfigError, load_config
+
+    config = write_config(tmp_path, tmp_path)
+    raw = json.loads(config.read_text(encoding="utf-8"))
+    (raw.setdefault(section, {}) if section else raw)[name] = value
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    with pytest.raises(ConfigError, match=name):
+        load_config(config)
+
+
+def test_config_float_fields_accept_ints(tmp_path):
+    from paperlens.config import load_config
+
+    config = write_config(tmp_path, tmp_path, threshold=1)
+    raw = json.loads(config.read_text(encoding="utf-8"))
+    raw["provider"].update(temperature=1, timeout_s=30)
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    cfg = load_config(config)
+    assert (cfg.threshold, cfg.provider.temperature, cfg.provider.timeout_s) == (1.0, 1, 30)
+
+
+@pytest.mark.parametrize("flag, value, name", [
+    ("--batch-size", "0", "batch_size"),
+    ("--max-inflight", "0", "max_inflight"),
+    ("--context-window", "10", "context_window_tokens"),
+    ("--max-retries", "-1", "max_retries"),
+    ("--backoff-base-ms", "0", "backoff_base_ms"),
+])
+def test_out_of_range_flag_is_user_error(tmp_path, capsys, flag, value, name):
+    assert main(["annotate", flag, value, "--manifest", str(tmp_path / "m.jsonl"),
+                 "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and name in err
+
+
 @pytest.mark.parametrize("name, value, flag", [
     ("output_dir", "elsewhere", "annotate --out"),
     ("resume", True, "annotate --resume"),

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from paperlens.corpus import CorpusManifest, DocumentRef
 from paperlens.records import Dataset, ExampleRecord
-from paperlens.verify import VerificationResult, best_match, normalize, verify_dataset
+from paperlens.verify import VerificationResult, _codepoints, _StartBounds, best_match, normalize, verify_dataset
 
 # --- independent oracle ------------------------------------------------------
 
@@ -52,8 +52,27 @@ def exhaustive_best_window(quote: str, doc: str) -> tuple[float, int, int]:
     m, n = len(q), len(d)
     lo = max(1, math.floor(0.8 * m))
     hi = max(1, math.ceil(1.2 * m))
-    starts = np.arange(max(0, n - lo) + 1)
-    width = min(hi, n)
+    starts, row = exhaustive_distance_table(q, d)
+    best = (-1.0, 0, 0)
+    for k, s in enumerate(starts):
+        remaining = n - s
+        for length in range(min(lo, remaining), min(hi, remaining) + 1):
+            sim = 1.0 - int(row[length][k]) / max(m, length)
+            if sim > best[0]:
+                best = (sim, int(s), int(s) + length)
+    return best
+
+
+def exhaustive_distance_table(q: str, d: str) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Window starts 0 .. len(d) - floor(0.8 |q|) and the table ``row``, where
+    ``row[j][k]`` is the edit distance of ``q`` against ``d[k : k + j]`` for
+    ``j`` up to ``min(ceil(1.2 |q|), len(d))``; past the end of ``d`` the
+    window matches nothing. Filled cell by cell, each cell for all starts.
+    """
+    lo = max(1, math.floor(0.8 * len(q)))
+    hi = max(1, math.ceil(1.2 * len(q)))
+    starts = np.arange(max(0, len(d) - lo) + 1)
+    width = min(hi, len(d))
     codes = np.array([ord(c) for c in d] + [-1] * width)
     windows = [codes[starts + j] for j in range(width)]
     row = [np.full(len(starts), j) for j in range(width + 1)]  # dist(q[:0], window[:j])
@@ -63,14 +82,7 @@ def exhaustive_best_window(quote: str, doc: str) -> tuple[float, int, int]:
             new.append(np.minimum(np.minimum(row[j] + 1, new[j - 1] + 1),
                                   row[j - 1] + (windows[j - 1] != ord(ch))))
         row = new
-    best = (-1.0, 0, 0)
-    for k, s in enumerate(starts):
-        remaining = n - s
-        for length in range(min(lo, remaining), min(hi, remaining) + 1):
-            sim = 1.0 - int(row[length][k]) / max(m, length)
-            if sim > best[0]:
-                best = (sim, int(s), int(s) + length)
-    return best
+    return starts, row
 
 
 _REFERENCE_DEHYPHEN_RE = re.compile(r"(?<=\w)[-\u00ad][ \t]*\r?\n\s*(?=\w)")
@@ -269,6 +281,54 @@ def test_strided_documents_match_exhaustive_oracle(seed, doc_chars, quote_chars,
     result = best_match(quote, doc, threshold=1e-9)
     assert result.similarity == pytest.approx(want_sim, abs=1e-12)
     assert (result.span_start, result.span_end) == (want_start, want_end)
+
+
+def _strided_case(seed: int, doc_chars: int, quote_chars: int, share: float | None) -> tuple[str, str]:
+    """(quote, document) built as in ``test_strided_documents_match_exhaustive_oracle``."""
+    rng = random.Random(seed)
+    words = ("orbit group bound proof lemma shows that the why structure class "
+             "homotopy sharp counting argument symmetry forces").split()
+
+    def text(chars: int) -> str:
+        out = ""
+        while len(out) < chars:
+            out += rng.choice(words) + " "
+        return out[:chars].strip()
+
+    doc = text(doc_chars)
+    if share is None:
+        return text(quote_chars), doc
+    start = rng.randrange(len(doc) - quote_chars)
+    return _substituted(rng, doc[start : start + quote_chars], share, "xyzqj0123"), doc
+
+
+@pytest.mark.parametrize("seed,doc_chars,quote_chars,share", [STRIDED_CASES[i] for i in (1, 2, 5, 7)])
+def test_start_bounds_hold_at_every_start(seed, doc_chars, quote_chars, share):
+    quote, doc = _strided_case(seed, doc_chars, quote_chars, share)
+    q, d = normalize(quote), normalize(doc)
+    m, n = len(q), len(d)
+    lo, hi = math.floor(0.8 * m), math.ceil(1.2 * m)
+    starts, row = exhaustive_distance_table(q, d)
+    lengths = np.arange(len(row)).reshape(-1, 1)
+    valid = (lengths >= lo) & (lengths <= n - starts)
+    sims = np.where(valid, 1.0 - np.array(row) / np.maximum(m, lengths), -np.inf)
+    best_at = sims.max(axis=0)
+
+    bounds = _StartBounds(q, _codepoints(d), lo, hi)
+    before = bounds.bound().copy()
+    assert len(before) == len(starts)
+    assert np.all(before >= best_at - 1e-9)
+
+    # The pass the matcher runs once the best is known: each spanned
+    # character earns 1 - best.
+    top = int(np.argmax(best_at))
+    den = max(m, int(np.argmax(sims[:, top])))
+    num = round((1.0 - best_at[top]) * den)
+    bounds.reward(num, den)
+    after = bounds.bound()
+    assert np.all(after >= best_at - 1e-9)
+    assert np.all(after <= before)
+    assert np.any(after < before)
 
 
 def test_short_windows_count_only_when_the_document_is_short():
