@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import os
-import typing
 from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
-from .atomic import read_json
+from .atomic import from_json, read_json
 from .provider import ProviderConfig
 from .runner import RunnerConfig
 
@@ -49,33 +48,14 @@ OVERRIDABLE: dict[str, str | None] = {
 _FLAG_ONLY = {"output_dir": "--out", "resume": "--resume", "skip_oversize": "--skip-oversize"}
 
 
-def _check_types(cls, raw: dict, where: str) -> None:
-    """Raise unless each value in ``raw`` has its field's declared type.
-
-    A float field also takes an int; a bool fills only a bool field.
-    """
-    hints = typing.get_type_hints(cls)
-    for name, value in raw.items():
-        allowed = typing.get_args(hints[name]) or (hints[name],)
-        if isinstance(value, bool):
-            ok = bool in allowed
-        else:
-            ok = isinstance(value, allowed) or (float in allowed and isinstance(value, int))
-        if not ok:
-            names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
-            raise ConfigError(f"{where}: {name} must be {names}, got {value!r}")
-
-
 def _build(cls, raw: dict, where: str):
     if not isinstance(raw, dict):
         raise ConfigError(f"{where}: must be a JSON object")
-    known = {f.name for f in fields(cls)}
-    unknown = set(raw) - known
+    unknown = set(raw) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"{where}: unknown option(s) {sorted(unknown)}")
-    _check_types(cls, raw, where)
     try:
-        return cls(**raw)
+        return from_json(cls, raw)
     except (TypeError, ValueError, ConfigError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -100,8 +80,7 @@ def load_config(path: str | Path | None = None) -> GlobalConfig:
     for name, flag in _FLAG_ONLY.items():
         if name in raw.get("runner", {}):
             raise ConfigError(f"{path}: runner: {name} is not read from a file; use `annotate {flag}`")
-    top = {name: value for name, value in raw.items() if name not in _SECTIONS}
-    return _build(GlobalConfig, {**top, **sections}, str(path))
+    return _build(GlobalConfig, {**raw, **sections}, str(path))
 
 
 def apply_overrides(config: GlobalConfig, **overrides) -> GlobalConfig:

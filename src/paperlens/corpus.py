@@ -94,22 +94,18 @@ class IngestResult:
     skipped: tuple[SkipReport, ...] = ()
 
 
-#: Metadata fields, with what each value must be and a check for it.
-_METADATA_FIELDS = {
-    "title": ("a string", lambda v: isinstance(v, str)),
-    "text_path": ("a string", lambda v: isinstance(v, str)),
-    "authors": ("a list of strings", lambda v: isinstance(v, list) and all(isinstance(a, str) for a in v)),
-    "category_tag": ("a string or null", lambda v: v is None or isinstance(v, str)),
-}
+@dataclass(frozen=True)
+class _Metadata:
+    """One line of an ingest metadata file."""
+
+    doc_id: str
+    title: str = ""
+    text_path: str = ""
+    authors: tuple[str, ...] = ()
+    category_tag: str | None = None
 
 
-def _metadata_entry(entry: dict) -> tuple[str, dict]:
-    if "doc_id" not in entry:
-        raise ValueError("metadata entry missing doc_id")
-    for name, (kind, ok) in _METADATA_FIELDS.items():
-        if name in entry and not ok(entry[name]):
-            raise TypeError(f"metadata field {name!r} must be {kind}, got {entry[name]!r}")
-    return str(entry["doc_id"]), entry
+_NO_METADATA = _Metadata(doc_id="")
 
 
 def _run_extractor(extract_cmd: str, pdf: Path, txt: Path) -> bool:
@@ -147,7 +143,8 @@ def ingest(
     if not src.is_dir():
         raise CorpusError(f"source directory not readable: {src}")
 
-    metadata = dict(read_jsonl(metadata_file, CorpusError, _metadata_entry)[1]) if metadata_file else {}
+    entries = read_jsonl(metadata_file, CorpusError, _Metadata)[1] if metadata_file else ()
+    metadata = {entry.doc_id: entry for entry in entries}
 
     pdfs = sorted(
         (p for p in src.iterdir() if p.is_file() and p.suffix.lower() == ".pdf"),
@@ -157,13 +154,13 @@ def ingest(
     refs: list[DocumentRef] = []
     skipped: list[SkipReport] = []
     for pdf in pdfs:
-        entry = metadata.get(pdf.stem, {})
+        entry = metadata.get(pdf.stem, _NO_METADATA)
         sidecar = pdf.with_suffix(".txt")
         text_path: Path | None = None
         if sidecar.exists():
             text_path = sidecar
-        elif entry.get("text_path") and Path(entry["text_path"]).exists():
-            text_path = Path(entry["text_path"])
+        elif entry.text_path and Path(entry.text_path).exists():
+            text_path = Path(entry.text_path)
         elif extract_cmd and _run_extractor(extract_cmd, pdf, sidecar):
             text_path = sidecar
         if text_path is None:
@@ -174,14 +171,14 @@ def ingest(
         except OSError as exc:
             skipped.append(SkipReport(pdf.stem, str(pdf), f"unreadable text file: {exc}"))
             continue
-        tag = entry.get("category_tag") or _embedded_pdf_tag(pdf) or _filename_tag(pdf.stem)
+        tag = entry.category_tag or _embedded_pdf_tag(pdf) or _filename_tag(pdf.stem)
         refs.append(
             DocumentRef(
                 doc_id=pdf.stem,
                 path=str(pdf),
                 text_path=str(text_path),
-                title=entry.get("title", ""),
-                authors=tuple(entry.get("authors", ())),
+                title=entry.title,
+                authors=entry.authors,
                 category_tag=tag,
                 char_count=len(normalize(raw)),
             )
@@ -289,38 +286,19 @@ def _filename_tag(stem: str) -> str | None:
 # ---------------------------------------------------------------------------
 
 
-def _ref_to_json(ref: DocumentRef) -> dict:
-    return {
-        "doc_id": ref.doc_id,
-        "path": ref.path,
-        "text_path": ref.text_path,
-        "title": ref.title,
-        "authors": list(ref.authors),
-        "category_tag": ref.category_tag,
-        "char_count": ref.char_count,
-    }
+@dataclass(frozen=True)
+class _ManifestHeader:
+    """Line 1 of a manifest file."""
 
-
-def _ref_from_json(raw: dict) -> DocumentRef:
-    return DocumentRef(
-        doc_id=raw["doc_id"],
-        path=raw["path"],
-        text_path=raw["text_path"],
-        title=raw.get("title", ""),
-        authors=tuple(raw.get("authors", ())),
-        category_tag=raw.get("category_tag"),
-        char_count=int(raw.get("char_count", 0)),
-    )
+    format: str = MANIFEST_FORMAT
+    sample_seed: int | None = None
+    parent_size: int | None = None
 
 
 def manifest_to_jsonl(manifest: CorpusManifest) -> str:
     """Serialize a manifest to its canonical line-delimited form."""
-    header = {
-        "format": MANIFEST_FORMAT,
-        "sample_seed": manifest.sample_seed,
-        "parent_size": manifest.parent_size,
-    }
-    return jsonl_text(map(_ref_to_json, manifest.documents), header)
+    header = _ManifestHeader(sample_seed=manifest.sample_seed, parent_size=manifest.parent_size)
+    return jsonl_text(manifest.documents, header)
 
 
 def save_manifest(manifest: CorpusManifest, path: str | Path) -> None:
@@ -330,12 +308,9 @@ def save_manifest(manifest: CorpusManifest, path: str | Path) -> None:
 
 def load_manifest(path: str | Path) -> CorpusManifest:
     """Load a manifest written by save_manifest."""
-    header, refs = read_jsonl(path, CorpusError, _ref_from_json, format=MANIFEST_FORMAT)
-    return CorpusManifest(
-        documents=tuple(refs),
-        sample_seed=header.get("sample_seed"),
-        parent_size=int(header.get("parent_size", len(refs))),
-    )
+    header, refs = read_jsonl(path, CorpusError, DocumentRef, format=_ManifestHeader)
+    size = len(refs) if header.parent_size is None else header.parent_size
+    return CorpusManifest(documents=tuple(refs), sample_seed=header.sample_seed, parent_size=size)
 
 
 def manifest_digest(manifest: CorpusManifest) -> str:

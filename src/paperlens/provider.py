@@ -303,28 +303,23 @@ class HttpChatClient(ChatClient):
         return self._parse_body(data)
 
     def _parse_body(self, data: dict) -> ModelResponse:
-        if self.config.dialect == "gemini":
-            try:
+        """The reply's text and token counts; a null usage object or count reads as 0."""
+        try:
+            if self.config.dialect == "gemini":
                 parts = data["candidates"][0]["content"]["parts"]
                 text = "".join(p.get("text", "") for p in parts)
-            except (KeyError, IndexError, TypeError) as exc:
-                raise ProviderError(f"malformed response body: {exc}") from exc
-            usage = data.get("usageMetadata", {})
-            return ModelResponse(
-                text=text,
-                input_tokens=int(usage.get("promptTokenCount", 0)),
-                output_tokens=int(usage.get("candidatesTokenCount", 0)),
-            )
-        try:
-            text = data["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
+                usage = data.get("usageMetadata") or {}
+                counts = usage.get("promptTokenCount"), usage.get("candidatesTokenCount")
+            else:
+                text = data["choices"][0]["message"]["content"] or ""
+                if not isinstance(text, str):
+                    raise TypeError(f"content is {type(text).__name__}, not a string")
+                usage = data.get("usage") or {}
+                counts = usage.get("prompt_tokens"), usage.get("completion_tokens")
+            input_tokens, output_tokens = (int(count or 0) for count in counts)
+            return ModelResponse(text, input_tokens, output_tokens)
+        except (KeyError, IndexError, TypeError, AttributeError, ValueError) as exc:
             raise ProviderError(f"malformed response body: {exc}") from exc
-        usage = data.get("usage", {})
-        return ModelResponse(
-            text=text or "",
-            input_tokens=int(usage.get("prompt_tokens", 0)),
-            output_tokens=int(usage.get("completion_tokens", 0)),
-        )
 
 
 @dataclass

@@ -14,12 +14,9 @@ import logging
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
 
 from .atomic import read_jsonl, write_jsonl
-
-if TYPE_CHECKING:
-    from .verify import VerificationResult
+from .verify import VerificationResult
 
 logger = logging.getLogger(__name__)
 
@@ -48,8 +45,12 @@ class ExampleRecord:
     commentary: str = ""
     page: int | None = None
     batch_index: int = 0
-    verification: "VerificationResult | None" = None
+    verification: VerificationResult | None = None
     quality_label: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.quality_label is not None and self.quality_label not in QUALITY_LABELS:
+            raise ValueError(f"invalid quality_label {self.quality_label!r}")
 
 
 @dataclass
@@ -327,70 +328,22 @@ def export_document(ds: Dataset) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _record_to_json(record: ExampleRecord) -> dict[str, Any]:
-    verification = None
-    if record.verification is not None:
-        v = record.verification
-        verification = {
-            "matched": v.matched,
-            "similarity": v.similarity,
-            "threshold_used": v.threshold_used,
-            "span_start": v.span_start,
-            "span_end": v.span_end,
-        }
-    return {
-        "source_doc_id": record.source_doc_id,
-        "title": record.title,
-        "authors": record.authors,
-        "finding": record.finding,
-        "quote": record.quote,
-        "commentary": record.commentary,
-        "page": record.page,
-        "batch_index": record.batch_index,
-        "verification": verification,
-        "quality_label": record.quality_label,
-    }
+@dataclass(frozen=True)
+class _DatasetHeader:
+    """Line 1 of a dataset file."""
 
-
-def _record_from_json(raw: dict[str, Any]) -> ExampleRecord:
-    from .verify import VerificationResult
-
-    verification = None
-    if raw.get("verification") is not None:
-        v = raw["verification"]
-        verification = VerificationResult(
-            matched=bool(v["matched"]),
-            similarity=float(v["similarity"]),
-            threshold_used=float(v["threshold_used"]),
-            span_start=v.get("span_start"),
-            span_end=v.get("span_end"),
-        )
-    label = raw.get("quality_label")
-    if label is not None and label not in QUALITY_LABELS:
-        raise ValueError(f"invalid quality_label {label!r}")
-    return ExampleRecord(
-        source_doc_id=raw.get("source_doc_id", ""),
-        title=raw.get("title", ""),
-        authors=raw.get("authors"),
-        finding=raw.get("finding", ""),
-        quote=raw.get("quote"),
-        commentary=raw.get("commentary", ""),
-        page=raw.get("page"),
-        batch_index=int(raw.get("batch_index", 0)),
-        verification=verification,
-        quality_label=label,
-    )
+    format: str = DATASET_FORMAT
+    manifest_hash: str = ""
+    filter_pass_count: int = 0
+    count: int | None = None
 
 
 def save_dataset(ds: Dataset, path: str | Path) -> None:
     """Write a dataset as line-delimited records (atomic temp-then-rename)."""
-    header = {
-        "format": DATASET_FORMAT,
-        "manifest_hash": ds.source_manifest_hash,
-        "filter_pass_count": ds.filter_pass_count,
-        "count": len(ds.records),
-    }
-    write_jsonl(path, map(_record_to_json, ds.records), header)
+    header = _DatasetHeader(
+        manifest_hash=ds.source_manifest_hash, filter_pass_count=ds.filter_pass_count, count=len(ds.records)
+    )
+    write_jsonl(path, ds.records, header)
 
 
 def load_dataset(path: str | Path, expect_manifest_hash: str | None = None) -> Dataset:
@@ -400,21 +353,11 @@ def load_dataset(path: str | Path, expect_manifest_hash: str | None = None) -> D
     in ``expect_manifest_hash`` that differs from the stored one logs a
     warning (the corpus changed since the dataset was built) but loads.
     """
-    header, records = read_jsonl(path, DatasetError, _record_from_json, format=DATASET_FORMAT)
-    expected = header.get("count")
-    if expected is not None and expected != len(records):
+    header, records = read_jsonl(path, DatasetError, ExampleRecord, format=_DatasetHeader)
+    if header.count is not None and header.count != len(records):
         raise DatasetError(
-            f"{path}: truncated dataset: header says {expected} records, found {len(records)}"
+            f"{path}: truncated dataset: header says {header.count} records, found {len(records)}"
         )
-
-    stored_hash = header.get("manifest_hash", "")
-    if expect_manifest_hash and stored_hash and stored_hash != expect_manifest_hash:
-        logger.warning(
-            "%s: dataset was built against a different manifest (digest mismatch)", path
-        )
-
-    return Dataset(
-        records=records,
-        source_manifest_hash=stored_hash,
-        filter_pass_count=int(header.get("filter_pass_count", 0)),
-    )
+    if expect_manifest_hash and header.manifest_hash not in ("", expect_manifest_hash):
+        logger.warning("%s: dataset was built against a different manifest (digest mismatch)", path)
+    return Dataset(records, header.manifest_hash, header.filter_pass_count)

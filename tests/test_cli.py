@@ -469,3 +469,65 @@ def test_manifest_header_not_an_object_is_user_error(tmp_path, capsys):
     assert main(["sample", "--manifest", str(manifest_path), "--n", "1", "--seed", "1",
                  "--out", str(tmp_path / "s.jsonl")]) == 1
     assert "m.jsonl:1" in capsys.readouterr().err
+
+
+def _quoted_dataset(path, quotes):
+    from paperlens.records import Dataset, ExampleRecord, save_dataset
+
+    save_dataset(Dataset(records=[ExampleRecord(source_doc_id=d, quote=q) for d, q in quotes]), path)
+    return path
+
+
+def test_verify_out_writes_the_annotated_dataset(pipeline_dirs, capsys):
+    base, manifest_path, _ = pipeline_dirs
+    ds_path = _quoted_dataset(base / "d.jsonl", [("paper0", "which explains why claim 0 holds")])
+    out = base / "verified.jsonl"
+    assert main(["verify", "--dataset", str(ds_path), "--manifest", str(manifest_path),
+                 "--out", str(out)]) == 0
+    assert f"annotated dataset -> {out}" in capsys.readouterr().err
+    (record,) = load_dataset(out).records
+    assert record.verification.matched and record.verification.similarity == 1.0
+    assert load_dataset(ds_path).records[0].verification is None
+
+
+def test_verify_lists_near_misses_for_review(pipeline_dirs, capsys):
+    base, manifest_path, _ = pipeline_dirs
+    # One substitution in 32 characters: similarity 0.969, within 0.05 below 0.99.
+    ds_path = _quoted_dataset(base / "d.jsonl", [("paper1", "which explains why claim 1 folds")])
+    assert main(["verify", "--dataset", str(ds_path), "--manifest", str(manifest_path),
+                 "--threshold", "0.99"]) == 0
+    out = capsys.readouterr().out
+    assert "near-misses for human review (similarity within 0.05 of threshold):" in out
+    assert "  paper1: similarity 0.969" in out
+
+
+def test_prompts_show_query(capsys):
+    from paperlens.prompts import PromptKind, load_sections
+
+    assert main(["prompts", "show", "--kind", "query"]) == 0
+    assert capsys.readouterr().out == load_sections(PromptKind.QUERY)["framing"] + "\n"
+
+
+def test_annotate_audit_writes_into_out(pipeline_dirs):
+    base, manifest_path, fixtures = pipeline_dirs
+    config = write_config(base, fixtures)
+    out_dir = base / "run"
+    assert main(["annotate", "--config", str(config), "--manifest", str(manifest_path),
+                 "--out", str(out_dir), "--batch-size", "2", "--audit"]) == 0
+    lines = (out_dir / "audit.jsonl").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 2
+    assert {json.loads(line)["kind"] for line in lines} == {"annotation"}
+    assert not (base / "audit.jsonl").exists()
+
+
+@pytest.mark.parametrize("tiers, message", [
+    ("0.2,0.8", "--tiers expects three comma-separated fractions, got '0.2,0.8'"),
+    ("0.2,high,0.2", "--tiers: could not convert string to float: 'high'"),
+])
+def test_malformed_tiers_is_user_error(pipeline_dirs, tmp_path, capsys, tiers, message):
+    _, manifest_path, _ = pipeline_dirs
+    ds_path = _quoted_dataset(tmp_path / "d.jsonl", [])
+    assert main(["stats", "--manifest", str(manifest_path), "--dataset", str(ds_path),
+                 "--out", str(tmp_path / "stats"), "--tiers", tiers]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "stats").exists()

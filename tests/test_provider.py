@@ -22,6 +22,7 @@ from paperlens.provider import (
     ExhaustedRetries,
     HttpChatClient,
     ProviderConfig,
+    ProviderError,
     StubFixtureMissing,
     estimate_tokens,
     make_client,
@@ -408,3 +409,32 @@ def test_http_client_without_session_needs_requests(monkeypatch):
     monkeypatch.setitem(sys.modules, "requests", None)
     with pytest.raises(ImportError):
         HttpChatClient(ProviderConfig(dialect="openai"))
+
+
+@pytest.mark.parametrize("dialect, body", [
+    ("openai", {"choices": [{"message": {"content": "hi"}}], "usage": None}),
+    ("openai", {"choices": [{"message": {"content": "hi"}}],
+                "usage": {"prompt_tokens": None, "completion_tokens": None}}),
+    ("gemini", {"candidates": [{"content": {"parts": [{"text": "hi"}]}}], "usageMetadata": None}),
+])
+def test_null_usage_reads_as_zero_and_is_estimated(monkeypatch, dialect, body):
+    monkeypatch.setenv("TEST_API_KEY", "k")
+    client = http_client(dialect, FakeSession([FakeResponse(200, body)]))
+    response = client.complete(bundle_for(["d"]), "payload")
+    assert response.text == "hi"
+    assert response.input_tokens > 0 and response.output_tokens > 0
+
+
+@pytest.mark.parametrize("dialect, body", [
+    ("openai", ["not", "an", "object"]),
+    ("openai", {"choices": [{"message": {"content": "hi"}}], "usage": [12, 3]}),
+    ("openai", {"choices": [{"message": {"content": "hi"}}], "usage": {"prompt_tokens": "many"}}),
+    ("openai", {"choices": [{"message": {"content": 5}}]}),
+    ("gemini", {"candidates": [{"content": {"parts": [{"text": "hi"}]}}], "usageMetadata": "x"}),
+    ("gemini", {"candidates": [{"content": {"parts": ["hi"]}}]}),
+])
+def test_malformed_body_is_a_provider_error(monkeypatch, dialect, body):
+    monkeypatch.setenv("TEST_API_KEY", "k")
+    client = http_client(dialect, FakeSession([FakeResponse(200, body)]))
+    with pytest.raises(ProviderError, match="malformed response body"):
+        client.complete(bundle_for(["d"]), "payload")
