@@ -112,11 +112,13 @@ def write_atomic(path: str | Path, text: str) -> None:
     """Replace ``path`` with ``text`` (UTF-8) by writing ``<name>.tmp`` and renaming.
 
     Readers see the old file or the new one, never a partial write; if the
-    rename fails the old file is left as it was.
+    rename fails the old file is left as it was. Text is encoded before the
+    temp file is opened, so text UTF-8 cannot encode leaves no temp file.
     """
     path = Path(path)
+    data = text.encode("utf-8")
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    tmp.write_bytes(data)
     tmp.replace(path)
 
 

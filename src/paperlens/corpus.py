@@ -122,6 +122,12 @@ def _run_extractor(extract_cmd: str, pdf: Path, txt: Path) -> bool:
     return txt.exists()
 
 
+def _listed(listing: dict[str, os.DirEntry], name: str) -> bool:
+    """``Path.exists()`` for ``name`` in a directory listing: a symlink counts only if its target exists."""
+    dirent = listing.get(name)
+    return dirent is not None and (not dirent.is_symlink() or os.path.exists(dirent.path))
+
+
 def ingest(
     source_dir: str | Path,
     metadata_file: str | Path | None = None,
@@ -146,35 +152,44 @@ def ingest(
     entries = read_jsonl(metadata_file, CorpusError, _Metadata)[1] if metadata_file else ()
     metadata = {entry.doc_id: entry for entry in entries}
 
+    # One listing serves the PDF filter and the sidecar lookup. A DirEntry
+    # knows its type from the listing, so only symlinks cost a stat.
+    with os.scandir(src) as it:
+        listing = {dirent.name: dirent for dirent in it}
     pdfs = sorted(
-        (p for p in src.iterdir() if p.is_file() and p.suffix.lower() == ".pdf"),
+        (
+            Path(dirent.path)
+            for name, dirent in listing.items()
+            if name.lower().endswith(".pdf") and Path(name).suffix.lower() == ".pdf" and dirent.is_file()
+        ),
         key=lambda p: p.stem,
     )
 
     refs: list[DocumentRef] = []
     skipped: list[SkipReport] = []
     for pdf in pdfs:
-        entry = metadata.get(pdf.stem, _NO_METADATA)
+        doc_id = pdf.stem
+        entry = metadata.get(doc_id, _NO_METADATA)
         sidecar = pdf.with_suffix(".txt")
         text_path: Path | None = None
-        if sidecar.exists():
+        if _listed(listing, sidecar.name):
             text_path = sidecar
         elif entry.text_path and Path(entry.text_path).exists():
             text_path = Path(entry.text_path)
         elif extract_cmd and _run_extractor(extract_cmd, pdf, sidecar):
             text_path = sidecar
         if text_path is None:
-            skipped.append(SkipReport(pdf.stem, str(pdf), "no extracted text found"))
+            skipped.append(SkipReport(doc_id, str(pdf), "no extracted text found"))
             continue
         try:
             raw = text_path.read_text(encoding="utf-8", errors="replace")
         except OSError as exc:
-            skipped.append(SkipReport(pdf.stem, str(pdf), f"unreadable text file: {exc}"))
+            skipped.append(SkipReport(doc_id, str(pdf), f"unreadable text file: {exc}"))
             continue
-        tag = entry.category_tag or _embedded_pdf_tag(pdf) or _filename_tag(pdf.stem)
+        tag = entry.category_tag or _embedded_pdf_tag(pdf) or _filename_tag(doc_id)
         refs.append(
             DocumentRef(
-                doc_id=pdf.stem,
+                doc_id=doc_id,
                 path=str(pdf),
                 text_path=str(text_path),
                 title=entry.title,

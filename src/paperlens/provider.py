@@ -303,7 +303,10 @@ class HttpChatClient(ChatClient):
         return self._parse_body(data)
 
     def _parse_body(self, data: dict) -> ModelResponse:
-        """The reply's text and token counts; a null usage object or count reads as 0."""
+        """The reply's text and token counts; a null usage object or count reads as 0.
+
+        Text that UTF-8 cannot encode is malformed, like any other bad value.
+        """
         try:
             if self.config.dialect == "gemini":
                 parts = data["candidates"][0]["content"]["parts"]
@@ -317,6 +320,7 @@ class HttpChatClient(ChatClient):
                 usage = data.get("usage") or {}
                 counts = usage.get("prompt_tokens"), usage.get("completion_tokens")
             input_tokens, output_tokens = (int(count or 0) for count in counts)
+            text.encode("utf-8")  # a lone surrogate could never be written out
             return ModelResponse(text, input_tokens, output_tokens)
         except (KeyError, IndexError, TypeError, AttributeError, ValueError) as exc:
             raise ProviderError(f"malformed response body: {exc}") from exc

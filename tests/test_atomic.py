@@ -11,6 +11,7 @@ from paperlens.atomic import (
     jsonl_text,
     read_json,
     read_jsonl,
+    write_atomic,
     write_json,
     write_jsonl,
 )
@@ -25,6 +26,15 @@ def test_write_json_sorts_keys_keeps_unicode_and_ends_with_newline(tmp_path):
     write_json(path, {"b": 1, "a": "ü"})
     assert path.read_text(encoding="utf-8") == '{"a": "ü", "b": 1}\n'
     assert read_json(path, Oops) == {"a": "ü", "b": 1}
+
+
+def test_write_atomic_with_unencodable_text_leaves_the_old_file_and_no_temp_file(tmp_path):
+    path = tmp_path / "out.txt"
+    write_atomic(path, "old")
+    with pytest.raises(UnicodeEncodeError):
+        write_atomic(path, "ok \ud83d")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+    assert path.read_text(encoding="utf-8") == "old"
 
 
 def test_write_jsonl_round_trips_header_and_rows(tmp_path):

@@ -114,6 +114,69 @@ def test_ingest_logs_counts(tmp_path, caplog):
     assert any(m.startswith("ingest: 2 documents ingested, 1 skipped, ") for m in caplog.messages)
 
 
+# Which entries are documents and which sidecars count: one directory listing
+# decides both, with the semantics of Path.is_file(), Path.suffix and
+# Path.exists().
+
+
+def test_ingest_upper_case_pdf_suffix(tmp_path):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "X.PDF").write_bytes(FAKE_PDF)
+    (src / "X.txt").write_text("upper", encoding="utf-8")
+    result = ingest(src)
+    assert [(r.doc_id, r.path, r.text_path) for r in result.manifest.documents] == [
+        ("X", str(src / "X.PDF"), str(src / "X.txt"))
+    ]
+    assert result.skipped == ()
+
+
+def test_ingest_ignores_a_directory_named_like_a_pdf(tmp_path):
+    src = write_corpus(tmp_path / "src", {"a": "alpha"})
+    (src / "y.pdf").mkdir()
+    (src / "y.txt").write_text("not a document", encoding="utf-8")
+    result = ingest(src)
+    assert [r.doc_id for r in result.manifest.documents] == ["a"]
+    assert result.skipped == ()
+
+
+def test_ingest_ignores_a_file_named_dot_pdf(tmp_path):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / ".pdf").write_bytes(FAKE_PDF)
+    (src / ".txt").write_text("hidden", encoding="utf-8")
+    result = ingest(src)
+    assert len(result.manifest) == 0
+    assert result.skipped == ()
+
+
+def test_ingest_directory_sidecar_is_reported_unreadable(tmp_path):
+    src = write_corpus(tmp_path / "src", {"a": "alpha"})
+    (src / "z.pdf").write_bytes(FAKE_PDF)
+    (src / "z.txt").mkdir()
+    meta = write_metadata(tmp_path / "meta.jsonl", [{"doc_id": "z", "text_path": str(src / "a.txt")}])
+    result = ingest(src, meta)
+    assert [r.doc_id for r in result.manifest.documents] == ["a"]
+    assert [(s.doc_id, s.path) for s in result.skipped] == [("z", str(src / "z.pdf"))]
+    assert result.skipped[0].reason.startswith("unreadable text file: ")
+
+
+def test_ingest_broken_symlink_sidecar_falls_back_to_metadata(tmp_path):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "w.pdf").write_bytes(FAKE_PDF)
+    (src / "w.txt").symlink_to(tmp_path / "gone.txt")
+    elsewhere = tmp_path / "elsewhere.txt"
+    elsewhere.write_text("rescued", encoding="utf-8")
+    meta = write_metadata(tmp_path / "meta.jsonl", [{"doc_id": "w", "text_path": str(elsewhere)}])
+    result = ingest(src, meta)
+    assert [(r.doc_id, r.text_path, r.char_count) for r in result.manifest.documents] == [
+        ("w", str(elsewhere), len("rescued"))
+    ]
+    assert result.skipped == ()
+    assert ingest(src).skipped[0].reason == "no extracted text found"
+
+
 # --- sample ------------------------------------------------------------------
 
 

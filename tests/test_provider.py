@@ -432,6 +432,8 @@ def test_null_usage_reads_as_zero_and_is_estimated(monkeypatch, dialect, body):
     ("openai", {"choices": [{"message": {"content": 5}}]}),
     ("gemini", {"candidates": [{"content": {"parts": [{"text": "hi"}]}}], "usageMetadata": "x"}),
     ("gemini", {"candidates": [{"content": {"parts": ["hi"]}}]}),
+    ("openai", {"choices": [{"message": {"content": "ok \ud83d"}}]}),
+    ("gemini", {"candidates": [{"content": {"parts": [{"text": "ok \ud83d"}]}}]}),
 ])
 def test_malformed_body_is_a_provider_error(monkeypatch, dialect, body):
     monkeypatch.setenv("TEST_API_KEY", "k")

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import batch_output_text, make_record, make_stub, synthetic_manifest, write_corpus
 from paperlens.corpus import ingest
 from paperlens.prompts import ContextAsset, build_annotation_prompt
-from paperlens.provider import ContextOverflow, ProviderConfig, stub_key, write_stub_fixture
+from paperlens.provider import ContextOverflow, HttpChatClient, ProviderConfig, stub_key, write_stub_fixture
 from paperlens.runner import (
     CheckpointMismatch,
     JobStatus,
@@ -219,6 +219,43 @@ def test_permanent_failure_recorded_not_fatal(tmp_path, monkeypatch):
     assert summary.failures[0][0] == 1
     checkpoint = json.loads((out / "checkpoint.json").read_text())
     assert checkpoint["completed"] == [0]
+
+
+class _Reply:
+    status_code = 200
+    text = ""
+
+    def __init__(self, content):
+        self._body = {"choices": [{"message": {"content": content}}]}
+
+    def json(self):
+        return self._body
+
+
+class _SurrogateSession:
+    """Answers every request; the one about document 1 gets a lone surrogate in its reply."""
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        prompt = json["messages"][0]["content"]
+        return _Reply("ok \ud83d" if "Document 1 " in prompt else "ok")
+
+
+def test_reply_that_cannot_be_written_fails_only_its_batch(tmp_path, monkeypatch):
+    monkeypatch.setenv("TEST_API_KEY", "k")
+    manifest = _corpus_on_disk(tmp_path, 4)
+    out = tmp_path / "out"
+    cfg = RunnerConfig(batch_size=2, output_dir=str(out))
+    jobs = plan_batches(manifest, cfg)
+    client = HttpChatClient(
+        ProviderConfig(dialect="openai", api_key_env="TEST_API_KEY", backoff_base_ms=1),
+        session=_SurrogateSession(),
+    )
+
+    summary = run_annotation(jobs, BUNDLE, manifest, client, cfg)
+    assert [index for index, _ in summary.failures] == [0]
+    assert "malformed response body" in summary.failures[0][1]
+    assert jobs[1].status is JobStatus.DONE
+    assert sorted(p.name for p in out.iterdir()) == ["batch_1_output.txt", "checkpoint.json"]
 
 
 def test_checkpoint_mismatch_detected(tmp_path):

@@ -5,6 +5,7 @@ import math
 import random
 import re
 import sys
+import types
 import unicodedata
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from paperlens import verify
 from paperlens.corpus import CorpusManifest, DocumentRef
 from paperlens.records import Dataset, ExampleRecord
 from paperlens.verify import VerificationResult, _codepoints, _StartBounds, best_match, normalize, verify_dataset
@@ -160,13 +162,20 @@ def test_normalize_idempotent_when_a_removed_hyphen_joins_composable_characters(
 
 
 # Whitespace of every kind NFKC keeps or maps to a space, hyphens and line
-# breaks, combining marks, Hangul jamo, ligatures, and word characters.
+# breaks, combining marks, Hangul jamo, ligatures, word characters, and
+# compatibility characters of other kinds: a superscript, an ellipsis, a
+# fullwidth and a mathematical letter, a compatibility jamo, a letter whose
+# canonical parts hold one (U+1E9B), and one that folds to eighteen
+# characters. U+0344 (a mark mapping to two marks) and the ohm sign have
+# canonical mappings only; a lone surrogate has no mapping and no UTF-8
+# encoding.
 _NORMALIZE_ALPHABET = (
     list(" \t\n\v\f\r\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2028\u202f\u3000")
     + [chr(c) for c in range(0x2000, 0x200B)]
     + ["-", "\u00ad", "\r\n", "\u0301", "\u0308", "\u0323", "\u1100", "\u1161", "\u11a8"]
     + [chr(c) for c in range(0xFB00, 0xFB07)]
     + list("abzAZ\u00e909_")
+    + list("\u00b2\u2026\uff21\U0001d400\u3131\u1e9b\u0344\ufdfa\u2126\ud83d")
 )
 
 
@@ -180,10 +189,41 @@ def test_normalize_equals_the_step_by_step_reference(text):
 
 
 def test_regex_whitespace_is_str_whitespace():
-    # normalize collapses whitespace with str.split; the definition is re's \s.
+    # normalize collapses the str.isspace characters; the definition is re's \s.
     every = "".join(map(chr, range(sys.maxunicode + 1)))
     by_re = [m.start() for m in re.finditer(r"\s", every)]
     assert by_re == [i for i, c in enumerate(every) if c.isspace()]
+
+
+def test_whitespace_table_is_every_str_whitespace_but_the_space():
+    every = {chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()}
+    assert len(verify._WHITESPACE) == len(set(verify._WHITESPACE))
+    assert set(verify._WHITESPACE) == every - {" "}
+
+
+@settings(max_examples=300)
+@given(st.text(max_size=100) | st.lists(st.sampled_from(_NORMALIZE_ALPHABET), max_size=40).map("".join))
+def test_folded_nfkc_equals_nfkc(text):
+    assert verify._nfkc(text) == unicodedata.normalize("NFKC", text)
+
+
+@pytest.mark.parametrize("extra, folded", [(0, True), (1, False)])
+def test_fold_is_skipped_past_the_limit(monkeypatch, extra, folded):
+    # Fullwidth letters fold to ASCII, so a text of up to _FOLD_MAX_CHARS of
+    # them is NFKC once folded; one more and NFKC runs on the text itself.
+    letters = "".join(chr(0xFF21 + i) for i in range(verify._FOLD_MAX_CHARS + extra))
+    text = f"Ende-\n {letters} x\u00e9 {letters}\u00ad"
+    expected = reference_normalize(text)
+    calls = []
+
+    def spy(form, s):
+        calls.append((form, s))
+        return unicodedata.normalize(form, s)
+
+    monkeypatch.setattr(verify, "unicodedata", types.SimpleNamespace(
+        normalize=spy, is_normalized=unicodedata.is_normalized, combining=unicodedata.combining))
+    assert normalize(text) == expected
+    assert (("NFKC", text) not in calls) is folded
 
 
 # --- best_match --------------------------------------------------------------
