@@ -122,10 +122,16 @@ def _run_extractor(extract_cmd: str, pdf: Path, txt: Path) -> bool:
     return txt.exists()
 
 
-def _listed(listing: dict[str, os.DirEntry], name: str) -> bool:
-    """``Path.exists()`` for ``name`` in a directory listing: a symlink counts only if its target exists."""
-    dirent = listing.get(name)
-    return dirent is not None and (not dirent.is_symlink() or os.path.exists(dirent.path))
+def _exists(listing: dict[str, os.DirEntry], path: Path) -> bool:
+    """``path.exists()`` for a path in a directory listing, with no stat for a listed non-symlink.
+
+    A name missing from the listing is still checked on disk, where a
+    case-insensitive file system may find it under another case.
+    """
+    dirent = listing.get(path.name)
+    if dirent is None or dirent.is_symlink():
+        return path.exists()
+    return True
 
 
 def ingest(
@@ -153,14 +159,15 @@ def ingest(
     metadata = {entry.doc_id: entry for entry in entries}
 
     # One listing serves the PDF filter and the sidecar lookup. A DirEntry
-    # knows its type from the listing, so only symlinks cost a stat.
+    # knows its type from the listing, so only symlinks and sidecars missing
+    # from it cost a stat.
     with os.scandir(src) as it:
         listing = {dirent.name: dirent for dirent in it}
     pdfs = sorted(
         (
             Path(dirent.path)
             for name, dirent in listing.items()
-            if name.lower().endswith(".pdf") and Path(name).suffix.lower() == ".pdf" and dirent.is_file()
+            if Path(name).suffix.lower() == ".pdf" and dirent.is_file()
         ),
         key=lambda p: p.stem,
     )
@@ -172,7 +179,7 @@ def ingest(
         entry = metadata.get(doc_id, _NO_METADATA)
         sidecar = pdf.with_suffix(".txt")
         text_path: Path | None = None
-        if _listed(listing, sidecar.name):
+        if _exists(listing, sidecar):
             text_path = sidecar
         elif entry.text_path and Path(entry.text_path).exists():
             text_path = Path(entry.text_path)

@@ -87,24 +87,41 @@ _ASCII = bytes(range(128))
 #: and go to NFKC at once. Each one folded costs a pass of ``bytes.replace``
 #: over the text. On paper-like texts of 4k and 22k characters (Python 3.11,
 #: 2 vCPUs) the fold took 0.3-0.4x NFKC's time with one such character, 0.6-0.7x
-#: with four, 1.0-1.1x with eight and 1.4-1.6x with sixteen. Extracted papers
-#: carry a handful: the ligatures U+FB00-FB06, a no-break space, a superscript.
+#: with four, 1.0-1.1x with eight and 1.4-1.6x with sixteen. Each generated
+#: benchmark document holds three (U+FB00-FB02); real papers are unmeasured.
 _FOLD_MAX_CHARS = 8
+
+#: The fold also needs non-ASCII characters to be rare: at most one per
+#: ``_FOLD_SPAN`` characters of text, and at most one distinct one per
+#: ``_FOLD_DISTINCT_SPAN``. Collecting the distinct characters costs up to
+#: 0.14 us per non-ASCII character and checking each about 0.5 us, where
+#: NFKC spends 15 ns or more per character of text.
+_FOLD_SPAN = 16
+_FOLD_DISTINCT_SPAN = 128
 
 
 def _nfkc(text: str) -> str:
     """``unicodedata.normalize("NFKC", text)``, folding compatibility characters first.
 
-    The fold is skipped for more than ``_FOLD_MAX_CHARS`` distinct
-    compatibility characters, and when a combining mark would be left: the
-    quick check then answers "maybe", and ``is_normalized`` normalizes the
-    whole text to compare, which costs what NFKC itself does.
+    The fold gains only on a text with sparse compatibility characters: at
+    most ``_FOLD_MAX_CHARS`` distinct ones, non-ASCII characters no denser
+    than ``_FOLD_SPAN`` and ``_FOLD_DISTINCT_SPAN`` allow, and no combining
+    mark left once folded. Any other text goes to NFKC at once. With a
+    combining mark left, the quick check answers "maybe", and
+    ``is_normalized`` normalizes the whole text to compare, which costs what
+    NFKC itself does.
     """
     if unicodedata.is_normalized("NFKC", text):
         return text
     data = text.encode("utf-8", "surrogatepass")
+    rest = data.translate(None, _ASCII).decode("utf-8", "surrogatepass")
+    if len(rest) * _FOLD_SPAN > len(text):
+        return unicodedata.normalize("NFKC", text)
+    chars = set(rest)
+    if len(chars) * _FOLD_DISTINCT_SPAN > len(text):
+        return unicodedata.normalize("NFKC", text)
     folds: list[tuple[bytes, bytes]] = []
-    for ch in set(data.translate(None, _ASCII).decode("utf-8", "surrogatepass")):
+    for ch in chars:
         form = ch
         if unicodedata.normalize("NFKD", ch) != unicodedata.normalize("NFD", ch):
             if len(folds) == _FOLD_MAX_CHARS:

@@ -1,5 +1,7 @@
 """Ingestion, sampling, text loading, and category resolution tests."""
 
+import contextlib
+import os
 import random
 import tracemalloc
 
@@ -175,6 +177,23 @@ def test_ingest_broken_symlink_sidecar_falls_back_to_metadata(tmp_path):
     ]
     assert result.skipped == ()
     assert ingest(src).skipped[0].reason == "no extracted text found"
+
+
+def test_ingest_checks_a_sidecar_missing_from_the_listing_on_disk(tmp_path, monkeypatch):
+    # On a case-insensitive file system, X.PDF's sidecar X.txt is found as
+    # X.TXT although the listing names no X.txt; here the listing hides it.
+    src = write_corpus(tmp_path / "src", {"a": "alpha"})
+    real_scandir = os.scandir
+
+    @contextlib.contextmanager
+    def scandir_hiding_the_sidecar(path):
+        with real_scandir(path) as it:
+            yield (dirent for dirent in it if dirent.name != "a.txt")
+
+    monkeypatch.setattr(os, "scandir", scandir_hiding_the_sidecar)
+    result = ingest(src)
+    assert [(r.doc_id, r.text_path) for r in result.manifest.documents] == [("a", str(src / "a.txt"))]
+    assert result.skipped == ()
 
 
 # --- sample ------------------------------------------------------------------

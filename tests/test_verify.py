@@ -205,14 +205,32 @@ def test_whitespace_table_is_every_str_whitespace_but_the_space():
 @given(st.text(max_size=100) | st.lists(st.sampled_from(_NORMALIZE_ALPHABET), max_size=40).map("".join))
 def test_folded_nfkc_equals_nfkc(text):
     assert verify._nfkc(text) == unicodedata.normalize("NFKC", text)
+    # ASCII padding makes the non-ASCII characters sparse enough to fold.
+    padded = text + "." * (verify._FOLD_DISTINCT_SPAN * len(text))
+    assert verify._nfkc(padded) == unicodedata.normalize("NFKC", padded)
 
 
-@pytest.mark.parametrize("extra, folded", [(0, True), (1, False)])
-def test_fold_is_skipped_past_the_limit(monkeypatch, extra, folded):
-    # Fullwidth letters fold to ASCII, so a text of up to _FOLD_MAX_CHARS of
-    # them is NFKC once folded; one more and NFKC runs on the text itself.
-    letters = "".join(chr(0xFF21 + i) for i in range(verify._FOLD_MAX_CHARS + extra))
-    text = f"Ende-\n {letters} x\u00e9 {letters}\u00ad"
+# Fullwidth letters fold to ASCII, so a text with up to _FOLD_MAX_CHARS of
+# them is NFKC once folded; with one more, or with non-ASCII characters
+# denser than _FOLD_SPAN or _FOLD_DISTINCT_SPAN allow, NFKC runs on the text
+# itself. Padding sets the length: 2 non-ASCII characters (e acute, soft
+# hyphen) besides the letters, each distinct.
+@pytest.mark.parametrize(
+    "distinct_letters, repeats, length, folded",
+    [
+        (verify._FOLD_MAX_CHARS, 1, 2_000, True),
+        (verify._FOLD_MAX_CHARS + 1, 1, 2_000, False),
+        (1, 45, (45 + 3) * verify._FOLD_SPAN, True),
+        (1, 45, (45 + 3) * verify._FOLD_SPAN - 1, False),
+        (1, 1, 3 * verify._FOLD_DISTINCT_SPAN, True),
+        (1, 1, 3 * verify._FOLD_DISTINCT_SPAN - 1, False),
+    ],
+)
+def test_fold_is_skipped_past_the_limit(monkeypatch, distinct_letters, repeats, length, folded):
+    letters = "".join(chr(0xFF21 + i) for i in range(distinct_letters))
+    text = f"Ende-\n {letters * repeats} x\u00e9 {letters}\u00ad"
+    text += ("word " * length)[: length - len(text)]
+    assert len(text) == length
     expected = reference_normalize(text)
     calls = []
 
