@@ -3,6 +3,8 @@
 PDF text extraction is delegated: the pipeline consumes pre-extracted
 ``.txt`` sidecars next to each PDF (same basename). An optional external
 command can be configured to produce missing sidecars at ingest time.
+One reader (``_read_sidecar``) turns a sidecar into normalized text, for
+``ingest``'s ``char_count`` and for ``load_text`` alike.
 Manifests are immutable values with documents in canonical (doc_id-sorted)
 order; all operations here are pure given the filesystem snapshot.
 """
@@ -122,16 +124,33 @@ def _run_extractor(extract_cmd: str, pdf: Path, txt: Path) -> bool:
     return txt.exists()
 
 
-def _exists(listing: dict[str, os.DirEntry], path: Path) -> bool:
-    """``path.exists()`` for a path in a directory listing, with no stat for a listed non-symlink.
+def _exists(listing: dict[str, os.DirEntry], name: str, path: str) -> bool:
+    """``Path(path).exists()`` for ``path``, the entry ``name`` of a directory listing.
 
-    A name missing from the listing is still checked on disk, where a
+    A listed entry that is not a symlink exists, with no stat. A name
+    missing from the listing is still checked on disk, where a
     case-insensitive file system may find it under another case.
     """
-    dirent = listing.get(path.name)
+    dirent = listing.get(name)
     if dirent is None or dirent.is_symlink():
-        return path.exists()
+        return Path(path).exists()
     return True
+
+
+def _read_sidecar(path: str) -> str:
+    """A sidecar's normalized text: the file read as UTF-8 in text mode, then ``normalize``.
+
+    Undecodable bytes become U+FFFD, and ``\\r\\n`` and a lone ``\\r``
+    become ``\\n``, as ``open(path, encoding="utf-8", errors="replace")``
+    reads them. The newlines matter: line-break de-hyphenation looks for
+    ``\\n``. Raises ``OSError`` when the file cannot be read.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    text = data.decode("utf-8", "replace")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return normalize(text)
 
 
 def ingest(
@@ -160,49 +179,50 @@ def ingest(
 
     # One listing serves the PDF filter and the sidecar lookup. A DirEntry
     # knows its type from the listing, so only symlinks and sidecars missing
-    # from it cost a stat.
+    # from it cost a stat. Paths are strings: ``prefix + name`` is
+    # ``str(src / name)``. A name is a PDF's when ``Path(name).suffix`` is
+    # ``.pdf`` in any case, so ``.pdf`` itself is not; its stem is the rest.
     with os.scandir(src) as it:
         listing = {dirent.name: dirent for dirent in it}
+    prefix = str(src / "_")[:-1]
     pdfs = sorted(
-        (
-            Path(dirent.path)
-            for name, dirent in listing.items()
-            if Path(name).suffix.lower() == ".pdf" and dirent.is_file()
-        ),
-        key=lambda p: p.stem,
+        (name[:-4], name)
+        for name, dirent in listing.items()
+        if len(name) > 4 and name[-4:].lower() == ".pdf" and dirent.is_file()
     )
 
     refs: list[DocumentRef] = []
     skipped: list[SkipReport] = []
-    for pdf in pdfs:
-        doc_id = pdf.stem
+    for doc_id, name in pdfs:
+        pdf = prefix + name
         entry = metadata.get(doc_id, _NO_METADATA)
-        sidecar = pdf.with_suffix(".txt")
-        text_path: Path | None = None
-        if _exists(listing, sidecar):
+        sidecar_name = doc_id + ".txt"
+        sidecar = prefix + sidecar_name
+        text_path: str | None = None
+        if _exists(listing, sidecar_name, sidecar):
             text_path = sidecar
         elif entry.text_path and Path(entry.text_path).exists():
-            text_path = Path(entry.text_path)
-        elif extract_cmd and _run_extractor(extract_cmd, pdf, sidecar):
+            text_path = str(Path(entry.text_path))
+        elif extract_cmd and _run_extractor(extract_cmd, Path(pdf), Path(sidecar)):
             text_path = sidecar
         if text_path is None:
-            skipped.append(SkipReport(doc_id, str(pdf), "no extracted text found"))
+            skipped.append(SkipReport(doc_id, pdf, "no extracted text found"))
             continue
         try:
-            raw = text_path.read_text(encoding="utf-8", errors="replace")
+            text = _read_sidecar(text_path)
         except OSError as exc:
-            skipped.append(SkipReport(doc_id, str(pdf), f"unreadable text file: {exc}"))
+            skipped.append(SkipReport(doc_id, pdf, f"unreadable text file: {exc}"))
             continue
         tag = entry.category_tag or _embedded_pdf_tag(pdf) or _filename_tag(doc_id)
         refs.append(
             DocumentRef(
                 doc_id=doc_id,
-                path=str(pdf),
-                text_path=str(text_path),
+                path=pdf,
+                text_path=text_path,
                 title=entry.title,
                 authors=entry.authors,
                 category_tag=tag,
-                char_count=len(normalize(raw)),
+                char_count=len(text),
             )
         )
 
@@ -213,7 +233,9 @@ def ingest(
         "ingest: %d documents ingested, %d skipped, %.2f s",
         len(refs), len(skipped), time.perf_counter() - started,
     )
-    return IngestResult(manifest=CorpusManifest.build(refs), skipped=tuple(skipped))
+    # Sorted by stem above, so the documents are already in canonical order.
+    manifest = CorpusManifest(documents=tuple(refs), parent_size=len(refs))
+    return IngestResult(manifest=manifest, skipped=tuple(skipped))
 
 
 def sample(manifest: CorpusManifest, n: int, seed: int) -> CorpusManifest:
@@ -240,15 +262,16 @@ def sample(manifest: CorpusManifest, n: int, seed: int) -> CorpusManifest:
 def load_text(ref: DocumentRef) -> str:
     """Load a document's extracted text with matching normalization applied.
 
-    Uses the same normalization rules as quote verification so that quotes
-    checked against this text see identical bytes.
+    Reads through ``_read_sidecar``, the reader ``ingest`` takes
+    ``char_count`` from, so ``ref.char_count == len(load_text(ref))`` for an
+    unchanged sidecar. Uses the same normalization rules as quote
+    verification so that quotes checked against this text see identical
+    bytes.
     """
-    path = Path(ref.text_path)
     try:
-        raw = path.read_text(encoding="utf-8", errors="replace")
+        return _read_sidecar(ref.text_path)
     except OSError as exc:
         raise CorpusError(f"missing or unreadable text for document {ref.doc_id!r}: {exc}") from exc
-    return normalize(raw)
 
 
 # Category tags as they appear in metadata, PDF info dictionaries, and

@@ -65,16 +65,25 @@ def normalize(text: str) -> str:
     by character and then reorders marks, so the text's NFKD is unchanged
     (UAX #15), and NFKC, the canonical composition of NFKD, is unchanged
     too: when the exact ``is_normalized`` check holds for the folded text,
-    that text is the NFKC. The collapse (``_collapse_whitespace``) maps each
+    that text is the NFKC. That check is skipped when every distinct
+    non-ASCII character left is in NFKC by itself, is no combining mark, and
+    is not in ``_COMPOSING``. A character outside NFKC by itself has the
+    NFKC quick-check property NO; one that may compose with the character
+    before it has MAYBE, and is a combining mark or in ``_COMPOSING``. So
+    every character of such a text, ASCII included, has YES and combining
+    class 0, and the quick check of UAX #15 answers YES: the text is NFKC.
+    The collapse (``_collapse_whitespace``) maps each
     ``str.isspace`` character to a space and merges runs of spaces.
     ``str.split`` splits at exactly those characters, so joining its words
     with one space is that collapse with the ends trimmed.
     """
     text = _nfkc(text)
+    length = len(text)
     for pattern in _DEHYPHEN_RES:
         text = pattern.sub("", text)
     text = text.replace(_SOFT_HYPHEN, "")
-    if not unicodedata.is_normalized("NFKC", text):
+    # With nothing removed, the text is still _nfkc's output, which is NFKC.
+    if len(text) != length and not unicodedata.is_normalized("NFKC", text):
         text = unicodedata.normalize("NFKC", text)
     return _collapse_whitespace(text)
 
@@ -84,11 +93,12 @@ def normalize(text: str) -> str:
 _ASCII = bytes(range(128))
 
 #: Texts with more distinct compatibility characters than this skip the fold
-#: and go to NFKC at once. Each one folded costs a pass of ``bytes.replace``
+#: and go to NFKC at once. Each one folded costs a pass of ``str.replace``
 #: over the text. On paper-like texts of 4k and 22k characters (Python 3.11,
-#: 2 vCPUs) the fold took 0.3-0.4x NFKC's time with one such character, 0.6-0.7x
-#: with four, 1.0-1.1x with eight and 1.4-1.6x with sixteen. Each generated
-#: benchmark document holds three (U+FB00-FB02); real papers are unmeasured.
+#: 2 vCPUs) with fullwidth letters, one per 300 characters, ``_nfkc`` took
+#: 0.11-0.18x NFKC's time with one distinct letter and 0.17-0.27x with
+#: eight. What a higher limit gains is unmeasured. Each generated benchmark
+#: document holds three (U+FB00-FB02); real papers are unmeasured.
 _FOLD_MAX_CHARS = 8
 
 #: The fold also needs non-ASCII characters to be rare: at most one per
@@ -98,6 +108,20 @@ _FOLD_MAX_CHARS = 8
 #: NFKC spends 15 ns or more per character of text.
 _FOLD_SPAN = 16
 _FOLD_DISTINCT_SPAN = 128
+
+#: The starters (combining class 0) that can complete a canonical
+#: composition with the character before them: the second characters of
+#: two-character canonical decompositions in Bengali, Oriya, Tamil, Kannada,
+#: Malayalam, Sinhala, Tibetan, Myanmar, Balinese, Chakma, Grantha, Tirhuta,
+#: Siddham and Dives Akuru, taken over Unicode 13.0-15.1 (Python 3.10-3.13),
+#: and the Hangul vowel and trailing consonant jamo.
+_COMPOSING = frozenset(
+    "\u09be\u09d7\u0b3e\u0b56\u0b57\u0bbe\u0bd7\u0cc2\u0cd5\u0cd6\u0d3e\u0d57\u0dcf\u0ddf"
+    "\u0fb5\u0fb7\u102e\u1b35\U00011127\U0001133e\U00011357\U000114b0\U000114ba\U000114bd"
+    "\U000115af\U00011930"
+    + "".join(map(chr, range(0x1161, 0x1176)))
+    + "".join(map(chr, range(0x11A8, 0x11C3)))
+)
 
 
 def _nfkc(text: str) -> str:
@@ -109,33 +133,34 @@ def _nfkc(text: str) -> str:
     mark left once folded. Any other text goes to NFKC at once. With a
     combining mark left, the quick check answers "maybe", and
     ``is_normalized`` normalizes the whole text to compare, which costs what
-    NFKC itself does.
+    NFKC itself does. The folded text is checked with ``is_normalized``
+    unless its characters prove it NFKC (see ``normalize``).
     """
     if unicodedata.is_normalized("NFKC", text):
         return text
-    data = text.encode("utf-8", "surrogatepass")
-    rest = data.translate(None, _ASCII).decode("utf-8", "surrogatepass")
+    rest = text.encode("utf-8", "surrogatepass").translate(None, _ASCII).decode("utf-8", "surrogatepass")
     if len(rest) * _FOLD_SPAN > len(text):
         return unicodedata.normalize("NFKC", text)
     chars = set(rest)
     if len(chars) * _FOLD_DISTINCT_SPAN > len(text):
         return unicodedata.normalize("NFKC", text)
-    folds: list[tuple[bytes, bytes]] = []
+    folds: list[tuple[str, str]] = []
+    proven = True
     for ch in chars:
         form = ch
         if unicodedata.normalize("NFKD", ch) != unicodedata.normalize("NFD", ch):
             if len(folds) == _FOLD_MAX_CHARS:
                 return unicodedata.normalize("NFKC", text)
             form = unicodedata.normalize("NFKC", ch)
-            folds.append((ch.encode("utf-8", "surrogatepass"), form.encode("utf-8", "surrogatepass")))
+            folds.append((ch, form))
         if any(map(unicodedata.combining, form)):
             return unicodedata.normalize("NFKC", text)
+        proven = proven and _COMPOSING.isdisjoint(form) and unicodedata.is_normalized("NFKC", form)
     if not folds:
         return unicodedata.normalize("NFKC", text)
     for old, new in folds:
-        data = data.replace(old, new)
-    folded = data.decode("utf-8", "surrogatepass")
-    return folded if unicodedata.is_normalized("NFKC", folded) else unicodedata.normalize("NFKC", folded)
+        text = text.replace(old, new)
+    return text if proven or unicodedata.is_normalized("NFKC", text) else unicodedata.normalize("NFKC", text)
 
 
 #: Every ``str.isspace`` character but the space itself.

@@ -4,9 +4,10 @@ import contextlib
 import os
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FAKE_PDF, synthetic_manifest, write_corpus, write_metadata
@@ -22,6 +23,7 @@ from paperlens.corpus import (
     sample,
     save_manifest,
 )
+from paperlens.verify import normalize
 
 # --- ingest ------------------------------------------------------------------
 
@@ -196,6 +198,14 @@ def test_ingest_checks_a_sidecar_missing_from_the_listing_on_disk(tmp_path, monk
     assert result.skipped == ()
 
 
+@pytest.mark.parametrize("source", [".", "src", "./src/", "src//"])
+def test_ingest_paths_join_the_source_directory_as_pathlib_does(tmp_path, monkeypatch, source):
+    write_corpus(tmp_path / "src", {"a": "alpha"})
+    monkeypatch.chdir(tmp_path / "src" if source == "." else tmp_path)
+    ref = ingest(source).manifest.documents[0]
+    assert (ref.path, ref.text_path) == (str(Path(source) / "a.pdf"), str(Path(source) / "a.txt"))
+
+
 # --- sample ------------------------------------------------------------------
 
 
@@ -283,6 +293,45 @@ def test_char_count_matches_loaded_text(tmp_path):
     src = write_corpus(tmp_path / "src", {"a": "mathe-\nmatics  here"})
     ref = ingest(src).manifest.documents[0]
     assert ref.char_count == len(load_text(ref))
+
+
+# Pieces of sidecar bytes: every kind of line break, a break after a hyphen,
+# a soft hyphen (U+00AD), the ligature U+FB01 whole and cut short, invalid
+# UTF-8 around it, a byte-order mark, and word characters.
+_SIDECAR_PIECES = [
+    b"\r", b"\r\n", b"\n", b"-\r", b"-\r\n", b"-\n", b"\xc2\xad", b"\xc2\xad\r",
+    b"\xef\xac\x81", b"\xef\xac", b"\xef", b"\xac\x81", b"\x81", b"\xff", b"\xc2",
+    b"\xef\xbb\xbf", b" ", b"  ", b"\t", b"a", b"word", b"ed", b"-",
+]
+
+
+def _sidecar_bytes_read_three_ways(src, data):
+    (src / "a.txt").write_bytes(data)
+    ref = ingest(src).manifest.documents[0]
+    as_text = normalize((src / "a.txt").read_text(encoding="utf-8", errors="replace"))
+    return ref.char_count, load_text(ref), as_text
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_SIDECAR_PIECES), max_size=30).map(b"".join))
+@example(b"a hyphen-\rated word and\r\nmore")
+def test_sidecar_reader_reads_as_text_mode_does(tmp_path_factory, data):
+    src = tmp_path_factory.mktemp("src")
+    (src / "a.pdf").write_bytes(FAKE_PDF)
+    char_count, loaded, as_text = _sidecar_bytes_read_three_ways(src, data)
+    assert loaded == as_text
+    assert char_count == len(loaded)
+
+
+def test_sidecar_reader_turns_a_lone_carriage_return_into_a_line_break(tmp_path):
+    # The de-hyphenation pattern needs "\n": read as raw bytes, "-\r" keeps
+    # its hyphen and the text is 28 characters long.
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "a.pdf").write_bytes(FAKE_PDF)
+    char_count, loaded, as_text = _sidecar_bytes_read_three_ways(src, b"a hyphen-\rated word and\r\nmore")
+    assert loaded == as_text == "a hyphenated word and more"
+    assert char_count == 26
 
 
 # --- category resolution (ingest) --------------------------------------------

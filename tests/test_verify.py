@@ -244,6 +244,71 @@ def test_fold_is_skipped_past_the_limit(monkeypatch, distinct_letters, repeats, 
     assert (("NFKC", text) not in calls) is folded
 
 
+def _spy_is_normalized(monkeypatch) -> list[str]:
+    """Record the whole texts, not single characters, ``verify`` passes to ``unicodedata.is_normalized``."""
+    checked = []
+
+    def spy(form, s):
+        if len(s) > 100:
+            checked.append(s)
+        return unicodedata.is_normalized(form, s)
+
+    monkeypatch.setattr(verify, "unicodedata", types.SimpleNamespace(
+        normalize=unicodedata.normalize, is_normalized=spy, combining=unicodedata.combining))
+    return checked
+
+
+def test_composing_table_holds_every_starter_that_completes_a_composition():
+    # The second characters of two-character canonical decompositions, plus
+    # the jamo that compose with a Hangul leading consonant or LV syllable.
+    composing = set()
+    for code in range(sys.maxunicode + 1):
+        ch = chr(code)
+        parts = unicodedata.decomposition(ch).split()
+        if len(parts) == 2 and not parts[0].startswith("<"):
+            composing.add(chr(int(parts[1], 16)))
+        if any(len(unicodedata.normalize("NFC", first + ch)) == 1 for first in ("\u1100", "\uac00")):
+            composing.add(ch)
+    starters = {ch for ch in composing if unicodedata.combining(ch) == 0}
+    assert starters <= verify._COMPOSING
+    assert all(unicodedata.combining(ch) == 0 for ch in verify._COMPOSING)
+
+
+# Ligatures among non-ASCII characters that are NFKC by themselves and
+# compose with nothing: the fold alone proves the text NFKC.
+@pytest.mark.parametrize("others", ["\u2264", "\u2208", "\u03b1\u03b2\u03a9", "\u2264\u2208\u03b3"])
+def test_folded_text_of_plain_characters_is_not_rescanned(monkeypatch, others):
+    text = f"the \ufb01eld {others} is \ufb02at " + "word " * 400
+    expected = unicodedata.normalize("NFKC", text)
+    checked = _spy_is_normalized(monkeypatch)
+    assert verify._nfkc(text) == expected
+    assert checked == [text]
+
+
+# A starter that can complete a composition leaves the folded text to the
+# full check: U+1161 after U+1100 and U+0CD5 after U+0CBF both compose.
+@pytest.mark.parametrize("composing", ["\u1161", "\u0cd5", "\u1100\u1161", "\u0cbf\u0cd5"])
+def test_folded_text_with_a_composing_starter_is_rescanned(monkeypatch, composing):
+    text = f"the \ufb01eld {composing} is \ufb02at " + "word " * 400
+    expected = unicodedata.normalize("NFKC", text)
+    checked = _spy_is_normalized(monkeypatch)
+    assert verify._nfkc(text) == expected
+    assert checked == [text, text.replace("\ufb01", "fi").replace("\ufb02", "fl")]
+
+
+def test_normalize_checks_again_only_after_a_removal(monkeypatch):
+    # x with a circumflex has no precomposed form: the quick check says
+    # "maybe", and is_normalized normalizes the whole text to compare.
+    text = "let x\u0302 be " + "the estimate " * 300
+    checked = _spy_is_normalized(monkeypatch)
+    assert normalize(text) == reference_normalize(text)
+    assert checked == [text]
+    checked.clear()
+    hyphenated = "mathe-\nmatics " + text
+    assert normalize(hyphenated) == reference_normalize(hyphenated)
+    assert checked == [hyphenated, "mathematics " + text]
+
+
 # --- best_match --------------------------------------------------------------
 
 DOC = (
