@@ -454,6 +454,73 @@ def test_start_bounds_hold_at_every_start(seed, doc_chars, quote_chars, share):
     assert np.any(after < before)
 
 
+def reference_rewarded_end_costs(quote: str, doc: str, num: int, den: int) -> list[int]:
+    """``den * min_s [editdistance(quote, doc[s:e]) - (num/den) * (e - s)]`` for every
+    end ``e``, over windows of any length: Sellers' DP over Python ints, cell by cell.
+    """
+    row = [0] * (len(doc) + 1)
+    for i, ch in enumerate(quote, start=1):
+        cur = [i * den]
+        for e, dc in enumerate(doc, start=1):
+            cur.append(min(row[e] + den, row[e - 1] + den * (ch != dc) - num, cur[e - 1] + den - num))
+        row = cur
+    return row
+
+
+_REWARD_CASE = st.fixed_dictionaries({
+    "quote": st.text("abc", min_size=1, max_size=4),
+    # Filler runs of one character the quote lacks make documents longer
+    # than the pass's window reach, so the window limit matters.
+    "doc": st.lists(st.text("abc ", max_size=4) | st.integers(1, 24).map("z".__mul__), max_size=6).map("".join),
+    "max_len": st.integers(1, 12),
+    "den": st.integers(1, 40),
+    # The share of den each spanned character earns; at 1, skipping
+    # characters costs nothing and the longest windows win.
+    "share": st.just(1) | st.fractions(0, 1),
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_REWARD_CASE)
+# Windows of max_len whose best alignment leaves out max_len - 1 characters
+# in one run: a pass that reaches back fewer columns loses them.
+@example({"quote": "a", "doc": "bazz", "max_len": 3, "den": 3, "share": 1})
+@example({"quote": "ab", "doc": "cab" + "z" * 9, "max_len": 12, "den": 5, "share": 1})
+def test_rewarded_end_costs_bound_every_short_window(case):
+    quote, doc, max_len, den = case["quote"], case["doc"], case["max_len"], case["den"]
+    num = round(case["share"] * den)
+    got = verify._rewarded_end_costs(quote, _codepoints(doc), num, den, max_len).tolist()
+    want = reference_rewarded_end_costs(quote, doc, num, den)
+    assert len(got) == len(doc) + 1
+    for e in range(len(doc) + 1):
+        for s in range(max(0, e - max_len), e + 1):
+            assert got[e] <= den * reference_levenshtein(quote, doc[s:e]) - num * (e - s)
+    assert all(g >= w for g, w in zip(got, want))
+    # The window reaches back at least 2**k - 1 columns, 2**k the first
+    # power of two above max_len: on shorter documents nothing is lost.
+    if len(doc) < 2 ** max_len.bit_length():
+        assert got == want
+
+
+def test_rewarded_end_costs_drop_only_windows_past_the_limit():
+    # "a...b" aligns across the filler only in a window of 42 characters.
+    quote, doc, den = "ab", "a" + "z" * 40 + "b", 5
+    want = reference_rewarded_end_costs(quote, doc, den, den)
+    assert want[-1] == -2 * den
+    assert verify._rewarded_end_costs(quote, _codepoints(doc), den, den, 42)[-1] == -2 * den
+    assert verify._rewarded_end_costs(quote, _codepoints(doc), den, den, 3)[-1] == -den
+
+
+def test_rewarded_end_costs_widen_to_int64_before_int32_overflows():
+    quote, doc = "abcab", "zzabcabzzcab" * 3
+    # Rows are stored offset by up to -den * (len(doc) + len(quote)), which
+    # is -41 * 2**27 < -2**31 here.
+    den = 2**27
+    num = den // 3
+    got = verify._rewarded_end_costs(quote, _codepoints(doc), num, den, 6)
+    assert got.tolist() == reference_rewarded_end_costs(quote, doc, num, den)
+
+
 def test_short_windows_count_only_when_the_document_is_short():
     quote = "the group hello world"  # 21 characters: windows of 16 to 26
     doc = "\u2026by the structure of the group hel"
