@@ -55,26 +55,20 @@ def normalize(text: str) -> str:
 
     Applies, in order: Unicode compatibility normalization (NFKC, which also
     expands the ligatures U+FB00-FB06), removal of line-break hyphens and of
-    soft hyphens, NFKC again only if the removals left text outside NFKC (a
-    letter joined to a combining mark, or two Hangul jamo), and one collapse
-    of whitespace runs to single spaces, trimmed. That equals a collapse after
-    each step: ``str.split`` and ``re``'s ``\\s`` take the same characters,
-    and every whitespace character NFKC leaves is a starter it never composes.
-    Case is preserved; the result is idempotent.
+    soft hyphens, NFKC again only if the removals took something out (they
+    can join a letter to a combining mark, or two Hangul jamo), and one
+    collapse of whitespace runs to single spaces, trimmed. That equals a
+    collapse after each step: ``str.split`` and ``re``'s ``\\s`` take the
+    same characters, and every whitespace character NFKC leaves is a starter
+    it never composes. Case is preserved; the result is idempotent.
 
-    Two steps take a shorter road to the same string. The first NFKC
-    (``_nfkc``) folds each compatibility character into its own NFKC form,
-    whose full decomposition is the character's. NFKD decomposes character
-    by character and then reorders marks, so the text's NFKD is unchanged
-    (UAX #15), and NFKC, the canonical composition of NFKD, is unchanged
-    too: when the exact ``is_normalized`` check holds for the folded text,
-    that text is the NFKC. That check is skipped when every distinct
-    non-ASCII character left is in NFKC by itself, is no combining mark, and
-    is not in ``_COMPOSING``. A character outside NFKC by itself has the
-    NFKC quick-check property NO; one that may compose with the character
-    before it has MAYBE, and is a combining mark or in ``_COMPOSING``. So
-    every character of such a text, ASCII included, has YES and combining
-    class 0, and the quick check of UAX #15 answers YES: the text is NFKC.
+    The first NFKC (``_nfkc``) expands the ligatures before it normalizes,
+    so a text whose only compatibility characters are ligatures passes
+    NFKC's quick check (UAX #15) and is returned as it is. The expansion is
+    exact: NFKD decomposes character by character, and a ligature's
+    decomposition is ASCII letters, starters of combining class 0, so the
+    text's NFKD, and with it its NFKC, is unchanged. Unicode's stability
+    policy freezes decomposition mappings, so this holds on every version.
     The collapse (``_collapse_whitespace``) maps each
     ``str.isspace`` character to a space and merges runs of spaces.
     ``str.split`` splits at exactly those characters, so joining its words
@@ -86,84 +80,20 @@ def normalize(text: str) -> str:
         text = pattern.sub("", text)
     text = text.replace(_SOFT_HYPHEN, "")
     # With nothing removed, the text is still _nfkc's output, which is NFKC.
-    if len(text) != length and not unicodedata.is_normalized("NFKC", text):
+    if len(text) != length:
         text = unicodedata.normalize("NFKC", text)
     return _collapse_whitespace(text)
 
 
-#: The 128 ASCII bytes, which ``bytes.translate`` deletes to leave the
-#: UTF-8 of the non-ASCII characters; ASCII text is always in NFKC.
-_ASCII = bytes(range(128))
-
-#: Texts with more distinct compatibility characters than this skip the fold
-#: and go to NFKC at once. Each one folded costs a pass of ``str.replace``
-#: over the text. On paper-like texts of 4k and 22k characters (Python 3.11,
-#: 2 vCPUs) with fullwidth letters, one per 300 characters, ``_nfkc`` took
-#: 0.11-0.18x NFKC's time with one distinct letter and 0.17-0.27x with
-#: eight. What a higher limit gains is unmeasured. Each generated benchmark
-#: document holds three (U+FB00-FB02); real papers are unmeasured.
-_FOLD_MAX_CHARS = 8
-
-#: The fold also needs non-ASCII characters to be rare: at most one per
-#: ``_FOLD_SPAN`` characters of text, and at most one distinct one per
-#: ``_FOLD_DISTINCT_SPAN``. Collecting the distinct characters costs up to
-#: 0.14 us per non-ASCII character and checking each about 0.5 us, where
-#: NFKC spends 15 ns or more per character of text.
-_FOLD_SPAN = 16
-_FOLD_DISTINCT_SPAN = 128
-
-#: The starters (combining class 0) that can complete a canonical
-#: composition with the character before them: the second characters of
-#: two-character canonical decompositions in Bengali, Oriya, Tamil, Kannada,
-#: Malayalam, Sinhala, Tibetan, Myanmar, Balinese, Chakma, Grantha, Tirhuta,
-#: Siddham and Dives Akuru, taken over Unicode 13.0-15.1 (Python 3.10-3.13),
-#: and the Hangul vowel and trailing consonant jamo.
-_COMPOSING = frozenset(
-    "\u09be\u09d7\u0b3e\u0b56\u0b57\u0bbe\u0bd7\u0cc2\u0cd5\u0cd6\u0d3e\u0d57\u0dcf\u0ddf"
-    "\u0fb5\u0fb7\u102e\u1b35\U00011127\U0001133e\U00011357\U000114b0\U000114ba\U000114bd"
-    "\U000115af\U00011930"
-    + "".join(map(chr, range(0x1161, 0x1176)))
-    + "".join(map(chr, range(0x11A8, 0x11C3)))
-)
+#: The Latin ligatures U+FB00-FB06, each with its NFKC form of ASCII letters.
+_LIGATURES = tuple((chr(c), unicodedata.normalize("NFKC", chr(c))) for c in range(0xFB00, 0xFB07))
 
 
 def _nfkc(text: str) -> str:
-    """``unicodedata.normalize("NFKC", text)``, folding compatibility characters first.
-
-    The fold gains only on a text with sparse compatibility characters: at
-    most ``_FOLD_MAX_CHARS`` distinct ones, non-ASCII characters no denser
-    than ``_FOLD_SPAN`` and ``_FOLD_DISTINCT_SPAN`` allow, and no combining
-    mark left once folded. Any other text goes to NFKC at once. With a
-    combining mark left, the quick check answers "maybe", and
-    ``is_normalized`` normalizes the whole text to compare, which costs what
-    NFKC itself does. The folded text is checked with ``is_normalized``
-    unless its characters prove it NFKC (see ``normalize``).
-    """
-    if unicodedata.is_normalized("NFKC", text):
-        return text
-    rest = text.encode("utf-8", "surrogatepass").translate(None, _ASCII).decode("utf-8", "surrogatepass")
-    if len(rest) * _FOLD_SPAN > len(text):
-        return unicodedata.normalize("NFKC", text)
-    chars = set(rest)
-    if len(chars) * _FOLD_DISTINCT_SPAN > len(text):
-        return unicodedata.normalize("NFKC", text)
-    folds: list[tuple[str, str]] = []
-    proven = True
-    for ch in chars:
-        form = ch
-        if unicodedata.normalize("NFKD", ch) != unicodedata.normalize("NFD", ch):
-            if len(folds) == _FOLD_MAX_CHARS:
-                return unicodedata.normalize("NFKC", text)
-            form = unicodedata.normalize("NFKC", ch)
-            folds.append((ch, form))
-        if any(map(unicodedata.combining, form)):
-            return unicodedata.normalize("NFKC", text)
-        proven = proven and _COMPOSING.isdisjoint(form) and unicodedata.is_normalized("NFKC", form)
-    if not folds:
-        return unicodedata.normalize("NFKC", text)
-    for old, new in folds:
-        text = text.replace(old, new)
-    return text if proven or unicodedata.is_normalized("NFKC", text) else unicodedata.normalize("NFKC", text)
+    """``unicodedata.normalize("NFKC", text)``, expanding ligatures first (see ``normalize``)."""
+    for ligature, letters in _LIGATURES:
+        text = text.replace(ligature, letters)
+    return unicodedata.normalize("NFKC", text)
 
 
 #: Every ``str.isspace`` character but the space itself.

@@ -168,11 +168,11 @@ def test_normalize_idempotent_when_a_removed_hyphen_joins_composable_characters(
 # canonical parts hold one (U+1E9B), and one that folds to eighteen
 # characters. U+0344 (a mark mapping to two marks) and the ohm sign have
 # canonical mappings only; a lone surrogate has no mapping and no UTF-8
-# encoding.
+# encoding. U+0CBF U+0CD5 are two Kannada starters that compose.
 _NORMALIZE_ALPHABET = (
     list(" \t\n\v\f\r\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2028\u202f\u3000")
     + [chr(c) for c in range(0x2000, 0x200B)]
-    + ["-", "\u00ad", "\r\n", "\u0301", "\u0308", "\u0323", "\u1100", "\u1161", "\u11a8"]
+    + ["-", "\u00ad", "\r\n", "\u0301", "\u0308", "\u0323", "\u1100", "\u1161", "\u11a8", "\u0cbf", "\u0cd5"]
     + [chr(c) for c in range(0xFB00, 0xFB07)]
     + list("abzAZ\u00e909_")
     + list("\u00b2\u2026\uff21\U0001d400\u3131\u1e9b\u0344\ufdfa\u2126\ud83d")
@@ -203,110 +203,51 @@ def test_whitespace_table_is_every_str_whitespace_but_the_space():
 
 @settings(max_examples=300)
 @given(st.text(max_size=100) | st.lists(st.sampled_from(_NORMALIZE_ALPHABET), max_size=40).map("".join))
+@example("\ufb01\u0cbf\u0cd5")  # expanded letters next to starters that compose
+@example("\u1100\u1161\ufb02")
+@example("\ufb01\u0301")  # the expanded i still composes with the accent: "f\u00ed"
 def test_folded_nfkc_equals_nfkc(text):
     assert verify._nfkc(text) == unicodedata.normalize("NFKC", text)
-    # ASCII padding makes the non-ASCII characters sparse enough to fold.
-    padded = text + "." * (verify._FOLD_DISTINCT_SPAN * len(text))
-    assert verify._nfkc(padded) == unicodedata.normalize("NFKC", padded)
 
 
-# Fullwidth letters fold to ASCII, so a text with up to _FOLD_MAX_CHARS of
-# them is NFKC once folded; with one more, or with non-ASCII characters
-# denser than _FOLD_SPAN or _FOLD_DISTINCT_SPAN allow, NFKC runs on the text
-# itself. Padding sets the length: 2 non-ASCII characters (e acute, soft
-# hyphen) besides the letters, each distinct.
-@pytest.mark.parametrize(
-    "distinct_letters, repeats, length, folded",
-    [
-        (verify._FOLD_MAX_CHARS, 1, 2_000, True),
-        (verify._FOLD_MAX_CHARS + 1, 1, 2_000, False),
-        (1, 45, (45 + 3) * verify._FOLD_SPAN, True),
-        (1, 45, (45 + 3) * verify._FOLD_SPAN - 1, False),
-        (1, 1, 3 * verify._FOLD_DISTINCT_SPAN, True),
-        (1, 1, 3 * verify._FOLD_DISTINCT_SPAN - 1, False),
-    ],
-)
-def test_fold_is_skipped_past_the_limit(monkeypatch, distinct_letters, repeats, length, folded):
-    letters = "".join(chr(0xFF21 + i) for i in range(distinct_letters))
-    text = f"Ende-\n {letters * repeats} x\u00e9 {letters}\u00ad"
-    text += ("word " * length)[: length - len(text)]
-    assert len(text) == length
-    expected = reference_normalize(text)
+def _spy_nfkc(monkeypatch) -> list[tuple[str, str]]:
+    """Record each text ``verify`` passes to ``unicodedata.normalize``, all
+    of them for NFKC, with the string returned."""
     calls = []
 
     def spy(form, s):
-        calls.append((form, s))
-        return unicodedata.normalize(form, s)
+        assert form == "NFKC"
+        calls.append((s, unicodedata.normalize(form, s)))
+        return calls[-1][1]
 
-    monkeypatch.setattr(verify, "unicodedata", types.SimpleNamespace(
-        normalize=spy, is_normalized=unicodedata.is_normalized, combining=unicodedata.combining))
-    assert normalize(text) == expected
-    assert (("NFKC", text) not in calls) is folded
-
-
-def _spy_is_normalized(monkeypatch) -> list[str]:
-    """Record the whole texts, not single characters, ``verify`` passes to ``unicodedata.is_normalized``."""
-    checked = []
-
-    def spy(form, s):
-        if len(s) > 100:
-            checked.append(s)
-        return unicodedata.is_normalized(form, s)
-
-    monkeypatch.setattr(verify, "unicodedata", types.SimpleNamespace(
-        normalize=unicodedata.normalize, is_normalized=spy, combining=unicodedata.combining))
-    return checked
+    monkeypatch.setattr(verify, "unicodedata", types.SimpleNamespace(normalize=spy))
+    return calls
 
 
-def test_composing_table_holds_every_starter_that_completes_a_composition():
-    # The second characters of two-character canonical decompositions, plus
-    # the jamo that compose with a Hangul leading consonant or LV syllable.
-    composing = set()
-    for code in range(sys.maxunicode + 1):
-        ch = chr(code)
-        parts = unicodedata.decomposition(ch).split()
-        if len(parts) == 2 and not parts[0].startswith("<"):
-            composing.add(chr(int(parts[1], 16)))
-        if any(len(unicodedata.normalize("NFC", first + ch)) == 1 for first in ("\u1100", "\uac00")):
-            composing.add(ch)
-    starters = {ch for ch in composing if unicodedata.combining(ch) == 0}
-    assert starters <= verify._COMPOSING
-    assert all(unicodedata.combining(ch) == 0 for ch in verify._COMPOSING)
-
-
-# Ligatures among non-ASCII characters that are NFKC by themselves and
-# compose with nothing: the fold alone proves the text NFKC.
+# Ligatures among non-ASCII characters that are NFKC by themselves: once the
+# ligatures are expanded, NFKC's quick check returns the text itself.
 @pytest.mark.parametrize("others", ["\u2264", "\u2208", "\u03b1\u03b2\u03a9", "\u2264\u2208\u03b3"])
-def test_folded_text_of_plain_characters_is_not_rescanned(monkeypatch, others):
+def test_ligature_only_text_passes_nfkc_unchanged(monkeypatch, others):
     text = f"the \ufb01eld {others} is \ufb02at " + "word " * 400
-    expected = unicodedata.normalize("NFKC", text)
-    checked = _spy_is_normalized(monkeypatch)
-    assert verify._nfkc(text) == expected
-    assert checked == [text]
-
-
-# A starter that can complete a composition leaves the folded text to the
-# full check: U+1161 after U+1100 and U+0CD5 after U+0CBF both compose.
-@pytest.mark.parametrize("composing", ["\u1161", "\u0cd5", "\u1100\u1161", "\u0cbf\u0cd5"])
-def test_folded_text_with_a_composing_starter_is_rescanned(monkeypatch, composing):
-    text = f"the \ufb01eld {composing} is \ufb02at " + "word " * 400
-    expected = unicodedata.normalize("NFKC", text)
-    checked = _spy_is_normalized(monkeypatch)
-    assert verify._nfkc(text) == expected
-    assert checked == [text, text.replace("\ufb01", "fi").replace("\ufb02", "fl")]
+    expected = reference_normalize(text)
+    calls = _spy_nfkc(monkeypatch)
+    assert normalize(text) == expected
+    [(seen, returned)] = calls
+    assert seen == text.replace("\ufb01", "fi").replace("\ufb02", "fl")
+    assert returned is seen
 
 
 def test_normalize_checks_again_only_after_a_removal(monkeypatch):
     # x with a circumflex has no precomposed form: the quick check says
-    # "maybe", and is_normalized normalizes the whole text to compare.
+    # "maybe", and NFKC normalizes the whole text.
     text = "let x\u0302 be " + "the estimate " * 300
-    checked = _spy_is_normalized(monkeypatch)
+    calls = _spy_nfkc(monkeypatch)
     assert normalize(text) == reference_normalize(text)
-    assert checked == [text]
-    checked.clear()
+    assert [seen for seen, _ in calls] == [text]
+    calls.clear()
     hyphenated = "mathe-\nmatics " + text
     assert normalize(hyphenated) == reference_normalize(hyphenated)
-    assert checked == [hyphenated, "mathematics " + text]
+    assert [seen for seen, _ in calls] == [hyphenated, "mathematics " + text]
 
 
 # --- best_match --------------------------------------------------------------
