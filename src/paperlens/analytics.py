@@ -50,10 +50,6 @@ class DistributionTable:
     def share(self, area: SubjectArea) -> float:
         return self.count(area) / self.total if self.total else 0.0
 
-    @property
-    def shares(self) -> dict[SubjectArea, float]:
-        return {area: self.share(area) for area in SubjectArea}
-
 
 @dataclass(frozen=True)
 class RichnessRow:

@@ -177,24 +177,16 @@ def read_json(path: str | Path, error: type[Exception], convert: Callable[[dict]
         raise error(f"{path}: {_reason(exc)}") from exc
 
 
-def read_jsonl(
-    path: str | Path,
-    error: type[Exception],
-    convert: Callable[[dict], Any] | type | None = None,
-    format: str | type | None = None,
-) -> tuple[Any, list]:
-    """Read a JSON-lines file as ``(header, rows)``.
+def read_jsonl(path: str | Path, error: type[Exception], row: type, header: type | None = None) -> tuple[Any, list]:
+    """Read a JSON-lines file as ``(header, rows)``, each built by ``from_json``.
 
-    With ``format`` set, the first object is a header whose ``format`` field
-    must equal it; otherwise the header is None. ``format`` may also be a
-    dataclass whose ``format`` field defaults to that value; the header is
-    then built as one by ``from_json``. Each other object becomes one row,
-    passed through ``convert`` if given, or built by ``from_json`` when
-    ``convert`` is a dataclass.
+    With ``header`` (a dataclass) given, the first object is the header: its
+    ``format`` field must equal the ``format`` default of ``header``.
+    Otherwise the header is None. Each other object becomes one ``row``.
     """
-    expected = format.format if is_dataclass(format) else format
-    row = _builder(convert) if is_dataclass(convert) else convert
-    header: Any = None
+    expected = header.format if header is not None else None
+    build_row = _builder(row)
+    head: Any = None
     rows: list = []
     # Split on "\n" only: str.splitlines would also split on U+2028 and the
     # like, which the encoder writes unescaped inside strings.
@@ -202,16 +194,15 @@ def read_jsonl(
         if not line.strip():
             continue
         try:
-            if format is None or header is not None:
-                rows.append(_load(line, row))
+            if header is None or head is not None:
+                rows.append(_load(line, build_row))
                 continue
-            header = _load(line, None)
-            if header.get("format") != expected:
-                raise ValueError(f"unrecognized format {header.get('format')!r}, expected {expected!r}")
-            if is_dataclass(format):
-                header = _builder(format)(header)
+            head = _load(line, None)
+            if head.get("format") != expected:
+                raise ValueError(f"unrecognized format {head.get('format')!r}, expected {expected!r}")
+            head = _builder(header)(head)
         except _SHAPE_ERRORS as exc:
             raise error(f"{path}:{lineno}: {_reason(exc)}") from exc
-    if format is not None and header is None:
+    if header is not None and head is None:
         raise error(f"{path}: empty file, expected a {expected!r} header")
-    return header, rows
+    return head, rows

@@ -353,7 +353,7 @@ def save_manifest(manifest: CorpusManifest, path: str | Path) -> None:
 
 def load_manifest(path: str | Path) -> CorpusManifest:
     """Load a manifest written by save_manifest."""
-    header, refs = read_jsonl(path, CorpusError, DocumentRef, format=_ManifestHeader)
+    header, refs = read_jsonl(path, CorpusError, DocumentRef, _ManifestHeader)
     size = len(refs) if header.parent_size is None else header.parent_size
     return CorpusManifest(documents=tuple(refs), sample_seed=header.sample_seed, parent_size=size)
 

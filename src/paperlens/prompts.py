@@ -1,10 +1,10 @@
 """Assembly of the three prompt kinds from plain-text template sections.
 
 Templates live as named section files (``annotation/persona.txt`` etc.)
-so prompt provenance stays auditable; overrides replace whole sections,
-never interpolate into them. The packaged defaults target mathematical
-explanation in research papers; point ``templates_dir`` at your own
-directory with the same layout to annotate a different concept.
+so prompt provenance stays auditable; nothing is interpolated into a
+section. The packaged defaults target mathematical explanation in research
+papers; point ``templates_dir`` at your own directory with the same layout
+to annotate a different concept.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import enum
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
-from typing import Mapping
 
 from .provider import estimate_tokens
 
@@ -57,19 +56,13 @@ class ContextAsset:
 
     path: str
     description: str = _DEFAULT_ASSET_DESCRIPTION
-    char_count: int = 0
 
     @classmethod
     def from_file(cls, path: str | Path, description: str | None = None) -> "ContextAsset":
         p = Path(path)
         if not p.is_file():
             raise PromptError(f"context asset file not found: {p}")
-        text = p.read_text(encoding="utf-8")
-        return cls(
-            path=str(p),
-            description=description or _DEFAULT_ASSET_DESCRIPTION,
-            char_count=len(text),
-        )
+        return cls(path=str(p), description=description or _DEFAULT_ASSET_DESCRIPTION)
 
     def read(self) -> str:
         p = Path(self.path)
@@ -121,35 +114,17 @@ def _read_section(kind: PromptKind, name: str, templates_dir: str | Path | None)
         raise PromptError(f"packaged template section missing: {kind.value}/{name}") from exc
 
 
-def load_sections(
-    kind: PromptKind,
-    templates_dir: str | Path | None = None,
-    overrides: Mapping[str, str] | None = None,
-) -> dict[str, str]:
-    """Load a prompt kind's sections, applying whole-section overrides."""
-    overrides = dict(overrides or {})
-    unknown = set(overrides) - set(SECTION_FILES[kind])
-    if unknown:
-        raise PromptError(
-            f"unknown template section(s) for {kind.value}: {sorted(unknown)}; "
-            f"valid sections: {list(SECTION_FILES[kind])}"
-        )
-    sections = {}
-    for name in SECTION_FILES[kind]:
-        if name in overrides:
-            sections[name] = overrides[name].strip()
-        else:
-            sections[name] = _read_section(kind, name, templates_dir)
-    return sections
+def load_sections(kind: PromptKind, templates_dir: str | Path | None = None) -> dict[str, str]:
+    """Load a prompt kind's sections, from ``templates_dir`` or the packaged defaults."""
+    return {name: _read_section(kind, name, templates_dir) for name in SECTION_FILES[kind]}
 
 
 def build_annotation_prompt(
     asset: ContextAsset | None = None,
-    overrides: Mapping[str, str] | None = None,
     templates_dir: str | Path | None = None,
 ) -> PromptBundle:
     """Assemble the annotation prompt, optionally with a context excerpt."""
-    sections = load_sections(PromptKind.ANNOTATION, templates_dir, overrides)
+    sections = load_sections(PromptKind.ANNOTATION, templates_dir)
     instructions = "\n\n".join(
         sections[name] for name in ("phenomena", "proof_types", "instructions")
     )
@@ -172,13 +147,12 @@ def build_annotation_prompt(
 
 def build_filter_prompt(
     batch_output_text: str,
-    overrides: Mapping[str, str] | None = None,
     templates_dir: str | Path | None = None,
 ) -> PromptBundle:
     """Assemble the strict quality-filter prompt around one batch output."""
     if not batch_output_text:
         raise PromptError("filter prompt needs non-empty batch output text")
-    sections = load_sections(PromptKind.FILTER, templates_dir, overrides)
+    sections = load_sections(PromptKind.FILTER, templates_dir)
     return _finalize(
         PromptBundle(
             kind=PromptKind.FILTER,
@@ -191,7 +165,6 @@ def build_filter_prompt(
 def build_query_prompt(
     dataset_path: str | Path,
     question: str,
-    overrides: Mapping[str, str] | None = None,
     templates_dir: str | Path | None = None,
 ) -> PromptBundle:
     """Assemble a follow-up query over a previously produced dataset.
@@ -204,7 +177,7 @@ def build_query_prompt(
     path = Path(dataset_path)
     if not path.is_file():
         raise PromptError(f"dataset file not found: {path}")
-    sections = load_sections(PromptKind.QUERY, templates_dir, overrides)
+    sections = load_sections(PromptKind.QUERY, templates_dir)
     return _finalize(
         PromptBundle(
             kind=PromptKind.QUERY,

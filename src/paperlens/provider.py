@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import math
 import os
 import random
 import threading
@@ -29,10 +28,9 @@ if TYPE_CHECKING:
 
 logger = logging.getLogger(__name__)
 
-# Crude chars-per-token heuristic with a safety margin; it only needs to be
-# conservative enough to prevent context overflows, not provider-exact.
+# Crude chars-per-token heuristic with a 10% safety margin; it only needs to
+# be conservative enough to prevent context overflows, not provider-exact.
 _CHARS_PER_TOKEN = 4
-_SAFETY_MARGIN = 1.10
 _BACKOFF_CAP_S = 60.0
 _BACKOFF_JITTER = 0.25
 
@@ -130,8 +128,9 @@ def estimate_tokens(text: str) -> int:
 
 
 def tokens_for_chars(char_count: int) -> int:
-    """``estimate_tokens`` of any text of ``char_count`` characters."""
-    return math.ceil(math.ceil(char_count / _CHARS_PER_TOKEN) * _SAFETY_MARGIN)
+    """``estimate_tokens`` of any text of ``char_count`` characters; in integers, so it is subadditive."""
+    tokens = -(-char_count // _CHARS_PER_TOKEN)
+    return -(-11 * tokens // 10)
 
 
 def stub_key(kind: str, payload_refs: tuple[str, ...] | list[str]) -> str:

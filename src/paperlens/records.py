@@ -24,6 +24,10 @@ DATASET_FORMAT = "paperlens-records/1"
 
 QUALITY_LABELS = ("high", "borderline", "low")
 
+# Models are told to cite filenames, so each document in a batch payload is
+# introduced by a header naming it.
+DOC_HEADER = "=== FILE: {doc_id} ({title}) ==="
+
 
 class DatasetError(Exception):
     """Raised for malformed dataset files."""
@@ -86,7 +90,12 @@ _LABEL_LINE = re.compile(
     r"^\s*(?:[-*•+]\s+)?(?P<label>[A-Za-z]+)\s*:\s*(?P<value>.*)$"
 )
 _BULLET_RE = re.compile(r"^\s*(?:[-*•+]\s+)")
-_FILE_HEADER = re.compile(r"^\s*(?:=+\s*FILE:\s*)?(?P<name>[\w\-. ]+\.pdf)\s*[:=]*\s*$", re.IGNORECASE)
+# A file context line: DOC_HEADER, whose title runs to the last ") ===", or a
+# file name, bare or behind "=== FILE:".
+_FILE_HEADER = re.compile(
+    r"^\s*(?:=== FILE: (?P<doc_id>.+?) \(.*\) ===|(?:=+\s*FILE:\s*)?(?P<name>[\w\-. ]+\.pdf)\s*[:=]*)\s*$",
+    re.IGNORECASE,
+)
 _BATCH_HEADER = re.compile(r"batch[_\s]*\d+[_\s]*(?:output|filtered)\.txt", re.IGNORECASE)
 _NO_EXAMPLES = re.compile(
     r"\bno\s+(?:relevant|such|new)?\s*(?:examples|instances|findings|cases)\b", re.IGNORECASE
@@ -220,16 +229,16 @@ def parse_batch_output(text: str, batch_index: int = 0) -> tuple[list[ExampleRec
             blank_since_field = True
             continue
 
-        if _BATCH_HEADER.search(stripped) and len(stripped) < 120:
-            flush_item()
-            flush_stray()
-            continue
-
         file_header = _FILE_HEADER.match(stripped)
         if file_header:
             flush_item()
             flush_stray()
-            file_context = _clean_doc_id(file_header.group("name"))
+            file_context = file_header["doc_id"] or _clean_doc_id(file_header["name"])
+            continue
+
+        if _BATCH_HEADER.search(stripped) and len(stripped) < 120:
+            flush_item()
+            flush_stray()
             continue
 
         label_match = _LABEL_LINE.match(line)
@@ -353,7 +362,7 @@ def load_dataset(path: str | Path, expect_manifest_hash: str | None = None) -> D
     in ``expect_manifest_hash`` that differs from the stored one logs a
     warning (the corpus changed since the dataset was built) but loads.
     """
-    header, records = read_jsonl(path, DatasetError, ExampleRecord, format=_DatasetHeader)
+    header, records = read_jsonl(path, DatasetError, ExampleRecord, _DatasetHeader)
     if header.count is not None and header.count != len(records):
         raise DatasetError(
             f"{path}: truncated dataset: header says {header.count} records, found {len(records)}"

@@ -27,17 +27,13 @@ from . import provider
 from .atomic import append_jsonl, read_json, write_atomic, write_json
 from .corpus import CorpusManifest, DocumentRef, load_text, manifest_digest
 from .prompts import PromptBundle, build_filter_prompt, build_query_prompt
-from .records import parse_batch_output
+from .records import DOC_HEADER, parse_batch_output
 
 logger = logging.getLogger(__name__)
 
 CHECKPOINT_FILE = "checkpoint.json"
 FILTER_STATE_FILE = "filter_state.json"
 QUERY_LOG_SUFFIX = ".query_log.jsonl"
-
-# Models are told to cite filenames, so each document in a batch payload is
-# introduced by a header naming it.
-_DOC_HEADER = "=== FILE: {doc_id} ({title}) ==="
 
 
 class RunnerError(Exception):
@@ -128,8 +124,11 @@ class RunSummary:
 
 
 def _doc_tokens(ref: DocumentRef) -> int:
-    header = _DOC_HEADER.format(doc_id=ref.doc_id, title=ref.title)
-    return provider.tokens_for_chars(ref.char_count) + provider.estimate_tokens(header)
+    # One length for the header, the text and the two "\n\n" that join them
+    # into the request, so the estimates of a batch's documents and its prompt
+    # add up to at least what ChatClient.complete counts for the whole.
+    header = DOC_HEADER.format(doc_id=ref.doc_id, title=ref.title)
+    return provider.tokens_for_chars(len(header) + ref.char_count + 4)
 
 
 def plan_batches(
@@ -199,7 +198,7 @@ def _batch_payload(job: BatchJob, refs: dict[str, DocumentRef]) -> str:
     parts = []
     for doc_id in job.doc_ids:
         ref = refs[doc_id]
-        parts.append(_DOC_HEADER.format(doc_id=doc_id, title=ref.title))
+        parts.append(DOC_HEADER.format(doc_id=doc_id, title=ref.title))
         parts.append(load_text(ref))
     return "\n\n".join(parts)
 
@@ -435,21 +434,14 @@ class FilterState:
 
     @classmethod
     def load(cls, directory: str | Path) -> "FilterState":
-        directory = Path(directory)
-        path = directory / FILTER_STATE_FILE
+        path = Path(directory) / FILTER_STATE_FILE
         if not path.exists():
             return cls()
-
-        def convert(raw: dict) -> "FilterState":
-            passes = int(raw.get("passes", 0))
-            if "batch_passes" in raw:
-                batch_passes = {int(i): int(n) for i, n in raw["batch_passes"].items()}
-            else:  # written before per-batch passes were recorded
-                batch_passes = {i: passes for i, _ in _batch_files(directory, "filtered")}
-            digests = {int(i): str(d) for i, d in raw.get("digests", {}).items()}
-            return cls(passes=passes, batch_passes=batch_passes, digests=digests)
-
-        return read_json(path, RunnerError, convert)
+        return read_json(path, RunnerError, lambda raw: cls(
+            passes=int(raw.get("passes", 0)),
+            batch_passes={int(i): int(n) for i, n in raw["batch_passes"].items()},
+            digests={int(i): str(d) for i, d in raw.get("digests", {}).items()},
+        ))
 
 
 @dataclass

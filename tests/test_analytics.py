@@ -114,7 +114,7 @@ def test_corpus_distribution_matches_reference_column():
 def test_shares_sum_to_one():
     manifest = manifest_realizing(C_COUNTS)
     table = corpus_distribution(manifest)
-    assert sum(table.shares.values()) == pytest.approx(1.0, abs=1e-9)
+    assert sum(table.share(area) for area in SubjectArea) == pytest.approx(1.0, abs=1e-9)
 
 
 # --- dataset_distribution ---------------------------------------------------------

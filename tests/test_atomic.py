@@ -21,6 +21,11 @@ class Oops(Exception):
     pass
 
 
+@dataclass(frozen=True)
+class N:
+    n: int
+
+
 def test_write_json_sorts_keys_keeps_unicode_and_ends_with_newline(tmp_path):
     path = tmp_path / "state.json"
     write_json(path, {"b": 1, "a": "ü"})
@@ -39,11 +44,11 @@ def test_write_atomic_with_unencodable_text_leaves_the_old_file_and_no_temp_file
 
 def test_write_jsonl_round_trips_header_and_rows(tmp_path):
     path = tmp_path / "rows.jsonl"
-    write_jsonl(path, [{"z": 0, "a": 1}, {"b": 2}], header={"format": "x/1", "n": 2})
-    assert path.read_text(encoding="utf-8") == '{"format": "x/1", "n": 2}\n{"a": 1, "z": 0}\n{"b": 2}\n'
-    header, rows = read_jsonl(path, Oops, format="x/1")
-    assert header == {"format": "x/1", "n": 2}
-    assert rows == [{"a": 1, "z": 0}, {"b": 2}]
+    write_jsonl(path, [{"z": 0, "n": 1}, {"n": 2}], header={"format": "x/1", "size": 2})
+    assert path.read_text(encoding="utf-8") == '{"format": "x/1", "size": 2}\n{"n": 1, "z": 0}\n{"n": 2}\n'
+    header, rows = read_jsonl(path, Oops, N, Header)
+    assert header == Header(size=2)
+    assert rows == [N(1), N(2)]
 
 
 def test_append_jsonl_adds_one_sorted_line(tmp_path):
@@ -56,9 +61,9 @@ def test_append_jsonl_adds_one_sorted_line(tmp_path):
 def test_read_jsonl_skips_blank_lines_and_converts(tmp_path):
     path = tmp_path / "rows.jsonl"
     path.write_text('\n{"n": 1}\n  \n{"n": 2}\n\n', encoding="utf-8")
-    header, rows = read_jsonl(path, Oops, convert=lambda row: row["n"])
+    header, rows = read_jsonl(path, Oops, N)
     assert header is None
-    assert rows == [1, 2]
+    assert rows == [N(1), N(2)]
 
 
 @pytest.mark.parametrize(
@@ -74,7 +79,7 @@ def test_read_jsonl_names_the_line(tmp_path, text, where):
     path = tmp_path / "rows.jsonl"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(Oops, match=where):
-        read_jsonl(path, Oops, convert=lambda row: row["n"])
+        read_jsonl(path, Oops, N)
 
 
 @pytest.mark.parametrize("text", ["", "\n\n", '{"format": "y/1"}\n', "[]\n"])
@@ -82,7 +87,7 @@ def test_read_jsonl_checks_the_format_header(tmp_path, text):
     path = tmp_path / "rows.jsonl"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(Oops, match="rows.jsonl"):
-        read_jsonl(path, Oops, format="x/1")
+        read_jsonl(path, Oops, N, Header)
 
 
 @pytest.mark.parametrize("text", ["{not json", "[]", "3", ""])
@@ -100,10 +105,13 @@ def test_read_json_conversion_errors_name_the_file(tmp_path):
         read_json(path, Oops, convert=lambda raw: int(raw["n"]))
 
 
-@pytest.mark.parametrize("reader", [read_json, read_jsonl])
-def test_missing_file_names_the_path(tmp_path, reader):
+@pytest.mark.parametrize("read", [
+    lambda path: read_json(path, Oops),
+    lambda path: read_jsonl(path, Oops, N),
+], ids=["read_json", "read_jsonl"])
+def test_missing_file_names_the_path(tmp_path, read):
     with pytest.raises(Oops, match="absent.json"):
-        reader(tmp_path / "absent.json", Oops)
+        read(tmp_path / "absent.json")
 
 
 # --- Typed reading: from_json and dataclass rows ------------------------------
@@ -195,13 +203,13 @@ class Header:
 def test_read_jsonl_builds_a_header_dataclass(tmp_path):
     path = tmp_path / "rows.jsonl"
     write_jsonl(path, [Inner(1.0)], Header(size=1))
-    assert read_jsonl(path, Oops, Inner, format=Header) == (Header(size=1), [Inner(1.0)])
+    assert read_jsonl(path, Oops, Inner, Header) == (Header(size=1), [Inner(1.0)])
     path.write_text('{"format": "x/1", "size": "1"}\n{"x": 1}\n', encoding="utf-8")
     with pytest.raises(Oops, match="rows.jsonl:1: size must be int"):
-        read_jsonl(path, Oops, Inner, format=Header)
+        read_jsonl(path, Oops, Inner, Header)
     path.write_text('{"format": "y/1"}\n', encoding="utf-8")
     with pytest.raises(Oops, match="rows.jsonl:1: unrecognized format 'y/1', expected 'x/1'"):
-        read_jsonl(path, Oops, Inner, format=Header)
+        read_jsonl(path, Oops, Inner, Header)
 
 
 def test_read_jsonl_row_type_errors_name_the_line(tmp_path):

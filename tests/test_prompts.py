@@ -1,4 +1,4 @@
-"""Prompt assembly tests: defaults, overrides, context assets, golden files."""
+"""Prompt assembly tests: defaults, templates directories, context assets, golden files."""
 
 from pathlib import Path
 
@@ -53,25 +53,11 @@ def test_asset_appended_after_instructions(tmp_path):
     assert text.endswith("Historical overview of the target concept.")
     assert "The remainder of the prompt is a survey excerpt." in text
     assert bundle.estimated_tokens > build_annotation_prompt().estimated_tokens
-    assert asset.char_count == len("Historical overview of the target concept.")
 
 
 def test_missing_asset_file_is_error(tmp_path):
     with pytest.raises(PromptError, match="not found"):
         ContextAsset.from_file(tmp_path / "nope.txt")
-
-
-def test_override_replaces_only_named_section():
-    default = build_annotation_prompt()
-    overridden = build_annotation_prompt(overrides={"persona": "You are a terse classifier."})
-    assert overridden.persona == "You are a terse classifier."
-    assert overridden.instructions == default.instructions  # untouched sections identical
-    assert default.persona != overridden.persona
-
-
-def test_unknown_override_section_rejected():
-    with pytest.raises(PromptError, match="unknown template section"):
-        build_annotation_prompt(overrides={"footer": "x"})
 
 
 def test_templates_dir_override(tmp_path):

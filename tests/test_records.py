@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import make_record
 from paperlens.records import (
+    DOC_HEADER,
     Dataset,
     DatasetError,
     ExampleRecord,
@@ -173,6 +174,19 @@ def test_file_header_scopes_following_items():
     )
     records, _ = parse_batch_output(text, 0)
     assert [r.source_doc_id for r in records] == ["paper-a", "paper-a", "paper-b"]
+
+
+def test_payload_document_headers_give_the_doc_id():
+    headers = [
+        DOC_HEADER.format(doc_id="2001.00001", title="Why d squared vanishes"),
+        DOC_HEADER.format(doc_id="math0003117-math.CO", title=""),
+        DOC_HEADER.format(doc_id="2001.00002", title="A (co)homology theory (revised) ==="),
+        DOC_HEADER.format(doc_id="2001.00003", title="On batch 2 output.txt"),
+    ]
+    text = "\n\n".join(f'{header}\n- Title: T{i}\n- Quote: "q{i}"' for i, header in enumerate(headers))
+    records, warnings = parse_batch_output(text, 0)
+    assert [r.source_doc_id for r in records] == ["2001.00001", "math0003117-math.CO", "2001.00002", "2001.00003"]
+    assert warnings == []
 
 
 def test_batch_file_headers_are_boundaries():

@@ -2,33 +2,42 @@
 
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import batch_output_text, make_record, make_stub, synthetic_manifest, write_corpus
-from paperlens.corpus import ingest
-from paperlens.prompts import ContextAsset, build_annotation_prompt
-from paperlens.provider import ContextOverflow, HttpChatClient, ProviderConfig, stub_key, write_stub_fixture
+from paperlens.corpus import CorpusManifest, DocumentRef, ingest
+from paperlens.prompts import ContextAsset, PromptBundle, PromptKind, build_annotation_prompt
+from paperlens.provider import (
+    ContextOverflow,
+    HttpChatClient,
+    ProviderConfig,
+    estimate_tokens,
+    stub_key,
+    write_stub_fixture,
+)
 from paperlens.runner import (
     CheckpointMismatch,
     JobStatus,
     RunnerConfig,
     RunnerError,
+    _batch_payload,
+    _doc_tokens,
     plan_batches,
     run_annotation,
     run_filter,
     run_query,
 )
 
-BUNDLE = build_annotation_prompt(overrides={
-    "persona": "You are a test assistant.",
-    "phenomena": "Watch for the target concept.",
-    "proof_types": "Any.",
-    "instructions": "Report items as labeled bullets.",
-})
+BUNDLE = PromptBundle(
+    kind=PromptKind.ANNOTATION,
+    persona="You are a test assistant.",
+    instructions="Watch for the target concept.\n\nAny.\n\nReport items as labeled bullets.",
+)
 
 
 # --- plan_batches --------------------------------------------------------------
@@ -42,8 +51,6 @@ def test_plan_5000_docs_in_batches_of_25():
 
 
 def test_plan_empty_manifest_is_error():
-    from paperlens.corpus import CorpusManifest
-
     with pytest.raises(RunnerError, match="empty"):
         plan_batches(CorpusManifest(documents=()), RunnerConfig())
 
@@ -86,9 +93,37 @@ def test_plan_splits_batches_over_token_budget():
     assert [d for j in jobs for d in j.doc_ids] == [r.doc_id for r in manifest.documents]
 
 
-def test_plan_oversize_document_is_error():
-    from paperlens.corpus import CorpusManifest, DocumentRef
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.lists(st.integers(min_value=0, max_value=9000), min_size=1, max_size=8),
+    k=st.integers(min_value=1, max_value=8),
+)
+@example(sizes=[7992] * 8, k=2)
+@example(sizes=[8000] * 8, k=4)
+def test_planned_batches_pass_the_send_time_check(sizes, k):
+    # The window fits exactly the first k documents by the planner's own
+    # estimate; every batch it plans must then pass ChatClient.complete's check.
+    bundle = build_annotation_prompt()
+    max_output = 1000
+    with tempfile.TemporaryDirectory() as tmp:
+        refs = []
+        for i, size in enumerate(sizes):
+            text_path = Path(tmp) / f"doc{i}.txt"
+            text_path.write_text("x" * size, encoding="utf-8")
+            refs.append(DocumentRef(doc_id=f"doc{i}", path=f"doc{i}.pdf", text_path=str(text_path),
+                                    title=f"Paper {i}", char_count=size))
+        manifest = CorpusManifest.build(refs)
+        window = max_output + bundle.estimated_tokens + sum(map(_doc_tokens, manifest.documents[:k]))
+        provider_cfg = ProviderConfig(dialect="stub", context_window_tokens=window, max_output_tokens=max_output)
+        jobs = plan_batches(manifest, RunnerConfig(skip_oversize=True), provider_cfg,
+                            prompt_tokens=bundle.estimated_tokens)
+        by_id = {ref.doc_id: ref for ref in refs}
+        for job in jobs:
+            prompt = bundle.render() + "\n\n" + _batch_payload(job, by_id)
+            assert estimate_tokens(prompt) + max_output <= window, job.doc_ids
 
+
+def test_plan_oversize_document_is_error():
     big = DocumentRef(doc_id="huge", path="p", text_path="t", char_count=10_000_000)
     manifest = CorpusManifest.build([big])
     provider_cfg = ProviderConfig(dialect="stub", context_window_tokens=10_000, max_output_tokens=1000)
@@ -511,6 +546,14 @@ def test_filter_with_damaged_state_names_it(tmp_path, text):
     _write_batch_outputs(out, {0: 2})
     (out / "filter_state.json").write_text(text, encoding="utf-8")
     with pytest.raises(RunnerError, match="filter_state.json"):
+        run_filter(out, make_stub(tmp_path))
+
+
+def test_filter_state_without_batch_passes_is_rejected(tmp_path):
+    out = tmp_path / "out"
+    _write_batch_outputs(out, {0: 2})
+    (out / "filter_state.json").write_text('{"passes": 1}', encoding="utf-8")
+    with pytest.raises(RunnerError, match="filter_state.json: missing key 'batch_passes'"):
         run_filter(out, make_stub(tmp_path))
 
 
