@@ -5,10 +5,11 @@ serialiser: sorted keys, non-ASCII characters kept as they are, one object
 per ``\\n``-terminated line, and a dataclass instance written as the object
 of its fields by the encoder's ``default`` hook. Reading has one error rule:
 an unreadable file, invalid JSON, a value that is not an object, a wrong
-``format`` header, or a value its caller cannot convert raises the caller's
-error class naming ``path`` or ``path:line``. Blank lines are skipped.
+``format`` header, or a value of the wrong type raises the caller's error
+class naming ``path`` or ``path:line``. Blank lines are skipped.
 ``from_json`` builds a dataclass from an object, each value checked against
-the type its field declares.
+the type its field declares; ``read_json`` and ``read_jsonl`` build their
+objects with it.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ def _fields_of(obj: Any) -> dict:
 
 _ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True, default=_fields_of)
 
-#: What a ``convert`` function raises for a value of the wrong shape.
-_SHAPE_ERRORS = (KeyError, TypeError, ValueError, AttributeError)
+#: What reading raises for a value of the wrong shape.
+_SHAPE_ERRORS = (KeyError, TypeError, ValueError)
 
 _UNIONS = (typing.Union, types.UnionType)
 
@@ -49,6 +50,8 @@ def _describe(tp: Any) -> str:
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is tuple:
         return f"a list of {_describe(args[0])}"
+    if origin is dict:
+        return f"an object of {_describe(args[1])} by integer key"
     if origin in _UNIONS:
         return " or ".join("null" if a is type(None) else _describe(a) for a in args)
     return "an object" if is_dataclass(tp) else tp.__name__
@@ -60,6 +63,8 @@ def _converter(tp: Any) -> Callable[[Any], Any]:
     if origin is tuple:  # tuple[X, ...] takes a list of X
         item = _converter(args[0])
         return lambda value: tuple(map(item, _exact((list,), value)))
+    if origin is dict:  # dict[int, X] takes an object of X by integer key
+        return functools.partial(_int_keyed, _converter(args[1]), _describe(args[1]))
     if origin in _UNIONS:  # X | None takes X or null
         (inner,) = (_converter(a) for a in args if a is not type(None))
         return lambda value: None if value is None else inner(value)
@@ -69,6 +74,21 @@ def _converter(tp: Any) -> Callable[[Any], Any]:
     if tp is float:  # an int too, stored as a float
         return lambda value: float(_exact((int, float), value))
     return functools.partial(_exact, (tp,))  # so a bool fills only a bool field
+
+
+def _int_keyed(item: Callable[[Any], Any], kind: str, value: Any) -> dict:
+    """A ``dict[int, X]`` from a JSON object, each key read by ``int()`` and each value by ``item``."""
+    out = {}
+    for key, raw in _exact((dict,), value).items():
+        try:
+            index = int(key)
+        except ValueError:
+            raise TypeError(f"{key} is not an integer key") from None
+        try:
+            out[index] = item(raw)
+        except _Mismatch:
+            raise TypeError(f"{key} must be {kind}, got {raw!r}") from None
+    return out
 
 
 @functools.cache
@@ -132,8 +152,8 @@ def jsonl_text(rows: Iterable[Any], header: Any = None) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
-def write_json(path: str | Path, obj: dict) -> None:
-    """Write one JSON object, on one line, atomically."""
+def write_json(path: str | Path, obj: Any) -> None:
+    """Write one JSON object (a dict or a dataclass instance), on one line, atomically."""
     write_atomic(path, _ENCODER.encode(obj) + "\n")
 
 
@@ -161,18 +181,18 @@ def _reason(exc: Exception) -> str:
     return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
 
 
-def _load(text: str, convert: Callable[[dict], Any] | None) -> Any:
+def _load(text: str, build: Callable[[dict], Any] | None) -> Any:
     value = json.loads(text)
     if not isinstance(value, dict):
         raise ValueError(f"expected a JSON object, got {type(value).__name__}")
-    return value if convert is None else convert(value)
+    return value if build is None else build(value)
 
 
-def read_json(path: str | Path, error: type[Exception], convert: Callable[[dict], Any] | None = None) -> Any:
-    """Read a file holding one JSON object, passed through ``convert`` if given."""
+def read_json(path: str | Path, error: type[Exception], cls: type | None = None) -> Any:
+    """Read a file holding one JSON object: a dict, or dataclass ``cls`` built by ``from_json``."""
     text = _read(path, error)
     try:
-        return _load(text, convert)
+        return _load(text, None if cls is None else _builder(cls))
     except _SHAPE_ERRORS as exc:
         raise error(f"{path}: {_reason(exc)}") from exc
 

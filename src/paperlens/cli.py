@@ -417,7 +417,7 @@ def _cmd_prompts(args: argparse.Namespace) -> int:
         sections = prompts.load_sections(kind, templates_dir=args.prompts_dir)
         print(sections["framing"])
         return 0
-    print(bundle.render())
+    print(bundle.text)
     return 0
 
 

@@ -73,32 +73,23 @@ class ContextAsset:
 
 @dataclass(frozen=True)
 class PromptBundle:
-    """A fully assembled prompt ready to send."""
+    """A fully assembled prompt ready to send: its text, and the refs that name its payload."""
 
     kind: PromptKind
-    persona: str = ""
-    instructions: str = ""
-    context_excerpt: str | None = None
-    context_intro: str = ""
-    payload_text: str = ""
+    text: str
     payload_refs: tuple[str, ...] = ()
-    estimated_tokens: int = 0
 
-    def render(self) -> str:
-        """Assemble the final prompt text in send order."""
-        parts = [p for p in (self.persona, self.instructions) if p]
-        if self.context_excerpt:
-            parts.append(self.context_intro + "\n\n" + self.context_excerpt)
-        if self.payload_text:
-            parts.append(self.payload_text)
-        return "\n\n".join(parts)
+    @property
+    def estimated_tokens(self) -> int:
+        return estimate_tokens(self.text)
 
     def with_payload_refs(self, refs: tuple[str, ...] | list[str]) -> "PromptBundle":
         return replace(self, payload_refs=tuple(refs))
 
 
-def _finalize(bundle: PromptBundle) -> PromptBundle:
-    return replace(bundle, estimated_tokens=estimate_tokens(bundle.render()))
+def _join(*parts: str) -> str:
+    """The non-empty parts in send order, separated by blank lines."""
+    return "\n\n".join(part for part in parts if part)
 
 
 def _read_section(kind: PromptKind, name: str, templates_dir: str | Path | None) -> str:
@@ -128,21 +119,12 @@ def build_annotation_prompt(
     instructions = "\n\n".join(
         sections[name] for name in ("phenomena", "proof_types", "instructions")
     )
-    excerpt: str | None = None
-    intro = ""
+    context = ""
     if asset is not None:
         excerpt = asset.read()
         if excerpt:
-            intro = _CONTEXT_INTRO.format(description=asset.description)
-    return _finalize(
-        PromptBundle(
-            kind=PromptKind.ANNOTATION,
-            persona=sections["persona"],
-            instructions=instructions,
-            context_excerpt=excerpt,
-            context_intro=intro,
-        )
-    )
+            context = _CONTEXT_INTRO.format(description=asset.description) + "\n\n" + excerpt
+    return PromptBundle(PromptKind.ANNOTATION, _join(sections["persona"], instructions, context))
 
 
 def build_filter_prompt(
@@ -153,13 +135,7 @@ def build_filter_prompt(
     if not batch_output_text:
         raise PromptError("filter prompt needs non-empty batch output text")
     sections = load_sections(PromptKind.FILTER, templates_dir)
-    return _finalize(
-        PromptBundle(
-            kind=PromptKind.FILTER,
-            instructions=sections["body"],
-            payload_text=batch_output_text,
-        )
-    )
+    return PromptBundle(PromptKind.FILTER, _join(sections["body"], batch_output_text))
 
 
 def build_query_prompt(
@@ -178,10 +154,8 @@ def build_query_prompt(
     if not path.is_file():
         raise PromptError(f"dataset file not found: {path}")
     sections = load_sections(PromptKind.QUERY, templates_dir)
-    return _finalize(
-        PromptBundle(
-            kind=PromptKind.QUERY,
-            instructions=sections["framing"] + "\n\n" + question.strip(),
-            payload_refs=(path.name,),
-        )
+    return PromptBundle(
+        PromptKind.QUERY,
+        sections["framing"] + "\n\n" + question.strip(),
+        payload_refs=(path.name,),
     )

@@ -115,7 +115,6 @@ class ModelResponse:
     text: str
     input_tokens: int = 0
     output_tokens: int = 0
-    latency_ms: int = 0
     attempts: int = 1
 
 
@@ -158,7 +157,7 @@ class ChatClient:
         total would not fit; retries transient transport failures with
         exponential backoff and jitter up to ``max_retries``.
         """
-        prompt = bundle.render()
+        prompt = bundle.text
         if payload_text:
             prompt = prompt + "\n\n" + payload_text
 
@@ -167,7 +166,6 @@ class ChatClient:
             raise ContextOverflow(required, self.config.context_window_tokens)
 
         key = f"{bundle.kind.value}-{stub_key(bundle.kind.value, bundle.payload_refs)}"
-        start = time.perf_counter()
         for attempt in range(self.config.max_retries + 1):
             attempts = attempt + 1
             try:
@@ -196,7 +194,6 @@ class ChatClient:
                 time.sleep(delay)
 
         response.attempts = attempts
-        response.latency_ms = int((time.perf_counter() - start) * 1000)
         if not response.input_tokens:
             response.input_tokens = estimate_tokens(prompt)
         if not response.output_tokens:
@@ -390,12 +387,8 @@ def write_stub_fixture(
     return path
 
 
-def make_client(
-    config: ProviderConfig,
-    audit_path: str | Path | None = None,
-    session: requests.Session | None = None,
-) -> ChatClient:
+def make_client(config: ProviderConfig, audit_path: str | Path | None = None) -> ChatClient:
     """Build the client matching the configured dialect."""
     if config.dialect == "stub":
         return StubChatClient(config, audit_path)
-    return HttpChatClient(config, audit_path, session=session)
+    return HttpChatClient(config, audit_path)

@@ -236,11 +236,6 @@ def parse_batch_output(text: str, batch_index: int = 0) -> tuple[list[ExampleRec
             file_context = file_header["doc_id"] or _clean_doc_id(file_header["name"])
             continue
 
-        if _BATCH_HEADER.search(stripped) and len(stripped) < 120:
-            flush_item()
-            flush_stray()
-            continue
-
         label_match = _LABEL_LINE.match(line)
         if label_match and label_match.group("label").lower() in _LABEL_FIELDS:
             flush_stray()
@@ -264,6 +259,13 @@ def parse_batch_output(text: str, batch_index: int = 0) -> tuple[list[ExampleRec
             else:
                 current[fld] = value
                 current_label = fld
+            continue
+
+        # A batch file name outside a field line names the batch an item
+        # list came from: it ends the item before it.
+        if _BATCH_HEADER.search(stripped) and len(stripped) < 120:
+            flush_item()
+            flush_stray()
             continue
 
         # Continuation of the current field, or an unrecognizable stretch.

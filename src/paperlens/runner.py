@@ -4,10 +4,10 @@ Annotation and filter passes run on one executor: up to ``max_inflight``
 batches are at the provider at once, and each output is written atomically
 (temp-then-rename) before its completion is recorded, so a crash between
 jobs never leaves a checkpoint referencing a missing output file.
-Completion is keyed by a digest of what the batch sends, so a resumed run
-skips only batches the current plan would send unchanged. Failed batches
-are recorded and do not halt the remaining jobs; long runs must survive
-transient faults.
+An annotation batch's completion is keyed by a digest of what it sends,
+so a resumed run skips only batches the current plan would send
+unchanged. Failed batches are recorded and do not halt the remaining
+jobs; long runs must survive transient faults.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -76,7 +76,7 @@ class RunnerConfig:
 
 @dataclass
 class Checkpoint:
-    """Which planned batches have completed, bound to a manifest digest.
+    """Which planned batches have completed, bound to a manifest digest (``checkpoint.json``).
 
     ``digests`` maps each completed batch index to the digest of the request
     it sent (see ``_batch_digest``); a resumed run trusts a completion only
@@ -84,27 +84,7 @@ class Checkpoint:
     """
 
     manifest_hash: str
-    completed: set[int] = field(default_factory=set)
     digests: dict[int, str] = field(default_factory=dict)
-
-    def mark(self, index: int, digest: str) -> None:
-        self.completed.add(index)
-        self.digests[index] = digest
-
-    def save(self, path: str | Path) -> None:
-        write_json(path, {
-            "manifest_hash": self.manifest_hash,
-            "completed": sorted(self.completed),
-            "digests": {str(i): d for i, d in self.digests.items()},
-        })
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Checkpoint":
-        return read_json(path, RunnerError, lambda raw: cls(
-            manifest_hash=raw.get("manifest_hash", ""),
-            completed=set(int(i) for i in raw.get("completed", [])),
-            digests={int(i): str(d) for i, d in raw.get("digests", {}).items()},
-        ))
 
 
 @dataclass
@@ -203,18 +183,14 @@ def _batch_payload(job: BatchJob, refs: dict[str, DocumentRef]) -> str:
     return "\n\n".join(parts)
 
 
-def _prompt_without_payload(bundle: PromptBundle) -> str:
-    return replace(bundle, payload_text="").render()
-
-
-def _batch_digest(parts: Iterable[str], prompt: str, config: provider.ProviderConfig) -> str:
-    """sha256 identifying one batch request: its payload identity (doc ids or
-    input text), the rendered prompt without payload, the model and dialect.
+def _batch_digest(doc_ids: Iterable[str], prompt: str, config: provider.ProviderConfig) -> str:
+    """sha256 identifying one annotation batch request: its doc ids, the
+    prompt text sent ahead of the documents, the model and dialect.
 
     Each field is length-prefixed so that no two field lists collide.
     """
     h = hashlib.sha256()
-    for part in (*parts, prompt, config.model_name, config.dialect):
+    for part in (*doc_ids, prompt, config.model_name, config.dialect):
         data = part.encode("utf-8")
         h.update(len(data).to_bytes(8, "big"))
         h.update(data)
@@ -230,7 +206,6 @@ class _Batch:
     """One planned provider call of an annotation or filter pass."""
 
     index: int
-    digest: str
     output_path: Path
     request: Callable[[], tuple[PromptBundle, str]]  # -> (bundle, payload text)
 
@@ -238,7 +213,7 @@ class _Batch:
 def _run_batches(
     batches: list[_Batch],
     client: provider.ChatClient,
-    record: Callable[[_Batch], None],
+    record: Callable[[int], None],
 ) -> tuple[dict[int, str], list[tuple[int, str]]]:
     """Send every batch, at most ``max_inflight`` of them in flight at once.
 
@@ -246,9 +221,9 @@ def _run_batches(
     provider call, the others build payloads, write outputs and sleep
     through retry backoff outside the ``max_inflight`` slots, which the
     client's gate alone limits. Each response is written to the batch's
-    output path before ``record`` runs for it under a lock, so a checkpoint
-    saved by ``record`` never names a missing file. Returns the response
-    texts by index and the failures as ``(index, error)``, both in
+    output path before ``record`` runs with its index under a lock, so a
+    checkpoint saved by ``record`` never names a missing file. Returns the
+    response texts by index and the failures as ``(index, error)``, both in
     batch-index order whichever call finishes first. Errors outside
     ``_BATCH_ERRORS`` (and interrupts) cancel the batches not yet started
     and propagate.
@@ -265,7 +240,7 @@ def _run_batches(
         text = client.complete(bundle, payload).text
         write_atomic(batch.output_path, text)
         with lock:
-            record(batch)
+            record(batch.index)
         return text
 
     with ThreadPoolExecutor(max_workers=min(2 * client.config.max_inflight, len(ordered))) as pool:
@@ -308,7 +283,7 @@ def run_annotation(
 
     previous = Checkpoint(manifest_hash=digest)
     if cfg.resume and ck_path.exists():
-        previous = Checkpoint.load(ck_path)
+        previous = read_json(ck_path, RunnerError, Checkpoint)
         if previous.manifest_hash != digest:
             raise CheckpointMismatch(
                 f"checkpoint in {out_dir} belongs to a different manifest; "
@@ -321,28 +296,28 @@ def run_annotation(
         if missing:
             raise RunnerError(f"batch {job.index} references unknown documents: {missing}")
 
-    prompt = _prompt_without_payload(bundle)
     checkpoint = Checkpoint(manifest_hash=digest)
+    planned: dict[int, str] = {}  # index -> digest of each batch to send
     pending: list[_Batch] = []
     for job in jobs:
-        job_digest = _batch_digest(job.doc_ids, prompt, client.config)
+        job_digest = _batch_digest(job.doc_ids, bundle.text, client.config)
         if previous.digests.get(job.index) == job_digest and Path(job.output_path).exists():
-            checkpoint.mark(job.index, job_digest)
+            checkpoint.digests[job.index] = job_digest
             job.status = JobStatus.DONE
             continue
+        planned[job.index] = job_digest
         pending.append(
             _Batch(
                 index=job.index,
-                digest=job_digest,
                 output_path=Path(job.output_path),
                 request=lambda job=job: (bundle.with_payload_refs(job.doc_ids), _batch_payload(job, refs)),
             )
         )
-    checkpoint.save(ck_path)
+    write_json(ck_path, checkpoint)
 
-    def record(batch: _Batch) -> None:
-        checkpoint.mark(batch.index, batch.digest)
-        checkpoint.save(ck_path)
+    def record(index: int) -> None:
+        checkpoint.digests[index] = planned[index]
+        write_json(ck_path, checkpoint)
 
     calls_before = client.calls
     _, failures = _run_batches(pending, client, record)
@@ -413,35 +388,22 @@ class FilterState:
 
     ``passes`` is the number of the latest pass started; ``batch_passes``
     maps each batch index to the pass its ``batch_{n}_filtered.txt`` holds
-    (a batch whose input was empty counts as filtered without a file);
-    ``digests`` maps each batch to the digest of its latest filter request.
+    (a batch whose input was empty counts as filtered without a file).
     """
 
+    batch_passes: dict[int, int]
     passes: int = 0
-    batch_passes: dict[int, int] = field(default_factory=dict)
-    digests: dict[int, str] = field(default_factory=dict)
 
     def lagging(self, indices: Iterable[int]) -> list[int]:
         """Batches among ``indices`` that have not finished the latest pass."""
         return [i for i in indices if self.batch_passes.get(i, 0) < self.passes]
 
-    def save(self, path: str | Path) -> None:
-        write_json(path, {
-            "passes": self.passes,
-            "batch_passes": {str(i): n for i, n in self.batch_passes.items()},
-            "digests": {str(i): d for i, d in self.digests.items()},
-        })
-
     @classmethod
     def load(cls, directory: str | Path) -> "FilterState":
         path = Path(directory) / FILTER_STATE_FILE
         if not path.exists():
-            return cls()
-        return read_json(path, RunnerError, lambda raw: cls(
-            passes=int(raw.get("passes", 0)),
-            batch_passes={int(i): int(n) for i, n in raw["batch_passes"].items()},
-            digests={int(i): str(d) for i, d in raw.get("digests", {}).items()},
-        ))
+            return cls(batch_passes={})
+        return read_json(path, RunnerError, cls)
 
 
 @dataclass
@@ -514,17 +476,15 @@ def run_filter(
         pending.append(
             _Batch(
                 index=index,
-                digest=_batch_digest((text,), _prompt_without_payload(bundle), client.config),
                 output_path=directory / f"batch_{index}_filtered.txt",
                 request=lambda bundle=bundle: (bundle, ""),
             )
         )
-    state.save(state_path)
+    write_json(state_path, state)
 
-    def record(batch: _Batch) -> None:
-        state.batch_passes[batch.index] = state.batch_passes.get(batch.index, 0) + 1
-        state.digests[batch.index] = batch.digest
-        state.save(state_path)
+    def record(index: int) -> None:
+        state.batch_passes[index] = state.batch_passes.get(index, 0) + 1
+        write_json(state_path, state)
 
     responses, stats.failures = _run_batches(pending, client, record)
     for index, response in responses.items():

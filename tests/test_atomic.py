@@ -1,7 +1,7 @@
 """The shared JSON layer: one serialiser, one reader, one error rule."""
 
 import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import pytest
 
@@ -101,8 +101,8 @@ def test_read_json_rejects_anything_but_an_object(tmp_path, text):
 def test_read_json_conversion_errors_name_the_file(tmp_path):
     path = tmp_path / "state.json"
     path.write_text('{"n": "x"}', encoding="utf-8")
-    with pytest.raises(Oops, match="state.json"):
-        read_json(path, Oops, convert=lambda raw: int(raw["n"]))
+    with pytest.raises(Oops, match="state.json: n must be int, got 'x'"):
+        read_json(path, Oops, N)
 
 
 @pytest.mark.parametrize("read", [
@@ -167,6 +167,35 @@ def test_from_json_requires_fields_without_defaults():
         from_json(Outer, {"count": 1})
     with pytest.raises(KeyError, match="x"):
         from_json(Outer, {"name": "n", "inner": {}})
+
+
+@dataclass(frozen=True)
+class Indexed:
+    passes: dict[int, int]
+    names: dict[int, str] = field(default_factory=dict)
+
+
+def test_integer_keyed_objects_round_trip_in_numeric_key_order(tmp_path):
+    path = tmp_path / "state.json"
+    value = Indexed({10: 1, 9: 2, 0: 3}, {2: "b"})
+    write_json(path, value)
+    assert path.read_text(encoding="utf-8") == '{"names": {"2": "b"}, "passes": {"0": 3, "9": 2, "10": 1}}\n'
+    assert read_json(path, Oops, Indexed) == value
+    assert from_json(Indexed, {"passes": {}}) == Indexed({})
+
+
+@pytest.mark.parametrize("raw, message", [
+    ({"passes": {"x": 1}}, "passes.x is not an integer key"),
+    ({"passes": {"1.5": 1}}, "passes.1.5 is not an integer key"),
+    ({"passes": {"1": True}}, "passes.1 must be int, got True"),
+    ({"passes": {"1": 1.5}}, "passes.1 must be int, got 1.5"),
+    ({"passes": {"1": "2"}}, "passes.1 must be int, got '2'"),
+    ({"passes": {}, "names": {"0": 7}}, "names.0 must be str, got 7"),
+    ({"passes": [1]}, r"passes must be an object of int by integer key, got \[1\]"),
+])
+def test_integer_keyed_object_errors_name_the_field(raw, message):
+    with pytest.raises(TypeError, match=message):
+        from_json(Indexed, raw)
 
 
 def test_type_hints_are_read_once_per_class(tmp_path, monkeypatch):

@@ -33,8 +33,8 @@ from paperlens.provider import (
 
 
 def bundle_for(refs=(), payload="", kind=PromptKind.ANNOTATION, instructions="do the task"):
-    return PromptBundle(kind=kind, instructions=instructions, payload_text=payload,
-                        payload_refs=tuple(refs))
+    text = "\n\n".join(part for part in (instructions, payload) if part)
+    return PromptBundle(kind=kind, text=text, payload_refs=tuple(refs))
 
 
 # --- estimate_tokens ---------------------------------------------------------
@@ -377,7 +377,7 @@ def test_stub_call_leaves_requests_unloaded(tmp_path):
         "from paperlens.prompts import PromptBundle, PromptKind\n"
         "from paperlens.provider import ProviderConfig, make_client\n"
         "client = make_client(ProviderConfig(dialect='stub', fixtures_dir=sys.argv[1]))\n"
-        "bundle = PromptBundle(kind=PromptKind.ANNOTATION, instructions='x', payload_refs=('d',))\n"
+        "bundle = PromptBundle(kind=PromptKind.ANNOTATION, text='x', payload_refs=('d',))\n"
         "print(client.complete(bundle).text, 'requests' in sys.modules)",
         tmp_path,
     )

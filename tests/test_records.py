@@ -202,6 +202,34 @@ def test_batch_file_headers_are_boundaries():
     assert records[0].title == "Kept"
 
 
+def test_field_line_naming_a_batch_file_stays_a_field():
+    text = (
+        "- **Title:** Logs\n"
+        "- **Finding:** The logs give the reason.\n"
+        '- **Quote:** "the logs in batch 2 output.txt show it" (p. 3)\n'
+        "- **Context:** c\n"
+    )
+    records, warnings = parse_batch_output(text, 2)
+    assert warnings == []
+    assert [(r.title, r.quote, r.page, r.commentary) for r in records] == [
+        ("Logs", "the logs in batch 2 output.txt show it", 3, "c"),
+    ]
+
+
+def test_batch_file_line_ends_the_item_before_it():
+    text = (
+        "- Title: First\n"
+        '- Quote: "first quote"\n'
+        "- Context: first commentary\n"
+        "From batch_3_output.txt:\n"
+        "- Title: Second\n"
+        '- Quote: "second quote"\n'
+    )
+    records, warnings = parse_batch_output(text, 3)
+    assert warnings == []
+    assert [(r.title, r.commentary) for r in records] == [("First", "first commentary"), ("Second", "")]
+
+
 def test_multiline_field_continuation():
     text = (
         "- Title: Wrapped\n"

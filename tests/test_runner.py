@@ -35,8 +35,8 @@ from paperlens.runner import (
 
 BUNDLE = PromptBundle(
     kind=PromptKind.ANNOTATION,
-    persona="You are a test assistant.",
-    instructions="Watch for the target concept.\n\nAny.\n\nReport items as labeled bullets.",
+    text="You are a test assistant.\n\n"
+         "Watch for the target concept.\n\nAny.\n\nReport items as labeled bullets.",
 )
 
 
@@ -119,7 +119,7 @@ def test_planned_batches_pass_the_send_time_check(sizes, k):
                             prompt_tokens=bundle.estimated_tokens)
         by_id = {ref.doc_id: ref for ref in refs}
         for job in jobs:
-            prompt = bundle.render() + "\n\n" + _batch_payload(job, by_id)
+            prompt = bundle.text + "\n\n" + _batch_payload(job, by_id)
             assert estimate_tokens(prompt) + max_output <= window, job.doc_ids
 
 
@@ -162,7 +162,7 @@ def test_run_annotation_end_to_end(tmp_path):
     assert (out / "batch_0_output.txt").read_text() == "analysis for batch 0"
     assert (out / "batch_1_output.txt").read_text() == "analysis for batch 1"
     checkpoint = json.loads((out / "checkpoint.json").read_text())
-    assert checkpoint["completed"] == [0, 1]
+    assert list(checkpoint["digests"]) == ["0", "1"]
 
 
 def test_run_annotation_payload_headers(tmp_path):
@@ -213,6 +213,23 @@ def test_resume_with_damaged_checkpoint_names_it(tmp_path, text):
         run_annotation(plan_batches(manifest, cfg), BUNDLE, manifest, make_stub(tmp_path), cfg)
 
 
+@pytest.mark.parametrize("text, reason", [
+    ('{"manifest_hash": "h", "digests": {"0": true}}', "digests.0 must be str, got True"),
+    ('{"manifest_hash": "h", "digests": {"0": 1.5}}', "digests.0 must be str, got 1.5"),
+    ('{"manifest_hash": 2}', "manifest_hash must be str, got 2"),
+    ('{"manifest_hash": "h", "digests": {"x": "d"}}', "digests.x is not an integer key"),
+    ('{"completed": [0], "digests": {"0": "d"}}', "missing key 'manifest_hash'"),
+])
+def test_resume_with_checkpoint_value_of_wrong_type_names_the_field(tmp_path, text, reason):
+    manifest = _corpus_on_disk(tmp_path, 2)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "checkpoint.json").write_text(text, encoding="utf-8")
+    cfg = RunnerConfig(batch_size=2, output_dir=str(out), resume=True)
+    with pytest.raises(RunnerError, match=f"checkpoint.json: {reason}"):
+        run_annotation(plan_batches(manifest, cfg), BUNDLE, manifest, make_stub(tmp_path), cfg)
+
+
 def test_resume_runs_only_missing(tmp_path):
     manifest = _corpus_on_disk(tmp_path, 4)
     out = tmp_path / "out"
@@ -253,7 +270,7 @@ def test_permanent_failure_recorded_not_fatal(tmp_path, monkeypatch):
     assert not summary.ok
     assert summary.failures[0][0] == 1
     checkpoint = json.loads((out / "checkpoint.json").read_text())
-    assert checkpoint["completed"] == [0]
+    assert list(checkpoint["digests"]) == ["0"]
 
 
 class _Reply:
@@ -321,23 +338,24 @@ def test_checkpoint_never_references_missing_output(tmp_path, monkeypatch):
     _fixtures_for_jobs(fixtures, jobs, lambda j: f"batch {j.index}")
     client = make_stub(fixtures, max_inflight=1)
 
-    from paperlens.runner import Checkpoint
+    from paperlens import runner
 
-    real_save = Checkpoint.save
+    real_write_json = runner.write_json
     crashes = {"armed": True}
 
-    def crashing_save(self, path):
-        if crashes["armed"] and 1 in self.completed:
+    def crashing_write_json(path, obj):
+        if crashes["armed"] and 1 in obj.digests:
             crashes["armed"] = False
             raise KeyboardInterrupt("simulated crash mid-checkpoint")
-        real_save(self, path)
+        real_write_json(path, obj)
 
-    monkeypatch.setattr(Checkpoint, "save", crashing_save)
+    monkeypatch.setattr(runner, "write_json", crashing_write_json)
     with pytest.raises(KeyboardInterrupt):
         run_annotation(jobs, BUNDLE, manifest, client, cfg)
 
-    checkpoint = Checkpoint.load(out / "checkpoint.json")
-    for index in checkpoint.completed:
+    checkpoint = json.loads((out / "checkpoint.json").read_text())
+    assert not crashes["armed"]
+    for index in checkpoint["digests"]:
         assert (out / f"batch_{index}_output.txt").exists()
 
 
@@ -353,7 +371,7 @@ def test_resume_after_batch_size_change_annotates_every_document(tmp_path):
     _fixtures_for_jobs(fixtures, jobs2 + jobs3, lambda j: "annotated " + ",".join(j.doc_ids))
     client = make_stub(fixtures)
     run_annotation(jobs2[:1], BUNDLE, manifest, client, cfg2)
-    assert json.loads((out / "checkpoint.json").read_text())["completed"] == [0]
+    assert list(json.loads((out / "checkpoint.json").read_text())["digests"]) == ["0"]
 
     summary = run_annotation(jobs3, BUNDLE, manifest, client, cfg3)
 
@@ -421,8 +439,7 @@ def test_checkpoint_records_every_batch_under_contention(tmp_path):
 
     assert summary.completed == len(jobs) == 24
     checkpoint = json.loads((out / "checkpoint.json").read_text())
-    assert checkpoint["completed"] == list(range(len(jobs)))
-    assert sorted(int(i) for i in checkpoint["digests"]) == list(range(len(jobs)))
+    assert [int(i) for i in checkpoint["digests"]] == list(range(len(jobs)))
     assert len(set(checkpoint["digests"].values())) == len(jobs)
 
 
@@ -554,6 +571,20 @@ def test_filter_state_without_batch_passes_is_rejected(tmp_path):
     _write_batch_outputs(out, {0: 2})
     (out / "filter_state.json").write_text('{"passes": 1}', encoding="utf-8")
     with pytest.raises(RunnerError, match="filter_state.json: missing key 'batch_passes'"):
+        run_filter(out, make_stub(tmp_path))
+
+
+@pytest.mark.parametrize("text, reason", [
+    ('{"batch_passes": {"0": true}}', "batch_passes.0 must be int, got True"),
+    ('{"batch_passes": {"0": 1.5}}', "batch_passes.0 must be int, got 1.5"),
+    ('{"batch_passes": {"0": 1}, "passes": "2"}', "passes must be int, got '2'"),
+    ('{"batch_passes": {"x": 1}, "passes": 1}', "batch_passes.x is not an integer key"),
+])
+def test_filter_state_value_of_wrong_type_names_the_field(tmp_path, text, reason):
+    out = tmp_path / "out"
+    _write_batch_outputs(out, {0: 2})
+    (out / "filter_state.json").write_text(text, encoding="utf-8")
+    with pytest.raises(RunnerError, match=f"filter_state.json: {reason}"):
         run_filter(out, make_stub(tmp_path))
 
 

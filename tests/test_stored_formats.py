@@ -1,4 +1,4 @@
-"""The stored manifest and dataset formats: pinned bytes, round trips, typed fields."""
+"""The stored manifest, dataset and run-state formats: pinned bytes, round trips, typed fields."""
 
 import json
 from pathlib import Path
@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_record, write_corpus, write_metadata
+from paperlens.atomic import read_json, write_json
 from paperlens.cli import main
 from paperlens.corpus import (
     CorpusManifest,
@@ -16,7 +17,10 @@ from paperlens.corpus import (
     load_manifest,
     save_manifest,
 )
+from paperlens.prompts import SECTION_FILES
+from paperlens.provider import stub_key, write_stub_fixture
 from paperlens.records import QUALITY_LABELS, Dataset, ExampleRecord, load_dataset, save_dataset
+from paperlens.runner import Checkpoint, FilterState, RunnerError
 from paperlens.verify import VerificationResult
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -77,6 +81,108 @@ def test_dataset_bytes_are_pinned(tmp_path):
     loaded = load_dataset(golden)
     assert loaded == dataset
     assert type(loaded.records[0].verification.similarity) is float
+
+
+# --- Run-state files: checkpoint.json and filter_state.json ------------------
+
+#: Batches of the study below, one document each: enough that the keys
+#: "10" to "12" sort differently as text and as numbers.
+BATCHES = 13
+ANNOTATE = ["annotate", "--config", "config.json", "--manifest", "manifest.jsonl",
+            "--out", "run", "--batch-size", "1"]
+FILTER = ["filter", "--config", "config.json", "--dir", "run"]
+
+
+def make_study() -> None:
+    """Write a corpus, its manifest, prompt sections, stub replies and a config into the working directory.
+
+    Every path is relative, so the manifest digest and the batch digests are
+    the same in any directory.
+    """
+    write_corpus(Path("src"), {f"p{i:02d}": f"Paper {i} explains why claim {i} holds." for i in range(BATCHES)})
+    for kind, names in SECTION_FILES.items():
+        (Path("templates") / kind.value).mkdir(parents=True)
+        for name in names:
+            (Path("templates") / kind.value / f"{name}.txt").write_text(f"The {name} section.", encoding="utf-8")
+    for i in range(BATCHES):
+        write_stub_fixture("fixtures", "annotation", [f"p{i:02d}"], f"Annotation of batch {i}.")
+        write_stub_fixture("fixtures", "filter", [f"batch_{i}_output.txt"], f"Batch {i} after one pass.")
+        write_stub_fixture("fixtures", "filter", [f"batch_{i}_filtered.txt"], f"Batch {i} after two passes.")
+    provider = {"dialect": "stub", "fixtures_dir": "fixtures", "max_retries": 0, "backoff_base_ms": 1}
+    Path("config.json").write_text(json.dumps({"provider": provider, "prompts_dir": "templates"}), encoding="utf-8")
+    assert main(["ingest", "--source", "src", "--out", "manifest.jsonl"]) == 0
+
+
+def stub_reply(kind: str, ref: str) -> Path:
+    return Path("fixtures") / f"{kind}-{stub_key(kind, [ref])}.txt"
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    golden = GOLDEN / "checkpoint_thirteen_batches.json"
+    checkpoint = read_json(golden, RunnerError, Checkpoint)
+    assert list(checkpoint.digests) == list(range(BATCHES))
+    path = tmp_path / "checkpoint.json"
+    write_json(path, Checkpoint(checkpoint.manifest_hash, dict(reversed(checkpoint.digests.items()))))
+    assert path.read_bytes() == golden.read_bytes()
+
+
+def test_filter_state_bytes_are_pinned(tmp_path):
+    state = FilterState(batch_passes={i: 2 for i in reversed(range(BATCHES))}, passes=2)
+    write_json(tmp_path / "filter_state.json", state)
+    golden = GOLDEN / "filter_state_thirteen_batches.json"
+    assert (tmp_path / "filter_state.json").read_bytes() == golden.read_bytes()
+    assert FilterState.load(tmp_path) == state
+
+
+def test_checkpoint_of_the_older_format_resumes_the_same_batches(tmp_path, monkeypatch, capsys):
+    # checkpoint_older_format.json was written by the previous format's code
+    # for this study, after batches 3 and 11 had failed: it lists the others
+    # under "completed" too, with its keys in text order.
+    monkeypatch.chdir(tmp_path)
+    make_study()
+    assert main(ANNOTATE) == 0
+    older = (GOLDEN / "checkpoint_older_format.json").read_text(encoding="utf-8")
+    Path("run/checkpoint.json").write_text(older, encoding="utf-8")
+    done = json.loads(older)["completed"]
+    assert sorted(done) == [i for i in range(BATCHES) if i not in (3, 11)]
+    for i in (3, 11):
+        Path(f"run/batch_{i}_output.txt").unlink()
+    for i in done:  # a call for a batch the older run finished would now fail
+        stub_reply("annotation", f"p{i:02d}").unlink()
+    capsys.readouterr()
+
+    assert main([*ANNOTATE, "--resume"]) == 0
+
+    assert "13/13 batches done, 11 resumed, 0 failed, 2 provider calls" in capsys.readouterr().err
+    written = Path("run/checkpoint.json").read_bytes()
+    assert written == (GOLDEN / "checkpoint_thirteen_batches.json").read_bytes()
+    digests = json.loads(written)["digests"]
+    assert all(digests[key] == digest for key, digest in json.loads(older)["digests"].items())
+
+
+def test_filter_state_of_the_older_format_finishes_the_lagging_pass(tmp_path, monkeypatch):
+    # filter_state_older_format.json was written by the previous format's code
+    # for this study, after pass 2 had failed for batch 3: it holds "digests".
+    monkeypatch.chdir(tmp_path)
+    make_study()
+    assert main(ANNOTATE) == 0
+    assert main(FILTER) == 0
+    stub_reply("filter", "batch_3_filtered.txt").rename("held_back.txt")
+    assert main(FILTER) == 2
+    older = (GOLDEN / "filter_state_older_format.json").read_text(encoding="utf-8")
+    assert "digests" in json.loads(older)
+    Path("run/filter_state.json").write_text(older, encoding="utf-8")
+    Path("held_back.txt").rename(stub_reply("filter", "batch_3_filtered.txt"))
+    for i in range(BATCHES):
+        stub_reply("filter", f"batch_{i}_output.txt").unlink()
+        if i != 3:  # only batch 3 lags
+            stub_reply("filter", f"batch_{i}_filtered.txt").unlink()
+
+    assert main(FILTER) == 0
+
+    assert Path("run/batch_3_filtered.txt").read_text(encoding="utf-8") == "Batch 3 after two passes."
+    written = Path("run/filter_state.json").read_bytes()
+    assert written == (GOLDEN / "filter_state_thirteen_batches.json").read_bytes()
 
 
 # --- Round trips of random values --------------------------------------------
