@@ -36,14 +36,19 @@ for i in range(6):
     )
 manifest = ingest(src).manifest
 
+# The plan is budgeted against the context window of the client that sends it.
+fixtures = work / "fixtures"
+client = StubChatClient(ProviderConfig(dialect="stub", fixtures_dir=str(fixtures)))
+bundle = build_annotation_prompt()
+print(f"annotation prompt estimate: {bundle.estimated_tokens} tokens")
+
 run_cfg = RunnerConfig(batch_size=3, output_dir=str(work / "run"))
-jobs = plan_batches(manifest, run_cfg)
-print(f"planned {len(jobs)} batches: {[len(j.doc_ids) for j in jobs]} docs each")
+jobs = plan_batches(manifest, run_cfg, client.config, bundle.estimated_tokens)
+print(f"planned {len(jobs)} batches: {[len(j.doc_ids) for j in jobs]} docs each, "
+      f"~{[j.tokens for j in jobs]} doc tokens each")
+
 
 # Canned model responses: labeled-bullet items, half of which survive filtering.
-fixtures = work / "fixtures"
-
-
 def fake_items(job, count):
     return [
         ExampleRecord(
@@ -69,10 +74,6 @@ for job in jobs:
         render_record(items[0]),
     )
 
-client = StubChatClient(ProviderConfig(dialect="stub", fixtures_dir=str(fixtures)))
-bundle = build_annotation_prompt()
-print(f"annotation prompt estimate: {bundle.estimated_tokens} tokens")
-
 summary = run_annotation(jobs, bundle, manifest, client, run_cfg)
 print(f"run: {summary.completed} done, {summary.failed} failed, "
       f"{summary.provider_calls} provider calls")
@@ -80,7 +81,10 @@ print(f"outputs: {sorted(p.name for p in (work / 'run').glob('batch_*_output.txt
 
 # Resume after completion: the checkpoint makes this a no-op.
 resume_cfg = RunnerConfig(batch_size=3, output_dir=str(work / "run"), resume=True)
-resumed = run_annotation(plan_batches(manifest, resume_cfg), bundle, manifest, client, resume_cfg)
+resumed = run_annotation(
+    plan_batches(manifest, resume_cfg, client.config, bundle.estimated_tokens),
+    bundle, manifest, client, resume_cfg,
+)
 print(f"resume: {resumed.skipped} batches skipped, {resumed.provider_calls} provider calls")
 
 # Strict filter pass; the stub keeps one of two records per batch.

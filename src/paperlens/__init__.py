@@ -18,6 +18,7 @@ from .analytics import (
     prevalence_estimate,
     richness_table,
 )
+from .atomic import PaperlensError
 from .corpus import (
     CorpusManifest,
     DocumentRef,
@@ -88,6 +89,7 @@ __all__ = [
     "IngestResult",
     "MAIN_AREAS",
     "ModelResponse",
+    "PaperlensError",
     "PrevalenceEstimate",
     "PromptBundle",
     "PromptKind",

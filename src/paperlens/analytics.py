@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
-from .atomic import write_atomic
+from .atomic import PaperlensError, write_atomic
 from .taxonomy import MAIN_AREAS, SubjectArea, classify_tag
 
 if TYPE_CHECKING:
@@ -26,7 +26,7 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 
-class AnalyticsError(Exception):
+class AnalyticsError(PaperlensError):
     """Raised for violated analytic preconditions."""
 
 
@@ -259,7 +259,7 @@ def _richness_csv(
 def emit_report(
     corpus: DistributionTable,
     dataset: DistributionTable,
-    prevalence: PrevalenceEstimate | None,
+    prevalence: PrevalenceEstimate,
     destination: str | Path,
 ) -> tuple[Path, Path]:
     """Write the human-readable report and the machine-readable CSV.
@@ -288,22 +288,16 @@ def emit_report(
         lines.extend(_format_table(corpus, dataset, rows))
     lines.append("")
 
-    if prevalence is not None:
-        t = prevalence.tiers
-        lines.append("Prevalence of the target concept")
-        lines.append("=" * 32)
-        lines.append(
-            f"Contributing papers: {prevalence.contributing_papers} of {prevalence.total_papers}"
-        )
-        lines.append(
-            f"Tier fractions used: high={t.high:.2f}, borderline={t.borderline:.2f}, low={t.low:.2f}"
-        )
-        lines.append(f"Clear-claim rate: {prevalence.clear_rate * 100:.1f}% of corpus papers")
-        lines.append(
-            f"Borderline-or-better rate: {prevalence.borderline_or_better_rate * 100:.1f}% "
-            "of corpus papers"
-        )
-        lines.append("")
+    t = prevalence.tiers
+    lines += [
+        "Prevalence of the target concept",
+        "=" * 32,
+        f"Contributing papers: {prevalence.contributing_papers} of {prevalence.total_papers}",
+        f"Tier fractions used: high={t.high:.2f}, borderline={t.borderline:.2f}, low={t.low:.2f}",
+        f"Clear-claim rate: {prevalence.clear_rate * 100:.1f}% of corpus papers",
+        f"Borderline-or-better rate: {prevalence.borderline_or_better_rate * 100:.1f}% of corpus papers",
+        "",
+    ]
 
     report_path = dest / "report.txt"
     csv_path = dest / "richness.csv"

@@ -1,4 +1,5 @@
-"""The one way paperlens writes an output file and reads or writes JSON.
+"""The one way paperlens writes an output file and reads or writes JSON,
+and the one base of its error classes.
 
 Every JSON file paperlens keeps goes through here. Writing has one
 serialiser: sorted keys, non-ASCII characters kept as they are, one object
@@ -10,6 +11,9 @@ class naming ``path`` or ``path:line``. Blank lines are skipped.
 ``from_json`` builds a dataclass from an object, each value checked against
 the type its field declares; ``read_json`` and ``read_jsonl`` build their
 objects with it.
+
+``PaperlensError`` is the base of every paperlens error class: the CLI
+reports one as a user error, and the runner as the failure of one batch.
 """
 
 from __future__ import annotations
@@ -34,6 +38,10 @@ _ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True, default=_fields_
 _SHAPE_ERRORS = (KeyError, TypeError, ValueError)
 
 _UNIONS = (typing.Union, types.UnionType)
+
+
+class PaperlensError(Exception):
+    """Base class of every paperlens error: bad input, an unusable file, or a provider failure."""
 
 
 class _Mismatch(Exception):

@@ -16,13 +16,13 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import analytics, corpus, prompts, provider, records, runner, taxonomy, verify
-from .atomic import write_atomic
-from .config import OVERRIDABLE, ConfigError, GlobalConfig, apply_overrides, load_config
+from .atomic import PaperlensError, write_atomic
+from .config import OVERRIDABLE, GlobalConfig, apply_overrides, load_config
 
 logger = logging.getLogger("paperlens")
 
 
-class CliError(Exception):
+class CliError(PaperlensError):
     """A user error that should exit with code 1."""
 
 
@@ -78,10 +78,7 @@ def _parse_tiers(spec: str) -> analytics.TierFractions:
         high, borderline, low = (float(p) for p in parts)
     except ValueError as exc:
         raise CliError(f"--tiers: {exc}") from exc
-    try:
-        return analytics.TierFractions(high=high, borderline=borderline, low=low)
-    except analytics.AnalyticsError as exc:
-        raise CliError(str(exc)) from exc
+    return analytics.TierFractions(high=high, borderline=borderline, low=low)
 
 
 def build_parser() -> _Parser:
@@ -119,7 +116,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dry-run", dest="dry_run", action="store_true",
                    help="print the batch plan and token estimates; no provider calls")
     p.add_argument("--audit", action="store_true",
-                   help="log redacted request/response bodies to an audit file")
+                   help="log full request/response bodies, without credentials, to an audit file")
 
     p = sub.add_parser("filter", help="apply the strict quality filter to batch outputs")
     _add_provider_flags(_add_config_flags(p))
@@ -127,7 +124,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dry-run", dest="dry_run", action="store_true",
                    help="print the next pass, its input files and token estimates; no provider calls")
     p.add_argument("--audit", action="store_true",
-                   help="log redacted request/response bodies to an audit file")
+                   help="log full request/response bodies, without credentials, to an audit file")
 
     p = sub.add_parser("parse", help="parse batch outputs into a structured dataset")
     p.add_argument("--dir", required=True, help="directory containing batch files")
@@ -158,7 +155,7 @@ def build_parser() -> _Parser:
     p.add_argument("--question", required=True, help="the follow-up question")
     p.add_argument("--log", help="transcript file (default: alongside the dataset)")
     p.add_argument("--audit", action="store_true",
-                   help="log redacted request/response bodies to an audit file")
+                   help="log full request/response bodies, without credentials, to an audit file")
 
     p = sub.add_parser("export", help="render a dataset as a human-readable document")
     p.add_argument("--dataset", required=True, help="dataset file to render")
@@ -229,13 +226,9 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
     if args.dry_run:
         print(f"plan: {len(jobs)} batches over {len(manifest)} documents")
         print(f"prompt estimate: {bundle.estimated_tokens} tokens")
-        refs = {r.doc_id: r for r in manifest.documents}
         for job in jobs:
-            doc_tokens = sum(runner._doc_tokens(refs[d]) for d in job.doc_ids)
-            print(
-                f"  batch {job.index}: {len(job.doc_ids)} docs, ~{doc_tokens} doc tokens "
-                f"-> {job.output_path}"
-            )
+            print(f"  batch {job.index}: {len(job.doc_ids)} docs, ~{job.tokens} doc tokens "
+                  f"-> {job.output_path}")
         return 0
 
     client = _make_client(cfg, args, Path(args.out))
@@ -453,19 +446,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return dispatch(argv)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (
-        ConfigError,
-        corpus.CorpusError,
-        records.DatasetError,
-        prompts.PromptError,
-        runner.RunnerError,
-        analytics.AnalyticsError,
-        provider.ProviderError,
-        taxonomy.TaxonomyError,
-    ) as exc:
+    except PaperlensError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

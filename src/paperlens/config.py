@@ -6,14 +6,14 @@ import os
 from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
-from .atomic import from_json, read_json
+from .atomic import PaperlensError, from_json, read_json
 from .provider import ProviderConfig
 from .runner import RunnerConfig
 
 CONFIG_ENV_VAR = "PAPERLENS_CONFIG"
 
 
-class ConfigError(Exception):
+class ConfigError(PaperlensError):
     """Raised for unreadable or malformed config files."""
 
 

@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .atomic import jsonl_text, read_jsonl, write_atomic
+from .atomic import PaperlensError, jsonl_text, read_jsonl, write_atomic
 from .verify import normalize
 
 logger = logging.getLogger(__name__)
@@ -30,7 +30,7 @@ logger = logging.getLogger(__name__)
 MANIFEST_FORMAT = "paperlens-manifest/1"
 
 
-class CorpusError(Exception):
+class CorpusError(PaperlensError):
     """Raised for unreadable inputs and violated sampling preconditions."""
 
 

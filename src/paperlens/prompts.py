@@ -14,10 +14,11 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
+from .atomic import PaperlensError
 from .provider import estimate_tokens
 
 
-class PromptError(Exception):
+class PromptError(PaperlensError):
     """Raised for missing template sections or invalid prompt inputs."""
 
 

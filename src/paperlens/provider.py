@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .atomic import append_jsonl, write_atomic
+from .atomic import PaperlensError, append_jsonl, write_atomic
 
 if TYPE_CHECKING:
     import requests
@@ -35,7 +35,7 @@ _BACKOFF_CAP_S = 60.0
 _BACKOFF_JITTER = 0.25
 
 
-class ProviderError(Exception):
+class ProviderError(PaperlensError):
     """Base class for provider failures."""
 
 

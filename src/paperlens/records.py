@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .atomic import read_jsonl, write_jsonl
+from .atomic import PaperlensError, read_jsonl, write_jsonl
 from .verify import VerificationResult
 
 logger = logging.getLogger(__name__)
@@ -29,7 +29,7 @@ QUALITY_LABELS = ("high", "borderline", "low")
 DOC_HEADER = "=== FILE: {doc_id} ({title}) ==="
 
 
-class DatasetError(Exception):
+class DatasetError(PaperlensError):
     """Raised for malformed dataset files."""
 
 
@@ -261,15 +261,18 @@ def parse_batch_output(text: str, batch_index: int = 0) -> tuple[list[ExampleRec
                 current_label = fld
             continue
 
+        continues = current_label is not None and not _BULLET_RE.match(raw_line)
         # A batch file name outside a field line names the batch an item
-        # list came from: it ends the item before it.
-        if _BATCH_HEADER.search(stripped) and len(stripped) < 120:
+        # list came from: it ends the item before it, unless the line
+        # continues an open field past the name ("with batch_2_output.txt for").
+        batch_name = _BATCH_HEADER.search(stripped)
+        if batch_name and len(stripped) < 120 and not (continues and stripped[batch_name.end():].strip(": ")):
             flush_item()
             flush_stray()
             continue
 
         # Continuation of the current field, or an unrecognizable stretch.
-        if current_label is not None and not _BULLET_RE.match(raw_line):
+        if continues:
             current[current_label] = current[current_label] + "\n" + stripped
         elif stripped.startswith("#") or set(stripped) <= set("-=*_"):
             continue  # headings and rules carry no content

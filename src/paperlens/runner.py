@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from . import provider
-from .atomic import append_jsonl, read_json, write_atomic, write_json
+from .atomic import PaperlensError, append_jsonl, read_json, write_atomic, write_json
 from .corpus import CorpusManifest, DocumentRef, load_text, manifest_digest
 from .prompts import PromptBundle, build_filter_prompt, build_query_prompt
 from .records import DOC_HEADER, parse_batch_output
@@ -36,7 +36,7 @@ FILTER_STATE_FILE = "filter_state.json"
 QUERY_LOG_SUFFIX = ".query_log.jsonl"
 
 
-class RunnerError(Exception):
+class RunnerError(PaperlensError):
     """Raised for planning and execution preconditions."""
 
 
@@ -57,6 +57,7 @@ class BatchJob:
     index: int
     doc_ids: tuple[str, ...]
     output_path: str
+    tokens: int  # the planner's estimate for the documents and their headers
     status: JobStatus = JobStatus.PENDING
 
 
@@ -114,24 +115,23 @@ def _doc_tokens(ref: DocumentRef) -> int:
 def plan_batches(
     manifest: CorpusManifest,
     cfg: RunnerConfig,
-    provider_cfg: provider.ProviderConfig | None = None,
-    prompt_tokens: int = 0,
+    provider_cfg: provider.ProviderConfig,
+    prompt_tokens: int,
 ) -> list[BatchJob]:
-    """Partition the manifest into consecutive batches of at most batch_size.
+    """Partition the manifest into consecutive batches that each fit one request.
 
-    Batches are disjoint and cover the manifest in canonical order. When a
-    provider config is given, any batch whose token estimate would overflow
-    the context window is split further, never dropped; a single document
-    that alone exceeds the window is an error unless ``skip_oversize`` is
-    set, in which case it is excluded with a warning.
+    Batches are disjoint and cover the manifest in canonical order. A batch
+    closes at ``batch_size`` documents, or earlier when its request would
+    overflow the context window of ``provider_cfg``, given the
+    ``prompt_tokens`` sent ahead of the documents. A job's ``tokens`` plus
+    ``prompt_tokens`` bound the estimate ``ChatClient.complete`` checks. A
+    document that alone exceeds the window is an error unless
+    ``skip_oversize`` is set, in which case it is excluded with a warning.
     """
     if len(manifest) == 0:
         raise RunnerError("cannot plan batches over an empty manifest")
 
-    budget: int | None = None
-    if provider_cfg is not None:
-        budget = provider_cfg.context_window_tokens - provider_cfg.max_output_tokens - prompt_tokens
-
+    budget = provider_cfg.context_window_tokens - provider_cfg.max_output_tokens - prompt_tokens
     out_dir = Path(cfg.output_dir)
     jobs: list[BatchJob] = []
     batch: list[str] = []
@@ -146,14 +146,15 @@ def plan_batches(
                     index=index,
                     doc_ids=tuple(batch),
                     output_path=str(out_dir / f"batch_{index}_output.txt"),
+                    tokens=batch_tokens,
                 )
             )
             batch = []
             batch_tokens = 0
 
     for ref in manifest.documents:
-        tokens = _doc_tokens(ref) if budget is not None else 0
-        if budget is not None and tokens > budget:
+        tokens = _doc_tokens(ref)
+        if tokens > budget:
             if cfg.skip_oversize:
                 logger.warning(
                     "document %s alone exceeds the context window (~%d tokens); skipped",
@@ -166,7 +167,7 @@ def plan_batches(
                 f"(~{tokens} tokens against a budget of {budget}); "
                 "re-run with --skip-oversize to exclude it"
             )
-        if len(batch) >= cfg.batch_size or (budget is not None and batch and batch_tokens + tokens > budget):
+        if len(batch) >= cfg.batch_size or batch_tokens + tokens > budget:
             close_batch()
         batch.append(ref.doc_id)
         batch_tokens += tokens
@@ -198,7 +199,7 @@ def _batch_digest(doc_ids: Iterable[str], prompt: str, config: provider.Provider
 
 
 # A batch that fails with one of these is recorded and the run continues.
-_BATCH_ERRORS = (provider.ProviderError, RunnerError, OSError, KeyError)
+_BATCH_ERRORS = (PaperlensError, OSError)
 
 
 @dataclass(frozen=True)
@@ -224,9 +225,9 @@ def _run_batches(
     output path before ``record`` runs with its index under a lock, so a
     checkpoint saved by ``record`` never names a missing file. Returns the
     response texts by index and the failures as ``(index, error)``, both in
-    batch-index order whichever call finishes first. Errors outside
-    ``_BATCH_ERRORS`` (and interrupts) cancel the batches not yet started
-    and propagate.
+    batch-index order whichever call finishes first. A ``PaperlensError``
+    or ``OSError`` fails its batch alone; any other error, being a bug, and
+    an interrupt cancel the batches not yet started and propagate.
     """
     ordered = sorted(batches, key=lambda b: b.index)
     responses: dict[int, str] = {}

@@ -12,10 +12,10 @@ from __future__ import annotations
 import enum
 from pathlib import Path
 
-from .atomic import read_json
+from .atomic import PaperlensError, read_json
 
 
-class TaxonomyError(Exception):
+class TaxonomyError(PaperlensError):
     """Raised for unreadable or malformed taxonomy override files."""
 
 

@@ -19,7 +19,7 @@ from paperlens.analytics import (
 )
 from paperlens.corpus import ingest
 from paperlens.prompts import build_annotation_prompt
-from paperlens.provider import write_stub_fixture
+from paperlens.provider import ProviderConfig, write_stub_fixture
 from paperlens.records import (
     Dataset,
     load_dataset,
@@ -47,7 +47,8 @@ def test_batch_plan_reproduction():
     """5000 documents at batch size 25 plan to exactly 200 covering batches."""
     with criterion("batch-plan-reproduction", 1.0):
         manifest = synthetic_manifest(5000)
-        jobs = plan_batches(manifest, RunnerConfig(batch_size=25, output_dir="out"))
+        cfg = RunnerConfig(batch_size=25, output_dir="out")
+        jobs = plan_batches(manifest, cfg, ProviderConfig(), build_annotation_prompt().estimated_tokens)
         assert len(jobs) == 200
         seen = set()
         for job in jobs:
@@ -114,10 +115,12 @@ def test_offline_end_to_end(tmp_path):
         manifest = ingest(src).manifest
         out = tmp_path / "run"
         cfg = RunnerConfig(batch_size=25, output_dir=str(out))
-        jobs = plan_batches(manifest, cfg)
+        fixtures = tmp_path / "fixtures"
+        client = make_stub(fixtures)
+        bundle = build_annotation_prompt()
+        jobs = plan_batches(manifest, cfg, client.config, bundle.estimated_tokens)
         assert len(jobs) == 2
 
-        fixtures = tmp_path / "fixtures"
         counts = {0: 6, 1: 4}
         for job in jobs:
             recs = [
@@ -131,9 +134,6 @@ def test_offline_end_to_end(tmp_path):
                 [f"batch_{job.index}_output.txt"],
                 batch_output_text(recs[: counts[job.index] // 2]),
             )
-        client = make_stub(fixtures)
-        bundle = build_annotation_prompt()
-
         summary = run_annotation(jobs, bundle, manifest, client, cfg)
         assert summary.completed == 2 and summary.failed == 0
         assert (out / "batch_0_output.txt").exists()
@@ -150,7 +150,7 @@ def test_offline_end_to_end(tmp_path):
         assert not stats.quota_warning
 
         calls_before = client.calls
-        jobs_again = plan_batches(manifest, cfg)
+        jobs_again = plan_batches(manifest, cfg, client.config, bundle.estimated_tokens)
         resume_cfg = RunnerConfig(batch_size=25, output_dir=str(out), resume=True)
         resumed = run_annotation(jobs_again, bundle, manifest, client, resume_cfg)
         assert client.calls == calls_before

@@ -284,7 +284,6 @@ STATS_CASES = {
         {**C_COUNTS, SubjectArea.LOGIC_SET_THEORY: 0}, D_COUNTS, prevalence_estimate(735, 5000)
     ),
     "zero_contributors": (C_COUNTS, {}, prevalence_estimate(0, 5000)),
-    "no_prevalence": (C_COUNTS, D_COUNTS, None),
 }
 
 
@@ -301,7 +300,7 @@ def test_report_and_csv_bytes_match_golden_files(tmp_path, case):
 def test_report_empty_dataset(tmp_path):
     corpus = DistributionTable.from_counts(C_COUNTS)
     dataset = DistributionTable.from_counts({})
-    report, _ = emit_report(corpus, dataset, None, tmp_path / "r")
+    report, _ = emit_report(corpus, dataset, prevalence_estimate(0, 5000), tmp_path / "r")
     assert "zero contributing papers" in report.read_text()
 
 
@@ -310,7 +309,7 @@ def test_report_unwritable_destination(tmp_path):
     target.write_text("a file, not a directory")
     corpus = DistributionTable.from_counts(C_COUNTS)
     with pytest.raises(AnalyticsError, match="destination"):
-        emit_report(corpus, corpus, None, target)
+        emit_report(corpus, corpus, prevalence_estimate(735, 5000), target)
 
 
 def test_report_write_failure_keeps_old_report(tmp_path, monkeypatch):
@@ -325,7 +324,7 @@ def test_report_write_failure_keeps_old_report(tmp_path, monkeypatch):
 
     monkeypatch.setattr(Path, "replace", fail)
     with pytest.raises(OSError):
-        emit_report(corpus, dataset, None, dest)
+        emit_report(corpus, dataset, prevalence_estimate(735, 5000), dest)
     assert (dest / "report.txt").read_bytes() == b"previous report"
 
 

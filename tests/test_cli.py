@@ -1,13 +1,21 @@
 """Command-line surface tests: routing, exit codes, dry runs, help text."""
 
+import argparse
+import importlib
 import json
+import pkgutil
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+import paperlens
 from conftest import batch_output_text, make_record, write_corpus
+from paperlens import PaperlensError, cli
 from paperlens.cli import build_parser, main
+from paperlens.config import _FLAG_ONLY, OVERRIDABLE
 from paperlens.corpus import ingest, load_manifest, save_manifest
-from paperlens.provider import stub_key, write_stub_fixture
+from paperlens.provider import ProviderConfig, stub_key, write_stub_fixture
 from paperlens.records import load_dataset
 
 
@@ -169,6 +177,22 @@ def test_annotate_partial_failure_exits_two(pipeline_dirs, tmp_path):
     assert code == 2
     assert (out_dir / "batch_0_output.txt").exists()
     assert not (out_dir / "batch_1_output.txt").exists()
+
+
+def test_annotate_with_an_unreadable_document_fails_only_its_batch(pipeline_dirs, capsys):
+    base, manifest_path, fixtures = pipeline_dirs
+    first = load_manifest(manifest_path).documents[0]
+    Path(first.text_path).unlink()
+    config = write_config(base, fixtures)
+    out_dir = base / "run"
+    code = main(["annotate", "--config", str(config), "--manifest", str(manifest_path),
+                 "--out", str(out_dir), "--batch-size", "2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "1/2 batches done" in err
+    assert f"batch 0 failed: missing or unreadable text for document {first.doc_id!r}" in err
+    assert not (out_dir / "batch_0_output.txt").exists()
+    assert (out_dir / "batch_1_output.txt").exists()
 
 
 def test_resume_through_cli_makes_no_calls(pipeline_dirs, capsys):
@@ -531,3 +555,52 @@ def test_malformed_tiers_is_user_error(pipeline_dirs, tmp_path, capsys, tiers, m
                  "--out", str(tmp_path / "stats"), "--tiers", tiers]) == 1
     assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "stats").exists()
+
+
+def _config_dests(command):
+    """The ``dest`` of every option ``command`` takes."""
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {action.dest for action in subparsers.choices[command]._actions}
+
+
+def test_every_config_field_read_from_a_file_has_a_flag():
+    provider_fields = {f.name for f in fields(ProviderConfig)}
+    for command in ("annotate", "filter", "query"):
+        assert provider_fields | {"prompts_dir"} <= _config_dests(command), command
+    assert "batch_size" in _config_dests("annotate")
+    assert "threshold" in _config_dests("verify")
+    # A config field without a flag would appear here.
+    read_from_file = set(OVERRIDABLE) - set(_FLAG_ONLY)
+    assert read_from_file <= provider_fields | {"prompts_dir", "batch_size", "threshold"}
+
+
+def _paperlens_error_classes():
+    classes = []
+    for info in pkgutil.iter_modules(paperlens.__path__):
+        module = importlib.import_module(f"paperlens.{info.name}")
+        for name, obj in vars(module).items():
+            if (isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__ and not name.startswith("_")):
+                classes.append(obj)
+    return classes
+
+
+ERROR_CLASSES = _paperlens_error_classes()
+
+
+def test_error_classes_are_found():
+    assert {"CliError", "CorpusError", "CheckpointMismatch"} <= {cls.__name__ for cls in ERROR_CLASSES}
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: f"{cls.__module__}.{cls.__name__}")
+def test_every_paperlens_error_is_a_user_error(cls, monkeypatch, capsys):
+    assert issubclass(cls, PaperlensError)
+    exc = cls.__new__(cls)  # without the arguments some constructors take
+    Exception.__init__(exc, "raised by the command")
+
+    def command(args):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "prompts", command)
+    assert main(["prompts", "show", "--kind", "query"]) == 1
+    assert "error: raised by the command" in capsys.readouterr().err

@@ -1,4 +1,7 @@
-"""Each demo script runs to completion against the package in this checkout."""
+"""Each demo script runs to completion against the package in this checkout.
+
+Warnings are errors in the demo process too, as in the test run itself.
+"""
 
 from __future__ import annotations
 
@@ -18,6 +21,6 @@ def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, TMPDIR=str(tmp_path))  # the demos' mkdtemp directories land here
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-W", "error", str(demo)], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr

@@ -217,17 +217,33 @@ def test_field_line_naming_a_batch_file_stays_a_field():
 
 
 def test_batch_file_line_ends_the_item_before_it():
+    for boundary in ("From batch_3_output.txt:", "batch_3_output.txt:"):
+        text = (
+            "- Title: First\n"
+            '- Quote: "first quote"\n'
+            "- Context: first commentary\n"
+            f"{boundary}\n"
+            "- Title: Second\n"
+            '- Quote: "second quote"\n'
+        )
+        records, warnings = parse_batch_output(text, 3)
+        assert warnings == []
+        assert [(r.title, r.commentary) for r in records] == [("First", "first commentary"), ("Second", "")]
+
+
+def test_continuation_line_naming_a_batch_file_stays_in_its_field():
     text = (
-        "- Title: First\n"
-        '- Quote: "first quote"\n'
-        "- Context: first commentary\n"
-        "From batch_3_output.txt:\n"
-        "- Title: Second\n"
-        '- Quote: "second quote"\n'
+        "- Title: Logs\n"
+        "- Context: the reason is in the logs kept\n"
+        "  with batch_2_output.txt for this paper\n"
+        "- Finding: f\n"
+        '- Quote: "q q q q"\n'
     )
-    records, warnings = parse_batch_output(text, 3)
+    records, warnings = parse_batch_output(text, 2)
     assert warnings == []
-    assert [(r.title, r.commentary) for r in records] == [("First", "first commentary"), ("Second", "")]
+    assert [(r.title, r.commentary, r.finding, r.quote) for r in records] == [
+        ("Logs", "the reason is in the logs kept\nwith batch_2_output.txt for this paper", "f", "q q q q"),
+    ]
 
 
 def test_multiline_field_continuation():

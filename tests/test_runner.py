@@ -20,6 +20,7 @@ from paperlens.provider import (
     stub_key,
     write_stub_fixture,
 )
+from paperlens import runner
 from paperlens.runner import (
     CheckpointMismatch,
     JobStatus,
@@ -40,30 +41,35 @@ BUNDLE = PromptBundle(
 )
 
 
+def plan(manifest, cfg):
+    """The plan for BUNDLE's requests to a provider with the default context window."""
+    return plan_batches(manifest, cfg, ProviderConfig(), BUNDLE.estimated_tokens)
+
+
 # --- plan_batches --------------------------------------------------------------
 
 
 def test_plan_5000_docs_in_batches_of_25():
     manifest = synthetic_manifest(5000)
-    jobs = plan_batches(manifest, RunnerConfig(batch_size=25, output_dir="out"))
+    jobs = plan(manifest, RunnerConfig(batch_size=25, output_dir="out"))
     assert len(jobs) == 200
     assert all(len(j.doc_ids) == 25 for j in jobs)
 
 
 def test_plan_empty_manifest_is_error():
     with pytest.raises(RunnerError, match="empty"):
-        plan_batches(CorpusManifest(documents=()), RunnerConfig())
+        plan(CorpusManifest(documents=()), RunnerConfig())
 
 
 def test_plan_remainder_batch():
     manifest = synthetic_manifest(26)
-    jobs = plan_batches(manifest, RunnerConfig(batch_size=25, output_dir="out"))
+    jobs = plan(manifest, RunnerConfig(batch_size=25, output_dir="out"))
     assert [len(j.doc_ids) for j in jobs] == [25, 1]
 
 
 def test_plan_output_paths_zero_based(tmp_path):
     manifest = synthetic_manifest(30)
-    jobs = plan_batches(manifest, RunnerConfig(batch_size=25, output_dir=str(tmp_path)))
+    jobs = plan(manifest, RunnerConfig(batch_size=25, output_dir=str(tmp_path)))
     assert jobs[0].output_path.endswith("batch_0_output.txt")
     assert jobs[1].output_path.endswith("batch_1_output.txt")
 
@@ -75,7 +81,7 @@ def test_plan_output_paths_zero_based(tmp_path):
 )
 def test_plan_partition_properties(n_docs, batch_size):
     manifest = synthetic_manifest(n_docs)
-    jobs = plan_batches(manifest, RunnerConfig(batch_size=batch_size, output_dir="out"))
+    jobs = plan(manifest, RunnerConfig(batch_size=batch_size, output_dir="out"))
     all_ids = [d for j in jobs for d in j.doc_ids]
     assert all_ids == [r.doc_id for r in manifest.documents]  # cover, order, disjoint
     assert all(1 <= len(j.doc_ids) <= batch_size for j in jobs)
@@ -102,7 +108,8 @@ def test_plan_splits_batches_over_token_budget():
 @example(sizes=[8000] * 8, k=4)
 def test_planned_batches_pass_the_send_time_check(sizes, k):
     # The window fits exactly the first k documents by the planner's own
-    # estimate; every batch it plans must then pass ChatClient.complete's check.
+    # estimate; every batch it plans must then pass ChatClient.complete's check,
+    # and the job's own token estimate must bound its request from above.
     bundle = build_annotation_prompt()
     max_output = 1000
     with tempfile.TemporaryDirectory() as tmp:
@@ -115,12 +122,11 @@ def test_planned_batches_pass_the_send_time_check(sizes, k):
         manifest = CorpusManifest.build(refs)
         window = max_output + bundle.estimated_tokens + sum(map(_doc_tokens, manifest.documents[:k]))
         provider_cfg = ProviderConfig(dialect="stub", context_window_tokens=window, max_output_tokens=max_output)
-        jobs = plan_batches(manifest, RunnerConfig(skip_oversize=True), provider_cfg,
-                            prompt_tokens=bundle.estimated_tokens)
+        jobs = plan_batches(manifest, RunnerConfig(skip_oversize=True), provider_cfg, bundle.estimated_tokens)
         by_id = {ref.doc_id: ref for ref in refs}
         for job in jobs:
-            prompt = bundle.text + "\n\n" + _batch_payload(job, by_id)
-            assert estimate_tokens(prompt) + max_output <= window, job.doc_ids
+            sent = estimate_tokens(bundle.text + "\n\n" + _batch_payload(job, by_id))
+            assert sent <= bundle.estimated_tokens + job.tokens <= window - max_output, job.doc_ids
 
 
 def test_plan_oversize_document_is_error():
@@ -128,8 +134,8 @@ def test_plan_oversize_document_is_error():
     manifest = CorpusManifest.build([big])
     provider_cfg = ProviderConfig(dialect="stub", context_window_tokens=10_000, max_output_tokens=1000)
     with pytest.raises(RunnerError, match="huge"):
-        plan_batches(manifest, RunnerConfig(), provider_cfg)
-    jobs = plan_batches(manifest, RunnerConfig(skip_oversize=True), provider_cfg)
+        plan_batches(manifest, RunnerConfig(), provider_cfg, 0)
+    jobs = plan_batches(manifest, RunnerConfig(skip_oversize=True), provider_cfg, 0)
     assert jobs == []
 
 
@@ -151,7 +157,7 @@ def test_run_annotation_end_to_end(tmp_path):
     manifest = _corpus_on_disk(tmp_path, 4)
     out = tmp_path / "out"
     cfg = RunnerConfig(batch_size=2, output_dir=str(out))
-    jobs = plan_batches(manifest, cfg)
+    jobs = plan(manifest, cfg)
     fixtures = tmp_path / "fixtures"
     _fixtures_for_jobs(fixtures, jobs, lambda j: f"analysis for batch {j.index}")
     client = make_stub(fixtures)
@@ -169,7 +175,7 @@ def test_run_annotation_payload_headers(tmp_path):
     manifest = _corpus_on_disk(tmp_path, 2)
     out = tmp_path / "out"
     cfg = RunnerConfig(batch_size=2, output_dir=str(out))
-    jobs = plan_batches(manifest, cfg)
+    jobs = plan(manifest, cfg)
     fixtures = tmp_path / "fixtures"
     _fixtures_for_jobs(fixtures, jobs, lambda j: "ok")
     client = make_stub(fixtures)
@@ -186,7 +192,7 @@ def test_resume_skips_completed(tmp_path):
     manifest = _corpus_on_disk(tmp_path, 4)
     out = tmp_path / "out"
     cfg = RunnerConfig(batch_size=2, output_dir=str(out))
-    jobs = plan_batches(manifest, cfg)
+    jobs = plan(manifest, cfg)
     fixtures = tmp_path / "fixtures"
     _fixtures_for_jobs(fixtures, jobs, lambda j: f"batch {j.index}")
     client = make_stub(fixtures)
@@ -194,7 +200,7 @@ def test_resume_skips_completed(tmp_path):
     assert client.calls == 2
 
     # Rerun with resume: all jobs done, zero provider calls.
-    jobs2 = plan_batches(manifest, cfg)
+    jobs2 = plan(manifest, cfg)
     cfg_resume = RunnerConfig(batch_size=2, output_dir=str(out), resume=True)
     summary = run_annotation(jobs2, BUNDLE, manifest, client, cfg_resume)
     assert client.calls == 2
@@ -210,7 +216,7 @@ def test_resume_with_damaged_checkpoint_names_it(tmp_path, text):
     (out / "checkpoint.json").write_text(text, encoding="utf-8")
     cfg = RunnerConfig(batch_size=2, output_dir=str(out), resume=True)
     with pytest.raises(RunnerError, match="checkpoint.json"):
-        run_annotation(plan_batches(manifest, cfg), BUNDLE, manifest, make_stub(tmp_path), cfg)
+        run_annotation(plan(manifest, cfg), BUNDLE, manifest, make_stub(tmp_path), cfg)
 
 
 @pytest.mark.parametrize("text, reason", [
@@ -227,14 +233,14 @@ def test_resume_with_checkpoint_value_of_wrong_type_names_the_field(tmp_path, te
     (out / "checkpoint.json").write_text(text, encoding="utf-8")
     cfg = RunnerConfig(batch_size=2, output_dir=str(out), resume=True)
     with pytest.raises(RunnerError, match=f"checkpoint.json: {reason}"):
-        run_annotation(plan_batches(manifest, cfg), BUNDLE, manifest, make_stub(tmp_path), cfg)
+        run_annotation(plan(manifest, cfg), BUNDLE, manifest, make_stub(tmp_path), cfg)
 
 
 def test_resume_runs_only_missing(tmp_path):
     manifest = _corpus_on_disk(tmp_path, 4)
     out = tmp_path / "out"
     cfg = RunnerConfig(batch_size=2, output_dir=str(out))
-    jobs = plan_batches(manifest, cfg)
+    jobs = plan(manifest, cfg)
     fixtures = tmp_path / "fixtures"
     _fixtures_for_jobs(fixtures, jobs, lambda j: f"batch {j.index}")
     client = make_stub(fixtures)
@@ -246,7 +252,7 @@ def test_resume_runs_only_missing(tmp_path):
 
     client.script.fail_counts.clear()
     calls_before = client.calls
-    jobs2 = plan_batches(manifest, cfg)
+    jobs2 = plan(manifest, cfg)
     cfg_resume = RunnerConfig(batch_size=2, output_dir=str(out), resume=True)
     summary2 = run_annotation(jobs2, BUNDLE, manifest, client, cfg_resume)
     assert summary2.completed == 2 and summary2.skipped == 1
@@ -258,7 +264,7 @@ def test_permanent_failure_recorded_not_fatal(tmp_path, monkeypatch):
     manifest = _corpus_on_disk(tmp_path, 4)
     out = tmp_path / "out"
     cfg = RunnerConfig(batch_size=2, output_dir=str(out))
-    jobs = plan_batches(manifest, cfg)
+    jobs = plan(manifest, cfg)
     fixtures = tmp_path / "fixtures"
     _fixtures_for_jobs(fixtures, jobs, lambda j: f"batch {j.index}")
     client = make_stub(fixtures)
@@ -271,6 +277,53 @@ def test_permanent_failure_recorded_not_fatal(tmp_path, monkeypatch):
     assert summary.failures[0][0] == 1
     checkpoint = json.loads((out / "checkpoint.json").read_text())
     assert list(checkpoint["digests"]) == ["0"]
+
+
+def test_unreadable_document_fails_only_its_batch(tmp_path):
+    manifest = _corpus_on_disk(tmp_path, 6)
+    sidecar = Path(manifest.documents[0].text_path)
+    text = sidecar.read_text(encoding="utf-8")
+    sidecar.unlink()
+    out = tmp_path / "out"
+    cfg = RunnerConfig(batch_size=2, output_dir=str(out))
+    jobs = plan(manifest, cfg)
+    fixtures = tmp_path / "fixtures"
+    _fixtures_for_jobs(fixtures, jobs, lambda j: f"batch {j.index}")
+    client = make_stub(fixtures, max_inflight=1)
+
+    summary = run_annotation(jobs, BUNDLE, manifest, client, cfg)
+    assert [index for index, _ in summary.failures] == [0]
+    assert "'doc0'" in summary.failures[0][1]
+    assert [job.status for job in jobs] == [JobStatus.FAILED, JobStatus.DONE, JobStatus.DONE]
+    assert summary.provider_calls == 2
+    assert list(json.loads((out / "checkpoint.json").read_text())["digests"]) == ["1", "2"]
+    assert (out / "batch_2_output.txt").read_text() == "batch 2"
+
+    sidecar.write_text(text, encoding="utf-8")
+    cfg_resume = RunnerConfig(batch_size=2, output_dir=str(out), resume=True)
+    resumed = run_annotation(plan(manifest, cfg_resume), BUNDLE, manifest, client, cfg_resume)
+    assert resumed.ok and resumed.skipped == 2 and resumed.provider_calls == 1
+    assert (out / "batch_0_output.txt").read_text() == "batch 0"
+
+
+def test_programming_error_in_a_batch_propagates(tmp_path, monkeypatch):
+    manifest = _corpus_on_disk(tmp_path, 6)
+    out = tmp_path / "out"
+    cfg = RunnerConfig(batch_size=2, output_dir=str(out))
+    jobs = plan(manifest, cfg)
+    fixtures = tmp_path / "fixtures"
+    _fixtures_for_jobs(fixtures, jobs, lambda j: f"batch {j.index}")
+    client = make_stub(fixtures, max_inflight=1)
+    real_load_text = runner.load_text
+
+    def load_text(ref):
+        if ref.doc_id == "doc0":
+            raise KeyError(ref.doc_id)
+        return real_load_text(ref)
+
+    monkeypatch.setattr(runner, "load_text", load_text)
+    with pytest.raises(KeyError):
+        run_annotation(jobs, BUNDLE, manifest, client, cfg)
 
 
 class _Reply:
@@ -297,7 +350,7 @@ def test_reply_that_cannot_be_written_fails_only_its_batch(tmp_path, monkeypatch
     manifest = _corpus_on_disk(tmp_path, 4)
     out = tmp_path / "out"
     cfg = RunnerConfig(batch_size=2, output_dir=str(out))
-    jobs = plan_batches(manifest, cfg)
+    jobs = plan(manifest, cfg)
     client = HttpChatClient(
         ProviderConfig(dialect="openai", api_key_env="TEST_API_KEY", backoff_base_ms=1),
         session=_SurrogateSession(),
@@ -314,14 +367,14 @@ def test_checkpoint_mismatch_detected(tmp_path):
     manifest = _corpus_on_disk(tmp_path, 4)
     out = tmp_path / "out"
     cfg = RunnerConfig(batch_size=2, output_dir=str(out))
-    jobs = plan_batches(manifest, cfg)
+    jobs = plan(manifest, cfg)
     fixtures = tmp_path / "fixtures"
     _fixtures_for_jobs(fixtures, jobs, lambda j: "x")
     client = make_stub(fixtures)
     run_annotation(jobs, BUNDLE, manifest, client, cfg)
 
     other = synthetic_manifest(6)
-    other_jobs = plan_batches(other, cfg)
+    other_jobs = plan(other, cfg)
     cfg_resume = RunnerConfig(batch_size=2, output_dir=str(out), resume=True)
     with pytest.raises(CheckpointMismatch):
         run_annotation(other_jobs, BUNDLE, other, client, cfg_resume)
@@ -333,12 +386,10 @@ def test_checkpoint_never_references_missing_output(tmp_path, monkeypatch):
     manifest = _corpus_on_disk(tmp_path, 4)
     out = tmp_path / "out"
     cfg = RunnerConfig(batch_size=2, output_dir=str(out))
-    jobs = plan_batches(manifest, cfg)
+    jobs = plan(manifest, cfg)
     fixtures = tmp_path / "fixtures"
     _fixtures_for_jobs(fixtures, jobs, lambda j: f"batch {j.index}")
     client = make_stub(fixtures, max_inflight=1)
-
-    from paperlens import runner
 
     real_write_json = runner.write_json
     crashes = {"armed": True}
@@ -367,7 +418,7 @@ def test_resume_after_batch_size_change_annotates_every_document(tmp_path):
     fixtures = tmp_path / "fixtures"
     cfg2 = RunnerConfig(batch_size=2, output_dir=str(out))
     cfg3 = RunnerConfig(batch_size=3, output_dir=str(out), resume=True)
-    jobs2, jobs3 = plan_batches(manifest, cfg2), plan_batches(manifest, cfg3)
+    jobs2, jobs3 = plan(manifest, cfg2), plan(manifest, cfg3)
     _fixtures_for_jobs(fixtures, jobs2 + jobs3, lambda j: "annotated " + ",".join(j.doc_ids))
     client = make_stub(fixtures)
     run_annotation(jobs2[:1], BUNDLE, manifest, client, cfg2)
@@ -384,7 +435,7 @@ def test_resume_with_changed_context_asset_reruns_every_batch(tmp_path):
     manifest = _corpus_on_disk(tmp_path, 4)
     out = tmp_path / "out"
     cfg = RunnerConfig(batch_size=2, output_dir=str(out))
-    jobs = plan_batches(manifest, cfg)
+    jobs = plan(manifest, cfg)
     fixtures = tmp_path / "fixtures"
     _fixtures_for_jobs(fixtures, jobs, lambda j: f"batch {j.index}")
     client = make_stub(fixtures)
@@ -396,7 +447,7 @@ def test_resume_with_changed_context_asset_reruns_every_batch(tmp_path):
     run_annotation(jobs, bundles[0], manifest, client, cfg)
 
     cfg_resume = RunnerConfig(batch_size=2, output_dir=str(out), resume=True)
-    summary = run_annotation(plan_batches(manifest, cfg_resume), bundles[1], manifest, client, cfg_resume)
+    summary = run_annotation(plan(manifest, cfg_resume), bundles[1], manifest, client, cfg_resume)
 
     assert summary.skipped == 0
     assert summary.provider_calls == len(jobs)
@@ -406,7 +457,7 @@ def test_resume_reruns_batch_whose_output_is_missing(tmp_path):
     manifest = _corpus_on_disk(tmp_path, 4)
     out = tmp_path / "out"
     cfg = RunnerConfig(batch_size=2, output_dir=str(out))
-    jobs = plan_batches(manifest, cfg)
+    jobs = plan(manifest, cfg)
     fixtures = tmp_path / "fixtures"
     _fixtures_for_jobs(fixtures, jobs, lambda j: f"batch {j.index}")
     client = make_stub(fixtures)
@@ -414,7 +465,7 @@ def test_resume_reruns_batch_whose_output_is_missing(tmp_path):
     (out / "batch_1_output.txt").unlink()
 
     cfg_resume = RunnerConfig(batch_size=2, output_dir=str(out), resume=True)
-    summary = run_annotation(plan_batches(manifest, cfg_resume), BUNDLE, manifest, client, cfg_resume)
+    summary = run_annotation(plan(manifest, cfg_resume), BUNDLE, manifest, client, cfg_resume)
 
     assert summary.skipped == 1 and summary.provider_calls == 1
     assert (out / "batch_1_output.txt").read_text() == "batch 1"
@@ -426,7 +477,7 @@ def test_checkpoint_records_every_batch_under_contention(tmp_path):
     manifest = _corpus_on_disk(tmp_path, 48)
     out = tmp_path / "out"
     cfg = RunnerConfig(batch_size=2, output_dir=str(out))
-    jobs = plan_batches(manifest, cfg)
+    jobs = plan(manifest, cfg)
     fixtures = tmp_path / "fixtures"
     _fixtures_for_jobs(fixtures, jobs, lambda j: f"batch {j.index}")
     client = make_stub(fixtures, max_inflight=8)
@@ -448,7 +499,7 @@ def test_batch_is_sent_while_another_waits_through_backoff(tmp_path):
     the next batch goes out during that wait even at max_inflight=1."""
     manifest = _corpus_on_disk(tmp_path, 4)
     cfg = RunnerConfig(batch_size=2, output_dir=str(tmp_path / "out"))
-    jobs = plan_batches(manifest, cfg)
+    jobs = plan(manifest, cfg)
     fixtures = tmp_path / "fixtures"
     _fixtures_for_jobs(fixtures, jobs, lambda j: f"batch {j.index}")
     client = make_stub(fixtures, max_inflight=1, backoff_base_ms=300)
