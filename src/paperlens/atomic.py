@@ -1,16 +1,17 @@
-"""The one way paperlens writes an output file and reads or writes JSON,
-and the one base of its error classes.
+"""The one way paperlens writes an output file and reads a text file or
+JSON, and the one base of its error classes.
 
-Every JSON file paperlens keeps goes through here. Writing has one
-serialiser: sorted keys, non-ASCII characters kept as they are, one object
-per ``\\n``-terminated line, and a dataclass instance written as the object
-of its fields by the encoder's ``default`` hook. Reading has one error rule:
-an unreadable file, invalid JSON, a value that is not an object, a wrong
-``format`` header, or a value of the wrong type raises the caller's error
-class naming ``path`` or ``path:line``. Blank lines are skipped.
-``from_json`` builds a dataclass from an object, each value checked against
-the type its field declares; ``read_json`` and ``read_jsonl`` build their
-objects with it.
+Every file a command reads, corpus sidecars apart, goes through
+``read_text``, and every JSON file paperlens keeps goes through here.
+Writing has one serialiser: sorted keys, non-ASCII characters kept as they
+are, one object per ``\\n``-terminated line, and a dataclass instance
+written as the object of its fields by the encoder's ``default`` hook.
+Reading has one error rule: a missing, unreadable or non-UTF-8 file, invalid
+JSON, a value that is not an object, a wrong ``format`` header, or a value
+of the wrong type raises the caller's error class naming ``path`` or
+``path:line``. Blank lines are skipped. ``from_json`` builds a dataclass
+from an object, each value checked against the type its field declares;
+``read_json`` and ``read_jsonl`` build their objects with it.
 
 ``PaperlensError`` is the base of every paperlens error class: the CLI
 reports one as a user error, and the runner as the failure of one batch.
@@ -176,11 +177,12 @@ def append_jsonl(path: str | Path, obj: dict) -> None:
         fh.write(_ENCODER.encode(obj) + "\n")
 
 
-def _read(path: str | Path, error: type[Exception]) -> str:
+def read_text(path: str | Path, error: type[Exception]) -> str:
+    """A UTF-8 file's text, or ``error("cannot read <path>: <reason>")``; ``path`` may be a package resource."""
     try:
-        return Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise error(f"cannot read {path}: {exc}") from exc
+        return (Path(path) if isinstance(path, str) else path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:  # an OSError's strerror leaves out the path
+        raise error(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
 def _reason(exc: Exception) -> str:
@@ -198,7 +200,7 @@ def _load(text: str, build: Callable[[dict], Any] | None) -> Any:
 
 def read_json(path: str | Path, error: type[Exception], cls: type | None = None) -> Any:
     """Read a file holding one JSON object: a dict, or dataclass ``cls`` built by ``from_json``."""
-    text = _read(path, error)
+    text = read_text(path, error)
     try:
         return _load(text, None if cls is None else _builder(cls))
     except _SHAPE_ERRORS as exc:
@@ -218,7 +220,7 @@ def read_jsonl(path: str | Path, error: type[Exception], row: type, header: type
     rows: list = []
     # Split on "\n" only: str.splitlines would also split on U+2028 and the
     # like, which the encoder writes unescaped inside strings.
-    for lineno, line in enumerate(_read(path, error).split("\n"), start=1):
+    for lineno, line in enumerate(read_text(path, error).split("\n"), start=1):
         if not line.strip():
             continue
         try:

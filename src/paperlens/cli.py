@@ -2,8 +2,9 @@
 
 Subcommands follow the workflow order: ingest -> sample -> annotate ->
 filter -> parse -> verify -> stats -> query. Logs go to stderr; data goes
-to files only. Exit codes: 0 success, 1 user error, 2 partial batch
-failure. All randomness (sampling) requires an explicit seed.
+to files only. Exit codes: 0 success, 1 user error, 2 partial failure (a
+failed batch, or a source ``verify`` could not read). All randomness
+(sampling) requires an explicit seed.
 """
 
 from __future__ import annotations
@@ -251,8 +252,7 @@ def _cmd_filter(args: argparse.Namespace) -> int:
     if args.dry_run:
         plan = runner.plan_filter(directory)
         print(f"plan: filter pass {plan.pass_number} over {len(plan.inputs)} batch files")
-        for _, path in plan.inputs:
-            text = path.read_text(encoding="utf-8")
+        for _, path, text in plan.inputs:
             print(f"  {path.name}: ~{provider.estimate_tokens(text)} payload tokens")
         return 0
 
@@ -263,58 +263,22 @@ def _cmd_filter(args: argparse.Namespace) -> int:
         f"(retention {stats.overall_retention:.2f})",
         file=sys.stderr,
     )
-    if stats.quota_warning:
-        print(
-            "warning: exclusion quota unmet; less than half of the examples were excluded",
-            file=sys.stderr,
-        )
     for index, error in stats.failures:
         print(f"  batch {index} failed: {error}", file=sys.stderr)
     return 0 if not stats.failures else 2
 
 
 def _cmd_parse(args: argparse.Namespace) -> int:
-    directory = Path(args.dir)
-    suffix = "filtered" if args.filtered else "output"
-    files = runner._batch_files(directory, suffix)
-    if not files:
-        raise CliError(f"no batch_*_{suffix}.txt files found in {directory}")
-
-    all_records = []
-    warning_count = 0
-    indices = [index for index, _ in files]
-    for index, path in files:
-        parsed, warnings = records.parse_batch_output(path.read_text(encoding="utf-8"), index)
-        all_records.extend(parsed)
-        warning_count += len(warnings)
-        for w in warnings:
-            print(f"warning: {w}", file=sys.stderr)
-
-    manifest_hash = ""
-    if args.manifest:
-        manifest_hash = corpus.manifest_digest(corpus.load_manifest(args.manifest))
-
-    passes = 0
-    if args.filtered:
-        # The dataset is only as filtered as its least-filtered batch.
-        state = runner.FilterState.load(directory)
-        passes = min(state.batch_passes.get(i, 0) for i in indices)
-        for index in state.lagging(indices):
-            print(
-                f"warning: batch {index} holds filter pass {state.batch_passes.get(index, 0)} "
-                f"of {state.passes}; re-run filter to finish the pass",
-                file=sys.stderr,
-            )
-
-    ds = records.Dataset(
-        records=all_records,
-        source_manifest_hash=manifest_hash,
-        filter_pass_count=passes,
-    )
+    run = runner.parse_run(args.dir, args.filtered)
+    for warning in run.warnings + run.lagging:
+        print(f"warning: {warning}", file=sys.stderr)
+    manifest_hash = corpus.manifest_digest(corpus.load_manifest(args.manifest)) if args.manifest else ""
+    ds = records.Dataset(records=run.records, source_manifest_hash=manifest_hash,
+                         filter_pass_count=run.filter_pass_count)
     records.save_dataset(ds, args.out)
     print(
-        f"parsed {len(all_records)} records from {len(files)} files "
-        f"({warning_count} warnings) -> {args.out}",
+        f"parsed {len(run.records)} records from {run.files} files "
+        f"({len(run.warnings)} warnings) -> {args.out}",
         file=sys.stderr,
     )
     return 0
@@ -361,7 +325,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         }
         write_atomic(args.report, json.dumps(report, indent=2) + "\n")
         print(f"verification report -> {args.report}", file=sys.stderr)
-    return 0
+    return 2 if summary.unreadable_doc_ids else 0
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:

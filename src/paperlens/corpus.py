@@ -144,6 +144,11 @@ def _read_sidecar(path: str) -> str:
     become ``\\n``, as ``open(path, encoding="utf-8", errors="replace")``
     reads them. The newlines matter: line-break de-hyphenation looks for
     ``\\n``. Raises ``OSError`` when the file cannot be read.
+
+    Deliberately apart from ``atomic.read_text``: extracted text is read
+    leniently, as ``docs/formats.md`` defines ``char_count``, and an
+    unreadable sidecar fails only its document (``ingest`` skips it, and
+    ``load_text``'s ``CorpusError`` fails one batch or one document's quotes).
     """
     with open(path, "rb") as fh:
         data = fh.read()

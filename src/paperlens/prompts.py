@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
-from .atomic import PaperlensError
+from .atomic import PaperlensError, read_text
 from .provider import estimate_tokens
 
 
@@ -52,24 +52,15 @@ class ContextAsset:
     """A user-supplied context document appended to the annotation prompt.
 
     The survey excerpt used for concept context is not shipped with the
-    tool; supply your own file here.
+    tool; supply your own file to ``from_file``, which reads it once.
     """
 
-    path: str
+    text: str
     description: str = _DEFAULT_ASSET_DESCRIPTION
 
     @classmethod
     def from_file(cls, path: str | Path, description: str | None = None) -> "ContextAsset":
-        p = Path(path)
-        if not p.is_file():
-            raise PromptError(f"context asset file not found: {p}")
-        return cls(path=str(p), description=description or _DEFAULT_ASSET_DESCRIPTION)
-
-    def read(self) -> str:
-        p = Path(self.path)
-        if not p.is_file():
-            raise PromptError(f"context asset file not found: {p}")
-        return p.read_text(encoding="utf-8")
+        return cls(text=read_text(path, PromptError), description=description or _DEFAULT_ASSET_DESCRIPTION)
 
 
 @dataclass(frozen=True)
@@ -94,16 +85,8 @@ def _join(*parts: str) -> str:
 
 
 def _read_section(kind: PromptKind, name: str, templates_dir: str | Path | None) -> str:
-    if templates_dir is not None:
-        path = Path(templates_dir) / kind.value / f"{name}.txt"
-        if not path.is_file():
-            raise PromptError(f"template section missing: {path}")
-        return path.read_text(encoding="utf-8").strip()
-    ref = resources.files("paperlens") / "templates" / kind.value / f"{name}.txt"
-    try:
-        return ref.read_text(encoding="utf-8").strip()
-    except FileNotFoundError as exc:
-        raise PromptError(f"packaged template section missing: {kind.value}/{name}") from exc
+    root = resources.files("paperlens") / "templates" if templates_dir is None else Path(templates_dir)
+    return read_text(root / kind.value / f"{name}.txt", PromptError).strip()
 
 
 def load_sections(kind: PromptKind, templates_dir: str | Path | None = None) -> dict[str, str]:
@@ -121,10 +104,8 @@ def build_annotation_prompt(
         sections[name] for name in ("phenomena", "proof_types", "instructions")
     )
     context = ""
-    if asset is not None:
-        excerpt = asset.read()
-        if excerpt:
-            context = _CONTEXT_INTRO.format(description=asset.description) + "\n\n" + excerpt
+    if asset is not None and asset.text:
+        context = _CONTEXT_INTRO.format(description=asset.description) + "\n\n" + asset.text
     return PromptBundle(PromptKind.ANNOTATION, _join(sections["persona"], instructions, context))
 
 

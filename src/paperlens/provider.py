@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .atomic import PaperlensError, append_jsonl, write_atomic
+from .atomic import PaperlensError, append_jsonl, read_text, write_atomic
 
 if TYPE_CHECKING:
     import requests
@@ -367,7 +367,7 @@ class StubChatClient(ChatClient):
         if self.fixtures_dir is not None:
             path = self.fixtures_dir / f"{key}.txt"
             if path.exists():
-                return ModelResponse(text=path.read_text(encoding="utf-8"))
+                return ModelResponse(text=read_text(path, ProviderError))
         raise StubFixtureMissing(
             f"no stub fixture {key}.txt in {self.fixtures_dir or '(no fixtures dir)'}"
         )

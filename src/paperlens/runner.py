@@ -7,7 +7,8 @@ jobs never leaves a checkpoint referencing a missing output file.
 An annotation batch's completion is keyed by a digest of what it sends,
 so a resumed run skips only batches the current plan would send
 unchanged. Failed batches are recorded and do not halt the remaining
-jobs; long runs must survive transient faults.
+jobs; long runs must survive transient faults. Only this module reads a
+run directory (``plan_filter`` and ``parse_run``, through ``read_text``).
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from . import provider
-from .atomic import PaperlensError, append_jsonl, read_json, write_atomic, write_json
+from .atomic import PaperlensError, append_jsonl, read_json, read_text, write_atomic, write_json
 from .corpus import CorpusManifest, DocumentRef, load_text, manifest_digest
 from .prompts import PromptBundle, build_filter_prompt, build_query_prompt
-from .records import DOC_HEADER, parse_batch_output
+from .records import DOC_HEADER, ExampleRecord, parse_batch_output
 
 logger = logging.getLogger(__name__)
 
@@ -412,7 +413,7 @@ class FilterPlan:
     """What the next ``run_filter`` call over a directory will do."""
 
     pass_number: int
-    inputs: list[tuple[int, Path]]  # (batch index, input file), index order
+    inputs: list[tuple[int, Path, str]]  # (batch index, input file, its text), index order
     state: FilterState
 
 
@@ -423,7 +424,8 @@ def plan_filter(output_dir: str | Path) -> FilterPlan:
     output appeared later), the call finishes that pass over the lagging
     batches only. Otherwise it starts the next pass over every batch. A
     batch's input is its filtered file once it has passed the filter, and
-    its raw ``batch_{n}_output.txt`` before that.
+    its raw ``batch_{n}_output.txt`` before that. Each input is read here,
+    so an unreadable one ends the call before anything is sent.
     """
     directory = Path(output_dir)
     indices = [i for i, _ in _batch_files(directory, "output")]
@@ -437,7 +439,7 @@ def plan_filter(output_dir: str | Path) -> FilterPlan:
         path = directory / f"batch_{index}_filtered.txt"
         if state.batch_passes.get(index, 0) < 1 or not path.exists():
             path = directory / f"batch_{index}_output.txt"
-        inputs.append((index, path))
+        inputs.append((index, path, read_text(path, RunnerError)))
     return FilterPlan(pass_number=pass_number, inputs=inputs, state=state)
 
 
@@ -463,17 +465,15 @@ def run_filter(
     state.passes = plan.pass_number
     stats = RetentionStats(pass_number=plan.pass_number)
 
-    texts: dict[int, str] = {}
+    texts = {index: text for index, _, text in plan.inputs}
     pending: list[_Batch] = []
-    for index, path in plan.inputs:
-        text = path.read_text(encoding="utf-8")
+    for index, path, text in plan.inputs:
         if not text.strip():
             logger.info("skipping empty batch file %s", path.name)
             stats.skipped.append(path.name)
             state.batch_passes[index] = state.batch_passes.get(index, 0) + 1
             continue
         bundle = build_filter_prompt(text, templates_dir=templates_dir).with_payload_refs((path.name,))
-        texts[index] = text
         pending.append(
             _Batch(
                 index=index,
@@ -502,6 +502,47 @@ def run_filter(
     return stats
 
 
+@dataclass
+class ParsedRun:
+    """The records ``parse_run`` read from a run directory, and what to warn about."""
+
+    records: list[ExampleRecord]
+    files: int
+    warnings: list[str]  # the parser's, in batch-index order
+    lagging: list[str]  # one per batch behind the latest filter pass
+    filter_pass_count: int
+
+
+def parse_run(output_dir: str | Path, filtered: bool = False) -> ParsedRun:
+    """Parse every ``batch_{n}_output.txt`` of a run directory in batch-index
+    order, or every ``batch_{n}_filtered.txt`` with ``filtered``.
+
+    Filtered records are only as filtered as their least-filtered batch:
+    its pass is ``filter_pass_count``, and each batch behind the latest pass
+    is named in ``lagging``.
+    """
+    directory = Path(output_dir)
+    suffix = "filtered" if filtered else "output"
+    files = _batch_files(directory, suffix)
+    if not files:
+        raise RunnerError(f"no batch_*_{suffix}.txt files found in {directory}")
+    run = ParsedRun(records=[], files=len(files), warnings=[], lagging=[], filter_pass_count=0)
+    for index, path in files:
+        parsed, warnings = parse_batch_output(read_text(path, RunnerError), index)
+        run.records.extend(parsed)
+        run.warnings.extend(warnings)
+    if filtered:
+        indices = [index for index, _ in files]
+        state = FilterState.load(directory)
+        run.filter_pass_count = min(state.batch_passes.get(i, 0) for i in indices)
+        run.lagging = [
+            f"batch {i} holds filter pass {state.batch_passes.get(i, 0)} of {state.passes}; "
+            "re-run filter to finish the pass"
+            for i in state.lagging(indices)
+        ]
+    return run
+
+
 # ---------------------------------------------------------------------------
 # Dataset queries
 # ---------------------------------------------------------------------------
@@ -522,7 +563,7 @@ def run_query(
     """
     dataset_path = Path(dataset_path)
     bundle = build_query_prompt(dataset_path, question, templates_dir=templates_dir)
-    dataset_text = dataset_path.read_text(encoding="utf-8")
+    dataset_text = read_text(dataset_path, RunnerError)
 
     try:
         response = client.complete(bundle, dataset_text)

@@ -569,6 +569,7 @@ class VerificationSummary:
     unverified_records: list["ExampleRecord"] = field(default_factory=list)
     review_records: list["ExampleRecord"] = field(default_factory=list)
     skipped_doc_ids: list[str] = field(default_factory=list)
+    unreadable_doc_ids: list[str] = field(default_factory=list)  # sources that could not be read
 
     @property
     def counts(self) -> dict[str, int]:
@@ -587,26 +588,31 @@ def verify_dataset(
 ) -> tuple["Dataset", VerificationSummary]:
     """Verify every quoted record in a dataset against its source document.
 
-    Records whose source document is not in the manifest are skipped and
-    reported; records without a quote are counted separately, not failed.
+    Records whose source document is not in the manifest or cannot be read
+    (logged once) are skipped and reported; records without a quote are
+    counted separately, not failed.
     Near-misses (similarity within REVIEW_BAND below the threshold) are
     additionally listed for human review. Each source document is read,
     normalized and encoded once, then ``best_match`` runs once per quoted
     record, in dataset order.
     """
-    from .corpus import load_text
+    from .corpus import CorpusError, load_text
     from .records import Dataset
 
     started = time.perf_counter()
+    summary = VerificationSummary()
     refs = {ref.doc_id: ref for ref in manifest.documents}
     docs: dict[str, _NormalizedDoc] = {}
     for record in ds.records:
         doc_id = record.source_doc_id
-        if record.quote and doc_id in refs and doc_id not in docs:
-            # load_text returns normalize's output already.
-            docs[doc_id] = _NormalizedDoc(load_text(refs[doc_id]))
+        if record.quote and doc_id in refs:  # popped, so each source is read once
+            try:
+                # load_text returns normalize's output already.
+                docs[doc_id] = _NormalizedDoc(load_text(refs.pop(doc_id)))
+            except CorpusError as exc:
+                logger.error("%s; its quotes are skipped", exc)
+                summary.unreadable_doc_ids.append(doc_id)
 
-    summary = VerificationSummary()
     annotated: list["ExampleRecord"] = []
     perfect = 0
     for record in ds.records:

@@ -1,16 +1,20 @@
-"""The shared JSON layer: one serialiser, one reader, one error rule."""
+"""The shared file layer: one serialiser, one text reader, one error rule."""
 
+import ast
 import typing
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import pytest
 
+import paperlens
 from paperlens.atomic import (
     append_jsonl,
     from_json,
     jsonl_text,
     read_json,
     read_jsonl,
+    read_text,
     write_atomic,
     write_json,
     write_jsonl,
@@ -112,6 +116,43 @@ def test_read_json_conversion_errors_name_the_file(tmp_path):
 def test_missing_file_names_the_path(tmp_path, read):
     with pytest.raises(Oops, match="absent.json"):
         read(tmp_path / "absent.json")
+
+
+@pytest.mark.parametrize("read", [
+    lambda path: read_text(path, Oops),
+    lambda path: read_json(path, Oops),
+    lambda path: read_jsonl(path, Oops, N),
+], ids=["read_text", "read_json", "read_jsonl"])
+def test_read_errors_name_the_path_once(tmp_path, read):
+    path = tmp_path / "absent.json"
+    with pytest.raises(Oops) as missing:
+        read(path)
+    assert str(missing.value) == f"cannot read {path}: No such file or directory"
+    path.mkdir()
+    with pytest.raises(Oops) as directory:
+        read(path)
+    assert str(directory.value) == f"cannot read {path}: Is a directory"
+    path = tmp_path / "undecodable.json"
+    path.write_bytes(b"ok \xff\xfe")
+    with pytest.raises(Oops) as undecodable:
+        read(path)
+    assert str(undecodable.value).startswith(f"cannot read {path}: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_only_atomic_and_corpus_open_files():
+    """Every other module reads a file through ``read_text``, so one error rule holds for all."""
+    calls = []
+    for path in sorted(Path(paperlens.__file__).parent.glob("*.py")):
+        if path.name in ("atomic.py", "corpus.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Name) and node.func.id == "open":
+                calls.append(f"{path.name}:{node.lineno} open(")
+            elif isinstance(node.func, ast.Attribute) and node.func.attr in ("open", "read_text"):
+                calls.append(f"{path.name}:{node.lineno} .{node.func.attr}(")
+    assert calls == []
 
 
 # --- Typed reading: from_json and dataclass rows ------------------------------

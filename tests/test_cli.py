@@ -267,6 +267,55 @@ def test_parse_ignores_stray_batch_files(pipeline_dirs, capsys):
     assert "from 2 files" in capsys.readouterr().err
 
 
+def _unreadable_input(probe, base, manifest_path, config, run):
+    """Make the one input ``probe`` reads unreadable; returns the command and that file."""
+    batch = run / "batch_1_output.txt"
+    parse = ["parse", "--dir", str(run), "--out", str(base / "parsed.records.jsonl")]
+    if probe == "parse a directory":
+        batch.unlink()
+        batch.mkdir()
+        return parse, batch
+    if probe == "prompts show --prompts-dir":
+        path = base / "prompts" / "filter" / "body.txt"
+        path.parent.mkdir(parents=True)
+    else:
+        path = batch if probe.startswith(("filter", "parse")) else base / "input.txt"
+    path.write_bytes(b"\xff\xfe not UTF-8")
+    return {
+        "filter": ["filter", "--config", str(config), "--dir", str(run)],
+        "filter --dry-run": ["filter", "--config", str(config), "--dir", str(run), "--dry-run"],
+        "parse": parse,
+        "annotate --context-asset": ["annotate", "--config", str(config), "--manifest", str(manifest_path),
+                                     "--out", str(base / "run2"), "--context-asset", str(path)],
+        "prompts show --prompts-dir": ["prompts", "show", "--kind", "filter",
+                                       "--prompts-dir", str(base / "prompts")],
+        "query --dataset": ["query", "--config", str(config), "--dataset", str(path), "--question", "why?"],
+    }[probe], path
+
+
+@pytest.mark.parametrize("probe", [
+    "filter", "filter --dry-run", "parse", "parse a directory",
+    "annotate --context-asset", "prompts show --prompts-dir", "query --dataset",
+])
+def test_unreadable_input_is_one_error_line(pipeline_dirs, capsys, probe):
+    base, manifest_path, fixtures = pipeline_dirs
+    config = write_config(base, fixtures)
+    run = base / "run"
+    assert main(["annotate", "--config", str(config), "--manifest", str(manifest_path),
+                 "--out", str(run), "--batch-size", "2"]) == 0
+    state = run / "filter_state.json"
+    before = state.read_bytes() if state.exists() else None
+    argv, path = _unreadable_input(probe, base, manifest_path, config, run)
+    capsys.readouterr()
+
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith(f"error: cannot read {path}: "), err
+    assert (state.read_bytes() if state.exists() else None) == before
+
+
 def test_prompts_show(capsys):
     assert main(["prompts", "show", "--kind", "annotation"]) == 0
     out = capsys.readouterr().out
@@ -523,6 +572,19 @@ def test_verify_lists_near_misses_for_review(pipeline_dirs, capsys):
     out = capsys.readouterr().out
     assert "near-misses for human review (similarity within 0.05 of threshold):" in out
     assert "  paper1: similarity 0.969" in out
+
+
+def test_verify_reports_the_readable_documents_when_a_source_is_missing(pipeline_dirs, capsys):
+    base, manifest_path, _ = pipeline_dirs
+    quotes = [(f"paper{i}", f"which explains why claim {i} holds") for i in range(4)]
+    ds_path = _quoted_dataset(base / "d.jsonl", quotes)
+    Path(load_manifest(manifest_path).documents[0].text_path).unlink()
+    report = base / "verify.json"
+    assert main(["verify", "--dataset", str(ds_path), "--manifest", str(manifest_path),
+                 "--report", str(report)]) == 2
+    written = json.loads(report.read_text(encoding="utf-8"))
+    assert written["counts"] == {"verified": 3, "unverified": 0, "skipped": 1, "no_quote": 0}
+    assert written["skipped_doc_ids"] == ["paper0"]
 
 
 def test_prompts_show_query(capsys):

@@ -58,7 +58,7 @@ def test_asset_appended_after_instructions(tmp_path):
 
 
 def test_missing_asset_file_is_error(tmp_path):
-    with pytest.raises(PromptError, match="not found"):
+    with pytest.raises(PromptError, match=r"cannot read .*nope\.txt"):
         ContextAsset.from_file(tmp_path / "nope.txt")
 
 
@@ -75,7 +75,7 @@ def test_templates_dir_override(tmp_path):
 
 def test_templates_dir_missing_section(tmp_path):
     (tmp_path / "annotation").mkdir()
-    with pytest.raises(PromptError, match="section missing"):
+    with pytest.raises(PromptError, match=r"cannot read .*persona\.txt"):
         build_annotation_prompt(templates_dir=tmp_path)
 
 

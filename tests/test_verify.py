@@ -1,6 +1,7 @@
 """Normalization and quote-matching tests, checked against an independent
 brute-force oracle where the spec pins one."""
 
+import logging
 import math
 import random
 import re
@@ -612,6 +613,29 @@ def test_verify_dataset_no_quote_and_skipped(tmp_path):
     assert summary.counts["no_quote"] == 1
     assert summary.counts["skipped"] == 1
     assert summary.skipped_doc_ids == ["missing-doc"]
+
+
+def test_verify_dataset_skips_only_the_documents_it_cannot_read(tmp_path, caplog):
+    manifest = _disk_corpus(
+        tmp_path,
+        {"a": "The lemma holds because the symmetry forces cancellation.", "b": "Gone."},
+    )
+    (tmp_path / "b.txt").unlink()
+    ds = Dataset(
+        records=[
+            ExampleRecord(source_doc_id="b", finding="f", quote="Gone."),
+            ExampleRecord(source_doc_id="a", finding="f", quote="the symmetry forces cancellation"),
+            ExampleRecord(source_doc_id="b", finding="f", quote="Gone again."),
+        ]
+    )
+    with caplog.at_level(logging.ERROR, logger="paperlens.verify"):
+        annotated, summary = verify_dataset(ds, manifest, 0.85)
+    assert summary.counts == {"verified": 1, "unverified": 0, "skipped": 2, "no_quote": 0}
+    assert summary.skipped_doc_ids == ["b", "b"]
+    assert summary.unreadable_doc_ids == ["b"]
+    assert [r.verification is None for r in annotated.records] == [True, False, True]
+    (error,) = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert "'b'" in error and "No such file or directory" in error
 
 
 def test_verify_dataset_agrees_with_best_match_on_raw_text(tmp_path):
