@@ -180,8 +180,6 @@ def build_parser() -> _Parser:
 def _cmd_ingest(args: argparse.Namespace) -> int:
     result = corpus.ingest(args.source, args.metadata, extract_cmd=args.extract_cmd)
     corpus.save_manifest(result.manifest, args.out)
-    for skip in result.skipped:
-        print(f"skipped {skip.doc_id}: {skip.reason}", file=sys.stderr)
     print(
         f"ingested {len(result.manifest)} documents "
         f"({len(result.skipped)} skipped) -> {args.out}",
@@ -202,12 +200,9 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     return 0
 
 
-def _make_client(cfg: GlobalConfig, args: argparse.Namespace, out_dir: Path | None) -> provider.ChatClient:
-    audit_path = None
-    if getattr(args, "audit", False):
-        base = out_dir if out_dir is not None else Path(".")
-        base.mkdir(parents=True, exist_ok=True)
-        audit_path = base / "audit.jsonl"
+def _make_client(cfg: GlobalConfig, args: argparse.Namespace, out_dir: Path) -> provider.ChatClient:
+    # The runner makes or reads out_dir before its first call, which writes the audit file.
+    audit_path = out_dir / "audit.jsonl" if args.audit else None
     return provider.make_client(cfg.provider, audit_path=audit_path)
 
 
@@ -240,8 +235,6 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
         f"{summary.provider_calls} provider calls",
         file=sys.stderr,
     )
-    for index, error in summary.failures:
-        print(f"  batch {index} failed: {error}", file=sys.stderr)
     return 0 if summary.ok else 2
 
 
@@ -263,8 +256,6 @@ def _cmd_filter(args: argparse.Namespace) -> int:
         f"(retention {stats.overall_retention:.2f})",
         file=sys.stderr,
     )
-    for index, error in stats.failures:
-        print(f"  batch {index} failed: {error}", file=sys.stderr)
     return 0 if not stats.failures else 2
 
 
@@ -314,6 +305,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "threshold": threshold,
             "counts": summary.counts,
             "skipped_doc_ids": summary.skipped_doc_ids,
+            "unreadable_doc_ids": summary.unreadable_doc_ids,
             "unverified": [
                 {
                     "source_doc_id": r.source_doc_id,

@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 from .atomic import PaperlensError, from_json, read_json
 from .provider import ProviderConfig
 from .runner import RunnerConfig
-
-CONFIG_ENV_VAR = "PAPERLENS_CONFIG"
 
 
 class ConfigError(PaperlensError):
@@ -61,16 +58,12 @@ def _build(cls, raw: dict, where: str):
 
 
 def load_config(path: str | Path | None = None) -> GlobalConfig:
-    """Load configuration from a JSON file.
+    """Load configuration from a JSON file, or the defaults when no file is named.
 
-    Falls back to the PAPERLENS_CONFIG environment variable, then to
-    defaults when no file is named. Missing sections take their defaults.
+    Missing sections take their defaults.
     """
     if path is None:
-        env = os.environ.get(CONFIG_ENV_VAR)
-        if not env:
-            return GlobalConfig()
-        path = env
+        return GlobalConfig()
     raw = read_json(path, ConfigError)
     unknown = set(raw) - {f.name for f in fields(GlobalConfig)}
     if unknown:

@@ -132,12 +132,9 @@ def build_query_prompt(
     """
     if not question or not question.strip():
         raise PromptError("query question must be non-empty")
-    path = Path(dataset_path)
-    if not path.is_file():
-        raise PromptError(f"dataset file not found: {path}")
     sections = load_sections(PromptKind.QUERY, templates_dir)
     return PromptBundle(
         PromptKind.QUERY,
         sections["framing"] + "\n\n" + question.strip(),
-        payload_refs=(path.name,),
+        payload_refs=(Path(dataset_path).name,),
     )

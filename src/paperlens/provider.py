@@ -60,11 +60,10 @@ class TransientError(ProviderError):
 
 
 class ExhaustedRetries(ProviderError):
-    """All retry attempts failed; carries the last transport error."""
+    """All retry attempts failed; the last transport error is its message and its cause."""
 
     def __init__(self, attempts: int, last_error: Exception) -> None:
         self.attempts = attempts
-        self.last_error = last_error
         super().__init__(f"gave up after {attempts} attempts: {last_error}")
 
 

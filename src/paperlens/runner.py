@@ -6,9 +6,11 @@ batches are at the provider at once, and each output is written atomically
 jobs never leaves a checkpoint referencing a missing output file.
 An annotation batch's completion is keyed by a digest of what it sends,
 so a resumed run skips only batches the current plan would send
-unchanged. Failed batches are recorded and do not halt the remaining
-jobs; long runs must survive transient faults. Only this module reads a
-run directory (``plan_filter`` and ``parse_run``, through ``read_text``).
+unchanged. A run directory holds the batches of one plan: an annotation
+run first deletes every batch it does not carry over. Failed batches are
+recorded and do not halt the remaining jobs; long runs must survive
+transient faults. Only this module reads a run directory (``plan_filter``
+and ``parse_run``, through ``read_text``).
 """
 
 from __future__ import annotations
@@ -271,12 +273,14 @@ def run_annotation(
 ) -> RunSummary:
     """Execute pending annotation jobs, checkpointing after each.
 
-    With ``resume`` set, a job is skipped without provider calls only when
-    the checkpoint (which must belong to the same manifest) records it with
-    the digest the current plan gives it and its output file exists; every
-    other job runs. Failed jobs are recorded and the run continues. Jobs
-    execute concurrently up to the provider's in-flight limit; checkpoint
-    updates are serialized.
+    ``jobs`` is the output directory's whole plan. With ``resume`` set, a
+    job is carried over without provider calls only when the checkpoint
+    (which must belong to the same manifest) records it with the digest the
+    current plan gives it and its output file exists; every other job runs.
+    Before anything is sent, every batch not carried over loses its files
+    and filter passes (see ``_drop_batches``). Failed jobs are recorded and
+    the run continues. Jobs execute concurrently up to the provider's
+    in-flight limit; checkpoint updates are serialized.
     """
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -291,6 +295,7 @@ def run_annotation(
                 f"checkpoint in {out_dir} belongs to a different manifest; "
                 "re-plan or clear the output directory"
             )
+    filter_state = FilterState.load(out_dir)  # read before any write, so a damaged one changes nothing
 
     refs = {ref.doc_id: ref for ref in manifest.documents}
     for job in jobs:
@@ -316,6 +321,7 @@ def run_annotation(
             )
         )
     write_json(ck_path, checkpoint)
+    _drop_batches(out_dir, filter_state, kept=set(checkpoint.digests))
 
     def record(index: int) -> None:
         checkpoint.digests[index] = planned[index]
@@ -334,6 +340,27 @@ def run_annotation(
         provider_calls=client.calls - calls_before,
         failures=failures,
     )
+
+
+def _drop_batches(directory: Path, state: FilterState, kept: set[int]) -> None:
+    """Delete every batch of ``directory`` outside ``kept``: its filter-state
+    entry first, then its ``batch_{n}_output.txt`` and ``batch_{n}_filtered.txt``.
+
+    A crash in between leaves a filtered file that ``plan_filter`` does not
+    read and ``parse_run`` names as lagging; the next filter call sends the
+    batch through the latest pass, starting from its new output.
+    """
+    passes = {index: n for index, n in state.batch_passes.items() if index in kept}
+    if passes != state.batch_passes:
+        state.batch_passes = passes
+        write_json(directory / FILTER_STATE_FILE, state)
+    for suffix in ("output", "filtered"):
+        for index, path in _batch_files(directory, suffix):
+            if index not in kept:
+                try:
+                    path.unlink()
+                except OSError as exc:
+                    raise RunnerError(f"cannot remove {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -562,8 +589,8 @@ def run_query(
     sharding. Every query appends a transcript entry to the query log.
     """
     dataset_path = Path(dataset_path)
-    bundle = build_query_prompt(dataset_path, question, templates_dir=templates_dir)
     dataset_text = read_text(dataset_path, RunnerError)
+    bundle = build_query_prompt(dataset_path, question, templates_dir=templates_dir)
 
     try:
         response = client.complete(bundle, dataset_text)

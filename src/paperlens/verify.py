@@ -568,7 +568,7 @@ class VerificationSummary:
     no_quote: int = 0
     unverified_records: list["ExampleRecord"] = field(default_factory=list)
     review_records: list["ExampleRecord"] = field(default_factory=list)
-    skipped_doc_ids: list[str] = field(default_factory=list)
+    skipped_doc_ids: list[str] = field(default_factory=list)  # each once, in first-seen order
     unreadable_doc_ids: list[str] = field(default_factory=list)  # sources that could not be read
 
     @property
@@ -638,6 +638,7 @@ def verify_dataset(
             if threshold - REVIEW_BAND <= result.similarity < threshold:
                 summary.review_records.append(record)
 
+    summary.skipped_doc_ids = list(dict.fromkeys(summary.skipped_doc_ids))
     quoted = summary.verified + summary.unverified
     logger.info(
         "verify: %d quoted records against %d documents, %d at similarity 1.0, "

@@ -155,6 +155,19 @@ def test_only_atomic_and_corpus_open_files():
     assert calls == []
 
 
+def test_only_provider_reads_the_environment():
+    """Configuration comes from ``--config`` and flags; the API key is the one value read from the environment."""
+    reads = []
+    for path in sorted(Path(paperlens.__file__).parent.glob("*.py")):
+        if path.name == "provider.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+                    and isinstance(node.value, ast.Name) and node.value.id == "os"):
+                reads.append(f"{path.name}:{node.lineno} os.{node.attr}")
+    assert reads == []
+
+
 # --- Typed reading: from_json and dataclass rows ------------------------------
 
 

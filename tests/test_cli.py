@@ -3,7 +3,10 @@
 import argparse
 import importlib
 import json
+import os
 import pkgutil
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -179,7 +182,7 @@ def test_annotate_partial_failure_exits_two(pipeline_dirs, tmp_path):
     assert not (out_dir / "batch_1_output.txt").exists()
 
 
-def test_annotate_with_an_unreadable_document_fails_only_its_batch(pipeline_dirs, capsys):
+def test_annotate_with_an_unreadable_document_fails_only_its_batch(pipeline_dirs, capsys, caplog):
     base, manifest_path, fixtures = pipeline_dirs
     first = load_manifest(manifest_path).documents[0]
     Path(first.text_path).unlink()
@@ -188,11 +191,35 @@ def test_annotate_with_an_unreadable_document_fails_only_its_batch(pipeline_dirs
     code = main(["annotate", "--config", str(config), "--manifest", str(manifest_path),
                  "--out", str(out_dir), "--batch-size", "2"])
     assert code == 2
-    err = capsys.readouterr().err
-    assert "1/2 batches done" in err
-    assert f"batch 0 failed: missing or unreadable text for document {first.doc_id!r}" in err
+    assert "1/2 batches done" in capsys.readouterr().err
+    assert f"batch 0 failed: missing or unreadable text for document {first.doc_id!r}" in caplog.text
     assert not (out_dir / "batch_0_output.txt").exists()
     assert (out_dir / "batch_1_output.txt").exists()
+
+
+def _run_cli(*argv: str) -> str:
+    """Run ``paperlens`` in a fresh process, where its log lines reach stderr; returns stderr."""
+    src = str(Path(paperlens.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys; from paperlens.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True, timeout=60)
+    return proc.stderr
+
+
+def test_each_skipped_paper_and_failed_batch_is_reported_once(pipeline_dirs):
+    base, manifest_path, fixtures = pipeline_dirs
+    src = base / "src"
+    (src / "p9.pdf").write_bytes((src / "paper0.pdf").read_bytes())  # no sidecar
+    err = _run_cli("ingest", "--source", str(src), "--out", str(base / "m.jsonl"))
+    assert err.count("skipped p9: no extracted text found") == 1, err
+
+    for fixture in fixtures.glob("annotation-*.txt"):
+        fixture.unlink()
+    err = _run_cli("annotate", "--config", str(write_config(base, fixtures)), "--manifest",
+                   str(manifest_path), "--out", str(base / "run"), "--batch-size", "2")
+    assert "0/2 batches done" in err
+    assert [err.count(f"batch {i} failed: ") for i in (0, 1)] == [1, 1], err
 
 
 def test_resume_through_cli_makes_no_calls(pipeline_dirs, capsys):
@@ -275,6 +302,11 @@ def _unreadable_input(probe, base, manifest_path, config, run):
         batch.unlink()
         batch.mkdir()
         return parse, batch
+    if probe in ("query a missing dataset", "query a directory"):
+        path = base / ("nope.records.jsonl" if probe == "query a missing dataset" else "adir")
+        if probe == "query a directory":
+            path.mkdir()
+        return ["query", "--config", str(config), "--dataset", str(path), "--question", "why?"], path
     if probe == "prompts show --prompts-dir":
         path = base / "prompts" / "filter" / "body.txt"
         path.parent.mkdir(parents=True)
@@ -296,6 +328,7 @@ def _unreadable_input(probe, base, manifest_path, config, run):
 @pytest.mark.parametrize("probe", [
     "filter", "filter --dry-run", "parse", "parse a directory",
     "annotate --context-asset", "prompts show --prompts-dir", "query --dataset",
+    "query a missing dataset", "query a directory",
 ])
 def test_unreadable_input_is_one_error_line(pipeline_dirs, capsys, probe):
     base, manifest_path, fixtures = pipeline_dirs
@@ -362,6 +395,15 @@ def test_config_tiers_section_is_rejected(tmp_path, capsys):
     config = write_config(tmp_path, tmp_path, tiers={"high": 0.2, "borderline": 0.6, "low": 0.2})
     assert main(["verify", "--config", str(config), "--dataset", "d", "--manifest", "m"]) == 1
     assert "unknown section(s) ['tiers']" in capsys.readouterr().err
+
+
+def test_config_is_read_only_from_the_config_flag(tmp_path, monkeypatch, capsys):
+    from paperlens.config import GlobalConfig, load_config
+
+    config = write_config(tmp_path, tmp_path, threshold=0.5)
+    monkeypatch.setenv("PAPERLENS_CONFIG", str(config))
+    assert load_config(None) == GlobalConfig()
+    assert load_config(config).threshold == 0.5
 
 
 @pytest.mark.parametrize("threshold", ["high", None, True, 0, -0.5, 1.5, float("nan")])
@@ -585,6 +627,7 @@ def test_verify_reports_the_readable_documents_when_a_source_is_missing(pipeline
     written = json.loads(report.read_text(encoding="utf-8"))
     assert written["counts"] == {"verified": 3, "unverified": 0, "skipped": 1, "no_quote": 0}
     assert written["skipped_doc_ids"] == ["paper0"]
+    assert written["unreadable_doc_ids"] == ["paper0"]
 
 
 def test_prompts_show_query(capsys):

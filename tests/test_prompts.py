@@ -137,11 +137,6 @@ def test_query_empty_question_is_error(tmp_path):
         build_query_prompt(ds, "   ")
 
 
-def test_query_missing_dataset_is_error(tmp_path):
-    with pytest.raises(PromptError, match="not found"):
-        build_query_prompt(tmp_path / "none.jsonl", "a question")
-
-
 def test_query_pure(tmp_path):
     ds = tmp_path / "data.records.jsonl"
     ds.write_text("{}", encoding="utf-8")

@@ -714,6 +714,134 @@ def test_filter_uses_max_inflight_without_changing_results(tmp_path):
     assert pooled_files == serial_files
 
 
+# --- one plan per run directory -----------------------------------------------------
+
+
+def _batch_names(out: Path) -> list[str]:
+    return sorted(p.name for p in out.glob("batch_*"))
+
+
+def _annotation_fixtures(fixtures: Path, jobs, first: int) -> dict[int, list]:
+    """Four records per batch, numbered from ``first``; the filter keeps two of a raw output."""
+    made = {}
+    for job in jobs:
+        recs = [make_record(first + 10 * job.index + k, batch_index=job.index) for k in range(4)]
+        write_stub_fixture(fixtures, "annotation", list(job.doc_ids), batch_output_text(recs))
+        write_stub_fixture(fixtures, "filter", [f"batch_{job.index}_output.txt"], batch_output_text(recs[:2]))
+        write_stub_fixture(fixtures, "filter", [f"batch_{job.index}_filtered.txt"], batch_output_text(recs[:2]))
+        made[job.index] = recs
+    return made
+
+
+def test_reannotated_batches_are_filtered_from_their_new_output(tmp_path):
+    manifest = _corpus_on_disk(tmp_path, 4)
+    out, fixtures = tmp_path / "out", tmp_path / "fixtures"
+    cfg = RunnerConfig(batch_size=2, output_dir=str(out))
+    client = make_stub(fixtures)
+    _annotation_fixtures(fixtures, plan(manifest, cfg), first=0)
+    run_annotation(plan(manifest, cfg), BUNDLE, manifest, client, cfg)
+    assert run_filter(out, client).pass_number == 1
+
+    # A new prompt re-sends both batches, which now hold other records.
+    new_prompt = PromptBundle(kind=PromptKind.ANNOTATION, text=BUNDLE.text + "\n\nA revised instruction.")
+    made = _annotation_fixtures(fixtures, plan(manifest, cfg), first=500)
+    cfg_resume = RunnerConfig(batch_size=2, output_dir=str(out), resume=True)
+    summary = run_annotation(plan(manifest, cfg_resume), new_prompt, manifest, client, cfg_resume)
+    assert summary.provider_calls == 2
+    assert runner.FilterState.load(out).batch_passes == {}
+
+    stats = run_filter(out, client)
+
+    assert stats.pass_number == 1
+    assert stats.per_batch == {0: (2, 4), 1: (2, 4)}
+    parsed = runner.parse_run(out, filtered=True)
+    assert [r.quote for r in parsed.records] == [r.quote for i in (0, 1) for r in made[i][:2]]
+    assert parsed.filter_pass_count == 1 and parsed.lagging == []
+
+
+def test_failed_batch_of_a_new_plan_leaves_no_old_output(tmp_path):
+    manifest = _corpus_on_disk(tmp_path, 4)
+    out, fixtures = tmp_path / "out", tmp_path / "fixtures"
+    cfg1 = RunnerConfig(batch_size=1, output_dir=str(out))
+    cfg2 = RunnerConfig(batch_size=2, output_dir=str(out), resume=True)
+    jobs2 = plan(manifest, cfg2)
+    _fixtures_for_jobs(fixtures, plan(manifest, cfg1) + jobs2, lambda j: "annotated " + ",".join(j.doc_ids))
+    client = make_stub(fixtures, max_retries=0)
+    run_annotation(plan(manifest, cfg1), BUNDLE, manifest, client, cfg1)
+    assert len(_batch_names(out)) == 4
+    client.script.fail_counts[f"annotation-{stub_key('annotation', list(jobs2[1].doc_ids))}"] = -1
+
+    summary = run_annotation(jobs2, BUNDLE, manifest, client, cfg2)
+
+    assert summary.completed == 1 and summary.failed == 1
+    assert _batch_names(out) == ["batch_0_output.txt"]
+    assert runner.parse_run(out).files == 1
+
+
+def test_replan_to_fewer_batches_drops_the_others_and_their_filter_passes(tmp_path):
+    manifest = _corpus_on_disk(tmp_path, 4)
+    out, fixtures = tmp_path / "out", tmp_path / "fixtures"
+    cfg1 = RunnerConfig(batch_size=1, output_dir=str(out))
+    cfg4 = RunnerConfig(batch_size=4, output_dir=str(out), resume=True)
+    _annotation_fixtures(fixtures, plan(manifest, cfg1), first=0)
+    made = _annotation_fixtures(fixtures, plan(manifest, cfg4), first=500)
+    client = make_stub(fixtures)
+    run_annotation(plan(manifest, cfg1), BUNDLE, manifest, client, cfg1)
+    run_filter(out, client)
+    assert len(_batch_names(out)) == 8
+
+    run_annotation(plan(manifest, cfg4), BUNDLE, manifest, client, cfg4)
+
+    assert _batch_names(out) == ["batch_0_output.txt"]
+    assert runner.FilterState.load(out).batch_passes == {}
+    assert [r.quote for r in runner.parse_run(out).records] == [r.quote for r in made[0]]
+
+
+def test_crash_after_dropping_filter_passes_leaves_a_lagging_batch(tmp_path, monkeypatch):
+    """Filter entries go before files: a stale filtered file is never read as a pass."""
+    manifest = _corpus_on_disk(tmp_path, 2)
+    out, fixtures = tmp_path / "out", tmp_path / "fixtures"
+    cfg = RunnerConfig(batch_size=2, output_dir=str(out))
+    client = make_stub(fixtures)
+    _annotation_fixtures(fixtures, plan(manifest, cfg), first=0)
+    run_annotation(plan(manifest, cfg), BUNDLE, manifest, client, cfg)
+    run_filter(out, client)
+
+    def crash(self, *args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(Path, "unlink", crash)
+    with pytest.raises(KeyboardInterrupt):
+        run_annotation(plan(manifest, cfg), BUNDLE, manifest, client, cfg)
+    monkeypatch.undo()
+
+    assert _batch_names(out) == ["batch_0_filtered.txt", "batch_0_output.txt"]
+    assert runner.plan_filter(out).inputs[0][1].name == "batch_0_output.txt"
+    assert len(runner.parse_run(out, filtered=True).lagging) == 1
+
+
+def test_annotate_with_damaged_filter_state_names_it(tmp_path):
+    manifest = _corpus_on_disk(tmp_path, 2)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "filter_state.json").write_text("{not json", encoding="utf-8")
+    cfg = RunnerConfig(batch_size=2, output_dir=str(out))
+    with pytest.raises(RunnerError, match="filter_state.json"):
+        run_annotation(plan(manifest, cfg), BUNDLE, manifest, make_stub(tmp_path), cfg)
+    assert not (out / "checkpoint.json").exists()
+
+
+def test_batch_file_that_cannot_be_removed_names_it(tmp_path):
+    manifest = _corpus_on_disk(tmp_path, 2)
+    out = tmp_path / "out"
+    (out / "batch_5_output.txt").mkdir(parents=True)
+    cfg = RunnerConfig(batch_size=2, output_dir=str(out))
+    client = make_stub(tmp_path)
+    with pytest.raises(RunnerError, match=r"cannot remove .*batch_5_output\.txt"):
+        run_annotation(plan(manifest, cfg), BUNDLE, manifest, client, cfg)
+    assert client.calls == 0
+
+
 # --- run_query -------------------------------------------------------------------
 
 

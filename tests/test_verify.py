@@ -631,7 +631,7 @@ def test_verify_dataset_skips_only_the_documents_it_cannot_read(tmp_path, caplog
     with caplog.at_level(logging.ERROR, logger="paperlens.verify"):
         annotated, summary = verify_dataset(ds, manifest, 0.85)
     assert summary.counts == {"verified": 1, "unverified": 0, "skipped": 2, "no_quote": 0}
-    assert summary.skipped_doc_ids == ["b", "b"]
+    assert summary.skipped_doc_ids == ["b"]
     assert summary.unreadable_doc_ids == ["b"]
     assert [r.verification is None for r in annotated.records] == [True, False, True]
     (error,) = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
