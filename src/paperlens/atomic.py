@@ -5,7 +5,8 @@ Every file a command reads, corpus sidecars apart, goes through
 ``read_text``, and every JSON file paperlens keeps goes through here.
 Writing has one serialiser: sorted keys, non-ASCII characters kept as they
 are, one object per ``\\n``-terminated line, and a dataclass instance
-written as the object of its fields by the encoder's ``default`` hook.
+written as the object of its fields by the encoder's ``default`` hook; a
+file it cannot write raises ``PaperlensError("cannot write <path>: <reason>")``.
 Reading has one error rule: a missing, unreadable or non-UTF-8 file, invalid
 JSON, a value that is not an object, a wrong ``format`` header, or a value
 of the wrong type raises the caller's error class naming ``path`` or
@@ -19,6 +20,7 @@ reports one as a user error, and the runner as the failure of one batch.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import types
@@ -141,14 +143,20 @@ def write_atomic(path: str | Path, text: str) -> None:
     """Replace ``path`` with ``text`` (UTF-8) by writing ``<name>.tmp`` and renaming.
 
     Readers see the old file or the new one, never a partial write; if the
-    rename fails the old file is left as it was. Text is encoded before the
-    temp file is opened, so text UTF-8 cannot encode leaves no temp file.
+    write or rename fails, the old file is left as it was and the temp file
+    is removed. Text is encoded before the temp file is opened, so text
+    UTF-8 cannot encode leaves no temp file.
     """
-    path = Path(path)
+    target = Path(path)
     data = text.encode("utf-8")
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(data)
-    tmp.replace(path)
+    tmp = target.with_suffix(target.suffix + ".tmp")
+    try:
+        tmp.write_bytes(data)
+        tmp.replace(target)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise PaperlensError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def jsonl_text(rows: Iterable[Any], header: Any = None) -> str:
@@ -173,8 +181,12 @@ def write_jsonl(path: str | Path, rows: Iterable[Any], header: Any = None) -> No
 
 def append_jsonl(path: str | Path, obj: dict) -> None:
     """Append one JSON object as one line."""
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(_ENCODER.encode(obj) + "\n")
+    line = _ENCODER.encode(obj) + "\n"
+    try:
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(line)
+    except OSError as exc:
+        raise PaperlensError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def read_text(path: str | Path, error: type[Exception]) -> str:

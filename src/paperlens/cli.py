@@ -224,7 +224,7 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
         print(f"prompt estimate: {bundle.estimated_tokens} tokens")
         for job in jobs:
             print(f"  batch {job.index}: {len(job.doc_ids)} docs, ~{job.tokens} doc tokens "
-                  f"-> {job.output_path}")
+                  f"-> {runner.batch_path(run_cfg.output_dir, job.index, 'output')}")
         return 0
 
     client = _make_client(cfg, args, Path(args.out))

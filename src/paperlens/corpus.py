@@ -110,9 +110,23 @@ class _Metadata:
 _NO_METADATA = _Metadata(doc_id="")
 
 
-def _run_extractor(extract_cmd: str, pdf: Path, txt: Path) -> bool:
-    """Run the configured extraction command for one document."""
-    cmd = [part.format(pdf=str(pdf), txt=str(txt)) for part in shlex.split(extract_cmd)]
+def _split_extract_cmd(extract_cmd: str) -> list[str]:
+    """The words of an ``--extract-cmd`` template, each checked to format with ``{pdf}`` and ``{txt}``."""
+    try:
+        words = shlex.split(extract_cmd)
+        if not words:
+            raise ValueError("empty command")
+        for word in words:
+            word.format(pdf="", txt="")
+    except (AttributeError, IndexError, KeyError, ValueError) as exc:
+        reason = f"unknown placeholder {{{exc.args[0]}}}" if isinstance(exc, KeyError) else exc
+        raise CorpusError(f"--extract-cmd: {reason}; use {{pdf}} and {{txt}}") from exc
+    return words
+
+
+def _run_extractor(words: list[str], pdf: Path, txt: Path) -> bool:
+    """Run the configured extraction command, split into ``words``, for one document."""
+    cmd = [word.format(pdf=str(pdf), txt=str(txt)) for word in words]
     try:
         proc = subprocess.run(cmd, capture_output=True, timeout=300)
     except (OSError, subprocess.TimeoutExpired) as exc:
@@ -178,6 +192,7 @@ def ingest(
     src = Path(source_dir)
     if not src.is_dir():
         raise CorpusError(f"source directory not readable: {src}")
+    extractor = _split_extract_cmd(extract_cmd) if extract_cmd else None
 
     entries = read_jsonl(metadata_file, CorpusError, _Metadata)[1] if metadata_file else ()
     metadata = {entry.doc_id: entry for entry in entries}
@@ -208,7 +223,7 @@ def ingest(
             text_path = sidecar
         elif entry.text_path and Path(entry.text_path).exists():
             text_path = str(Path(entry.text_path))
-        elif extract_cmd and _run_extractor(extract_cmd, Path(pdf), Path(sidecar)):
+        elif extractor and _run_extractor(extractor, Path(pdf), Path(sidecar)):
             text_path = sidecar
         if text_path is None:
             skipped.append(SkipReport(doc_id, pdf, "no extracted text found"))

@@ -10,7 +10,9 @@ unchanged. A run directory holds the batches of one plan: an annotation
 run first deletes every batch it does not carry over. Failed batches are
 recorded and do not halt the remaining jobs; long runs must survive
 transient faults. Only this module reads a run directory (``plan_filter``
-and ``parse_run``, through ``read_text``).
+and ``parse_run``, through ``read_text``). A plan holds no paths:
+``batch_path`` names a batch's files in the run's directory, whose
+``filter_state.json`` holds one number per batch, the filter pass it holds.
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ class BatchJob:
 
     index: int
     doc_ids: tuple[str, ...]
-    output_path: str
     tokens: int  # the planner's estimate for the documents and their headers
     status: JobStatus = JobStatus.PENDING
 
@@ -135,7 +136,6 @@ def plan_batches(
         raise RunnerError("cannot plan batches over an empty manifest")
 
     budget = provider_cfg.context_window_tokens - provider_cfg.max_output_tokens - prompt_tokens
-    out_dir = Path(cfg.output_dir)
     jobs: list[BatchJob] = []
     batch: list[str] = []
     batch_tokens = 0
@@ -143,15 +143,7 @@ def plan_batches(
     def close_batch() -> None:
         nonlocal batch, batch_tokens
         if batch:
-            index = len(jobs)
-            jobs.append(
-                BatchJob(
-                    index=index,
-                    doc_ids=tuple(batch),
-                    output_path=str(out_dir / f"batch_{index}_output.txt"),
-                    tokens=batch_tokens,
-                )
-            )
+            jobs.append(BatchJob(index=len(jobs), doc_ids=tuple(batch), tokens=batch_tokens))
             batch = []
             batch_tokens = 0
 
@@ -308,7 +300,8 @@ def run_annotation(
     pending: list[_Batch] = []
     for job in jobs:
         job_digest = _batch_digest(job.doc_ids, bundle.text, client.config)
-        if previous.digests.get(job.index) == job_digest and Path(job.output_path).exists():
+        output_path = batch_path(out_dir, job.index, "output")
+        if previous.digests.get(job.index) == job_digest and output_path.exists():
             checkpoint.digests[job.index] = job_digest
             job.status = JobStatus.DONE
             continue
@@ -316,7 +309,7 @@ def run_annotation(
         pending.append(
             _Batch(
                 index=job.index,
-                output_path=Path(job.output_path),
+                output_path=output_path,
                 request=lambda job=job: (bundle.with_payload_refs(job.doc_ids), _batch_payload(job, refs)),
             )
         )
@@ -346,9 +339,10 @@ def _drop_batches(directory: Path, state: FilterState, kept: set[int]) -> None:
     """Delete every batch of ``directory`` outside ``kept``: its filter-state
     entry first, then its ``batch_{n}_output.txt`` and ``batch_{n}_filtered.txt``.
 
-    A crash in between leaves a filtered file that ``plan_filter`` does not
-    read and ``parse_run`` names as lagging; the next filter call sends the
-    batch through the latest pass, starting from its new output.
+    A batch without an entry holds pass 0, so a crash in between leaves a
+    filtered file that ``plan_filter`` does not read and ``parse_run`` names
+    as lagging; the next filter call sends the batch through pass 1,
+    starting from its new output.
     """
     passes = {index: n for index, n in state.batch_passes.items() if index in kept}
     if passes != state.batch_passes:
@@ -396,6 +390,11 @@ class RetentionStats:
         return self.records_in > 0 and self.overall_retention > 0.5
 
 
+def batch_path(directory: str | Path, index: int, suffix: str) -> Path:
+    """``batch_{index}_{suffix}.txt`` in a run directory; ``suffix`` is ``output`` or ``filtered``."""
+    return Path(directory) / f"batch_{index}_{suffix}.txt"
+
+
 def _batch_files(directory: Path, suffix: str) -> list[tuple[int, Path]]:
     """The ``batch_{n}_{suffix}.txt`` files in a directory as (n, path), by n.
 
@@ -415,17 +414,12 @@ def _batch_files(directory: Path, suffix: str) -> list[tuple[int, Path]]:
 class FilterState:
     """Filter progress of one output directory (``filter_state.json``).
 
-    ``passes`` is the number of the latest pass started; ``batch_passes``
-    maps each batch index to the pass its ``batch_{n}_filtered.txt`` holds
-    (a batch whose input was empty counts as filtered without a file).
+    ``batch_passes`` maps each batch index to the pass its
+    ``batch_{n}_filtered.txt`` holds (a batch whose input was empty counts
+    as filtered without a file); a batch missing from it holds pass 0.
     """
 
     batch_passes: dict[int, int]
-    passes: int = 0
-
-    def lagging(self, indices: Iterable[int]) -> list[int]:
-        """Batches among ``indices`` that have not finished the latest pass."""
-        return [i for i in indices if self.batch_passes.get(i, 0) < self.passes]
 
     @classmethod
     def load(cls, directory: str | Path) -> "FilterState":
@@ -447,27 +441,28 @@ class FilterPlan:
 def plan_filter(output_dir: str | Path) -> FilterPlan:
     """Choose the filter pass and input files for the next filter call.
 
-    When the latest pass left batches behind (they failed, or their batch
-    output appeared later), the call finishes that pass over the lagging
-    batches only. Otherwise it starts the next pass over every batch. A
-    batch's input is its filtered file once it has passed the filter, and
-    its raw ``batch_{n}_output.txt`` before that. Each input is read here,
-    so an unreadable one ends the call before anything is sent.
+    The call sends the batches that hold the lowest pass among those with a
+    ``batch_{n}_output.txt`` through the next pass, ``lowest + 1``. So a
+    pass some batches missed (they failed, or were re-annotated) is
+    finished before a later one starts. A batch's input is its filtered
+    file once it has passed the filter, and its raw output before that.
+    Each input is read here, so an unreadable one ends the call before
+    anything is sent.
     """
     directory = Path(output_dir)
     indices = [i for i, _ in _batch_files(directory, "output")]
     if not indices:
         raise RunnerError(f"no batch output files found in {directory}")
     state = FilterState.load(directory)
-    lagging = state.lagging(indices)
-    pass_number = state.passes if lagging else state.passes + 1
+    held = {i: state.batch_passes.get(i, 0) for i in indices}
+    lowest = min(held.values())
     inputs = []
-    for index in lagging or indices:
-        path = directory / f"batch_{index}_filtered.txt"
-        if state.batch_passes.get(index, 0) < 1 or not path.exists():
-            path = directory / f"batch_{index}_output.txt"
+    for index in [i for i, n in held.items() if n == lowest]:
+        path = batch_path(directory, index, "filtered")
+        if lowest < 1 or not path.exists():
+            path = batch_path(directory, index, "output")
         inputs.append((index, path, read_text(path, RunnerError)))
-    return FilterPlan(pass_number=pass_number, inputs=inputs, state=state)
+    return FilterPlan(pass_number=lowest + 1, inputs=inputs, state=state)
 
 
 def run_filter(
@@ -480,16 +475,15 @@ def run_filter(
     Writes ``batch_{n}_filtered.txt`` next to each ``batch_{n}_output.txt``
     and reports retention (kept / input records, counted by the parser). A
     warning is flagged when the overall exclusion rate falls short of the
-    50% quota. Each call either finishes the latest pass for the batches it
-    left behind or starts the next pass, whose inputs are the previously
-    filtered files. Batches run concurrently up to the provider's in-flight
-    limit; ``filter_state.json`` records each batch's pass as it completes.
+    50% quota. Each call takes the batches at the lowest pass through the
+    next one (see ``plan_filter``), which names the call. Batches run
+    concurrently up to the provider's in-flight limit;
+    ``filter_state.json`` records each batch's pass as it completes.
     """
     directory = Path(output_dir)
     state_path = directory / FILTER_STATE_FILE
     plan = plan_filter(directory)
     state = plan.state
-    state.passes = plan.pass_number
     stats = RetentionStats(pass_number=plan.pass_number)
 
     texts = {index: text for index, _, text in plan.inputs}
@@ -498,20 +492,20 @@ def run_filter(
         if not text.strip():
             logger.info("skipping empty batch file %s", path.name)
             stats.skipped.append(path.name)
-            state.batch_passes[index] = state.batch_passes.get(index, 0) + 1
+            state.batch_passes[index] = plan.pass_number
             continue
         bundle = build_filter_prompt(text, templates_dir=templates_dir).with_payload_refs((path.name,))
         pending.append(
             _Batch(
                 index=index,
-                output_path=directory / f"batch_{index}_filtered.txt",
+                output_path=batch_path(directory, index, "filtered"),
                 request=lambda bundle=bundle: (bundle, ""),
             )
         )
     write_json(state_path, state)
 
     def record(index: int) -> None:
-        state.batch_passes[index] = state.batch_passes.get(index, 0) + 1
+        state.batch_passes[index] = plan.pass_number
         write_json(state_path, state)
 
     responses, stats.failures = _run_batches(pending, client, record)
@@ -536,7 +530,7 @@ class ParsedRun:
     records: list[ExampleRecord]
     files: int
     warnings: list[str]  # the parser's, in batch-index order
-    lagging: list[str]  # one per batch behind the latest filter pass
+    lagging: list[str]  # one per parsed batch behind the highest filter pass
     filter_pass_count: int
 
 
@@ -545,8 +539,9 @@ def parse_run(output_dir: str | Path, filtered: bool = False) -> ParsedRun:
     order, or every ``batch_{n}_filtered.txt`` with ``filtered``.
 
     Filtered records are only as filtered as their least-filtered batch:
-    its pass is ``filter_pass_count``, and each batch behind the latest pass
-    is named in ``lagging``.
+    the lowest pass among the parsed batches is ``filter_pass_count``, and
+    each parsed batch below the highest pass any of them holds (at least 1,
+    so a filtered file whose batch holds pass 0 is named) is in ``lagging``.
     """
     directory = Path(output_dir)
     suffix = "filtered" if filtered else "output"
@@ -559,13 +554,13 @@ def parse_run(output_dir: str | Path, filtered: bool = False) -> ParsedRun:
         run.records.extend(parsed)
         run.warnings.extend(warnings)
     if filtered:
-        indices = [index for index, _ in files]
-        state = FilterState.load(directory)
-        run.filter_pass_count = min(state.batch_passes.get(i, 0) for i in indices)
+        passes = FilterState.load(directory).batch_passes
+        held = {i: passes.get(i, 0) for i, _ in files}
+        run.filter_pass_count = min(held.values())
+        highest = max(1, *held.values())
         run.lagging = [
-            f"batch {i} holds filter pass {state.batch_passes.get(i, 0)} of {state.passes}; "
-            "re-run filter to finish the pass"
-            for i in state.lagging(indices)
+            f"batch {i} holds filter pass {n} of {highest}; re-run filter to bring it level"
+            for i, n in held.items() if n < highest
         ]
     return run
 

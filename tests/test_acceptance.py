@@ -27,7 +27,7 @@ from paperlens.records import (
     render_record,
     save_dataset,
 )
-from paperlens.runner import RunnerConfig, plan_batches, run_annotation, run_filter
+from paperlens.runner import RunnerConfig, batch_path, plan_batches, run_annotation, run_filter
 from paperlens.taxonomy import SubjectArea, classify_tag
 from paperlens.verify import best_match, verify_dataset
 from test_analytics import C_COUNTS, D_COUNTS, EXPECTED_COEFFICIENTS
@@ -141,7 +141,7 @@ def test_offline_end_to_end(tmp_path):
 
         parsed = []
         for job in jobs:
-            with open(job.output_path, encoding="utf-8") as fh:
+            with open(batch_path(out, job.index, "output"), encoding="utf-8") as fh:
                 parsed.extend(parse_batch_output(fh.read(), job.index)[0])
         assert len(parsed) == 10  # the fixtures' known record count
 

@@ -21,6 +21,7 @@ from paperlens.analytics import (
     prevalence_estimate,
     richness_table,
 )
+from paperlens.atomic import PaperlensError
 from paperlens.corpus import CorpusManifest, DocumentRef
 from paperlens.records import Dataset, ExampleRecord
 from paperlens.taxonomy import MAIN_AREAS, SubjectArea
@@ -323,7 +324,7 @@ def test_report_write_failure_keeps_old_report(tmp_path, monkeypatch):
         raise OSError("disk full")
 
     monkeypatch.setattr(Path, "replace", fail)
-    with pytest.raises(OSError):
+    with pytest.raises(PaperlensError, match="disk full"):
         emit_report(corpus, dataset, prevalence_estimate(735, 5000), dest)
     assert (dest / "report.txt").read_bytes() == b"previous report"
 

@@ -9,6 +9,7 @@ import pytest
 
 import paperlens
 from paperlens.atomic import (
+    PaperlensError,
     append_jsonl,
     from_json,
     jsonl_text,
@@ -44,6 +45,16 @@ def test_write_atomic_with_unencodable_text_leaves_the_old_file_and_no_temp_file
         write_atomic(path, "ok \ud83d")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
     assert path.read_text(encoding="utf-8") == "old"
+
+
+def test_write_atomic_that_cannot_rename_leaves_the_target_and_no_temp_file(tmp_path):
+    target = tmp_path / "out.txt"
+    (target / "inside").mkdir(parents=True)  # a directory that is not empty cannot be replaced
+    with pytest.raises(PaperlensError) as err:
+        write_atomic(target, "text")
+    assert str(err.value).startswith(f"cannot write {target}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+    assert (target / "inside").is_dir()
 
 
 def test_write_jsonl_round_trips_header_and_rows(tmp_path):
@@ -140,7 +151,8 @@ def test_read_errors_name_the_path_once(tmp_path, read):
 
 
 def test_only_atomic_and_corpus_open_files():
-    """Every other module reads a file through ``read_text``, so one error rule holds for all."""
+    """Every other module reads a file through ``read_text`` and writes one through
+    ``write_atomic`` or ``append_jsonl``, so one error rule holds for each."""
     calls = []
     for path in sorted(Path(paperlens.__file__).parent.glob("*.py")):
         if path.name in ("atomic.py", "corpus.py"):
@@ -150,7 +162,9 @@ def test_only_atomic_and_corpus_open_files():
                 continue
             if isinstance(node.func, ast.Name) and node.func.id == "open":
                 calls.append(f"{path.name}:{node.lineno} open(")
-            elif isinstance(node.func, ast.Attribute) and node.func.attr in ("open", "read_text"):
+            elif isinstance(node.func, ast.Attribute) and node.func.attr in (
+                "open", "read_text", "write_text", "write_bytes"
+            ):
                 calls.append(f"{path.name}:{node.lineno} .{node.func.attr}(")
     assert calls == []
 

@@ -349,6 +349,57 @@ def test_unreadable_input_is_one_error_line(pipeline_dirs, capsys, probe):
     assert (state.read_bytes() if state.exists() else None) == before
 
 
+@pytest.mark.parametrize("probe", [
+    "ingest", "sample", "parse", "verify --out", "verify --report", "export", "query --log",
+])
+def test_unwritable_output_is_one_error_line(pipeline_dirs, capsys, probe):
+    base, manifest_path, fixtures = pipeline_dirs
+    config = write_config(base, fixtures)
+    run, dataset = base / "run", base / "d.records.jsonl"
+    assert main(["annotate", "--config", str(config), "--manifest", str(manifest_path),
+                 "--out", str(run), "--batch-size", "2"]) == 0
+    assert main(["parse", "--dir", str(run), "--out", str(dataset)]) == 0
+    write_stub_fixture(fixtures, "query", [dataset.name], "an answer")
+    path = base / "nodir" / "out"
+    verify = ["verify", "--dataset", str(dataset), "--manifest", str(manifest_path)]
+    argv = {
+        "ingest": ["ingest", "--source", str(base / "src"), "--out", str(path)],
+        "sample": ["sample", "--manifest", str(manifest_path), "--n", "2", "--seed", "1", "--out", str(path)],
+        "parse": ["parse", "--dir", str(run), "--out", str(path)],
+        "verify --out": [*verify, "--out", str(path)],
+        "verify --report": [*verify, "--report", str(path)],
+        "export": ["export", "--dataset", str(dataset), "--out", str(path)],
+        "query --log": ["query", "--config", str(config), "--dataset", str(dataset),
+                        "--question", "why?", "--log", str(path)],
+    }[probe]
+    capsys.readouterr()
+
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: cannot write {path}: No such file or directory"], err
+
+
+@pytest.mark.parametrize("template, reason", [
+    ("sh -c 'awk {print}' {pdf} {txt}", "unknown placeholder {print}"),
+    ("cp {pdf} {txt", "expected '}' before end of string"),
+    ("cp 'a {pdf} {txt}", "No closing quotation"),
+])
+def test_extract_cmd_is_checked_before_any_extractor_runs(tmp_path, capsys, template, reason):
+    # Every PDF has its sidecar, so no extractor would run.
+    src = write_corpus(tmp_path / "src", {"paper0": "Text of paper 0."})
+    out = tmp_path / "m.jsonl"
+
+    assert main(["ingest", "--source", str(src), "--extract-cmd", template, "--out", str(out)]) == 1
+
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith(f"error: --extract-cmd: {reason}"), err
+    assert not out.exists()
+
+
 def test_prompts_show(capsys):
     assert main(["prompts", "show", "--kind", "annotation"]) == 0
     out = capsys.readouterr().out

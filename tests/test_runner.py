@@ -68,10 +68,13 @@ def test_plan_remainder_batch():
 
 
 def test_plan_output_paths_zero_based(tmp_path):
-    manifest = synthetic_manifest(30)
-    jobs = plan(manifest, RunnerConfig(batch_size=25, output_dir=str(tmp_path)))
-    assert jobs[0].output_path.endswith("batch_0_output.txt")
-    assert jobs[1].output_path.endswith("batch_1_output.txt")
+    manifest = _corpus_on_disk(tmp_path, 30)
+    out = tmp_path / "out"
+    cfg = RunnerConfig(batch_size=25, output_dir=str(out))
+    jobs = plan(manifest, cfg)
+    _fixtures_for_jobs(tmp_path / "fixtures", jobs, lambda j: f"analysis for batch {j.index}")
+    run_annotation(jobs, BUNDLE, manifest, make_stub(tmp_path / "fixtures"), cfg)
+    assert _batch_names(out) == ["batch_0_output.txt", "batch_1_output.txt"]
 
 
 @settings(max_examples=40, deadline=None)
@@ -605,7 +608,7 @@ def test_filter_pass_count_recorded_and_reapplies(tmp_path):
     assert second.pass_number == 2
     assert second.per_batch[0] == (1, 2)
     state = json.loads((out / "filter_state.json").read_text())
-    assert state["passes"] == 2
+    assert state == {"batch_passes": {"0": 2}}
 
 
 @pytest.mark.parametrize("text", ["{not json", "[]", '{"batch_passes": []}'])
@@ -628,7 +631,7 @@ def test_filter_state_without_batch_passes_is_rejected(tmp_path):
 @pytest.mark.parametrize("text, reason", [
     ('{"batch_passes": {"0": true}}', "batch_passes.0 must be int, got True"),
     ('{"batch_passes": {"0": 1.5}}', "batch_passes.0 must be int, got 1.5"),
-    ('{"batch_passes": {"0": 1}, "passes": "2"}', "passes must be int, got '2'"),
+    ('{"batch_passes": {"0": "2"}}', "batch_passes.0 must be int, got '2'"),
     ('{"batch_passes": {"x": 1}, "passes": 1}', "batch_passes.x is not an integer key"),
 ])
 def test_filter_state_value_of_wrong_type_names_the_field(tmp_path, text, reason):
@@ -660,8 +663,7 @@ def test_filter_failed_batch_keeps_its_pass_number(tmp_path):
     assert second.pass_number == 2
     assert [index for index, _ in second.failures] == [1]
     state = json.loads((out / "filter_state.json").read_text())
-    assert state["passes"] == 2
-    assert state["batch_passes"] == {"0": 2, "1": 1}
+    assert state == {"batch_passes": {"0": 2, "1": 1}}
 
 
 def test_filter_finishes_a_failed_pass_before_starting_the_next(tmp_path):
@@ -684,8 +686,7 @@ def test_filter_finishes_a_failed_pass_before_starting_the_next(tmp_path):
     assert resumed.per_batch == {1: (1, 2)}
     assert not resumed.failures
     state = json.loads((out / "filter_state.json").read_text())
-    assert state["passes"] == 2
-    assert state["batch_passes"] == {"0": 2, "1": 2}
+    assert state == {"batch_passes": {"0": 2, "1": 2}}
     assert (out / "batch_0_filtered.txt").read_text() == batch_output_text(made[0][:1])
     assert (out / "batch_1_filtered.txt").read_text() == batch_output_text(made[1][:1])
 
@@ -757,6 +758,106 @@ def test_reannotated_batches_are_filtered_from_their_new_output(tmp_path):
     parsed = runner.parse_run(out, filtered=True)
     assert [r.quote for r in parsed.records] == [r.quote for i in (0, 1) for r in made[i][:2]]
     assert parsed.filter_pass_count == 1 and parsed.lagging == []
+
+
+def test_filter_after_reannotation_starts_again_at_pass_one(tmp_path):
+    manifest = _corpus_on_disk(tmp_path, 4)
+    out, fixtures = tmp_path / "out", tmp_path / "fixtures"
+    cfg = RunnerConfig(batch_size=2, output_dir=str(out))
+    client = make_stub(fixtures)
+    _annotation_fixtures(fixtures, plan(manifest, cfg), first=0)
+    run_annotation(plan(manifest, cfg), BUNDLE, manifest, client, cfg)
+    assert [run_filter(out, client).pass_number for _ in range(2)] == [1, 2]
+    new_prompt = PromptBundle(kind=PromptKind.ANNOTATION, text=BUNDLE.text + "\n\nA revised instruction.")
+    _annotation_fixtures(fixtures, plan(manifest, cfg), first=500)
+    cfg_resume = RunnerConfig(batch_size=2, output_dir=str(out), resume=True)
+    run_annotation(plan(manifest, cfg_resume), new_prompt, manifest, client, cfg_resume)
+
+    stats = run_filter(out, client)
+
+    assert stats.pass_number == 1
+    assert json.loads((out / "filter_state.json").read_text()) == {"batch_passes": {"0": 1, "1": 1}}
+    assert runner.parse_run(out, filtered=True).lagging == []
+    assert runner.plan_filter(out).pass_number == 2
+
+
+def _held(out: Path, batches) -> dict[int, int]:
+    """The filter pass each of ``batches`` holds, 0 for one missing from ``filter_state.json``."""
+    passes = runner.FilterState.load(out).batch_passes
+    return {i: passes.get(i, 0) for i in batches}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_batches=st.integers(min_value=1, max_value=3),
+    steps=st.lists(
+        st.tuples(st.sampled_from(["filter", "reannotate"]), st.sets(st.integers(min_value=0, max_value=2))),
+        max_size=6,
+    ),
+)
+# Three batches at passes 2, 1 and 0 before the last call.
+@example(n_batches=3, steps=[("filter", set()), ("filter", {1, 2}), ("reannotate", {2}), ("filter", set())])
+def test_each_filter_call_takes_the_lowest_pass_one_further(n_batches, steps):
+    """Filter calls in which the chosen batches fail, and re-annotations that
+    re-send the chosen batches, in any order."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp_path = Path(tmp)
+        manifest = _corpus_on_disk(tmp_path, n_batches)
+        out, fixtures = tmp_path / "out", tmp_path / "fixtures"
+        cfg = RunnerConfig(batch_size=1, output_dir=str(out), resume=True)
+        _annotation_fixtures(fixtures, plan(manifest, cfg), first=0)
+        client = make_stub(fixtures, max_retries=0)
+        run_annotation(plan(manifest, cfg), BUNDLE, manifest, client, cfg)
+        batches = range(n_batches)
+        for kind, chosen in steps:
+            chosen = {i for i in chosen if i < n_batches}
+            before = _held(out, batches)
+            if kind == "reannotate":
+                for i in chosen:
+                    runner.batch_path(out, i, "output").unlink()
+                run_annotation(plan(manifest, cfg), BUNDLE, manifest, client, cfg)
+                after = _held(out, batches)
+                assert after == {i: 0 if i in chosen else n for i, n in before.items()}
+                continue
+
+            client.script.fail_counts = {
+                f"filter-{stub_key('filter', [f'batch_{i}_{suffix}.txt'])}": -1
+                for i in chosen
+                for suffix in ("output", "filtered")
+            }
+            stats = run_filter(out, client)
+
+            lowest = min(before.values())
+            sent = {i for i, n in before.items() if n == lowest}
+            assert stats.pass_number == lowest + 1
+            assert {i for i, _ in stats.failures} == sent & chosen
+            after = _held(out, batches)
+            assert after == {i: stats.pass_number if i in sent - chosen else n for i, n in before.items()}
+            parsed_passes = {i: after[i] for i in batches if runner.batch_path(out, i, "filtered").exists()}
+            if not parsed_passes:
+                with pytest.raises(RunnerError, match="no batch_"):
+                    runner.parse_run(out, filtered=True)
+                continue
+            parsed = runner.parse_run(out, filtered=True)
+            highest = max(1, *parsed_passes.values())
+            assert parsed.filter_pass_count == min(parsed_passes.values())
+            assert [int(line.split()[1]) for line in parsed.lagging] == [
+                i for i, n in parsed_passes.items() if n < highest
+            ]
+
+
+def test_jobs_run_into_the_directory_of_the_run_config(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # where the planning config's default output_dir lies
+    manifest = _corpus_on_disk(tmp_path, 4)
+    jobs = plan(manifest, RunnerConfig(batch_size=2))
+    _fixtures_for_jobs(tmp_path / "fixtures", jobs, lambda j: f"analysis for batch {j.index}")
+    cfg = RunnerConfig(batch_size=2, output_dir=str(tmp_path / "run"))
+
+    summary = run_annotation(jobs, BUNDLE, manifest, make_stub(tmp_path / "fixtures"), cfg)
+
+    assert summary.completed == 2 and summary.failed == 0
+    assert _batch_names(tmp_path / "run") == ["batch_0_output.txt", "batch_1_output.txt"]
+    assert not (tmp_path / "runs").exists()
 
 
 def test_failed_batch_of_a_new_plan_leaves_no_old_output(tmp_path):

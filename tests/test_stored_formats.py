@@ -127,7 +127,7 @@ def test_checkpoint_bytes_are_pinned(tmp_path):
 
 
 def test_filter_state_bytes_are_pinned(tmp_path):
-    state = FilterState(batch_passes={i: 2 for i in reversed(range(BATCHES))}, passes=2)
+    state = FilterState(batch_passes={i: 2 for i in reversed(range(BATCHES))})
     write_json(tmp_path / "filter_state.json", state)
     golden = GOLDEN / "filter_state_thirteen_batches.json"
     assert (tmp_path / "filter_state.json").read_bytes() == golden.read_bytes()
