@@ -271,7 +271,7 @@ def emit_report(
     try:
         dest.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise AnalyticsError(f"cannot write to destination {dest}: {exc}") from exc
+        raise AnalyticsError(f"cannot write {dest}: {exc.strerror or exc}") from exc
 
     rows = richness_table(corpus, dataset)
     lines: list[str] = []

@@ -118,9 +118,11 @@ class _NormalizedDoc(str):
     """A document text that is ``normalize``'s output.
 
     ``verify_dataset`` wraps each source document once and passes it to
-    ``best_match`` as the document text, which then does not normalize it
-    again. Its code points are encoded on the first match that is not an
-    exact substring, then kept. Slices are plain strings.
+    ``best_match`` for each of the document's quotes, which then does not
+    normalize it again. Its code points are encoded on the first match that
+    is not an exact substring and kept for the document's later quotes;
+    both go when ``verify_dataset`` drops the document after its last quote.
+    Slices are plain strings.
     """
 
     @functools.cached_property
@@ -592,9 +594,12 @@ def verify_dataset(
     (logged once) are skipped and reported; records without a quote are
     counted separately, not failed.
     Near-misses (similarity within REVIEW_BAND below the threshold) are
-    additionally listed for human review. Each source document is read,
-    normalized and encoded once, then ``best_match`` runs once per quoted
-    record, in dataset order.
+    additionally listed for human review. Sources are handled one at a
+    time, in the order the dataset first names them: each is read,
+    normalized and encoded once, ``best_match`` runs once for each of its
+    quoted records, and it is dropped before the next is read, so memory
+    follows the largest cited document, not how many are cited. The
+    annotated dataset and the summary keep dataset order.
     """
     from .corpus import CorpusError, load_text
     from .records import Dataset
@@ -602,31 +607,41 @@ def verify_dataset(
     started = time.perf_counter()
     summary = VerificationSummary()
     refs = {ref.doc_id: ref for ref in manifest.documents}
-    docs: dict[str, _NormalizedDoc] = {}
-    for record in ds.records:
-        doc_id = record.source_doc_id
-        if record.quote and doc_id in refs:  # popped, so each source is read once
-            try:
-                # load_text returns normalize's output already.
-                docs[doc_id] = _NormalizedDoc(load_text(refs.pop(doc_id)))
-            except CorpusError as exc:
-                logger.error("%s; its quotes are skipped", exc)
-                summary.unreadable_doc_ids.append(doc_id)
+    quoted_by_doc: dict[str, list[int]] = {}
+    for i, record in enumerate(ds.records):
+        if record.quote:
+            quoted_by_doc.setdefault(record.source_doc_id, []).append(i)
+
+    results: dict[int, VerificationResult] = {}
+    read = 0
+    for doc_id, indices in quoted_by_doc.items():
+        if doc_id not in refs:
+            continue
+        try:
+            # load_text returns normalize's output already.
+            doc = _NormalizedDoc(load_text(refs[doc_id]))
+        except CorpusError as exc:
+            logger.error("%s; its quotes are skipped", exc)
+            summary.unreadable_doc_ids.append(doc_id)
+            continue
+        read += 1
+        for i in indices:
+            results[i] = best_match(ds.records[i].quote, doc, threshold)
+        del doc  # with its cached code points, before the next source is read
 
     annotated: list["ExampleRecord"] = []
     perfect = 0
-    for record in ds.records:
+    for i, record in enumerate(ds.records):
         if not record.quote:
             summary.no_quote += 1
             annotated.append(record)
             continue
-        doc = docs.get(record.source_doc_id)
-        if doc is None:
+        result = results.get(i)
+        if result is None:
             summary.skipped += 1
             summary.skipped_doc_ids.append(record.source_doc_id)
             annotated.append(record)
             continue
-        result = best_match(record.quote, doc, threshold)
         record = replace(record, verification=result)
         annotated.append(record)
         perfect += result.similarity == 1.0
@@ -643,7 +658,7 @@ def verify_dataset(
     logger.info(
         "verify: %d quoted records against %d documents, %d at similarity 1.0, "
         "%d below, %d skipped, %.2f s",
-        quoted, len(docs), perfect, quoted - perfect, summary.skipped, time.perf_counter() - started,
+        quoted, read, perfect, quoted - perfect, summary.skipped, time.perf_counter() - started,
     )
     annotated_ds = Dataset(
         records=annotated,

@@ -309,8 +309,11 @@ def test_report_unwritable_destination(tmp_path):
     target = tmp_path / "blocked"
     target.write_text("a file, not a directory")
     corpus = DistributionTable.from_counts(C_COUNTS)
-    with pytest.raises(AnalyticsError, match="destination"):
+    with pytest.raises(AnalyticsError, match=r"cannot write .*blocked: ") as raised:
         emit_report(corpus, corpus, prevalence_estimate(735, 5000), target)
+    # The form write_atomic uses: the path once, then the reason without its errno.
+    assert str(raised.value).startswith(f"cannot write {target}: ")
+    assert "Errno" not in str(raised.value)
 
 
 def test_report_write_failure_keeps_old_report(tmp_path, monkeypatch):

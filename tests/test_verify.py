@@ -6,6 +6,7 @@ import math
 import random
 import re
 import sys
+import tracemalloc
 import types
 import unicodedata
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from paperlens import verify
+from paperlens import corpus, verify
 from paperlens.corpus import CorpusManifest, DocumentRef
 from paperlens.records import Dataset, ExampleRecord
 from paperlens.verify import VerificationResult, _codepoints, _StartBounds, best_match, normalize, verify_dataset
@@ -664,6 +665,64 @@ def test_verify_dataset_logs_counts(tmp_path, caplog):
         m.startswith("verify: 2 quoted records against 1 documents, 1 at similarity 1.0, 1 below, 1 skipped, ")
         for m in caplog.messages
     )
+
+
+def test_verify_dataset_matches_each_source_before_reading_the_next(tmp_path, monkeypatch):
+    manifest = _disk_corpus(
+        tmp_path,
+        {
+            "a": "The lemma holds because the symmetry forces cancellation.",
+            "b": "We explain why the bound is sharp using a counting argument.",
+        },
+    )
+    events = []
+    real_load_text, real_best_match = corpus.load_text, verify.best_match
+
+    def load_text(ref):
+        events.append(f"load {ref.doc_id}")
+        return real_load_text(ref)
+
+    def best_match(quote, doc_text, threshold):
+        events.append("match")
+        return real_best_match(quote, doc_text, threshold)
+
+    monkeypatch.setattr(corpus, "load_text", load_text)
+    monkeypatch.setattr(verify, "best_match", best_match)
+    quotes = [
+        "the symmetry forces cancellation",
+        "explain why the bound is sharp",
+        "The lemma holds because",
+        "using a counting argument",
+    ]
+    ds = Dataset(records=[ExampleRecord(source_doc_id=d, finding="f", quote=q) for d, q in zip("abab", quotes)])
+    annotated, summary = verify_dataset(ds, manifest, 0.85)
+    assert events == ["load a", "match", "match", "load b", "match", "match"]
+    assert [(r.source_doc_id, r.quote) for r in annotated.records] == list(zip("abab", quotes))
+    assert summary.counts == {"verified": 4, "unverified": 0, "skipped": 0, "no_quote": 0}
+
+
+def test_verify_dataset_memory_does_not_grow_with_cited_documents(tmp_path):
+    quote, body = _strided_case(5, 20_000, 100, 0.05)
+
+    def peak_bytes(n_docs: int) -> int:
+        texts = {f"p{i:03d}": f"Paper {i:03d}. {body}" for i in range(n_docs)}
+        root = tmp_path / str(n_docs)
+        root.mkdir()
+        manifest = _disk_corpus(root, texts)
+        ds = Dataset(records=[ExampleRecord(source_doc_id=d, finding="f", quote=quote) for d in texts])
+        tracemalloc.start()
+        try:
+            _, summary = verify_dataset(ds, manifest, 0.85)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert summary.counts["verified"] + summary.counts["unverified"] == n_docs
+        return peak
+
+    peak_bytes(1)  # one-time allocations (caches, lazy imports) land here
+    # One document's text (1 byte per ASCII character) plus its int32 code points.
+    one_doc = 5 * len(body)
+    assert abs(peak_bytes(40) - peak_bytes(10)) < one_doc
 
 
 def test_verification_result_invariants():
