@@ -2,8 +2,8 @@
 
 The stub replays canned responses keyed by (prompt kind, sorted doc ids), so
 this demo fabricates two batch responses, runs the annotation pass with
-checkpointing, re-runs with resume to show zero provider calls, and then
-applies the strict filter pass.
+checkpointing, re-runs with resume to show zero provider calls, applies the
+strict filter pass, and parses the filtered records.
 
 Run: python demos/02_offline_annotation_run.py
 """
@@ -11,6 +11,7 @@ Run: python demos/02_offline_annotation_run.py
 import tempfile
 from pathlib import Path
 
+import paperlens.runner
 from paperlens import (
     ExampleRecord,
     ProviderConfig,
@@ -92,3 +93,8 @@ stats = run_filter(work / "run", client)
 print(f"filter pass {stats.pass_number}: kept {stats.records_kept}/{stats.records_in} "
       f"records (retention {stats.overall_retention:.2f}, "
       f"quota warning: {stats.quota_warning})")
+
+# Parse the records each batch holds after its filter pass.
+parsed = paperlens.runner.parse_run(work / "run", filtered=True)
+print(f"parsed {len(parsed.records)} filtered records "
+      f"(filter_pass_count {parsed.filter_pass_count})")

@@ -132,7 +132,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="dataset file to write")
     p.add_argument("--manifest", help="manifest to record a digest of")
     p.add_argument("--filtered", action="store_true",
-                   help="parse batch_*_filtered.txt instead of raw outputs")
+                   help="parse each batch's latest filter pass (its raw output before the first)")
 
     p = sub.add_parser("verify", help="check record quotes against their source documents")
     p.add_argument("--dataset", required=True, help="dataset file to verify")

@@ -340,8 +340,8 @@ def _drop_batches(directory: Path, state: FilterState, kept: set[int]) -> None:
     entry first, then its ``batch_{n}_output.txt`` and ``batch_{n}_filtered.txt``.
 
     A batch without an entry holds pass 0, so a crash in between leaves a
-    filtered file that ``plan_filter`` does not read and ``parse_run`` names
-    as lagging; the next filter call sends the batch through pass 1,
+    filtered file that neither ``plan_filter`` nor ``parse_run`` reads (see
+    ``_held``); the next filter call sends the batch through pass 1,
     starting from its new output.
     """
     passes = {index: n for index, n in state.batch_passes.items() if index in kept}
@@ -438,30 +438,35 @@ class FilterPlan:
     state: FilterState
 
 
+def _held(directory: Path) -> tuple[FilterState, dict[int, tuple[int, Path]]]:
+    """Each batch with a ``batch_{n}_output.txt``, by n: the pass it holds and
+    the file holding that pass's records, its filtered file from pass 1 on
+    (when it exists) and its output before that."""
+    outputs = _batch_files(directory, "output")
+    if not outputs:
+        raise RunnerError(f"no batch output files found in {directory}")
+    state = FilterState.load(directory)
+    held = {}
+    for index, output in outputs:
+        n = state.batch_passes.get(index, 0)
+        filtered = batch_path(directory, index, "filtered")
+        held[index] = (n, filtered if n >= 1 and filtered.exists() else output)
+    return state, held
+
+
 def plan_filter(output_dir: str | Path) -> FilterPlan:
     """Choose the filter pass and input files for the next filter call.
 
     The call sends the batches that hold the lowest pass among those with a
     ``batch_{n}_output.txt`` through the next pass, ``lowest + 1``. So a
     pass some batches missed (they failed, or were re-annotated) is
-    finished before a later one starts. A batch's input is its filtered
-    file once it has passed the filter, and its raw output before that.
-    Each input is read here, so an unreadable one ends the call before
-    anything is sent.
+    finished before a later one starts. A batch's input is the file
+    ``_held`` names. Each input is read here, so an unreadable one ends
+    the call before anything is sent.
     """
-    directory = Path(output_dir)
-    indices = [i for i, _ in _batch_files(directory, "output")]
-    if not indices:
-        raise RunnerError(f"no batch output files found in {directory}")
-    state = FilterState.load(directory)
-    held = {i: state.batch_passes.get(i, 0) for i in indices}
-    lowest = min(held.values())
-    inputs = []
-    for index in [i for i, n in held.items() if n == lowest]:
-        path = batch_path(directory, index, "filtered")
-        if lowest < 1 or not path.exists():
-            path = batch_path(directory, index, "output")
-        inputs.append((index, path, read_text(path, RunnerError)))
+    state, held = _held(Path(output_dir))
+    lowest = min(n for n, _ in held.values())
+    inputs = [(i, path, read_text(path, RunnerError)) for i, (n, path) in held.items() if n == lowest]
     return FilterPlan(pass_number=lowest + 1, inputs=inputs, state=state)
 
 
@@ -535,33 +540,28 @@ class ParsedRun:
 
 
 def parse_run(output_dir: str | Path, filtered: bool = False) -> ParsedRun:
-    """Parse every ``batch_{n}_output.txt`` of a run directory in batch-index
-    order, or every ``batch_{n}_filtered.txt`` with ``filtered``.
+    """Parse each batch with a ``batch_{n}_output.txt``, in batch-index
+    order: its output, or with ``filtered`` the file ``_held`` names.
 
     Filtered records are only as filtered as their least-filtered batch:
-    the lowest pass among the parsed batches is ``filter_pass_count``, and
-    each parsed batch below the highest pass any of them holds (at least 1,
-    so a filtered file whose batch holds pass 0 is named) is in ``lagging``.
+    the lowest pass any batch holds is ``filter_pass_count``, and each
+    batch below the highest pass (at least 1, so a batch at pass 0 is
+    named) is in ``lagging``.
     """
     directory = Path(output_dir)
-    suffix = "filtered" if filtered else "output"
-    files = _batch_files(directory, suffix)
-    if not files:
-        raise RunnerError(f"no batch_*_{suffix}.txt files found in {directory}")
-    run = ParsedRun(records=[], files=len(files), warnings=[], lagging=[], filter_pass_count=0)
-    for index, path in files:
+    _, held = _held(directory)
+    run = ParsedRun(records=[], files=len(held), warnings=[], lagging=[], filter_pass_count=0)
+    for index, (_, path) in held.items():
+        path = path if filtered else batch_path(directory, index, "output")
         parsed, warnings = parse_batch_output(read_text(path, RunnerError), index)
         run.records.extend(parsed)
         run.warnings.extend(warnings)
     if filtered:
-        passes = FilterState.load(directory).batch_passes
-        held = {i: passes.get(i, 0) for i, _ in files}
-        run.filter_pass_count = min(held.values())
-        highest = max(1, *held.values())
-        run.lagging = [
-            f"batch {i} holds filter pass {n} of {highest}; re-run filter to bring it level"
-            for i, n in held.items() if n < highest
-        ]
+        passes = {i: n for i, (n, _) in held.items()}
+        run.filter_pass_count = min(passes.values())
+        highest = max(1, *passes.values())
+        run.lagging = [f"batch {i} holds filter pass {n} of {highest}; re-run filter to bring it level"
+                       for i, n in passes.items() if n < highest]
     return run
 
 

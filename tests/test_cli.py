@@ -19,7 +19,7 @@ from paperlens.cli import build_parser, main
 from paperlens.config import _FLAG_ONLY, OVERRIDABLE
 from paperlens.corpus import ingest, load_manifest, save_manifest
 from paperlens.provider import ProviderConfig, stub_key, write_stub_fixture
-from paperlens.records import load_dataset
+from paperlens.records import load_dataset, parse_batch_output
 
 
 def write_config(tmp_path, fixtures_dir, **extra):
@@ -273,6 +273,49 @@ def test_parse_filtered_stamps_lagging_pass_count(pipeline_dirs, capsys):
     assert load_dataset(dataset_path).filter_pass_count == 1
     err = capsys.readouterr().err
     assert "batch 0" in err and "batch 1" not in err
+
+
+def test_parse_filtered_keeps_a_batch_whose_filter_call_failed(pipeline_dirs, capsys):
+    tmp_path, manifest_path, fixtures = pipeline_dirs
+    config = write_config(tmp_path, fixtures)
+    out_dir = tmp_path / "run"
+    main(["annotate", "--config", str(config), "--manifest", str(manifest_path),
+          "--out", str(out_dir), "--batch-size", "2"])
+    (fixtures / f"filter-{stub_key('filter', ['batch_1_output.txt'])}.txt").unlink()
+    assert main(["filter", "--config", str(config), "--dir", str(out_dir)]) == 2
+    capsys.readouterr()
+
+    dataset_path = tmp_path / "filtered.records.jsonl"
+    assert main(["parse", "--dir", str(out_dir), "--out", str(dataset_path), "--filtered"]) == 0
+
+    ds = load_dataset(dataset_path)
+    raw_1 = (out_dir / "batch_1_output.txt").read_text(encoding="utf-8")
+    assert [r.batch_index for r in ds.records] == [0, 1, 1]
+    assert [r.quote for r in ds.records[1:]] == [r.quote for r in parse_batch_output(raw_1, 1)[0]]
+    assert ds.filter_pass_count == 0
+    err = capsys.readouterr().err
+    assert "batch 1 holds filter pass 0 of 1" in err and "batch 0" not in err
+
+
+def test_parse_filtered_before_any_filter_call_reads_the_raw_outputs(pipeline_dirs, capsys):
+    tmp_path, manifest_path, fixtures = pipeline_dirs
+    config = write_config(tmp_path, fixtures)
+    out_dir = tmp_path / "run"
+    main(["annotate", "--config", str(config), "--manifest", str(manifest_path),
+          "--out", str(out_dir), "--batch-size", "2"])
+    raw_path, filtered_path = tmp_path / "raw.records.jsonl", tmp_path / "filtered.records.jsonl"
+    assert main(["parse", "--dir", str(out_dir), "--out", str(raw_path)]) == 0
+    capsys.readouterr()
+
+    assert main(["parse", "--dir", str(out_dir), "--out", str(filtered_path), "--filtered"]) == 0
+
+    ds = load_dataset(filtered_path)
+    assert len(ds.records) == 4
+    assert ds.records == load_dataset(raw_path).records
+    assert ds.filter_pass_count == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+    assert warnings == [f"warning: batch {i} holds filter pass 0 of 1; re-run filter to bring it level"
+                        for i in (0, 1)]
 
 
 def test_parse_ignores_stray_batch_files(pipeline_dirs, capsys):
@@ -603,7 +646,12 @@ def test_malformed_checkpoint_on_resume_is_user_error(pipeline_dirs, capsys):
 
 @pytest.mark.parametrize(
     "command",
-    [["filter"], ["filter", "--dry-run"], ["parse", "--filtered", "--out", "parsed.records.jsonl"]],
+    [
+        ["filter"],
+        ["filter", "--dry-run"],
+        ["parse", "--filtered", "--out", "parsed.records.jsonl"],
+        ["parse", "--out", "parsed.records.jsonl"],
+    ],
 )
 def test_malformed_filter_state_is_user_error(pipeline_dirs, capsys, command):
     tmp_path, manifest_path, fixtures = pipeline_dirs

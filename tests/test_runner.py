@@ -797,6 +797,9 @@ def _held(out: Path, batches) -> dict[int, int]:
 )
 # Three batches at passes 2, 1 and 0 before the last call.
 @example(n_batches=3, steps=[("filter", set()), ("filter", {1, 2}), ("reannotate", {2}), ("filter", set())])
+# A failed first pass: batch 0 has no filtered file, and still counts.
+@example(n_batches=2, steps=[("filter", {0})])
+@example(n_batches=1, steps=[("filter", {0})])
 def test_each_filter_call_takes_the_lowest_pass_one_further(n_batches, steps):
     """Filter calls in which the chosen batches fail, and re-annotations that
     re-send the chosen batches, in any order."""
@@ -833,16 +836,12 @@ def test_each_filter_call_takes_the_lowest_pass_one_further(n_batches, steps):
             assert {i for i, _ in stats.failures} == sent & chosen
             after = _held(out, batches)
             assert after == {i: stats.pass_number if i in sent - chosen else n for i, n in before.items()}
-            parsed_passes = {i: after[i] for i in batches if runner.batch_path(out, i, "filtered").exists()}
-            if not parsed_passes:
-                with pytest.raises(RunnerError, match="no batch_"):
-                    runner.parse_run(out, filtered=True)
-                continue
             parsed = runner.parse_run(out, filtered=True)
-            highest = max(1, *parsed_passes.values())
-            assert parsed.filter_pass_count == min(parsed_passes.values())
+            highest = max(1, *after.values())
+            assert parsed.files == n_batches
+            assert parsed.filter_pass_count == min(after.values())
             assert [int(line.split()[1]) for line in parsed.lagging] == [
-                i for i, n in parsed_passes.items() if n < highest
+                i for i, n in after.items() if n < highest
             ]
 
 
@@ -919,6 +918,59 @@ def test_crash_after_dropping_filter_passes_leaves_a_lagging_batch(tmp_path, mon
     assert _batch_names(out) == ["batch_0_filtered.txt", "batch_0_output.txt"]
     assert runner.plan_filter(out).inputs[0][1].name == "batch_0_output.txt"
     assert len(runner.parse_run(out, filtered=True).lagging) == 1
+
+
+# --- parse_run reads the batches plan_filter reads ------------------------------------
+
+
+def _assert_batch_1_lags_at_pass_0(parsed, batch_0: list, batch_1: list) -> None:
+    assert [r.quote for r in parsed.records] == [r.quote for r in batch_0 + batch_1]
+    assert parsed.files == 2
+    assert parsed.filter_pass_count == 0
+    assert parsed.lagging == ["batch 1 holds filter pass 0 of 1; re-run filter to bring it level"]
+
+
+def test_parse_filtered_reads_the_output_of_a_batch_without_a_filter_pass(tmp_path):
+    out = tmp_path / "out"
+    made = _write_batch_outputs(out, {0: 4, 1: 3})
+    (out / "batch_0_filtered.txt").write_text(batch_output_text(made[0][:2]), encoding="utf-8")
+    (out / "filter_state.json").write_text('{"batch_passes": {"0": 1}}', encoding="utf-8")
+
+    parsed = runner.parse_run(out, filtered=True)
+
+    _assert_batch_1_lags_at_pass_0(parsed, made[0][:2], made[1])
+
+
+def _two_annotated_batches(tmp_path: Path):
+    """Two one-document batches, annotated; a stub whose filter calls never retry."""
+    manifest = _corpus_on_disk(tmp_path, 2)
+    out, fixtures = tmp_path / "out", tmp_path / "fixtures"
+    cfg = RunnerConfig(batch_size=1, output_dir=str(out), resume=True)
+    made = _annotation_fixtures(fixtures, plan(manifest, cfg), first=0)
+    client = make_stub(fixtures, max_retries=0)
+    run_annotation(plan(manifest, cfg), BUNDLE, manifest, client, cfg)
+    return manifest, out, cfg, client, made
+
+
+def test_parse_filtered_keeps_a_batch_whose_first_filter_call_failed(tmp_path):
+    _, out, _, client, made = _two_annotated_batches(tmp_path)
+    client.script.fail_counts[f"filter-{stub_key('filter', ['batch_1_output.txt'])}"] = -1
+    assert [i for i, _ in run_filter(out, client).failures] == [1]
+
+    parsed = runner.parse_run(out, filtered=True)
+
+    _assert_batch_1_lags_at_pass_0(parsed, made[0][:2], made[1])
+
+
+def test_parse_filtered_keeps_a_batch_reannotated_after_its_filter_pass(tmp_path):
+    manifest, out, cfg, client, made = _two_annotated_batches(tmp_path)
+    assert run_filter(out, client).pass_number == 1
+    runner.batch_path(out, 1, "output").unlink()
+    assert run_annotation(plan(manifest, cfg), BUNDLE, manifest, client, cfg).provider_calls == 1
+
+    parsed = runner.parse_run(out, filtered=True)
+
+    _assert_batch_1_lags_at_pass_0(parsed, made[0][:2], made[1])
 
 
 def test_annotate_with_damaged_filter_state_names_it(tmp_path):
