@@ -12,7 +12,8 @@ from pathlib import Path
 
 from paperlens import ingest, load_text, manifest_to_jsonl, sample, save_manifest
 
-work = Path(tempfile.mkdtemp(prefix="paperlens-demo-"))
+work_dir = tempfile.TemporaryDirectory(prefix="paperlens-demo-")
+work = Path(work_dir.name)
 src = work / "corpus"
 src.mkdir()
 
@@ -58,3 +59,5 @@ for ref in sample_c.documents:
 out = work / "sample.manifest.jsonl"
 save_manifest(sample_a, out)
 print(f"\nmanifest written to {out}")
+
+work_dir.cleanup()  # removes every file the demo wrote

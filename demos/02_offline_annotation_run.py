@@ -26,7 +26,8 @@ from paperlens import (
     write_stub_fixture,
 )
 
-work = Path(tempfile.mkdtemp(prefix="paperlens-demo-"))
+work_dir = tempfile.TemporaryDirectory(prefix="paperlens-demo-")
+work = Path(work_dir.name)
 src = work / "corpus"
 src.mkdir()
 for i in range(6):
@@ -98,3 +99,5 @@ print(f"filter pass {stats.pass_number}: kept {stats.records_kept}/{stats.record
 parsed = paperlens.runner.parse_run(work / "run", filtered=True)
 print(f"parsed {len(parsed.records)} filtered records "
       f"(filter_pass_count {parsed.filter_pass_count})")
+
+work_dir.cleanup()  # removes every file the demo wrote

@@ -43,7 +43,8 @@ paper-beta.pdf
 - **Context:** Should fail verification.
 """
 
-work = Path(tempfile.mkdtemp(prefix="paperlens-demo-"))
+work_dir = tempfile.TemporaryDirectory(prefix="paperlens-demo-")
+work = Path(work_dir.name)
 src = work / "corpus"
 src.mkdir()
 (src / "paper-alpha.pdf").write_bytes(b"%PDF-1.4\n%%EOF")
@@ -81,3 +82,5 @@ for record in annotated.records:
 out = work / "demo.records.jsonl"
 save_dataset(annotated, out)
 print(f"\nannotated dataset written to {out}")
+
+work_dir.cleanup()  # removes every file the demo wrote

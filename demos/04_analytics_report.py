@@ -54,8 +54,11 @@ print(f"  contributing papers:        {est.contributing_papers} of {est.total_pa
 print(f"  clear-claim rate:           {est.clear_rate:.2%}")
 print(f"  borderline-or-better rate:  {est.borderline_or_better_rate:.2%}")
 
-work = Path(tempfile.mkdtemp(prefix="paperlens-demo-"))
+work_dir = tempfile.TemporaryDirectory(prefix="paperlens-demo-")
+work = Path(work_dir.name)
 report_path, csv_path = emit_report(corpus, dataset, est, work)
 print(f"\nreport written to {report_path}")
 print(f"csv written to {csv_path}")
 print("\n" + report_path.read_text())
+
+work_dir.cleanup()  # removes every file the demo wrote

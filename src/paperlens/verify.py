@@ -240,7 +240,7 @@ def _rewarded_end_costs(quote: str, codes: np.ndarray, num: int, den: int, max_l
     found = {ch: np.flatnonzero(codes == ord(ch)) + (pad + 1) for ch in set(quote)}
     prev = np.full(pad + n + 1, np.iinfo(dtype).max, dtype=dtype)
     cur = prev.copy()
-    prev[pad:] = (num - den) * np.arange(n + 1, dtype=dtype)
+    _ramp(prev[pad:], 0, num - den)
     cur[pad] = 0
     for ch in quote:
         # Stored, a diagonal move earns den, and den more on a match; a
@@ -252,7 +252,20 @@ def _rewarded_end_costs(quote: str, codes: np.ndarray, num: int, den: int, max_l
             np.minimum(cur[s:], cur[:-s], out=prev[s:])
             prev, cur = cur, prev
         prev, cur = cur, prev
-    return prev[pad:] + ((den - num) * np.arange(n + 1, dtype=dtype) + m * den)
+    costs = _ramp(cur[pad:], m * den, den - num)
+    costs += prev[pad:]
+    return costs
+
+
+def _ramp(out: np.ndarray, first: int, step: int) -> np.ndarray:
+    """Fill ``out`` with ``first + step * e`` at index ``e``, in place, and return it.
+
+    A running sum of integers, so each value is exact wherever ``out``'s
+    dtype holds every partial sum.
+    """
+    out.fill(step)
+    out[0] = first
+    return np.cumsum(out, dtype=out.dtype, out=out)
 
 
 def _window_scores(
@@ -271,14 +284,22 @@ def _window_scores(
     through one bit-parallel DP, each in its own slot of ``width + 1`` bits;
     the spare top bit of each slot is never set, so the DP's additions
     cannot carry from one window into the next.
+
+    A call holds a copy of the document's int32 code points padded with
+    -1, 4 bytes per document character, and per bit packed the windows'
+    int32 code points and the DP's int8 steps, then the int32 distances,
+    one float64 similarity buffer and a bool mask: at most 15 bytes. Each
+    array is released once read.
     """
     m = len(quote)
     n = len(doc_codes)
     width = min(max_len, n)
     n_starts = len(starts)
 
-    idx = starts.reshape(-1, 1) + np.arange(width + 1)
-    windows = np.where(idx < n, doc_codes[np.minimum(idx, n - 1)], -1)
+    # Windows read -1 past the document's end and in each slot's spare bit.
+    padded = np.full(n + width + 1, -1, dtype=np.int32)
+    padded[:n] = doc_codes
+    windows = np.lib.stride_tricks.sliding_window_view(padded, width + 1)[starts]
     windows[:, width] = -1
     slot = np.ones(width + 1, dtype=bool)
     slot[width] = False
@@ -286,22 +307,25 @@ def _window_scores(
     first[0] = True
     mask = _bitmask(np.tile(slot, n_starts))
     steps = _edit_rows(quote, windows.ravel(), mask, _bitmask(np.tile(first, n_starts)), mask)
+    del padded, windows
 
     dist = np.empty((n_starts, width + 1), dtype=np.int32)
     dist[:, 0] = m
     np.cumsum(steps.reshape(n_starts, width + 1)[:, :width], axis=1, out=dist[:, 1:])
     dist[:, 1:] += m
+    del steps
 
     lengths = np.arange(width + 1, dtype=np.int64)
-    sims = 1.0 - dist / np.maximum(m, lengths)
+    sims = np.divide(dist, np.maximum(m, lengths))
+    np.subtract(1.0, sims, out=sims)
 
     # Mask window lengths outside [min_len, max_len] or past the document
     # end; when the remaining document is shorter than min_len the longest
     # available prefix is still allowed.
     remaining = (n - starts).reshape(-1, 1)
-    valid = (lengths >= np.minimum(min_len, remaining)) & (lengths <= remaining)
-    valid[:, 0] = False
-    sims = np.where(valid, sims, -1.0)
+    invalid = (lengths < np.minimum(min_len, remaining)) | (lengths > remaining)
+    invalid[:, 0] = True
+    sims[invalid] = -1.0
 
     best_j = np.argmax(sims, axis=1)
     best_sim = sims[np.arange(n_starts), best_j]
@@ -316,17 +340,28 @@ class _StartBounds:
     bounds the edit distance of windows no longer than the quote (whose
     score divides by |quote|); ``long_ub`` bounds the similarity of longer
     windows directly. Both are indexed by position in the reversed document.
+
+    Each array is computed in place. An instance holds the reversed int32
+    code points and three float64 arrays, ``short_lb``, ``long_ub`` and one
+    buffer that ``bound`` returns a view of and ``reward`` overwrites: 28
+    bytes per document character. While ``reward`` runs, the pass adds two
+    int32 rows, the second kept as its costs, and the int64 positions of the
+    quote's characters in the document: up to about 17 bytes more.
     """
 
     def __init__(self, quote: str, codes: np.ndarray, min_len: int, max_len: int) -> None:
         self.quote, self.codes = quote[::-1], codes[::-1].copy()
         self.m, self.min_len, self.max_len = len(quote), min_len, max_len
         dist = _best_end_distances(self.quote, self.codes).astype(np.float64)
-        self.short_lb = dist
         # A window of length j > |q| has distance >= max(D, j - |q|), so its
         # similarity 1 - max(D, j - |q|)/j peaks where those two meet.
-        j = np.clip(self.m + dist, self.m + 1, max_len)
-        self.long_ub = 1.0 - np.maximum(dist, j - self.m) / j
+        j = np.add(self.m, dist)
+        np.clip(j, self.m + 1, max_len, out=j)
+        at_j = np.subtract(j, self.m)
+        np.maximum(dist, at_j, out=at_j)
+        np.divide(at_j, j, out=j)
+        np.subtract(1.0, j, out=j)
+        self.short_lb, self.long_ub, self._buf = dist, j, at_j
 
     def reward(self, num: int, den: int) -> None:
         """Tighten with the pass rewarding each spanned character by r = num/den.
@@ -336,18 +371,27 @@ class _StartBounds:
         and long windows similarity <= 1 - r - G/j. The pass drops only the
         alignments of windows longer than max_len, which no start is scored
         on, so G is at least the value over all windows: the bounds stay
-        valid and only fall.
+        valid and only fall. A view that ``bound`` returned before is
+        overwritten.
         """
         r = num / den
-        g = _rewarded_end_costs(self.quote, self.codes, num, den, self.max_len) / den
-        np.maximum(self.short_lb, g + r * self.min_len, out=self.short_lb)
+        costs = _rewarded_end_costs(self.quote, self.codes, num, den, self.max_len)
+        g = np.divide(costs, den, out=self._buf)
+        np.add(g, r * self.min_len, out=g)
+        np.maximum(self.short_lb, g, out=self.short_lb)
         # -G/j is largest at the longest window if G >= 0, else the shortest.
-        j = np.where(g >= 0, self.max_len, self.m + 1)
-        np.minimum(self.long_ub, 1.0 - r - g / j, out=self.long_ub)
+        g = np.divide(costs, den, out=self._buf)
+        np.divide(g, self.max_len, out=g, where=costs >= 0)
+        np.divide(g, self.m + 1, out=g, where=costs < 0)
+        np.subtract(1.0 - r, g, out=g)
+        np.minimum(self.long_ub, g, out=self.long_ub)
 
     def bound(self) -> np.ndarray:
-        """The bound at each start 0 .. len(doc) - min_len."""
-        by_end = np.maximum(1.0 - self.short_lb / self.m, self.long_ub)
+        """The bound at each start 0 .. len(doc) - min_len, as a view that the
+        next ``reward`` or ``bound`` call overwrites."""
+        by_end = np.divide(self.short_lb, self.m, out=self._buf)
+        np.subtract(1.0, by_end, out=by_end)
+        np.maximum(by_end, self.long_ub, out=by_end)
         return by_end[::-1][: len(self.codes) - self.min_len + 1]
 
 
@@ -374,51 +418,58 @@ def _match_pruned(quote: str, codes: np.ndarray, min_len: int, max_len: int) -> 
     Each start's bound comes from ``_StartBounds`` alone. A start is scored
     only while that bound is at least the best similarity found so far, so
     the first-best start of a full scan is always among those scored.
+
+    Besides ``_StartBounds``, a call holds one bool per start for the
+    starts scored; the best (similarity, start, length) is kept as each
+    block's scores arrive. Choosing the probe's starts takes a negated copy
+    of the bounds and its int64 partition order, 16 bytes per start, so a
+    call on a long document peaks near 45 bytes per document character.
     """
     m, n = len(quote), len(codes)
-    n_starts = n - min_len + 1
     starts = _StartBounds(quote, codes, min_len, max_len)
     bound = starts.bound()
+    done = np.zeros(len(bound), dtype=bool)
+    best = (-1.0, 0, 0)  # similarity, start, window length
 
-    sims = np.full(n_starts, -1.0)
-    lens = np.zeros(n_starts, dtype=np.int64)
-    done = np.zeros(n_starts, dtype=bool)
-
-    def score(live: np.ndarray, count: int) -> None:
-        """Score the ``count`` live starts with the highest bounds."""
-        if live.size > count:
-            live = live[np.argpartition(-bound[live], count - 1)[:count]]
+    def score(live: np.ndarray) -> None:
+        nonlocal best
         live = np.sort(live)
-        sims[live], lens[live] = _window_scores(quote, codes, live, min_len, max_len)
+        sims, lens = _window_scores(quote, codes, live, min_len, max_len)
         done[live] = True
+        k = int(np.argmax(sims))
+        # Ties go to the earliest start, as an argmax over every start would.
+        if sims[k] > best[0] or (sims[k] == best[0] and live[k] < best[1]):
+            best = float(sims[k]), int(live[k]), int(lens[k])
 
-    score(np.arange(n_starts), _PROBE_STARTS)
+    score(np.argpartition(-bound, _PROBE_STARTS - 1)[:_PROBE_STARTS])
     block = max(1, _BLOCK_BITS // (min(max_len, n) + 1))
     pass_starts = _PASS_COST * n // max_len
     # One rewarded pass per fall of the reward. The reward falls only when
     # the best rises, so the passes end.
     reward = 2.0
     while True:
-        top = int(np.argmax(sims))
-        best = sims[top]
-        live = np.flatnonzero(~done & (bound >= best - _TOL))
+        sim, _, length = best
+        live = np.flatnonzero(~done & (bound >= sim - _TOL))
         if not live.size:
             break
         if live.size > pass_starts:
             # Reward each spanned character by exactly 1 - best: a window
             # longer than the quote can beat the best only where that pass
             # is negative.
-            den = max(m, int(lens[top]))
-            num = round((1.0 - best) * den)
+            den = max(m, length)
+            num = round((1.0 - sim) * den)
             if num / den < reward:
                 reward = num / den
+                del live, bound  # neither is read again; the pass overwrites the bound's buffer
                 starts.reward(num, den)
                 bound = starts.bound()
                 continue
-        score(live, block)
+        if live.size > block:
+            live = live[np.argpartition(-bound[live], block - 1)[:block]]
+        score(live)
 
-    s = int(np.argmax(sims))
-    return float(sims[s]), s, s + int(lens[s])
+    sim, s, length = best
+    return sim, s, s + length
 
 
 def _match_literal(quote: str, doc: str) -> tuple[float, int, int]:

@@ -18,9 +18,10 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ, TMPDIR=str(tmp_path))  # the demos' mkdtemp directories land here
+    env = dict(os.environ, TMPDIR=str(tmp_path))  # the demos' work directories land here
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-W", "error", str(demo)], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+    assert list(tmp_path.iterdir()) == []  # each demo removes its work directory

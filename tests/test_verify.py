@@ -108,6 +108,68 @@ def reference_normalize(text: str) -> str:
     return text.strip()
 
 
+def reference_start_bound(
+    quote: str, codes: np.ndarray, min_len: int, max_len: int, reward: tuple[int, int] | None = None
+) -> np.ndarray:
+    """``_StartBounds(quote, codes, min_len, max_len).bound()``, after
+    ``reward(*reward)`` when given, with a fresh array for every expression.
+
+    ``_StartBounds`` computes the same ufuncs in the same order in place, so
+    its bounds must equal these bit for bit.
+    """
+    q, c, m = quote[::-1], codes[::-1].copy(), len(quote)
+    short_lb = verify._best_end_distances(q, c).astype(np.float64)
+    j = np.clip(m + short_lb, m + 1, max_len)
+    long_ub = 1.0 - np.maximum(short_lb, j - m) / j
+    if reward is not None:
+        num, den = reward
+        r = num / den
+        g = verify._rewarded_end_costs(q, c, num, den, max_len) / den
+        short_lb = np.maximum(short_lb, g + r * min_len)
+        j = np.where(g >= 0, max_len, m + 1)
+        long_ub = np.minimum(long_ub, 1.0 - r - g / j)
+    by_end = np.maximum(1.0 - short_lb / m, long_ub)
+    return by_end[::-1][: len(c) - min_len + 1]
+
+
+def reference_window_scores(
+    quote: str, doc_codes: np.ndarray, starts: np.ndarray, min_len: int, max_len: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_window_scores`` with its windows gathered through two int64 index
+    matrices and a fresh array for every expression; it must return the
+    same arrays bit for bit.
+    """
+    m, n = len(quote), len(doc_codes)
+    width = min(max_len, n)
+    n_starts = len(starts)
+    idx = starts.reshape(-1, 1) + np.arange(width + 1)
+    windows = np.where(idx < n, doc_codes[np.minimum(idx, n - 1)], -1)
+    windows[:, width] = -1
+    slot = np.ones(width + 1, dtype=bool)
+    slot[width] = False
+    first = np.zeros(width + 1, dtype=bool)
+    first[0] = True
+    mask = verify._bitmask(np.tile(slot, n_starts))
+    steps = verify._edit_rows(quote, windows.ravel(), mask, verify._bitmask(np.tile(first, n_starts)), mask)
+    dist = np.empty((n_starts, width + 1), dtype=np.int32)
+    dist[:, 0] = m
+    np.cumsum(steps.reshape(n_starts, width + 1)[:, :width], axis=1, out=dist[:, 1:])
+    dist[:, 1:] += m
+    lengths = np.arange(width + 1, dtype=np.int64)
+    sims = 1.0 - dist / np.maximum(m, lengths)
+    remaining = (n - starts).reshape(-1, 1)
+    valid = (lengths >= np.minimum(min_len, remaining)) & (lengths <= remaining)
+    valid[:, 0] = False
+    sims = np.where(valid, sims, -1.0)
+    best_j = np.argmax(sims, axis=1)
+    return sims[np.arange(n_starts), best_j], best_j
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
 def _substituted(rng: random.Random, text: str, share: float, alphabet: str) -> str:
     chars = list(text)
     for pos in rng.sample(range(len(chars)), int(share * len(chars))):
@@ -384,6 +446,7 @@ def test_start_bounds_hold_at_every_start(seed, doc_chars, quote_chars, share):
     before = bounds.bound().copy()
     assert len(before) == len(starts)
     assert np.all(before >= best_at - 1e-9)
+    assert_same_bits(before, reference_start_bound(q, _codepoints(d), lo, hi))
 
     # The pass the matcher runs once the best is known: each spanned
     # character earns 1 - best.
@@ -395,6 +458,28 @@ def test_start_bounds_hold_at_every_start(seed, doc_chars, quote_chars, share):
     assert np.all(after >= best_at - 1e-9)
     assert np.all(after <= before)
     assert np.any(after < before)
+    assert_same_bits(after, reference_start_bound(q, _codepoints(d), lo, hi, (num, den)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from([STRIDED_CASES[i] for i in (1, 5, 8)] + ["short"]), data=st.data())
+def test_window_scores_equal_the_index_matrix_reference(case, data):
+    if case == "short":
+        # A document shorter than the longest window: every window runs past its end.
+        quote, doc = "the group hello world", "by the structure of the group hel"
+    else:
+        quote, doc = _strided_case(*case)
+    q, codes = normalize(quote), _codepoints(normalize(doc))
+    m, n = len(q), len(codes)
+    lo, hi = max(1, math.floor(0.8 * m)), max(1, math.ceil(1.2 * m))
+    last = max(0, n - lo)
+    # Starts within hi of the end read past it, where windows hold -1.
+    start = st.integers(0, last) | st.integers(max(0, n - hi), last)
+    starts = np.array(data.draw(st.lists(start, min_size=1, max_size=40, unique=True).map(sorted)))
+    got = verify._window_scores(q, codes, starts, lo, hi)
+    want = reference_window_scores(q, codes, starts, lo, hi)
+    for g, w in zip(got, want):
+        assert_same_bits(g, w)
 
 
 def reference_rewarded_end_costs(quote: str, doc: str, num: int, den: int) -> list[int]:
@@ -723,6 +808,25 @@ def test_verify_dataset_memory_does_not_grow_with_cited_documents(tmp_path):
     # One document's text (1 byte per ASCII character) plus its int32 code points.
     one_doc = 5 * len(body)
     assert abs(peak_bytes(40) - peak_bytes(10)) < one_doc
+
+
+@pytest.mark.parametrize(
+    "quote_chars,share,budget",
+    [(100, None, 48), (100, 0.1, 48), (600, None, 52)],
+    ids=["fabricated-100", "near-miss-100", "fabricated-600"],
+)
+def test_best_match_memory_per_document_character(quote_chars, share, budget):
+    quote, text = _strided_case(5, 200_000, quote_chars, share)
+    doc = verify._NormalizedDoc(normalize(text))
+    doc.codes  # encoded once per document, before its first quote is matched
+    best_match(quote, doc, 0.85)  # one-time allocations (caches, lazy imports) land here
+    tracemalloc.start()
+    try:
+        best_match(quote, doc, 0.85)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget * len(doc), f"{peak / len(doc):.1f} bytes per document character"
 
 
 def test_verification_result_invariants():
