@@ -105,6 +105,8 @@ class ProviderConfig:
             raise ValueError("max_retries must be >= 0")
         if self.backoff_base_ms <= 0:
             raise ValueError("backoff_base_ms must be positive")
+        if not self.timeout_s > 0:  # NaN too
+            raise ValueError(f"timeout_s must be positive, got {self.timeout_s!r}")
 
 
 @dataclass

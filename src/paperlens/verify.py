@@ -117,17 +117,18 @@ def _collapse_whitespace(text: str) -> str:
 class _NormalizedDoc(str):
     """A document text that is ``normalize``'s output.
 
-    ``verify_dataset`` wraps each source document once and passes it to
-    ``best_match`` for each of the document's quotes, which then does not
-    normalize it again. Its code points are encoded on the first match that
-    is not an exact substring and kept for the document's later quotes;
-    both go when ``verify_dataset`` drops the document after its last quote.
-    Slices are plain strings.
+    ``best_match`` wraps a raw document once; ``verify_dataset`` wraps each
+    source document once and passes it to ``best_match`` for each of the
+    document's quotes, which then does not normalize it again. Every
+    segment of a quote is matched on a range of it, by offsets, never on a
+    slice. Its code points are encoded on the first match that is not an
+    exact substring and kept for the document's later quotes; both go when
+    ``verify_dataset`` drops the document after its last quote.
     """
 
     @functools.cached_property
     def codes(self) -> np.ndarray:
-        return _codepoints(self)
+        return np.frombuffer(self.encode("utf-32-le"), dtype=np.int32)
 
 
 @dataclass(frozen=True)
@@ -145,10 +146,6 @@ class VerificationResult:
             raise ValueError("matched flag inconsistent with similarity/threshold")
         if self.matched != (self.span_start is not None and self.span_end is not None):
             raise ValueError("span fields must be present exactly when matched")
-
-
-def _codepoints(text: str) -> np.ndarray:
-    return np.frombuffer(text.encode("utf-32-le"), dtype=np.int32)
 
 
 def _bitmask(flags: np.ndarray) -> int:
@@ -472,32 +469,36 @@ def _match_pruned(quote: str, codes: np.ndarray, min_len: int, max_len: int) -> 
     return sim, s, s + length
 
 
-def _match_literal(quote: str, doc: str) -> tuple[float, int, int]:
-    """Best window match of a literal (math-free) quote in a document.
+def _match_literal(quote: str, doc: _NormalizedDoc, lo: int = 0, hi: int | None = None) -> tuple[float, int, int]:
+    """Best window match of a literal (math-free) quote in ``doc[lo:hi]``.
 
-    Returns (similarity, span_start, span_end) over the normalized document:
+    Returns (similarity, span_start, span_end), offsets into ``doc``:
     exactly what scoring every window of 0.8x to 1.2x the quote length at
-    every start would return, ties going to the earliest start and then the
-    shortest window. Windows shorter than 0.8x count only when the whole
-    document is that short. A long document is searched by ``_match_pruned``.
+    every start of the range would return, ties going to the earliest start
+    and then the shortest window. Windows shorter than 0.8x count only when
+    the whole range is that short. A long range is searched by
+    ``_match_pruned``.
     """
-    if not doc:
-        return 0.0, 0, 0
-    idx = doc.find(quote)
+    hi = len(doc) if hi is None else hi
+    if lo == hi:
+        return 0.0, lo, lo
+    idx = doc.find(quote, lo, hi)
     if idx >= 0:
         return 1.0, idx, idx + len(quote)
 
     m = len(quote)
     min_len = max(1, math.floor(0.8 * m))
     max_len = max(1, math.ceil(1.2 * m))
-    doc_codes = doc.codes if isinstance(doc, _NormalizedDoc) else _codepoints(doc)
-    n = len(doc_codes)
+    codes = doc.codes[lo:hi]
+    n = len(codes)
     if n - min_len + 1 > _PROBE_STARTS:
-        return _match_pruned(quote, doc_codes, min_len, max_len)
-    starts = np.arange(max(0, n - min_len) + 1, dtype=np.int64)
-    sims, ends = _window_scores(quote, doc_codes, starts, min_len, max_len)
-    best = int(np.argmax(sims))
-    return float(sims[best]), best, best + int(ends[best])
+        sim, start, end = _match_pruned(quote, codes, min_len, max_len)
+    else:
+        starts = np.arange(max(0, n - min_len) + 1, dtype=np.int64)
+        sims, lens = _window_scores(quote, codes, starts, min_len, max_len)
+        start = int(np.argmax(sims))
+        sim, end = float(sims[start]), start + int(lens[start])
+    return sim, lo + start, lo + end
 
 
 def _split_math(quote: str) -> list[tuple[str, int]]:
@@ -518,7 +519,8 @@ def _split_math(quote: str) -> list[tuple[str, int]]:
 def best_match(quote: str, doc_text: str, threshold: float = 0.85) -> VerificationResult:
     """Find the closest occurrence of a quote in a document.
 
-    Both inputs are normalized first. An exact substring scores 1.0.
+    Both inputs are normalized first; a ``_NormalizedDoc`` is taken as it
+    is, and raw text is wrapped in one once. An exact substring scores 1.0.
     Otherwise the similarity is the best over windows of
     floor(0.8 |q|) to ceil(1.2 |q|) characters of the document:
     1 - edit_distance / max(window length, quote length). It is exact:
@@ -526,9 +528,16 @@ def best_match(quote: str, doc_text: str, threshold: float = 0.85) -> Verificati
     good windows the span is the earliest-starting, then the shortest.
     Shorter windows count only when the whole document is shorter than
     floor(0.8 |q|); it is then scored as one window.
-    Quotes containing inline math are matched segment-by-segment, with each
-    math span allowed to stand in for up to three times its length in the
-    document.
+
+    A quote containing inline math is scored by a procedure, not a
+    definition. Its math spans split it into literals; one shorter than
+    ``_MIN_SEGMENT_CHARS`` adds its length to the gap before it. The
+    longest literal, the earliest on ties, is matched on the whole
+    document by the rule above; each other one, walking forward from it
+    and then backward, on the range reaching ``_MATH_GAP_FACTOR * gap + 8
+    + ceil(1.2 |literal|)`` characters from the previous match. The
+    similarity is the length-weighted mean, and the span runs from the
+    first to the last literal that scored above 0.
 
     Span offsets refer to the normalized document text.
     """
@@ -538,14 +547,13 @@ def best_match(quote: str, doc_text: str, threshold: float = 0.85) -> Verificati
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
 
     q = normalize(quote)
-    d = doc_text if isinstance(doc_text, _NormalizedDoc) else normalize(doc_text)
+    d = doc_text if isinstance(doc_text, _NormalizedDoc) else _NormalizedDoc(normalize(doc_text))
     if not q:
         return VerificationResult(matched=False, similarity=0.0, threshold_used=threshold)
 
     segments = _split_math(q)
     if len(segments) == 1:
-        sim, start, end = _match_literal(q, d)
-        return _result(sim, start, end, threshold)
+        return _result(*_match_literal(q, d), threshold)
 
     # Fragments too short to carry evidence are folded into the preceding
     # segment's gap budget rather than matched on their own.
@@ -558,41 +566,25 @@ def best_match(quote: str, doc_text: str, threshold: float = 0.85) -> Verificati
     if not usable:
         return VerificationResult(matched=False, similarity=0.0, threshold_used=threshold)
 
-    # Anchor on the longest literal segment, then walk outward through the
-    # remaining segments inside windows bounded by the math-gap budget.
-    anchor_idx = max(range(len(usable)), key=lambda i: len(usable[i][0]))
-    anchor_lit, _ = usable[anchor_idx]
-    anchor_sim, anchor_start, anchor_end = _match_literal(anchor_lit, d)
+    anchor = max(range(len(usable)), key=lambda i: len(usable[i][0]))
+    lit = usable[anchor][0]
+    sim, *span = _match_literal(lit, d)
+    weighted, total = sim * len(lit), len(lit)
+    # Walk forward from the anchor, then backward. Each literal is matched
+    # within reach of the span's edge on its side, across the gap between
+    # it and its neighbour towards the anchor; a match above 0 moves that edge.
+    for step, side in ((1, 1), (-1, 0)):
+        for i in range(anchor + step, len(usable) if step > 0 else -1, step):
+            lit, gap = usable[i][0], usable[min(i, i - step)][1]
+            reach = _MATH_GAP_FACTOR * gap + 8 + math.ceil(1.2 * len(lit))
+            lo, hi = sorted((span[side], span[side] + step * reach))
+            sim, *found = _match_literal(lit, d, max(lo, 0), min(hi, len(d)))
+            weighted += sim * len(lit)
+            total += len(lit)
+            if sim > 0:
+                span[side] = found[side]
 
-    total = len(anchor_lit)
-    weighted = anchor_sim * len(anchor_lit)
-    span_start, span_end = anchor_start, anchor_end
-
-    cursor = anchor_end
-    for i in range(anchor_idx + 1, len(usable)):
-        lit, _ = usable[i]
-        gap_budget = _MATH_GAP_FACTOR * usable[i - 1][1] + 8
-        window_end = min(len(d), cursor + gap_budget + math.ceil(1.2 * len(lit)))
-        sim, _, end = _match_literal(lit, d[cursor:window_end])
-        weighted += sim * len(lit)
-        total += len(lit)
-        if sim > 0:
-            span_end = max(span_end, cursor + end)
-            cursor = cursor + end
-
-    cursor = anchor_start
-    for i in range(anchor_idx - 1, -1, -1):
-        lit, gap = usable[i]
-        gap_budget = _MATH_GAP_FACTOR * gap + 8
-        window_start = max(0, cursor - gap_budget - math.ceil(1.2 * len(lit)))
-        sim, start, _ = _match_literal(lit, d[window_start:cursor])
-        weighted += sim * len(lit)
-        total += len(lit)
-        if sim > 0:
-            span_start = min(span_start, window_start + start)
-            cursor = window_start + start
-
-    return _result(weighted / total, span_start, span_end, threshold)
+    return _result(weighted / total, *span, threshold)
 
 
 def _result(sim: float, start: int, end: int, threshold: float) -> VerificationResult:

@@ -567,6 +567,30 @@ def test_config_float_fields_accept_ints(tmp_path):
     assert (cfg.threshold, cfg.provider.temperature, cfg.provider.timeout_s) == (1.0, 1, 30)
 
 
+@pytest.mark.parametrize("timeout_s", [0, -30, float("nan")])
+def test_config_timeout_must_be_positive(tmp_path, timeout_s):
+    from paperlens.config import ConfigError, load_config
+
+    config = write_config(tmp_path, tmp_path)
+    raw = json.loads(config.read_text(encoding="utf-8"))
+    raw["provider"]["timeout_s"] = timeout_s
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    with pytest.raises(ConfigError, match="timeout_s must be positive"):
+        load_config(config)
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan"])
+def test_annotate_timeout_flag_must_be_positive(pipeline_dirs, capsys, value):
+    # A zero timeout reached the HTTP library, whose ValueError cancelled every
+    # batch and ended the command in a traceback; a dry run accepted it.
+    tmp_path, manifest_path, fixtures = pipeline_dirs
+    config = write_config(tmp_path, fixtures)
+    assert main(["annotate", "--config", str(config), "--manifest", str(manifest_path),
+                 "--out", str(tmp_path / "run"), "--timeout-s", value, "--dry-run"]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "timeout_s must be positive" in errors[0], errors
+
+
 @pytest.mark.parametrize("flag, value, name", [
     ("--batch-size", "0", "batch_size"),
     ("--max-inflight", "0", "max_inflight"),

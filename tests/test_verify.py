@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from paperlens import corpus, verify
 from paperlens.corpus import CorpusManifest, DocumentRef
 from paperlens.records import Dataset, ExampleRecord
-from paperlens.verify import VerificationResult, _codepoints, _StartBounds, best_match, normalize, verify_dataset
+from paperlens.verify import VerificationResult, _StartBounds, best_match, normalize, verify_dataset
 
 # --- independent oracle ------------------------------------------------------
 
@@ -34,6 +34,11 @@ def reference_levenshtein(a: str, b: str) -> int:
             cur.append(min(prev[j + 1] + 1, cur[j] + 1, prev[j] + (ca != cb)))
         prev = cur
     return prev[-1]
+
+
+def codepoints(text: str) -> np.ndarray:
+    """The int32 code points the matcher reads, as ``_NormalizedDoc`` encodes them."""
+    return verify._NormalizedDoc(text).codes
 
 
 def oracle_similarity(quote: str, doc: str) -> float:
@@ -442,11 +447,11 @@ def test_start_bounds_hold_at_every_start(seed, doc_chars, quote_chars, share):
     sims = np.where(valid, 1.0 - np.array(row) / np.maximum(m, lengths), -np.inf)
     best_at = sims.max(axis=0)
 
-    bounds = _StartBounds(q, _codepoints(d), lo, hi)
+    bounds = _StartBounds(q, codepoints(d), lo, hi)
     before = bounds.bound().copy()
     assert len(before) == len(starts)
     assert np.all(before >= best_at - 1e-9)
-    assert_same_bits(before, reference_start_bound(q, _codepoints(d), lo, hi))
+    assert_same_bits(before, reference_start_bound(q, codepoints(d), lo, hi))
 
     # The pass the matcher runs once the best is known: each spanned
     # character earns 1 - best.
@@ -458,7 +463,7 @@ def test_start_bounds_hold_at_every_start(seed, doc_chars, quote_chars, share):
     assert np.all(after >= best_at - 1e-9)
     assert np.all(after <= before)
     assert np.any(after < before)
-    assert_same_bits(after, reference_start_bound(q, _codepoints(d), lo, hi, (num, den)))
+    assert_same_bits(after, reference_start_bound(q, codepoints(d), lo, hi, (num, den)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -469,7 +474,7 @@ def test_window_scores_equal_the_index_matrix_reference(case, data):
         quote, doc = "the group hello world", "by the structure of the group hel"
     else:
         quote, doc = _strided_case(*case)
-    q, codes = normalize(quote), _codepoints(normalize(doc))
+    q, codes = normalize(quote), codepoints(normalize(doc))
     m, n = len(q), len(codes)
     lo, hi = max(1, math.floor(0.8 * m)), max(1, math.ceil(1.2 * m))
     last = max(0, n - lo)
@@ -517,7 +522,7 @@ _REWARD_CASE = st.fixed_dictionaries({
 def test_rewarded_end_costs_bound_every_short_window(case):
     quote, doc, max_len, den = case["quote"], case["doc"], case["max_len"], case["den"]
     num = round(case["share"] * den)
-    got = verify._rewarded_end_costs(quote, _codepoints(doc), num, den, max_len).tolist()
+    got = verify._rewarded_end_costs(quote, codepoints(doc), num, den, max_len).tolist()
     want = reference_rewarded_end_costs(quote, doc, num, den)
     assert len(got) == len(doc) + 1
     for e in range(len(doc) + 1):
@@ -535,8 +540,8 @@ def test_rewarded_end_costs_drop_only_windows_past_the_limit():
     quote, doc, den = "ab", "a" + "z" * 40 + "b", 5
     want = reference_rewarded_end_costs(quote, doc, den, den)
     assert want[-1] == -2 * den
-    assert verify._rewarded_end_costs(quote, _codepoints(doc), den, den, 42)[-1] == -2 * den
-    assert verify._rewarded_end_costs(quote, _codepoints(doc), den, den, 3)[-1] == -den
+    assert verify._rewarded_end_costs(quote, codepoints(doc), den, den, 42)[-1] == -2 * den
+    assert verify._rewarded_end_costs(quote, codepoints(doc), den, den, 3)[-1] == -den
 
 
 def test_rewarded_end_costs_widen_to_int64_before_int32_overflows():
@@ -545,7 +550,7 @@ def test_rewarded_end_costs_widen_to_int64_before_int32_overflows():
     # is -41 * 2**27 < -2**31 here.
     den = 2**27
     num = den // 3
-    got = verify._rewarded_end_costs(quote, _codepoints(doc), num, den, 6)
+    got = verify._rewarded_end_costs(quote, codepoints(doc), num, den, 6)
     assert got.tolist() == reference_rewarded_end_costs(quote, doc, num, den)
 
 
@@ -611,6 +616,118 @@ def test_all_math_quote_cannot_verify():
     result = best_match("$x^2 + y^2$", DOC, 0.85)
     assert not result.matched
     assert result.similarity == 0.0
+
+
+# Segmented quotes with their (similarity, span_start, span_end) at threshold
+# 1e-9, as the segment walk computed them when it matched each segment on a
+# slice of the document. The walk is a procedure, not a definition, so these
+# pin its values rather than check them against an oracle.
+SEGMENTED_PINS = [
+    pytest.param(
+        "fix a ring $A$ of dimension $d$. Then teh orbit set $\\mathrm{Um}_n(A)/E_n(A)$ is in "
+        "bijective correspondance with the homotopy classes $[\\mathrm{Spec} A, X]$ for $n \\geq d+2$, "
+        "which gives the group law",
+        "We first fix a ring A of dimension d. Then the orbit set Um n (A) / E n (A) is in bijective "
+        "correspondence with the homotopy classes [Spec A, X] for n >= d + 2, which gives a group law.",
+        0.952, 9, 184,
+        # A near-miss anchor with one literal after it and three before; "for"
+        # is folded into the anchor's gap, and ". Then teh orbit set" is a
+        # near miss on a range long enough to be pruned.
+        id="anchor-in-the-middle",
+    ),
+    pytest.param(
+        "abcdefghij $x$ the anchor literal is the longest one here",
+        "abc the anchor literal is the longest one here and more text follows it",
+        0.8653846153846154, 0, 46,
+        # The range before the anchor is cut at the document's start to 4
+        # characters, under floor(0.8 * 10), so it is scored whole.
+        id="clipped-at-start",
+    ),
+    pytest.param(
+        "text before: the anchor literal is the longest one here $y$ qrstuvwxyz",
+        "some text before: the anchor literal is the longest one here qrs",
+        0.8769230769230769, 5, 64,
+        id="clipped-at-end",
+    ),
+    pytest.param(
+        "the anchor literal is the longest one here $y$ more words",
+        "text: the anchor literal is the longest one here",
+        0.8076923076923077, 6, 48,
+        # The anchor ends the document, so the range after it is empty.
+        id="empty-range-after-the-anchor",
+    ),
+    pytest.param(
+        "the bound is sharp $n$ by $m$ for every compact group in the class",
+        "one shows the bound is sharp n by m matrices for every compact group in the class",
+        1.0, 10, 81,
+        id="short-literal-folded-into-its-gap",
+    ),
+    pytest.param(
+        "$G$ acts freely on the orbit set $X/G$",
+        "Here G acts freely on the orbit set X/G, hence the claim.",
+        1.0, 7, 35,
+        id="leading-and-trailing-math",
+    ),
+    pytest.param(
+        "the lemma holds for $x$ and then the anchor literal is the longest one",
+        "the lemma holds for all. Some filler text that is long enough to push things away from "
+        "the start. the lemma holds for x and then the anchor literal is the longest one",
+        1.0, 98, 166,
+        # The literal before the anchor also occurs earlier, outside its range.
+        id="literal-also-before-its-range",
+    ),
+    pytest.param(
+        "we have $x$ the orbit set is big $y$ groups",
+        "Thus we have x the orbit set is big y groupes here.",
+        0.9740259740259739, 5, 45,
+        # 20 + 6 * (6/7) + 7 summed in this order, anchor then forward then
+        # backward; adding the backward term first gives 0.9740259740259741.
+        id="summation-order",
+    ),
+    pytest.param("the orbit set $X$ carries a group structure", "", 0.0, None, None, id="empty-document"),
+    pytest.param(
+        "the orbit set carries a group structure $G$ QXZJ",
+        "In this section the orbit set carries a group structure G, as shown.",
+        0.9069767441860465, 16, 55,
+        # QXZJ shares no character with the document: it scores 0 and does
+        # not extend the span.
+        id="literal-matches-nothing",
+    ),
+]
+
+
+@pytest.mark.parametrize("quote,doc,similarity,span_start,span_end", SEGMENTED_PINS)
+def test_segmented_quotes_keep_their_pinned_values(quote, doc, similarity, span_start, span_end):
+    for text in (doc, verify._NormalizedDoc(normalize(doc))):
+        result = best_match(quote, text, threshold=1e-9)
+        assert (result.similarity, result.span_start, result.span_end) == (similarity, span_start, span_end)
+
+
+#: No whitespace, so every slice of a text over it is normalized.
+_RANGE_ALPHABET = "abcé"
+
+
+@st.composite
+def _ranged_literal(draw) -> tuple[str, str, int, int]:
+    """(quote, document, lo, hi) with ``0 <= lo <= hi <= len(document)``."""
+    # Long documents and quotes often enough that ranges reach the pruned search.
+    doc = draw(st.text(_RANGE_ALPHABET, max_size=20) | st.text(_RANGE_ALPHABET, min_size=40, max_size=120))
+    lo = draw(st.integers(0, len(doc)))
+    hi = draw(st.integers(lo, len(doc)))
+    quote = draw(st.text(_RANGE_ALPHABET, min_size=1, max_size=6) | st.text(_RANGE_ALPHABET, min_size=8, max_size=30))
+    return quote, doc, lo, hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ranged_literal())
+@example(("abca", "cabbacab", 3, 3))  # an empty range
+@example(("abcabcabca", "abcab" * 4, 5, 9))  # shorter than floor(0.8 * 10): scored whole
+@example(("cab", "abc" * 30, 40, 90))  # an exact match, also before the range
+@example(("acbacbbacaccab", "abc" * 30, 2, 88))  # a range long enough to be pruned
+def test_match_literal_on_a_range_equals_the_oracle_on_its_slice(case):
+    quote, doc, lo, hi = case
+    sim, start, end = exhaustive_best_window(quote, doc[lo:hi])
+    assert verify._match_literal(quote, verify._NormalizedDoc(doc), lo, hi) == (sim, lo + start, lo + end)
 
 
 def test_monotone_corruption_property():
