@@ -97,6 +97,8 @@ class ProviderConfig:
     def __post_init__(self) -> None:
         if self.dialect not in DIALECTS:
             raise ValueError(f"dialect must be one of {', '.join(DIALECTS)}, got {self.dialect!r}")
+        if self.max_output_tokens < 1:
+            raise ValueError("max_output_tokens must be >= 1")
         if self.context_window_tokens < self.max_output_tokens:
             raise ValueError("context_window_tokens must be >= max_output_tokens")
         if self.max_inflight < 1:
@@ -107,6 +109,8 @@ class ProviderConfig:
             raise ValueError("backoff_base_ms must be positive")
         if not self.timeout_s > 0:  # NaN too
             raise ValueError(f"timeout_s must be positive, got {self.timeout_s!r}")
+        if not 0 <= self.temperature < float("inf"):  # NaN too
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature!r}")
 
 
 @dataclass

@@ -23,8 +23,8 @@ import logging
 import re
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -170,13 +170,15 @@ def plan_batches(
     return jobs
 
 
-def _batch_payload(job: BatchJob, refs: dict[str, DocumentRef]) -> str:
-    parts = []
+def _batch_request(bundle: PromptBundle, job: BatchJob, refs: dict[str, DocumentRef]) -> PromptBundle:
+    """The annotation request for ``job``: the prompt, then each document's
+    header and text, joined once so ``ChatClient.complete`` sends it as is."""
+    parts = [bundle.text]
     for doc_id in job.doc_ids:
         ref = refs[doc_id]
         parts.append(DOC_HEADER.format(doc_id=doc_id, title=ref.title))
         parts.append(load_text(ref))
-    return "\n\n".join(parts)
+    return replace(bundle, text="\n\n".join(parts), payload_refs=job.doc_ids)
 
 
 def _batch_digest(doc_ids: Iterable[str], prompt: str, config: provider.ProviderConfig) -> str:
@@ -203,7 +205,7 @@ class _Batch:
 
     index: int
     output_path: Path
-    request: Callable[[], tuple[PromptBundle, str]]  # -> (bundle, payload text)
+    request: Callable[[], PromptBundle]  # -> the bundle to send, payload included
 
 
 def _run_batches(
@@ -213,44 +215,70 @@ def _run_batches(
 ) -> tuple[dict[int, str], list[tuple[int, str]]]:
     """Send every batch, at most ``max_inflight`` of them in flight at once.
 
-    The pool has twice ``max_inflight`` workers: while some wait in a
-    provider call, the others build payloads, write outputs and sleep
-    through retry backoff outside the ``max_inflight`` slots, which the
-    client's gate alone limits. Each response is written to the batch's
-    output path before ``record`` runs with its index under a lock, so a
-    checkpoint saved by ``record`` never names a missing file. Returns the
-    response texts by index and the failures as ``(index, error)``, both in
-    batch-index order whichever call finishes first. A ``PaperlensError``
-    or ``OSError`` fails its batch alone; any other error, being a bug, and
-    an interrupt cancel the batches not yet started and propagate.
+    The calling thread builds each batch's request, in index order, and
+    submits it to a pool of twice ``max_inflight`` workers. It builds the
+    next one only when a worker is free, so at most that many requests are
+    built and not yet finished, and their memory comes from the calling
+    thread's allocator rather than one kept per worker. The workers send,
+    write outputs and sleep through retry backoff outside the
+    ``max_inflight`` slots, which the client's gate alone limits. Each
+    response is written to the batch's output path before ``record`` runs
+    with its index under a lock, so a checkpoint saved by ``record`` never
+    names a missing file. Returns the response texts by index and the
+    failures as ``(index, error)``, both in batch-index order whichever
+    call finishes first. A ``PaperlensError`` or ``OSError`` from building
+    or sending a request fails its batch alone; any other error, being a
+    bug, and an interrupt cancel the batches not yet started and propagate.
     """
     ordered = sorted(batches, key=lambda b: b.index)
     responses: dict[int, str] = {}
     failures: list[tuple[int, str]] = []
     if not ordered:
         return responses, failures
+    workers = min(2 * client.config.max_inflight, len(ordered))
+    free = threading.Semaphore(workers)  # one per worker not holding a built request
+    halted = threading.Event()  # a worker met a bug or an interrupt: start nothing more
     lock = threading.Lock()
 
-    def execute(batch: _Batch) -> str:
-        bundle, payload = batch.request()
-        text = client.complete(bundle, payload).text
-        write_atomic(batch.output_path, text)
-        with lock:
-            record(batch.index)
-        return text
-
-    with ThreadPoolExecutor(max_workers=min(2 * client.config.max_inflight, len(ordered))) as pool:
-        futures = [pool.submit(execute, batch) for batch in ordered]
+    def execute(batch: _Batch, bundle: PromptBundle) -> str:
         try:
-            for batch, future in zip(ordered, futures):
-                try:
-                    responses[batch.index] = future.result()
-                except _BATCH_ERRORS as exc:
-                    failures.append((batch.index, str(exc)))
+            text = client.complete(bundle).text
+            write_atomic(batch.output_path, text)
+            with lock:
+                record(batch.index)
+            return text
+        except _BATCH_ERRORS:
+            raise
         except BaseException:
-            for future in futures:
+            halted.set()
+            raise
+        finally:
+            free.release()
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures: list[tuple[int, Future[str]]] = []
+        try:
+            for batch in ordered:
+                free.acquire()
+                if halted.is_set():
+                    break
+                try:
+                    bundle = batch.request()
+                except _BATCH_ERRORS as exc:
+                    free.release()
+                    failures.append((batch.index, str(exc)))
+                    continue
+                futures.append((batch.index, pool.submit(execute, batch, bundle)))
+            for index, future in futures:
+                try:
+                    responses[index] = future.result()
+                except _BATCH_ERRORS as exc:
+                    failures.append((index, str(exc)))
+        except BaseException:
+            for _, future in futures:
                 future.cancel()
             raise
+    failures.sort()
     for index, error in failures:
         logger.error("batch %d failed: %s", index, error)
     return responses, failures
@@ -310,7 +338,7 @@ def run_annotation(
             _Batch(
                 index=job.index,
                 output_path=output_path,
-                request=lambda job=job: (bundle.with_payload_refs(job.doc_ids), _batch_payload(job, refs)),
+                request=lambda job=job: _batch_request(bundle, job, refs),
             )
         )
     write_json(ck_path, checkpoint)
@@ -504,7 +532,7 @@ def run_filter(
             _Batch(
                 index=index,
                 output_path=batch_path(directory, index, "filtered"),
-                request=lambda bundle=bundle: (bundle, ""),
+                request=lambda bundle=bundle: bundle,
             )
         )
     write_json(state_path, state)

@@ -597,12 +597,29 @@ def test_annotate_timeout_flag_must_be_positive(pipeline_dirs, capsys, value):
     ("--context-window", "10", "context_window_tokens"),
     ("--max-retries", "-1", "max_retries"),
     ("--backoff-base-ms", "0", "backoff_base_ms"),
+    ("--max-output-tokens", "-5", "max_output_tokens"),
+    ("--max-output-tokens", "0", "max_output_tokens"),
+    ("--temperature", "nan", "temperature"),
+    ("--temperature", "-1", "temperature"),
 ])
 def test_out_of_range_flag_is_user_error(tmp_path, capsys, flag, value, name):
     assert main(["annotate", flag, value, "--manifest", str(tmp_path / "m.jsonl"),
                  "--out", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err
     assert "error:" in err and name in err
+
+
+def test_out_of_range_config_file_field_is_user_error(pipeline_dirs, capsys):
+    # A negative temperature was planned and would have been sent as is.
+    tmp_path, manifest_path, fixtures = pipeline_dirs
+    config = write_config(tmp_path, fixtures)
+    raw = json.loads(config.read_text(encoding="utf-8"))
+    raw["provider"]["temperature"] = -0.5
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["annotate", "--config", str(config), "--manifest", str(manifest_path),
+                 "--out", str(tmp_path / "run"), "--dry-run"]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "temperature must be" in errors[0], errors
 
 
 @pytest.mark.parametrize("name, value, flag", [

@@ -3,6 +3,8 @@
 import json
 import sys
 import tempfile
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -10,8 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import batch_output_text, make_record, make_stub, synthetic_manifest, write_corpus
-from paperlens.corpus import CorpusManifest, DocumentRef, ingest
+from paperlens.corpus import CorpusManifest, DocumentRef, ingest, load_text
 from paperlens.prompts import ContextAsset, PromptBundle, PromptKind, build_annotation_prompt
+from paperlens.records import DOC_HEADER
 from paperlens.provider import (
     ContextOverflow,
     HttpChatClient,
@@ -26,7 +29,7 @@ from paperlens.runner import (
     JobStatus,
     RunnerConfig,
     RunnerError,
-    _batch_payload,
+    _batch_request,
     _doc_tokens,
     plan_batches,
     run_annotation,
@@ -128,7 +131,7 @@ def test_planned_batches_pass_the_send_time_check(sizes, k):
         jobs = plan_batches(manifest, RunnerConfig(skip_oversize=True), provider_cfg, bundle.estimated_tokens)
         by_id = {ref.doc_id: ref for ref in refs}
         for job in jobs:
-            sent = estimate_tokens(bundle.text + "\n\n" + _batch_payload(job, by_id))
+            sent = estimate_tokens(_batch_request(bundle, job, by_id).text)
             assert sent <= bundle.estimated_tokens + job.tokens <= window - max_output, job.doc_ids
 
 
@@ -522,6 +525,138 @@ def test_batch_is_sent_while_another_waits_through_backoff(tmp_path):
     assert sorted(sends) == sorted([keys[0], keys[0], keys[1]])
     assert sends[-1] == keys[0]  # batch 1 went out during batch 0's backoff
     assert client.inflight_high_water == 1
+
+
+def _recording_load_text(monkeypatch, on_load=None):
+    """Wrap ``runner.load_text``; returns the (doc id, thread id) of each read, in order."""
+    reads = []
+    real_load_text = runner.load_text
+
+    def load_text(ref):
+        reads.append((ref.doc_id, threading.get_ident()))
+        if on_load is not None:
+            on_load(ref)
+        return real_load_text(ref)
+
+    monkeypatch.setattr(runner, "load_text", load_text)
+    return reads
+
+
+def test_requests_are_built_on_the_thread_that_runs_the_batches(tmp_path, monkeypatch):
+    # Built on pool threads, a request's freed pages stayed in each worker's
+    # own allocator arena; pool threads now only send and write.
+    manifest = _corpus_on_disk(tmp_path, 8)
+    cfg = RunnerConfig(batch_size=2, output_dir=str(tmp_path / "out"))
+    jobs = plan(manifest, cfg)
+    fixtures = tmp_path / "fixtures"
+    _fixtures_for_jobs(fixtures, jobs, lambda j: f"batch {j.index}")
+    reads = _recording_load_text(monkeypatch)
+
+    summary = run_annotation(jobs, BUNDLE, manifest, make_stub(fixtures, max_inflight=2), cfg)
+
+    assert summary.completed == len(jobs) == 4
+    assert [doc_id for doc_id, _ in reads] == [ref.doc_id for ref in manifest.documents]
+    assert {thread for _, thread in reads} == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("max_inflight", [1, 2])
+def test_at_most_twice_max_inflight_requests_are_built_ahead(tmp_path, monkeypatch, max_inflight):
+    manifest = _corpus_on_disk(tmp_path, 10)
+    cfg = RunnerConfig(batch_size=1, output_dir=str(tmp_path / "out"))
+    jobs = plan(manifest, cfg)
+    fixtures = tmp_path / "fixtures"
+    _fixtures_for_jobs(fixtures, jobs, lambda j: f"batch {j.index}")
+    client = make_stub(fixtures, max_inflight=max_inflight)
+    bound = 2 * max_inflight
+    enough = threading.Event()
+    reads = _recording_load_text(monkeypatch, lambda ref: len(reads) >= bound and enough.set())
+    built_at_return = []
+    real_send = client._send
+
+    def blocking_send(prompt, key):
+        if not built_at_return:
+            enough.wait(timeout=10)
+            time.sleep(0.05)  # room for a request built beyond the bound to show
+        response = real_send(prompt, key)
+        built_at_return.append(len(reads))
+        return response
+
+    client._send = blocking_send
+    summary = run_annotation(jobs, BUNDLE, manifest, client, cfg)
+
+    assert summary.completed == len(jobs) == 10
+    assert built_at_return[0] == bound
+
+
+def test_annotation_request_is_the_prompt_and_payload_joined(tmp_path):
+    manifest = _corpus_on_disk(tmp_path, 5)
+    cfg = RunnerConfig(batch_size=2, output_dir=str(tmp_path / "out"))
+    jobs = plan(manifest, cfg)
+    fixtures = tmp_path / "fixtures"
+    _fixtures_for_jobs(fixtures, jobs, lambda j: f"batch {j.index}")
+    client = make_stub(fixtures)
+    sent = {}
+    real_send = client._send
+
+    def recording_send(prompt, key):
+        sent[key] = prompt
+        return real_send(prompt, key)
+
+    client._send = recording_send
+    run_annotation(jobs, BUNDLE, manifest, client, cfg)
+
+    refs = {ref.doc_id: ref for ref in manifest.documents}
+    for job in jobs:
+        payload = "\n\n".join(
+            part
+            for doc_id in job.doc_ids
+            for part in (DOC_HEADER.format(doc_id=doc_id, title=refs[doc_id].title), load_text(refs[doc_id]))
+        )
+        key = f"annotation-{stub_key('annotation', list(job.doc_ids))}"
+        assert sent[key] == BUNDLE.text + "\n\n" + payload
+
+
+def test_bug_in_a_sent_batch_stops_building_requests(tmp_path, monkeypatch):
+    manifest = _corpus_on_disk(tmp_path, 6)
+    cfg = RunnerConfig(batch_size=1, output_dir=str(tmp_path / "out"))
+    jobs = plan(manifest, cfg)
+    fixtures = tmp_path / "fixtures"
+    _fixtures_for_jobs(fixtures, jobs, lambda j: f"batch {j.index}")
+    client = make_stub(fixtures, max_inflight=1)
+    reads = _recording_load_text(monkeypatch)
+
+    def failing_send(prompt, key):
+        raise RuntimeError("bug in the first call")
+
+    client._send = failing_send
+    with pytest.raises(RuntimeError, match="bug in the first call"):
+        run_annotation(jobs, BUNDLE, manifest, client, cfg)
+
+    # The first call to finish raised; only the two requests built before it ran.
+    assert [doc_id for doc_id, _ in reads] in (["doc0"], ["doc0", "doc1"])
+
+
+def test_interrupt_while_building_a_request_cancels_the_rest(tmp_path, monkeypatch):
+    manifest = _corpus_on_disk(tmp_path, 6)
+    out = tmp_path / "out"
+    cfg = RunnerConfig(batch_size=1, output_dir=str(out))
+    jobs = plan(manifest, cfg)
+    fixtures = tmp_path / "fixtures"
+    _fixtures_for_jobs(fixtures, jobs, lambda j: f"batch {j.index}")
+    client = make_stub(fixtures, max_inflight=1)
+
+    def interrupt(ref):
+        if ref.doc_id == "doc2":
+            raise KeyboardInterrupt
+
+    reads = _recording_load_text(monkeypatch, interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        run_annotation(jobs, BUNDLE, manifest, client, cfg)
+
+    assert [doc_id for doc_id, _ in reads] == ["doc0", "doc1", "doc2"]
+    assert client.calls == 2
+    assert sorted(p.name for p in out.glob("batch_*")) == ["batch_0_output.txt", "batch_1_output.txt"]
+    assert list(json.loads((out / "checkpoint.json").read_text())["digests"]) == ["0", "1"]
 
 
 # --- run_filter ------------------------------------------------------------------
