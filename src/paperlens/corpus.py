@@ -181,12 +181,12 @@ def ingest(
 
     Each ``x.pdf`` needs a readable ``x.txt`` sidecar, a ``text_path`` entry
     in the metadata file, or (when ``extract_cmd`` is set) a successful run
-    of the external extractor. Documents without resolvable text appear in
-    the skip report; they are never silently dropped. The metadata file may
-    also supply title, authors, and category_tag per doc_id. A document's
-    category tag is its metadata entry's, else the tag embedded in its PDF,
-    else the one in its filename, else None (unknown is a value, not an
-    error).
+    of the external extractor. Documents without resolvable text, or whose
+    normalized text is empty, appear in the skip report; they are never
+    silently dropped. The metadata file may also supply title, authors, and
+    category_tag per doc_id. A document's category tag is its metadata
+    entry's, else the tag embedded in its PDF, else the one in its filename,
+    else None (unknown is a value, not an error).
     """
     started = time.perf_counter()
     src = Path(source_dir)
@@ -232,6 +232,9 @@ def ingest(
             text = _read_sidecar(text_path)
         except OSError as exc:
             skipped.append(SkipReport(doc_id, pdf, f"unreadable text file: {exc}"))
+            continue
+        if not text:
+            skipped.append(SkipReport(doc_id, pdf, "extracted text is empty"))
             continue
         tag = entry.category_tag or _embedded_pdf_tag(pdf) or _filename_tag(doc_id)
         refs.append(

@@ -10,6 +10,7 @@ window; the budget check happens before any network activity.
 from __future__ import annotations
 
 import hashlib
+import json
 import logging
 import os
 import random
@@ -65,6 +66,19 @@ class ExhaustedRetries(ProviderError):
     def __init__(self, attempts: int, last_error: Exception) -> None:
         self.attempts = attempts
         super().__init__(f"gave up after {attempts} attempts: {last_error}")
+
+
+class IncompleteReply(ProviderError):
+    """The reply names a finish reason other than a natural stop.
+
+    Not transient: at a fixed temperature a retry stops in the same place.
+    """
+
+    def __init__(self, reason: object, output_tokens: int) -> None:
+        super().__init__(
+            f"reply stopped early (finish reason {reason!r}, {output_tokens} output tokens); "
+            "a smaller --batch-size asks for less in one reply"
+        )
 
 
 class StubFixtureMissing(ProviderError):
@@ -141,6 +155,42 @@ def stub_key(kind: str, payload_refs: tuple[str, ...] | list[str]) -> str:
     """Stable fixture key for a request: hash of (kind, sorted payload refs)."""
     material = kind + "|" + "|".join(sorted(str(r) for r in payload_refs))
     return hashlib.sha256(material.encode("utf-8")).hexdigest()[:16]
+
+
+def request_body(config: ProviderConfig, prompt: str) -> tuple[str, dict]:
+    """The URL and JSON body of the request that sends ``prompt`` under ``config``.
+
+    The gemini dialect posts to ``:generateContent``; every other dialect,
+    the stub included, has the ``/chat/completions`` shape. ``HttpChatClient``
+    posts exactly this, adding only the credential header.
+    """
+    base_url = config.base_url.rstrip("/")
+    if config.dialect == "gemini":
+        return f"{base_url}/models/{config.model_name}:generateContent", {
+            "contents": [{"role": "user", "parts": [{"text": prompt}]}],
+            "generationConfig": {
+                "maxOutputTokens": config.max_output_tokens,
+                "temperature": config.temperature,
+            },
+        }
+    return f"{base_url}/chat/completions", {
+        "model": config.model_name,
+        "messages": [{"role": "user", "content": prompt}],
+        "max_tokens": config.max_output_tokens,
+        "temperature": config.temperature,
+    }
+
+
+def request_digest(config: ProviderConfig, doc_ids: tuple[str, ...], prompt: str) -> str:
+    """sha256 identifying one annotation batch's request: a JSON array of its
+    doc ids, the dialect, and ``request_body`` of the prompt sent ahead of
+    the documents.
+
+    So any change to what the request sends changes the digest, and
+    settings that only pace or authenticate a call leave it as it is.
+    """
+    material = json.dumps([doc_ids, config.dialect, request_body(config, prompt)])
+    return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
 class ChatClient:
@@ -261,31 +311,16 @@ class HttpChatClient(ChatClient):
 
     def _send(self, prompt: str, key: str) -> ModelResponse:
         api_key = self._api_key()
-        cfg = self.config
-        if cfg.dialect == "gemini":
-            url = f"{cfg.base_url.rstrip('/')}/models/{cfg.model_name}:generateContent"
+        if self.config.dialect == "gemini":
             headers = {"x-goog-api-key": api_key, "Content-Type": "application/json"}
-            body = {
-                "contents": [{"role": "user", "parts": [{"text": prompt}]}],
-                "generationConfig": {
-                    "maxOutputTokens": cfg.max_output_tokens,
-                    "temperature": cfg.temperature,
-                },
-            }
         else:
-            url = f"{cfg.base_url.rstrip('/')}/chat/completions"
             headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
-            body = {
-                "model": cfg.model_name,
-                "messages": [{"role": "user", "content": prompt}],
-                "max_tokens": cfg.max_output_tokens,
-                "temperature": cfg.temperature,
-            }
+        url, body = request_body(self.config, prompt)
 
         import requests
 
         try:
-            resp = self._session.post(url, json=body, headers=headers, timeout=cfg.timeout_s)
+            resp = self._session.post(url, json=body, headers=headers, timeout=self.config.timeout_s)
         except requests.RequestException as exc:
             raise TransientError(f"transport failure: {exc}") from exc
 
@@ -306,21 +341,33 @@ class HttpChatClient(ChatClient):
     def _parse_body(self, data: dict) -> ModelResponse:
         """The reply's text and token counts; a null usage object or count reads as 0.
 
+        A reply whose finish reason is other than a natural stop raises
+        ``IncompleteReply``; a body without the field is read as complete.
         Text that UTF-8 cannot encode is malformed, like any other bad value.
         """
         try:
             if self.config.dialect == "gemini":
-                parts = data["candidates"][0]["content"]["parts"]
-                text = "".join(p.get("text", "") for p in parts)
+                reply = data["candidates"][0]
+                reason_field, stopped = "finishReason", "STOP"
                 usage = data.get("usageMetadata") or {}
                 counts = usage.get("promptTokenCount"), usage.get("candidatesTokenCount")
             else:
-                text = data["choices"][0]["message"]["content"] or ""
-                if not isinstance(text, str):
-                    raise TypeError(f"content is {type(text).__name__}, not a string")
+                reply = data["choices"][0]
+                reason_field, stopped = "finish_reason", "stop"
                 usage = data.get("usage") or {}
                 counts = usage.get("prompt_tokens"), usage.get("completion_tokens")
             input_tokens, output_tokens = (int(count or 0) for count in counts)
+            if reason_field in reply and reply[reason_field] != stopped:
+                raise IncompleteReply(reply[reason_field], output_tokens)
+            if self.config.dialect == "gemini":
+                if "content" not in reply:
+                    raise ProviderError(f"malformed response body: candidate has no content "
+                                        f"(finishReason {reply.get(reason_field)!r})")
+                text = "".join(p.get("text", "") for p in reply["content"]["parts"])
+            else:
+                text = reply["message"]["content"] or ""
+                if not isinstance(text, str):
+                    raise TypeError(f"content is {type(text).__name__}, not a string")
             text.encode("utf-8")  # a lone surrogate could never be written out
             return ModelResponse(text, input_tokens, output_tokens)
         except (KeyError, IndexError, TypeError, AttributeError, ValueError) as exc:

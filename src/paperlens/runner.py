@@ -18,7 +18,6 @@ and ``parse_run``, through ``read_text``). A plan holds no paths:
 from __future__ import annotations
 
 import enum
-import hashlib
 import logging
 import re
 import threading
@@ -26,7 +25,7 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
 from . import provider
 from .atomic import PaperlensError, append_jsonl, read_json, read_text, write_atomic, write_json
@@ -84,8 +83,8 @@ class Checkpoint:
     """Which planned batches have completed, bound to a manifest digest (``checkpoint.json``).
 
     ``digests`` maps each completed batch index to the digest of the request
-    it sent (see ``_batch_digest``); a resumed run trusts a completion only
-    when that digest matches the current plan's.
+    it sent (see ``provider.request_digest``); a resumed run trusts a
+    completion only when that digest matches the current plan's.
     """
 
     manifest_hash: str
@@ -179,20 +178,6 @@ def _batch_request(bundle: PromptBundle, job: BatchJob, refs: dict[str, Document
         parts.append(DOC_HEADER.format(doc_id=doc_id, title=ref.title))
         parts.append(load_text(ref))
     return replace(bundle, text="\n\n".join(parts), payload_refs=job.doc_ids)
-
-
-def _batch_digest(doc_ids: Iterable[str], prompt: str, config: provider.ProviderConfig) -> str:
-    """sha256 identifying one annotation batch request: its doc ids, the
-    prompt text sent ahead of the documents, the model and dialect.
-
-    Each field is length-prefixed so that no two field lists collide.
-    """
-    h = hashlib.sha256()
-    for part in (*doc_ids, prompt, config.model_name, config.dialect):
-        data = part.encode("utf-8")
-        h.update(len(data).to_bytes(8, "big"))
-        h.update(data)
-    return h.hexdigest()
 
 
 # A batch that fails with one of these is recorded and the run continues.
@@ -327,7 +312,7 @@ def run_annotation(
     planned: dict[int, str] = {}  # index -> digest of each batch to send
     pending: list[_Batch] = []
     for job in jobs:
-        job_digest = _batch_digest(job.doc_ids, bundle.text, client.config)
+        job_digest = provider.request_digest(client.config, job.doc_ids, bundle.text)
         output_path = batch_path(out_dir, job.index, "output")
         if previous.digests.get(job.index) == job_digest and output_path.exists():
             checkpoint.digests[job.index] = job_digest

@@ -235,6 +235,39 @@ def test_resume_through_cli_makes_no_calls(pipeline_dirs, capsys):
     assert "0 provider calls" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--temperature", "0.9"],
+    ["--max-output-tokens", "1000"],
+    ["--base-url", "https://other.example/v1"],
+    ["--model", "other-model"],
+])
+def test_resume_resends_every_batch_after_a_change_of_what_a_request_sends(pipeline_dirs, capsys, flags):
+    tmp_path, manifest_path, fixtures = pipeline_dirs
+    annotate = ["annotate", "--config", str(write_config(tmp_path, fixtures)),
+                "--manifest", str(manifest_path), "--out", str(tmp_path / "run"), "--batch-size", "2"]
+    assert main(annotate) == 0
+    capsys.readouterr()
+    assert main([*annotate, *flags, "--resume"]) == 0
+    assert "2/2 batches done, 0 resumed, 0 failed, 2 provider calls" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--max-inflight", "1"],
+    ["--max-retries", "4"],
+    ["--backoff-base-ms", "7"],
+    ["--timeout-s", "5"],
+    ["--api-key-env", "OTHER_API_KEY"],
+])
+def test_resume_carries_every_batch_over_after_a_change_of_pacing_or_credentials(pipeline_dirs, capsys, flags):
+    tmp_path, manifest_path, fixtures = pipeline_dirs
+    annotate = ["annotate", "--config", str(write_config(tmp_path, fixtures)),
+                "--manifest", str(manifest_path), "--out", str(tmp_path / "run"), "--batch-size", "2"]
+    assert main(annotate) == 0
+    capsys.readouterr()
+    assert main([*annotate, *flags, "--resume"]) == 0
+    assert "2/2 batches done, 2 resumed, 0 failed, 0 provider calls" in capsys.readouterr().err
+
+
 def test_filter_dry_run_lists_next_pass_inputs(pipeline_dirs, capsys):
     tmp_path, manifest_path, fixtures = pipeline_dirs
     config = write_config(tmp_path, fixtures)

@@ -54,6 +54,16 @@ def test_ingest_missing_sidecar_reported(tmp_path):
     assert "no extracted text" in result.skipped[0].reason
 
 
+def test_ingest_reports_a_sidecar_whose_text_is_empty(tmp_path):
+    src = write_corpus(tmp_path / "src", {"a": "alpha", "b": "  \n", "c": ""})
+    result = ingest(src)
+    assert [r.doc_id for r in result.manifest.documents] == ["a"]
+    assert [(s.doc_id, s.path, s.reason) for s in result.skipped] == [
+        ("b", str(src / "b.pdf"), "extracted text is empty"),
+        ("c", str(src / "c.pdf"), "extracted text is empty"),
+    ]
+
+
 def test_ingest_unreadable_directory(tmp_path):
     with pytest.raises(CorpusError, match="not readable"):
         ingest(tmp_path / "does-not-exist")
@@ -306,9 +316,15 @@ _SIDECAR_PIECES = [
 
 
 def _sidecar_bytes_read_three_ways(src, data):
+    """(char_count, load_text, text-mode read) of a sidecar holding ``data``;
+    one whose text is empty must be in the skip report, and reads as ``(0, "", "")``."""
     (src / "a.txt").write_bytes(data)
-    ref = ingest(src).manifest.documents[0]
+    result = ingest(src)
     as_text = normalize((src / "a.txt").read_text(encoding="utf-8", errors="replace"))
+    if not as_text:
+        assert [(s.doc_id, s.reason) for s in result.skipped] == [("a", "extracted text is empty")]
+        return 0, "", as_text
+    ref = result.manifest.documents[0]
     return ref.char_count, load_text(ref), as_text
 
 

@@ -21,9 +21,11 @@ from paperlens.provider import (
     ContextOverflow,
     ExhaustedRetries,
     HttpChatClient,
+    IncompleteReply,
     ProviderConfig,
     ProviderError,
     StubFixtureMissing,
+    TransientError,
     estimate_tokens,
     make_client,
     stub_key,
@@ -260,12 +262,17 @@ def test_openai_request_shape(monkeypatch):
     response = client.complete(bundle_for(["d"]), "payload")
     assert response.text == "result text"
     assert response.input_tokens == 12 and response.output_tokens == 3
-    req = session.requests[0]
-    assert req["url"] == "https://example.test/v1/chat/completions"
-    assert req["json"]["model"] == "test-model"
-    assert req["json"]["messages"][0]["role"] == "user"
-    assert "payload" in req["json"]["messages"][0]["content"]
-    assert req["headers"]["Authorization"] == "Bearer k-123"
+    # Serialized, so the order of the keys counts as well.
+    assert json.dumps(session.requests) == json.dumps([{
+        "url": "https://example.test/v1/chat/completions",
+        "json": {
+            "model": "test-model",
+            "messages": [{"role": "user", "content": "do the task\n\npayload"}],
+            "max_tokens": 65536,
+            "temperature": 0.0,
+        },
+        "headers": {"Authorization": "Bearer k-123", "Content-Type": "application/json"},
+    }])
 
 
 def test_gemini_request_shape(monkeypatch):
@@ -274,10 +281,14 @@ def test_gemini_request_shape(monkeypatch):
     client = http_client("gemini", session)
     response = client.complete(bundle_for(["d"]))
     assert response.text == "gemini text"
-    req = session.requests[0]
-    assert req["url"].endswith("/models/test-model:generateContent")
-    assert req["headers"]["x-goog-api-key"] == "k-456"
-    assert req["json"]["contents"][0]["parts"][0]["text"]
+    assert json.dumps(session.requests) == json.dumps([{
+        "url": "https://example.test/v1/models/test-model:generateContent",
+        "json": {
+            "contents": [{"role": "user", "parts": [{"text": "do the task"}]}],
+            "generationConfig": {"maxOutputTokens": 65536, "temperature": 0.0},
+        },
+        "headers": {"x-goog-api-key": "k-456", "Content-Type": "application/json"},
+    }])
 
 
 def test_missing_api_key_is_auth_error(monkeypatch):
@@ -294,6 +305,36 @@ def test_http_401_is_auth_error_no_retry(monkeypatch):
     with pytest.raises(AuthError):
         client.complete(bundle_for(["d"]))
     assert len(session.requests) == 1
+
+
+def test_http_400_is_a_provider_error_no_retry(monkeypatch):
+    monkeypatch.setenv("TEST_API_KEY", "k")
+    session = FakeSession([FakeResponse(400, {"error": "bad request"})])
+    with pytest.raises(ProviderError, match="HTTP 400") as err:
+        http_client("openai", session).complete(bundle_for(["d"]))
+    assert type(err.value) is ProviderError
+    assert len(session.requests) == 1
+
+
+class NonJsonResponse(FakeResponse):
+    """A 200 whose body is not JSON, as a proxy's error page is."""
+
+    def __init__(self):
+        super().__init__(200, None)
+        self.text = "<html>bad gateway</html>"
+
+    def json(self):
+        raise ValueError("Expecting value: line 1 column 1 (char 0)")
+
+
+def test_non_json_body_is_retried_until_retries_run_out(monkeypatch):
+    monkeypatch.setenv("TEST_API_KEY", "k")
+    monkeypatch.setattr("paperlens.provider.time.sleep", lambda s: None)
+    session = FakeSession([NonJsonResponse() for _ in range(3)])
+    with pytest.raises(ExhaustedRetries, match="non-JSON response body") as err:
+        http_client("openai", session).complete(bundle_for(["d"]))
+    assert err.value.attempts == 3
+    assert len(session.requests) == 3
 
 
 def test_rate_limit_retried_then_succeeds(monkeypatch):
@@ -440,3 +481,55 @@ def test_malformed_body_is_a_provider_error(monkeypatch, dialect, body):
     client = http_client(dialect, FakeSession([FakeResponse(200, body)]))
     with pytest.raises(ProviderError, match="malformed response body"):
         client.complete(bundle_for(["d"]), "payload")
+
+
+# --- a reply must say it stopped naturally -----------------------------------
+
+CUT_TEXT = "- Title: A reason why\n- Quote: we can now see why the sq"
+
+
+@pytest.mark.parametrize("dialect, body, reason", [
+    ("openai", {"choices": [{"message": {"content": CUT_TEXT}, "finish_reason": "length"}],
+                "usage": {"prompt_tokens": 12, "completion_tokens": 4096}}, "'length'"),
+    ("openai", {"choices": [{"message": {"content": ""}, "finish_reason": "content_filter"}],
+                "usage": {"prompt_tokens": 12, "completion_tokens": 4096}}, "'content_filter'"),
+    ("openai", {"choices": [{"message": {"content": CUT_TEXT}, "finish_reason": None}],
+                "usage": {"prompt_tokens": 12, "completion_tokens": 4096}}, "None"),
+    ("gemini", {"candidates": [{"content": {"parts": [{"text": CUT_TEXT}]}, "finishReason": "MAX_TOKENS"}],
+                "usageMetadata": {"promptTokenCount": 12, "candidatesTokenCount": 4096}}, "'MAX_TOKENS'"),
+    ("gemini", {"candidates": [{"finishReason": "RECITATION"}],
+                "usageMetadata": {"promptTokenCount": 12, "candidatesTokenCount": 4096}}, "'RECITATION'"),
+])
+def test_reply_that_stopped_early_fails_without_a_retry(monkeypatch, dialect, body, reason):
+    monkeypatch.setenv("TEST_API_KEY", "k")
+    session = FakeSession([FakeResponse(200, body)])
+    with pytest.raises(IncompleteReply) as err:
+        http_client(dialect, session).complete(bundle_for(["d"]), "payload")
+    assert not isinstance(err.value, TransientError)
+    assert len(session.requests) == 1
+    message = str(err.value)
+    assert f"finish reason {reason}" in message
+    assert "4096 output tokens" in message
+    assert "smaller --batch-size" in message
+
+
+@pytest.mark.parametrize("dialect, body", [
+    ("openai", {"choices": [{"message": {"content": "hi"}, "finish_reason": "stop"}]}),
+    ("gemini", {"candidates": [{"content": {"parts": [{"text": "hi"}]}, "finishReason": "STOP"}]}),
+])
+def test_reply_that_stopped_naturally_is_read(monkeypatch, dialect, body):
+    monkeypatch.setenv("TEST_API_KEY", "k")
+    response = http_client(dialect, FakeSession([FakeResponse(200, body)])).complete(bundle_for(["d"]))
+    assert response.text == "hi"
+
+
+@pytest.mark.parametrize("candidate, reason", [
+    ({"finishReason": "STOP"}, "'STOP'"),
+    ({}, "None"),
+])
+def test_gemini_candidate_without_content_names_its_finish_reason(monkeypatch, candidate, reason):
+    monkeypatch.setenv("TEST_API_KEY", "k")
+    client = http_client("gemini", FakeSession([FakeResponse(200, {"candidates": [candidate]})]))
+    with pytest.raises(ProviderError, match=f"malformed response body: candidate has no content "
+                                            f"\\(finishReason {reason}\\)"):
+        client.complete(bundle_for(["d"]))

@@ -336,8 +336,8 @@ class _Reply:
     status_code = 200
     text = ""
 
-    def __init__(self, content):
-        self._body = {"choices": [{"message": {"content": content}}]}
+    def __init__(self, content, **choice):
+        self._body = {"choices": [{"message": {"content": content}, **choice}]}
 
     def json(self):
         return self._body
@@ -367,6 +367,36 @@ def test_reply_that_cannot_be_written_fails_only_its_batch(tmp_path, monkeypatch
     assert "malformed response body" in summary.failures[0][1]
     assert jobs[1].status is JobStatus.DONE
     assert sorted(p.name for p in out.iterdir()) == ["batch_1_output.txt", "checkpoint.json"]
+
+
+class _CutOffSession:
+    """Answers every request; the reply about document 1 stops at the output limit."""
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        if "Document 1 " in json["messages"][0]["content"]:
+            return _Reply("- Title: A reason\n- Quote: we can now see why the sq", finish_reason="length")
+        return _Reply("ok", finish_reason="stop")
+
+
+def test_reply_cut_off_at_the_output_limit_fails_only_its_batch(tmp_path, monkeypatch):
+    monkeypatch.setenv("TEST_API_KEY", "k")
+    manifest = _corpus_on_disk(tmp_path, 4)
+    out = tmp_path / "out"
+    cfg = RunnerConfig(batch_size=2, output_dir=str(out))
+    jobs = plan(manifest, cfg)
+    client = HttpChatClient(
+        ProviderConfig(dialect="openai", api_key_env="TEST_API_KEY", backoff_base_ms=1),
+        session=_CutOffSession(),
+    )
+
+    summary = run_annotation(jobs, BUNDLE, manifest, client, cfg)
+
+    assert [index for index, _ in summary.failures] == [0]
+    assert "finish reason 'length'" in summary.failures[0][1]
+    assert summary.provider_calls == 2
+    assert jobs[1].status is JobStatus.DONE
+    assert sorted(p.name for p in out.iterdir()) == ["batch_1_output.txt", "checkpoint.json"]
+    assert list(json.loads((out / "checkpoint.json").read_text())["digests"]) == ["1"]
 
 
 def test_checkpoint_mismatch_detected(tmp_path):

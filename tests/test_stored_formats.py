@@ -134,17 +134,39 @@ def test_filter_state_bytes_are_pinned(tmp_path):
     assert FilterState.load(tmp_path) == state
 
 
-def test_checkpoint_of_the_older_format_resumes_the_same_batches(tmp_path, monkeypatch, capsys):
-    # checkpoint_older_format.json was written by the previous format's code
-    # for this study, after batches 3 and 11 had failed: it lists the others
-    # under "completed" too, with its keys in text order.
+def test_checkpoint_of_the_older_format_loads_and_every_batch_is_sent_again(tmp_path, monkeypatch, capsys):
+    # checkpoint_older_format.json was written by older code for this study,
+    # after batches 3 and 11 had failed: it lists the others under
+    # "completed" too, with its keys in text order. Its digests covered
+    # fewer request settings than today's, so none of them matches.
     monkeypatch.chdir(tmp_path)
     make_study()
     assert main(ANNOTATE) == 0
-    older = (GOLDEN / "checkpoint_older_format.json").read_text(encoding="utf-8")
-    Path("run/checkpoint.json").write_text(older, encoding="utf-8")
-    done = json.loads(older)["completed"]
-    assert sorted(done) == [i for i in range(BATCHES) if i not in (3, 11)]
+    Path("run/checkpoint.json").write_text(
+        (GOLDEN / "checkpoint_older_format.json").read_text(encoding="utf-8"), encoding="utf-8")
+    capsys.readouterr()
+
+    assert main([*ANNOTATE, "--resume"]) == 0
+
+    assert "13/13 batches done, 0 resumed, 0 failed, 13 provider calls" in capsys.readouterr().err
+    assert Path("run/checkpoint.json").read_bytes() == (GOLDEN / "checkpoint_thirteen_batches.json").read_bytes()
+
+
+def test_checkpoint_with_a_completed_list_and_keys_in_text_order_resumes_the_same_batches(
+        tmp_path, monkeypatch, capsys):
+    # The layout of checkpoint_older_format.json, with this study's digests
+    # after batches 3 and 11 had failed.
+    monkeypatch.chdir(tmp_path)
+    make_study()
+    assert main(ANNOTATE) == 0
+    current = json.loads(Path("run/checkpoint.json").read_text(encoding="utf-8"))
+    done = [i for i in range(BATCHES) if i not in (3, 11)]
+    older = {
+        "completed": done,
+        "digests": {str(i): current["digests"][str(i)] for i in done},
+        "manifest_hash": current["manifest_hash"],
+    }
+    Path("run/checkpoint.json").write_text(json.dumps(older, sort_keys=True), encoding="utf-8")
     for i in (3, 11):
         Path(f"run/batch_{i}_output.txt").unlink()
     for i in done:  # a call for a batch the older run finished would now fail
@@ -154,10 +176,7 @@ def test_checkpoint_of_the_older_format_resumes_the_same_batches(tmp_path, monke
     assert main([*ANNOTATE, "--resume"]) == 0
 
     assert "13/13 batches done, 11 resumed, 0 failed, 2 provider calls" in capsys.readouterr().err
-    written = Path("run/checkpoint.json").read_bytes()
-    assert written == (GOLDEN / "checkpoint_thirteen_batches.json").read_bytes()
-    digests = json.loads(written)["digests"]
-    assert all(digests[key] == digest for key, digest in json.loads(older)["digests"].items())
+    assert Path("run/checkpoint.json").read_bytes() == (GOLDEN / "checkpoint_thirteen_batches.json").read_bytes()
 
 
 def test_filter_state_of_the_older_format_finishes_the_lagging_pass(tmp_path, monkeypatch):

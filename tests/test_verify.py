@@ -416,6 +416,32 @@ def test_strided_documents_match_exhaustive_oracle(seed, doc_chars, quote_chars,
     assert (result.span_start, result.span_end) == (want_start, want_end)
 
 
+def test_capped_blocks_of_starts_find_the_exhaustive_window(monkeypatch):
+    # The cap on the starts one ``_window_scores`` call takes binds only on
+    # long documents. A cap of 64 bits makes documents of 500-1,000
+    # characters reach it, with quotes of the same words that leave many
+    # starts near the best. The cap shows as an argpartition of the live
+    # starts' bounds at ``block - 1``, here 0; the probe's is at 31.
+    monkeypatch.setattr(verify, "_BLOCK_BITS", 64)
+    kths = []
+    real_argpartition = np.argpartition
+
+    def argpartition(a, kth, *args, **kwargs):
+        kths.append(kth)
+        return real_argpartition(a, kth, *args, **kwargs)
+
+    monkeypatch.setattr(verify.np, "argpartition", argpartition)
+    rng = random.Random(464)
+    words = "orbit group bound proof lemma shows that the why structure class homotopy sharp".split()
+    for _ in range(15):
+        doc = " ".join(rng.choice(words) for _ in range(200))[: rng.randrange(500, 1000)]
+        quote = " ".join(rng.choice(words) for _ in range(30))[: rng.randrange(70, 150)]
+        result = best_match(quote, doc, threshold=1e-9)
+        assert (result.similarity, result.span_start, result.span_end) == pytest.approx(
+            exhaustive_best_window(quote, doc), abs=1e-12)
+    assert kths.count(0) > 0 and set(kths) == {0, verify._PROBE_STARTS - 1}
+
+
 def _strided_case(seed: int, doc_chars: int, quote_chars: int, share: float | None) -> tuple[str, str]:
     """(quote, document) built as in ``test_strided_documents_match_exhaustive_oracle``."""
     rng = random.Random(seed)
