@@ -5,14 +5,19 @@ Every file a command reads, corpus sidecars apart, goes through
 ``read_text``, and every JSON file paperlens keeps goes through here.
 Writing has one serialiser: sorted keys, non-ASCII characters kept as they
 are, one object per ``\\n``-terminated line, and a dataclass instance
-written as the object of its fields by the encoder's ``default`` hook; a
-file it cannot write raises ``PaperlensError("cannot write <path>: <reason>")``.
+written as the object of its fields; a file it cannot write raises
+``PaperlensError("cannot write <path>: <reason>")``. One writer replaces a
+file through a temp file, encoding its text chunk by chunk as it writes, so
+a JSON-lines file is written one line at a time and never held whole; a
+chunk UTF-8 cannot encode raises ``UnicodeEncodeError``, removes the temp
+file and leaves the old file as it was.
 Reading has one error rule: a missing, unreadable or non-UTF-8 file, invalid
 JSON, a value that is not an object, a wrong ``format`` header, or a value
 of the wrong type raises the caller's error class naming ``path`` or
-``path:line``. Blank lines are skipped. ``from_json`` builds a dataclass
-from an object, each value checked against the type its field declares;
-``read_json`` and ``read_jsonl`` build their objects with it.
+``path:line``. A JSON-lines file is read one line at a time from the open
+file, never whole. Blank lines are skipped. ``from_json`` builds a
+dataclass from an object, each value checked against the type its field
+declares; ``read_json`` and ``read_jsonl`` build their objects with it.
 
 ``PaperlensError`` is the base of every paperlens error class: the CLI
 reports one as a user error, and the runner as the failure of one batch.
@@ -27,15 +32,26 @@ import types
 import typing
 from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
+
+
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
 
 
 def _fields_of(obj: Any) -> dict:
-    """The encoder's ``default`` hook: a dataclass instance is written as the object of its fields."""
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    """A dataclass instance as the object of its fields; also the encoder's ``default`` hook for nested ones."""
+    return {name: getattr(obj, name) for name in _field_names(type(obj))}
 
 
 _ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True, default=_fields_of)
+
+
+def _encode(obj: Any) -> str:
+    """One line of JSON, without its ``\\n``, for a dict or a dataclass instance."""
+    return _ENCODER.encode(obj if isinstance(obj, dict) else _fields_of(obj))
+
 
 #: What reading raises for a value of the wrong shape.
 _SHAPE_ERRORS = (KeyError, TypeError, ValueError)
@@ -139,49 +155,66 @@ def from_json(cls: type, raw: dict) -> Any:
     return _builder(cls)(raw)
 
 
+def _replace(path: str | Path, chunks: Iterable[str]) -> None:
+    """Replace ``path`` with ``chunks`` (UTF-8), each encoded as it is written to ``<name>.tmp``, then rename.
+
+    Readers see the old file or the new one, never a partial write. If a
+    chunk cannot be made or encoded, or the write or rename fails, the
+    temp file is removed and the old file is left as it was.
+    """
+    target = Path(path)
+    tmp = target.with_suffix(target.suffix + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk.encode("utf-8"))
+        tmp.replace(target)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        if isinstance(exc, OSError):
+            raise PaperlensError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise
+
+
 def write_atomic(path: str | Path, text: str) -> None:
     """Replace ``path`` with ``text`` (UTF-8) by writing ``<name>.tmp`` and renaming.
 
-    Readers see the old file or the new one, never a partial write; if the
-    write or rename fails, the old file is left as it was and the temp file
-    is removed. Text is encoded before the temp file is opened, so text
-    UTF-8 cannot encode leaves no temp file.
+    Text UTF-8 cannot encode raises ``UnicodeEncodeError`` and leaves the
+    old file and no temp file.
     """
-    target = Path(path)
-    data = text.encode("utf-8")
-    tmp = target.with_suffix(target.suffix + ".tmp")
-    try:
-        tmp.write_bytes(data)
-        tmp.replace(target)
-    except OSError as exc:
-        with contextlib.suppress(OSError):
-            tmp.unlink()
-        raise PaperlensError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    _replace(path, (text,))
 
 
-def jsonl_text(rows: Iterable[Any], header: Any = None) -> str:
-    """The text ``write_jsonl`` writes: the header line, if any, then one line per row.
+def jsonl_lines(rows: Iterable[Any], header: Any = None) -> Iterator[str]:
+    """The lines ``write_jsonl`` writes, each with its ``\\n``: the header, if any, then one per row.
 
     Rows and header are dicts or dataclass instances.
     """
-    lines = [] if header is None else [_ENCODER.encode(header)]
-    lines.extend(map(_ENCODER.encode, rows))
-    return "\n".join(lines) + "\n" if lines else ""
+    if header is not None:
+        yield _encode(header) + "\n"
+    for row in rows:
+        yield _encode(row) + "\n"
+
+
+def jsonl_text(rows: Iterable[Any], header: Any = None) -> str:
+    """The text ``write_jsonl`` writes: the header line, if any, then one line per row."""
+    return "".join(jsonl_lines(rows, header))
 
 
 def write_json(path: str | Path, obj: Any) -> None:
     """Write one JSON object (a dict or a dataclass instance), on one line, atomically."""
-    write_atomic(path, _ENCODER.encode(obj) + "\n")
+    write_atomic(path, _encode(obj) + "\n")
 
 
 def write_jsonl(path: str | Path, rows: Iterable[Any], header: Any = None) -> None:
-    """Write an optional header object and one JSON object per row, atomically."""
-    write_atomic(path, jsonl_text(rows, header))
+    """Write an optional header object and one JSON object per row, atomically, one line at a time."""
+    _replace(path, jsonl_lines(rows, header))
 
 
 def append_jsonl(path: str | Path, obj: dict) -> None:
     """Append one JSON object as one line."""
-    line = _ENCODER.encode(obj) + "\n"
+    line = _encode(obj) + "\n"
     try:
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(line)
@@ -189,12 +222,19 @@ def append_jsonl(path: str | Path, obj: dict) -> None:
         raise PaperlensError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def read_text(path: str | Path, error: type[Exception]) -> str:
-    """A UTF-8 file's text, or ``error("cannot read <path>: <reason>")``; ``path`` may be a package resource."""
+@contextlib.contextmanager
+def _reading(path: Any, error: type[Exception]) -> Iterator[None]:
+    """Turn a failure to open, read or decode ``path`` into ``error("cannot read <path>: <reason>")``."""
     try:
-        return (Path(path) if isinstance(path, str) else path).read_text(encoding="utf-8")
+        yield
     except (OSError, UnicodeDecodeError) as exc:  # an OSError's strerror leaves out the path
         raise error(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
+def read_text(path: str | Path, error: type[Exception]) -> str:
+    """A UTF-8 file's text, or ``error("cannot read <path>: <reason>")``; ``path`` may be a package resource."""
+    with _reading(path, error):
+        return (Path(path) if isinstance(path, str) else path).read_text(encoding="utf-8")
 
 
 def _reason(exc: Exception) -> str:
@@ -230,21 +270,24 @@ def read_jsonl(path: str | Path, error: type[Exception], row: type, header: type
     build_row = _builder(row)
     head: Any = None
     rows: list = []
-    # Split on "\n" only: str.splitlines would also split on U+2028 and the
-    # like, which the encoder writes unescaped inside strings.
-    for lineno, line in enumerate(read_text(path, error).split("\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            if header is None or head is not None:
-                rows.append(_load(line, build_row))
+    # Lines end as read_text's text splits on "\n": at "\n", "\r\n" or "\r".
+    # U+2028 and the like, which the encoder writes unescaped inside strings,
+    # end none (str.splitlines would split there).
+    with _reading(path, error), open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.removesuffix("\n")  # so JSON errors give the columns of the line alone
+            if not line.strip():
                 continue
-            head = _load(line, None)
-            if head.get("format") != expected:
-                raise ValueError(f"unrecognized format {head.get('format')!r}, expected {expected!r}")
-            head = _builder(header)(head)
-        except _SHAPE_ERRORS as exc:
-            raise error(f"{path}:{lineno}: {_reason(exc)}") from exc
+            try:
+                if header is None or head is not None:
+                    rows.append(_load(line, build_row))
+                    continue
+                head = _load(line, None)
+                if head.get("format") != expected:
+                    raise ValueError(f"unrecognized format {head.get('format')!r}, expected {expected!r}")
+                head = _builder(header)(head)
+            except _SHAPE_ERRORS as exc:
+                raise error(f"{path}:{lineno}: {_reason(exc)}") from exc
     if header is not None and head is None:
         raise error(f"{path}: empty file, expected a {expected!r} header")
     return head, rows

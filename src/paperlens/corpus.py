@@ -19,10 +19,12 @@ import re
 import shlex
 import subprocess
 import time
+from collections import Counter
 from dataclasses import dataclass
+from itertools import pairwise
 from pathlib import Path
 
-from .atomic import PaperlensError, jsonl_text, read_jsonl, write_atomic
+from .atomic import PaperlensError, jsonl_lines, jsonl_text, read_jsonl, write_jsonl
 from .verify import normalize
 
 logger = logging.getLogger(__name__)
@@ -34,7 +36,7 @@ class CorpusError(PaperlensError):
     """Raised for unreadable inputs and violated sampling preconditions."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DocumentRef:
     """Identity, location, and metadata of one corpus paper."""
 
@@ -56,12 +58,15 @@ class CorpusManifest:
     parent_size: int = 0
 
     def __post_init__(self) -> None:
-        ids = [ref.doc_id for ref in self.documents]
-        if ids != sorted(ids):
+        # One pass over adjacent pairs when the order holds; only a manifest
+        # that breaks it is looked at again, to name the rule it breaks.
+        if all(a.doc_id < b.doc_id for a, b in pairwise(self.documents)):
+            return
+        if any(a.doc_id > b.doc_id for a, b in pairwise(self.documents)):
             raise CorpusError("manifest documents must be sorted by doc_id")
-        if len(set(ids)) != len(ids):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
-            raise CorpusError(f"duplicate doc_ids in manifest: {dupes}")
+        counts = Counter(ref.doc_id for ref in self.documents)
+        dupes = sorted(doc_id for doc_id, n in counts.items() if n > 1)
+        raise CorpusError(f"duplicate doc_ids in manifest: {dupes}")
 
     @classmethod
     def build(
@@ -138,15 +143,15 @@ def _run_extractor(words: list[str], pdf: Path, txt: Path) -> bool:
     return txt.exists()
 
 
-def _exists(listing: dict[str, os.DirEntry], name: str, path: str) -> bool:
+def _exists(listing: dict[str, bool], name: str, path: str) -> bool:
     """``Path(path).exists()`` for ``path``, the entry ``name`` of a directory listing.
 
-    A listed entry that is not a symlink exists, with no stat. A name
-    missing from the listing is still checked on disk, where a
-    case-insensitive file system may find it under another case.
+    ``listing`` maps each listed name to whether it is a symlink. A listed
+    entry that is not a symlink exists, with no stat. A name missing from
+    the listing is still checked on disk, where a case-insensitive file
+    system may find it under another case.
     """
-    dirent = listing.get(name)
-    if dirent is None or dirent.is_symlink():
+    if listing.get(name, True):  # not listed, or a symlink
         return Path(path).exists()
     return True
 
@@ -199,22 +204,32 @@ def ingest(
 
     # One listing serves the PDF filter and the sidecar lookup. A DirEntry
     # knows its type from the listing, so only symlinks and sidecars missing
-    # from it cost a stat. Paths are strings: ``prefix + name`` is
-    # ``str(src / name)``. A name is a PDF's when ``Path(name).suffix`` is
-    # ``.pdf`` in any case, so ``.pdf`` itself is not; its stem is the rest.
+    # from it cost a stat; the listing keeps, per name, only whether it is a
+    # symlink. Paths are strings: ``prefix + name`` is ``str(src / name)``.
+    # A name is a PDF's when ``Path(name).suffix`` is ``.pdf`` in any case,
+    # so ``.pdf`` itself is not; its stem is the rest.
+    listing: dict[str, bool] = {}
+    pdfs: list[tuple[str, str]] = []
     with os.scandir(src) as it:
-        listing = {dirent.name: dirent for dirent in it}
+        for dirent in it:
+            name = dirent.name
+            listing[name] = dirent.is_symlink()
+            if len(name) > 4 and name[-4:].lower() == ".pdf" and dirent.is_file():
+                pdfs.append((name[:-4], name))
+    pdfs.sort()
     prefix = str(src / "_")[:-1]
-    pdfs = sorted(
-        (name[:-4], name)
-        for name, dirent in listing.items()
-        if len(name) > 4 and name[-4:].lower() == ".pdf" and dirent.is_file()
-    )
 
     refs: list[DocumentRef] = []
     skipped: list[SkipReport] = []
+    kept = ("", "")  # the doc_id and name of the PDF last kept
     for doc_id, name in pdfs:
         pdf = prefix + name
+        # Names that differ only in the case of ".pdf" share a doc_id and a
+        # sidecar; the first in sorted order is the document.
+        if doc_id == kept[0]:
+            skipped.append(SkipReport(doc_id, pdf, f"duplicate doc_id: also {kept[1]}"))
+            continue
+        kept = (doc_id, name)
         entry = metadata.get(doc_id, _NO_METADATA)
         sidecar_name = doc_id + ".txt"
         sidecar = prefix + sidecar_name
@@ -363,15 +378,18 @@ class _ManifestHeader:
     parent_size: int | None = None
 
 
+def _header(manifest: CorpusManifest) -> _ManifestHeader:
+    return _ManifestHeader(sample_seed=manifest.sample_seed, parent_size=manifest.parent_size)
+
+
 def manifest_to_jsonl(manifest: CorpusManifest) -> str:
     """Serialize a manifest to its canonical line-delimited form."""
-    header = _ManifestHeader(sample_seed=manifest.sample_seed, parent_size=manifest.parent_size)
-    return jsonl_text(manifest.documents, header)
+    return jsonl_text(manifest.documents, _header(manifest))
 
 
 def save_manifest(manifest: CorpusManifest, path: str | Path) -> None:
-    """Write a manifest atomically (temp file, then rename)."""
-    write_atomic(path, manifest_to_jsonl(manifest))
+    """Write a manifest atomically (temp file, then rename), one line at a time."""
+    write_jsonl(path, manifest.documents, _header(manifest))
 
 
 def load_manifest(path: str | Path) -> CorpusManifest:
@@ -382,5 +400,8 @@ def load_manifest(path: str | Path) -> CorpusManifest:
 
 
 def manifest_digest(manifest: CorpusManifest) -> str:
-    """Stable digest of a manifest's canonical serialization."""
-    return hashlib.sha256(manifest_to_jsonl(manifest).encode("utf-8")).hexdigest()
+    """Stable digest of a manifest's canonical serialization, fed to sha256 one line at a time."""
+    digest = hashlib.sha256()
+    for line in jsonl_lines(manifest.documents, _header(manifest)):
+        digest.update(line.encode("utf-8"))
+    return digest.hexdigest()

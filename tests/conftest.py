@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from pathlib import Path
+from typing import Any, Callable
 
 import pytest
 
@@ -45,6 +47,17 @@ def synthetic_manifest(n: int, tag: str | None = "math.AG") -> CorpusManifest:
         for i in range(n)
     ]
     return CorpusManifest.build(refs)
+
+
+def traced_peak(fn: Callable[[], Any]) -> tuple[Any, int]:
+    """``fn()``'s result and the peak bytes allocated while it ran, as ``tracemalloc`` counts them."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def make_stub(fixtures_dir: Path | None = None, **config_overrides) -> StubChatClient:

@@ -38,23 +38,32 @@ def test_write_json_sorts_keys_keeps_unicode_and_ends_with_newline(tmp_path):
     assert read_json(path, Oops) == {"a": "ü", "b": 1}
 
 
+def _jsonl_with_row_3000(path, text):
+    """``write_jsonl`` of 5,000 rows, row 3,000 holding ``text``: earlier lines reach the temp file first."""
+    rows = [{"n": i} for i in range(5_000)]
+    rows[2_999] = {"text": text}
+    write_jsonl(path, rows)
+
+
 def test_write_atomic_with_unencodable_text_leaves_the_old_file_and_no_temp_file(tmp_path):
     path = tmp_path / "out.txt"
     write_atomic(path, "old")
-    with pytest.raises(UnicodeEncodeError):
-        write_atomic(path, "ok \ud83d")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
-    assert path.read_text(encoding="utf-8") == "old"
+    for write in (write_atomic, _jsonl_with_row_3000):
+        with pytest.raises(UnicodeEncodeError):
+            write(path, "ok \ud83d")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+        assert path.read_bytes() == b"old"
 
 
 def test_write_atomic_that_cannot_rename_leaves_the_target_and_no_temp_file(tmp_path):
     target = tmp_path / "out.txt"
     (target / "inside").mkdir(parents=True)  # a directory that is not empty cannot be replaced
-    with pytest.raises(PaperlensError) as err:
-        write_atomic(target, "text")
-    assert str(err.value).startswith(f"cannot write {target}: ")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
-    assert (target / "inside").is_dir()
+    for write in (write_atomic, _jsonl_with_row_3000):
+        with pytest.raises(PaperlensError) as err:
+            write(target, "text")
+        assert str(err.value).startswith(f"cannot write {target}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+        assert (target / "inside").is_dir()
 
 
 def test_write_jsonl_round_trips_header_and_rows(tmp_path):

@@ -1,16 +1,17 @@
 """Ingestion, sampling, text loading, and category resolution tests."""
 
 import contextlib
+import hashlib
 import os
 import random
-import tracemalloc
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import FAKE_PDF, synthetic_manifest, write_corpus, write_metadata
+from conftest import FAKE_PDF, synthetic_manifest, traced_peak, write_corpus, write_metadata
 from paperlens.corpus import (
     CorpusError,
     CorpusManifest,
@@ -206,6 +207,33 @@ def test_ingest_checks_a_sidecar_missing_from_the_listing_on_disk(tmp_path, monk
     result = ingest(src)
     assert [(r.doc_id, r.text_path) for r in result.manifest.documents] == [("a", str(src / "a.txt"))]
     assert result.skipped == ()
+
+
+def test_ingest_keeps_the_first_of_pdf_names_that_differ_only_in_case(tmp_path):
+    src = write_corpus(tmp_path / "src", {"a": "alpha", "b": "beta"})
+    (src / "a.PDF").write_bytes(FAKE_PDF)
+    if len(list(src.iterdir())) == 4:
+        pytest.skip("the file system does not tell names apart by case")
+    result = ingest(src)
+    assert [(r.doc_id, r.path) for r in result.manifest.documents] == [
+        ("a", str(src / "a.PDF")), ("b", str(src / "b.pdf"))
+    ]
+    assert [(s.doc_id, s.path, s.reason) for s in result.skipped] == [
+        ("a", str(src / "a.pdf"), "duplicate doc_id: also a.PDF")
+    ]
+
+
+def test_ingest_memory_per_listed_file_is_bounded(tmp_path):
+    # The listing keeps a name and a flag per file, not an os.DirEntry
+    # (about 270 bytes a file here, with its full path).
+    src = write_corpus(tmp_path / "src", {"a": "alpha"})
+    listed = 5_000
+    for i in range(listed):
+        (src / f"orphan-sidecar-{i:05d}.txt").touch()
+    ingest(src)  # one-time allocations (caches, lazy imports) land here
+    result, peak = traced_peak(lambda: ingest(src))
+    assert len(result.manifest) == 1
+    assert peak / listed < 150
 
 
 @pytest.mark.parametrize("source", [".", "src", "./src/", "src//"])
@@ -417,12 +445,7 @@ def test_large_pdf_is_not_read_whole(tmp_path):
     with open(src / "p.pdf", "wb") as fh:
         fh.write(b"%PDF-1.4\n")
         fh.truncate(50_000_000)  # sparse: takes no disk space
-    tracemalloc.start()
-    try:
-        ingest(src)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: ingest(src))
     assert peak < 10_000_000
 
 
@@ -466,6 +489,15 @@ def test_manifest_rejects_duplicates():
         CorpusManifest(documents=(ref, ref))
 
 
+def test_manifest_order_is_checked_in_linear_time():
+    refs = [DocumentRef(doc_id=f"d{i:06d}", path="p", text_path="t") for i in range(50_000)]
+    refs.insert(25_000, refs[25_000])
+    started = time.perf_counter()
+    with pytest.raises(CorpusError, match=r"duplicate doc_ids in manifest: \['d025000'\]"):
+        CorpusManifest(documents=tuple(refs))
+    assert time.perf_counter() - started < 2.0  # a count per id is quadratic: about 45 s here
+
+
 def test_manifest_rejects_unsorted():
     refs = (
         DocumentRef(doc_id="b", path="p", text_path="t"),
@@ -480,6 +512,47 @@ def test_manifest_digest_sensitive_to_content():
     b = synthetic_manifest(6)
     assert manifest_digest(a) != manifest_digest(b)
     assert manifest_digest(a) == manifest_digest(synthetic_manifest(5))
+
+
+# A manifest of 20,000 entries is about 3.8 MB on disk; saving or digesting it
+# once held about 3.3 times that: the text, its lines and their bytes.
+_TRANSIENT_BUDGET = 256 * 1024
+
+
+def test_save_manifest_and_its_digest_hold_one_line_at_a_time(tmp_path):
+    manifest = synthetic_manifest(20_000)
+    path = tmp_path / "m.jsonl"
+    save_manifest(synthetic_manifest(2), path)  # one-time allocations land here
+    manifest_digest(synthetic_manifest(2))
+    _, save_peak = traced_peak(lambda: save_manifest(manifest, path))
+    digest, digest_peak = traced_peak(lambda: manifest_digest(manifest))
+    assert path.stat().st_size > 3_000_000
+    assert save_peak < _TRANSIENT_BUDGET
+    assert digest_peak < _TRANSIENT_BUDGET
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert path.read_text(encoding="utf-8") == manifest_to_jsonl(manifest)
+
+
+def test_load_manifest_holds_little_beyond_what_it_returns(tmp_path):
+    path = tmp_path / "m.jsonl"
+    save_manifest(synthetic_manifest(20_000), path)
+    load_manifest(path)  # one-time allocations land here
+    _, one = traced_peak(lambda: load_manifest(path))
+    _, two = traced_peak(lambda: (load_manifest(path), load_manifest(path)))
+    # Loading a second manifest while holding the first adds what one holds.
+    held = two - one
+    assert one - held < 0.25 * path.stat().st_size
+
+
+def test_load_manifest_undecodable_byte_on_a_late_line_names_the_file(tmp_path):
+    path = tmp_path / "m.jsonl"
+    save_manifest(synthetic_manifest(3_000), path)
+    lines = path.read_bytes().split(b"\n")
+    lines[2_999] = lines[2_999].replace(b"Synthetic", b"Synth\xffetic")
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(CorpusError) as err:
+        load_manifest(path)
+    assert str(err.value).startswith(f"cannot read {path}: 'utf-8' codec can't decode byte 0xff")
 
 
 def test_load_manifest_malformed_line(tmp_path):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_record
+from conftest import make_record, traced_peak
 from paperlens.records import (
     DOC_HEADER,
     Dataset,
@@ -414,6 +414,16 @@ def test_large_dataset_round_trips(tmp_path):
     ds = random_dataset(1250, seed=42)
     path = tmp_path / "big.records.jsonl"
     save_dataset(ds, path)
+    assert load_dataset(path) == ds
+
+
+def test_save_dataset_holds_one_line_at_a_time(tmp_path):
+    ds = random_dataset(20_000, seed=7)
+    path = tmp_path / "big.records.jsonl"
+    save_dataset(random_dataset(2), path)  # one-time allocations land here
+    _, peak = traced_peak(lambda: save_dataset(ds, path))
+    assert path.stat().st_size > 5_000_000  # once held as text, lines and bytes
+    assert peak < 256 * 1024
     assert load_dataset(path) == ds
 
 

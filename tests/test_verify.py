@@ -6,7 +6,6 @@ import math
 import random
 import re
 import sys
-import tracemalloc
 import types
 import unicodedata
 
@@ -15,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from paperlens import corpus, verify
 from paperlens.corpus import CorpusManifest, DocumentRef
 from paperlens.records import Dataset, ExampleRecord
@@ -938,12 +938,7 @@ def test_verify_dataset_memory_does_not_grow_with_cited_documents(tmp_path):
         root.mkdir()
         manifest = _disk_corpus(root, texts)
         ds = Dataset(records=[ExampleRecord(source_doc_id=d, finding="f", quote=quote) for d in texts])
-        tracemalloc.start()
-        try:
-            _, summary = verify_dataset(ds, manifest, 0.85)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (_, summary), peak = traced_peak(lambda: verify_dataset(ds, manifest, 0.85))
         assert summary.counts["verified"] + summary.counts["unverified"] == n_docs
         return peak
 
@@ -963,12 +958,7 @@ def test_best_match_memory_per_document_character(quote_chars, share, budget):
     doc = verify._NormalizedDoc(normalize(text))
     doc.codes  # encoded once per document, before its first quote is matched
     best_match(quote, doc, 0.85)  # one-time allocations (caches, lazy imports) land here
-    tracemalloc.start()
-    try:
-        best_match(quote, doc, 0.85)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: best_match(quote, doc, 0.85))
     assert peak <= budget * len(doc), f"{peak / len(doc):.1f} bytes per document character"
 
 
