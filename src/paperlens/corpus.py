@@ -129,18 +129,17 @@ def _split_extract_cmd(extract_cmd: str) -> list[str]:
     return words
 
 
-def _run_extractor(words: list[str], pdf: Path, txt: Path) -> bool:
-    """Run the configured extraction command, split into ``words``, for one document."""
+def _run_extractor(words: list[str], pdf: Path, txt: Path) -> str | None:
+    """Run the configured extraction command, split into ``words``, for one
+    document; returns why it gave no sidecar, or None when it wrote one."""
     cmd = [word.format(pdf=str(pdf), txt=str(txt)) for word in words]
     try:
         proc = subprocess.run(cmd, capture_output=True, timeout=300)
     except (OSError, subprocess.TimeoutExpired) as exc:
-        logger.warning("extractor failed for %s: %s", pdf.name, exc)
-        return False
+        return f"extractor failed: {exc}"
     if proc.returncode != 0:
-        logger.warning("extractor exited %d for %s", proc.returncode, pdf.name)
-        return False
-    return txt.exists()
+        return f"extractor exited {proc.returncode}"
+    return None if txt.exists() else "extractor wrote no sidecar"
 
 
 def _exists(listing: dict[str, bool], name: str, path: str) -> bool:
@@ -233,14 +232,17 @@ def ingest(
         entry = metadata.get(doc_id, _NO_METADATA)
         sidecar_name = doc_id + ".txt"
         sidecar = prefix + sidecar_name
-        text_path: str | None = None
         if _exists(listing, sidecar_name, sidecar):
             text_path = sidecar
         elif entry.text_path and Path(entry.text_path).exists():
             text_path = str(Path(entry.text_path))
-        elif extractor and _run_extractor(extractor, Path(pdf), Path(sidecar)):
+        elif extractor:
+            failure = _run_extractor(extractor, Path(pdf), Path(sidecar))
+            if failure is not None:
+                skipped.append(SkipReport(doc_id, pdf, failure))
+                continue
             text_path = sidecar
-        if text_path is None:
+        else:
             skipped.append(SkipReport(doc_id, pdf, "no extracted text found"))
             continue
         try:

@@ -22,7 +22,7 @@ import logging
 import re
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
@@ -30,7 +30,7 @@ from typing import Callable
 from . import provider
 from .atomic import PaperlensError, append_jsonl, read_json, read_text, write_atomic, write_json
 from .corpus import CorpusManifest, DocumentRef, load_text, manifest_digest
-from .prompts import PromptBundle, build_filter_prompt, build_query_prompt
+from .prompts import PromptBundle, PromptKind, build_filter_prompt, build_query_prompt, load_sections
 from .records import DOC_HEADER, ExampleRecord, parse_batch_output
 
 logger = logging.getLogger(__name__)
@@ -196,77 +196,65 @@ class _Batch:
 def _run_batches(
     batches: list[_Batch],
     client: provider.ChatClient,
-    record: Callable[[int], None],
-) -> tuple[dict[int, str], list[tuple[int, str]]]:
+    record: Callable[[int, str], None],
+) -> list[tuple[int, str]]:
     """Send every batch, at most ``max_inflight`` of them in flight at once.
 
     The calling thread builds each batch's request, in index order, and
-    submits it to a pool of twice ``max_inflight`` workers. It builds the
-    next one only when a worker is free, so at most that many requests are
-    built and not yet finished, and their memory comes from the calling
-    thread's allocator rather than one kept per worker. The workers send,
-    write outputs and sleep through retry backoff outside the
-    ``max_inflight`` slots, which the client's gate alone limits. Each
-    response is written to the batch's output path before ``record`` runs
-    with its index under a lock, so a checkpoint saved by ``record`` never
-    names a missing file. Returns the response texts by index and the
-    failures as ``(index, error)``, both in batch-index order whichever
-    call finishes first. A ``PaperlensError`` or ``OSError`` from building
-    or sending a request fails its batch alone; any other error, being a
-    bug, and an interrupt cancel the batches not yet started and propagate.
+    submits it to a pool of twice ``max_inflight`` workers. While that many
+    calls are unfinished it waits for one to finish before it builds the
+    next request, so at most that many requests and replies are held, and
+    requests take their memory from the calling thread's allocator rather
+    than one kept per worker. The workers send, write outputs and sleep
+    through retry backoff outside the ``max_inflight`` slots, which the
+    client's gate alone limits. Each reply is written to the batch's output
+    path before ``record(index, reply)`` runs under a lock, so a checkpoint
+    saved by ``record`` never names a missing file; the reply is dropped
+    after that. Returns the failures as ``(index, error)`` in batch-index
+    order. A ``PaperlensError`` or ``OSError`` from building or sending a
+    request fails its batch alone; any other error, being a bug, and an
+    interrupt cancel the batches not yet started and propagate, while the
+    calls already running finish and are recorded.
     """
-    ordered = sorted(batches, key=lambda b: b.index)
-    responses: dict[int, str] = {}
+    limit = 2 * client.config.max_inflight
     failures: list[tuple[int, str]] = []
-    if not ordered:
-        return responses, failures
-    workers = min(2 * client.config.max_inflight, len(ordered))
-    free = threading.Semaphore(workers)  # one per worker not holding a built request
-    halted = threading.Event()  # a worker met a bug or an interrupt: start nothing more
+    unfinished: dict[Future[None], int] = {}  # -> its batch index
     lock = threading.Lock()
 
-    def execute(batch: _Batch, bundle: PromptBundle) -> str:
-        try:
-            text = client.complete(bundle).text
-            write_atomic(batch.output_path, text)
-            with lock:
-                record(batch.index)
-            return text
-        except _BATCH_ERRORS:
-            raise
-        except BaseException:
-            halted.set()
-            raise
-        finally:
-            free.release()
+    def execute(batch: _Batch, bundle: PromptBundle) -> None:
+        reply = client.complete(bundle).text
+        write_atomic(batch.output_path, reply)
+        with lock:
+            record(batch.index, reply)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures: list[tuple[int, Future[str]]] = []
+    def settle(done: set[Future[None]]) -> None:
+        for future in done:
+            index = unfinished.pop(future)
+            try:
+                future.result()
+            except _BATCH_ERRORS as exc:
+                failures.append((index, str(exc)))
+
+    with ThreadPoolExecutor(max_workers=limit) as pool:
         try:
-            for batch in ordered:
-                free.acquire()
-                if halted.is_set():
-                    break
+            for batch in sorted(batches, key=lambda b: b.index):
+                if len(unfinished) >= limit:
+                    settle(wait(unfinished, return_when=FIRST_COMPLETED).done)
                 try:
                     bundle = batch.request()
                 except _BATCH_ERRORS as exc:
-                    free.release()
                     failures.append((batch.index, str(exc)))
                     continue
-                futures.append((batch.index, pool.submit(execute, batch, bundle)))
-            for index, future in futures:
-                try:
-                    responses[index] = future.result()
-                except _BATCH_ERRORS as exc:
-                    failures.append((index, str(exc)))
+                unfinished[pool.submit(execute, batch, bundle)] = batch.index
+            settle(wait(unfinished).done)
         except BaseException:
-            for _, future in futures:
+            for future in unfinished:
                 future.cancel()
             raise
     failures.sort()
     for index, error in failures:
         logger.error("batch %d failed: %s", index, error)
-    return responses, failures
+    return failures
 
 
 def run_annotation(
@@ -329,12 +317,12 @@ def run_annotation(
     write_json(ck_path, checkpoint)
     _drop_batches(out_dir, filter_state, kept=set(checkpoint.digests))
 
-    def record(index: int) -> None:
+    def record(index: int, reply: str) -> None:
         checkpoint.digests[index] = planned[index]
         write_json(ck_path, checkpoint)
 
     calls_before = client.calls
-    _, failures = _run_batches(pending, client, record)
+    failures = _run_batches(pending, client, record)
     failed = {index for index, _ in failures}
     for job in jobs:
         job.status = JobStatus.FAILED if job.index in failed else JobStatus.DONE
@@ -494,15 +482,20 @@ def run_filter(
     and reports retention (kept / input records, counted by the parser). A
     warning is flagged when the overall exclusion rate falls short of the
     50% quota. Each call takes the batches at the lowest pass through the
-    next one (see ``plan_filter``), which names the call. Batches run
-    concurrently up to the provider's in-flight limit;
-    ``filter_state.json`` records each batch's pass as it completes.
+    next one (see ``plan_filter``), which names the call. The inputs and
+    the template are read before anything is written; each batch's request
+    is built only when it is sent. Batches run concurrently up to the
+    provider's in-flight limit, and as each reply lands ``record(index,
+    reply)`` (see ``_run_batches``) saves the batch's pass to
+    ``filter_state.json`` and its (kept, total) counts to ``per_batch``;
+    the reply itself is not kept.
     """
     directory = Path(output_dir)
     state_path = directory / FILTER_STATE_FILE
     plan = plan_filter(directory)
     state = plan.state
     stats = RetentionStats(pass_number=plan.pass_number)
+    load_sections(PromptKind.FILTER, templates_dir)  # an unreadable template fails here, before any write
 
     texts = {index: text for index, _, text in plan.inputs}
     pending: list[_Batch] = []
@@ -512,25 +505,26 @@ def run_filter(
             stats.skipped.append(path.name)
             state.batch_passes[index] = plan.pass_number
             continue
-        bundle = build_filter_prompt(text, templates_dir=templates_dir).with_payload_refs((path.name,))
         pending.append(
             _Batch(
                 index=index,
                 output_path=batch_path(directory, index, "filtered"),
-                request=lambda bundle=bundle: bundle,
+                request=lambda text=text, name=path.name: build_filter_prompt(
+                    text, templates_dir=templates_dir
+                ).with_payload_refs((name,)),
             )
         )
     write_json(state_path, state)
 
-    def record(index: int) -> None:
+    def record(index: int, reply: str) -> None:
         state.batch_passes[index] = plan.pass_number
         write_json(state_path, state)
-
-    responses, stats.failures = _run_batches(pending, client, record)
-    for index, response in responses.items():
         total = len(parse_batch_output(texts[index], index)[0])
-        kept = len(parse_batch_output(response, index)[0])
+        kept = len(parse_batch_output(reply, index)[0])
         stats.per_batch[index] = (kept, total)
+
+    stats.failures = _run_batches(pending, client, record)
+    stats.per_batch = dict(sorted(stats.per_batch.items()))
 
     if stats.quota_warning:
         logger.warning(

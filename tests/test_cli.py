@@ -213,6 +213,10 @@ def test_each_skipped_paper_and_failed_batch_is_reported_once(pipeline_dirs):
     (src / "p9.pdf").write_bytes((src / "paper0.pdf").read_bytes())  # no sidecar
     err = _run_cli("ingest", "--source", str(src), "--out", str(base / "m.jsonl"))
     assert err.count("skipped p9: no extracted text found") == 1, err
+    err = _run_cli("ingest", "--source", str(src), "--out", str(base / "m.jsonl"),
+                   "--extract-cmd", "false {pdf} {txt}")
+    p9_lines = [line for line in err.splitlines() if "p9" in line]
+    assert p9_lines == ["WARNING paperlens.corpus: skipped p9: extractor exited 1"], err
 
     for fixture in fixtures.glob("annotation-*.txt"):
         fixture.unlink()
@@ -383,15 +387,18 @@ def _unreadable_input(probe, base, manifest_path, config, run):
         if probe == "query a directory":
             path.mkdir()
         return ["query", "--config", str(config), "--dataset", str(path), "--question", "why?"], path
-    if probe == "prompts show --prompts-dir":
+    if probe in ("prompts show --prompts-dir", "filter with a prompts_dir"):
         path = base / "prompts" / "filter" / "body.txt"
         path.parent.mkdir(parents=True)
+        raw = json.loads(config.read_text(encoding="utf-8"))
+        config.write_text(json.dumps({**raw, "prompts_dir": str(path.parents[1])}), encoding="utf-8")
     else:
         path = batch if probe.startswith(("filter", "parse")) else base / "input.txt"
     path.write_bytes(b"\xff\xfe not UTF-8")
     return {
         "filter": ["filter", "--config", str(config), "--dir", str(run)],
         "filter --dry-run": ["filter", "--config", str(config), "--dir", str(run), "--dry-run"],
+        "filter with a prompts_dir": ["filter", "--config", str(config), "--dir", str(run)],
         "parse": parse,
         "annotate --context-asset": ["annotate", "--config", str(config), "--manifest", str(manifest_path),
                                      "--out", str(base / "run2"), "--context-asset", str(path)],
@@ -402,7 +409,7 @@ def _unreadable_input(probe, base, manifest_path, config, run):
 
 
 @pytest.mark.parametrize("probe", [
-    "filter", "filter --dry-run", "parse", "parse a directory",
+    "filter", "filter --dry-run", "filter with a prompts_dir", "parse", "parse a directory",
     "annotate --context-asset", "prompts show --prompts-dir", "query --dataset",
     "query a missing dataset", "query a directory",
 ])
@@ -554,6 +561,8 @@ def test_threshold_flag_out_of_range_is_user_error(capsys):
     (None, {"prompts_dir": 5}, "prompts_dir"),
     ("provider", {"dialect": "stub", "fixtures_dir": 5}, "fixtures_dir"),
     ("provider", {"dialect": "openai", "base_url": 5}, "base_url"),
+    (None, {"provider": "stub"}, "provider: must be a JSON object"),
+    ("provider", {"colour": "blue"}, "unknown option(s) ['colour']"),
 ])
 def test_config_value_of_wrong_type_is_user_error(pipeline_dirs, capsys, monkeypatch, section, values, name):
     tmp_path, manifest_path, fixtures = pipeline_dirs

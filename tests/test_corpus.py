@@ -121,6 +121,21 @@ def test_ingest_extractor_hook(tmp_path):
     assert (src / "a.txt").exists()
 
 
+@pytest.mark.parametrize("extract_cmd, reason", [
+    ("false {pdf} {txt}", "extractor exited 1"),
+    ("true {pdf} {txt}", "extractor wrote no sidecar"),
+    ("./no-such-extractor {pdf} {txt}", "extractor failed: [Errno 2] "),
+])
+def test_ingest_extractor_failure_is_the_skip_reason(tmp_path, extract_cmd, reason):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "a.pdf").write_bytes(FAKE_PDF)
+    result = ingest(src, extract_cmd=extract_cmd)
+    assert len(result.manifest) == 0
+    [skip] = result.skipped
+    assert skip.doc_id == "a" and skip.reason.startswith(reason), skip.reason
+
+
 def test_ingest_logs_counts(tmp_path, caplog):
     src = write_corpus(tmp_path / "src", {"a": "aa", "b": "bb"})
     (src / "c.pdf").write_bytes(FAKE_PDF)  # no sidecar: skipped

@@ -189,6 +189,18 @@ def test_payload_document_headers_give_the_doc_id():
     assert warnings == []
 
 
+@pytest.mark.parametrize("lines, doc_id, quote, warnings", [
+    (["- Quote: we can now see why (p. 4)"], "", "we can now see why", []),
+    (['- Quote: ""'], "", None, ["batch 0 item 1: no quote line"]),
+    (["- Title: Why it holds (see 2001.00001v2.pdf)", '- Quote: "q"'], "2001.00001v2", "q", []),
+], ids=["unquoted quote", "empty quote", "doc id from a title"])
+def test_item_fields_parse(lines, doc_id, quote, warnings):
+    text = "- Finding: f\n" + "\n".join(lines) + "\n"
+    records, got = parse_batch_output(text, 0)
+    assert [(r.source_doc_id, r.quote) for r in records] == [(doc_id, quote)]
+    assert got == warnings
+
+
 def test_batch_file_headers_are_boundaries():
     text = (
         "Here are the selected examples.\n"

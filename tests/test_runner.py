@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import batch_output_text, make_record, make_stub, synthetic_manifest, write_corpus
+from conftest import batch_output_text, make_record, make_stub, synthetic_manifest, traced_peak, write_corpus
 from paperlens.corpus import CorpusManifest, DocumentRef, ingest, load_text
 from paperlens.prompts import ContextAsset, PromptBundle, PromptKind, build_annotation_prompt
 from paperlens.records import DOC_HEADER
@@ -310,6 +310,17 @@ def test_unreadable_document_fails_only_its_batch(tmp_path):
     resumed = run_annotation(plan(manifest, cfg_resume), BUNDLE, manifest, client, cfg_resume)
     assert resumed.ok and resumed.skipped == 2 and resumed.provider_calls == 1
     assert (out / "batch_0_output.txt").read_text() == "batch 0"
+
+
+def test_job_naming_a_document_outside_the_manifest_is_an_error(tmp_path):
+    manifest = _corpus_on_disk(tmp_path, 2)
+    out = tmp_path / "out"
+    cfg = RunnerConfig(batch_size=2, output_dir=str(out))
+    jobs = plan(manifest, cfg) + [runner.BatchJob(index=1, doc_ids=("doc0", "nowhere"), tokens=1)]
+
+    with pytest.raises(RunnerError, match=r"batch 1 references unknown documents: \['nowhere'\]"):
+        run_annotation(jobs, BUNDLE, manifest, make_stub(tmp_path / "fixtures"), cfg)
+    assert not (out / "checkpoint.json").exists()
 
 
 def test_programming_error_in_a_batch_propagates(tmp_path, monkeypatch):
@@ -878,6 +889,48 @@ def test_filter_uses_max_inflight_without_changing_results(tmp_path):
     assert pooled.skipped == serial.skipped
     assert pooled.failures == serial.failures
     assert pooled_files == serial_files
+
+
+# --- memory held by a pass ---------------------------------------------------------
+
+MiB = 1 << 20
+
+
+def _mib_reply(index: int) -> str:
+    """A reply of about 1 MiB holding one record of batch ``index``: a long preamble, then the record."""
+    return batch_output_text([make_record(index, batch_index=index)], preamble="x" * MiB)
+
+
+def _annotate_mib_replies(tmp_path, n=20):
+    """Annotate ``n`` one-document batches whose replies are 1 MiB each, at max_inflight 2;
+    returns the summary, the pass's traced peak, the run directory and the fixtures directory."""
+    manifest = _corpus_on_disk(tmp_path, n)
+    out, fixtures = tmp_path / "out", tmp_path / "fixtures"
+    cfg = RunnerConfig(batch_size=1, output_dir=str(out))
+    jobs = plan(manifest, cfg)
+    _fixtures_for_jobs(fixtures, jobs, lambda j: _mib_reply(j.index))
+    client = make_stub(fixtures, max_inflight=2)
+    summary, peak = traced_peak(lambda: run_annotation(jobs, BUNDLE, manifest, client, cfg))
+    return summary, peak, out, fixtures
+
+
+def test_annotate_pass_holds_only_the_replies_in_flight(tmp_path):
+    summary, peak, _, _ = _annotate_mib_replies(tmp_path)
+
+    assert summary.completed == 20 and summary.ok
+    assert peak < 10 * MiB, f"peak {peak / MiB:.1f} MiB"
+
+
+def test_filter_pass_holds_its_inputs_and_only_the_replies_in_flight(tmp_path):
+    _, _, out, fixtures = _annotate_mib_replies(tmp_path)
+    for index in range(20):
+        write_stub_fixture(fixtures, "filter", [f"batch_{index}_output.txt"], _mib_reply(index))
+    client = make_stub(fixtures, max_inflight=2)
+
+    stats, peak = traced_peak(lambda: run_filter(out, client))
+
+    assert stats.per_batch == {index: (1, 1) for index in range(20)} and not stats.failures
+    assert peak < 40 * MiB, f"peak {peak / MiB:.1f} MiB"
 
 
 # --- one plan per run directory -----------------------------------------------------

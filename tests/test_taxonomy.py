@@ -100,6 +100,14 @@ def test_override_rejects_unknown_area(tmp_path):
         load_table(cfg)
 
 
+@pytest.mark.parametrize("tags", ["math.AG", {"math.AG": 1}, ["math.AG", 5]])
+def test_override_rejects_area_not_mapped_to_a_list_of_tags(tmp_path, tags):
+    cfg = tmp_path / "areas.json"
+    cfg.write_text(json.dumps({"geometry": tags}))
+    with pytest.raises(TaxonomyError, match="must map to a list of tag strings"):
+        load_table(cfg)
+
+
 def test_override_rejects_duplicate_tag(tmp_path):
     cfg = tmp_path / "areas.json"
     cfg.write_text(json.dumps({"geometry": ["x.AA"], "algebra": ["x.AA"]}))

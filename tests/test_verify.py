@@ -603,6 +603,11 @@ def test_empty_quote_is_an_error():
         best_match("", DOC)
 
 
+def test_quote_that_normalizes_to_empty_matches_nothing():
+    result = best_match(" \n\u00ad ", DOC, 0.85)
+    assert (result.matched, result.similarity, result.span_start) == (False, 0.0, None)
+
+
 def test_threshold_validated():
     with pytest.raises(ValueError):
         best_match("abc", DOC, threshold=0.0)
