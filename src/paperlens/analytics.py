@@ -12,15 +12,16 @@ from __future__ import annotations
 import csv
 import io
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .atomic import PaperlensError, write_atomic
 from .taxonomy import MAIN_AREAS, SubjectArea, classify_tag
 
 if TYPE_CHECKING:
-    from .corpus import CorpusManifest
+    from .corpus import CorpusManifest, DocumentRef
     from .records import Dataset
 
 logger = logging.getLogger(__name__)
@@ -109,11 +110,7 @@ def corpus_distribution(
     """Tally corpus papers per subject area (Other included)."""
     if len(manifest.documents) == 0:
         raise AnalyticsError("cannot compute a distribution over an empty manifest")
-    counts: dict[SubjectArea, int] = {}
-    for ref in manifest.documents:
-        area = classify_tag(ref.category_tag, table)
-        counts[area] = counts.get(area, 0) + 1
-    return DistributionTable.from_counts(counts)
+    return _tally(manifest.documents, table)
 
 
 def dataset_distribution(
@@ -128,29 +125,20 @@ def dataset_distribution(
     and excluded from the table.
     """
     refs = {ref.doc_id: ref for ref in manifest.documents}
-    contributors: dict[str, SubjectArea] = {}
-    unresolved: set[str] = set()
-    for record in ds.records:
-        doc_id = record.source_doc_id
-        if doc_id in contributors:
-            continue
-        ref = refs.get(doc_id)
-        if ref is None:
-            unresolved.add(doc_id)
-            continue
-        contributors[doc_id] = classify_tag(ref.category_tag, table)
-
+    cited = {record.source_doc_id for record in ds.records}
+    unresolved = cited - refs.keys()
     if unresolved:
         logger.warning(
             "%d record source(s) not found in the manifest and excluded: %s",
             len(unresolved),
             ", ".join(sorted(unresolved)[:10]),
         )
+    return _tally((refs[doc_id] for doc_id in cited - unresolved), table)
 
-    counts: dict[SubjectArea, int] = {}
-    for area in contributors.values():
-        counts[area] = counts.get(area, 0) + 1
-    return DistributionTable.from_counts(counts)
+
+def _tally(refs: Iterable["DocumentRef"], table: dict[str, SubjectArea] | None) -> DistributionTable:
+    """The number of ``refs`` in each subject area."""
+    return DistributionTable.from_counts(Counter(classify_tag(ref.category_tag, table) for ref in refs))
 
 
 def richness_table(

@@ -13,12 +13,12 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import analytics, corpus, prompts, provider, records, runner, taxonomy, verify
 from .atomic import PaperlensError, write_atomic
-from .config import OVERRIDABLE, GlobalConfig, apply_overrides, load_config
+from .config import ConfigError, GlobalConfig, load_config
 
 logger = logging.getLogger("paperlens")
 
@@ -66,9 +66,17 @@ def _add_provider_flags(group: argparse._ArgumentGroup) -> None:
 
 
 def _config_from_args(args: argparse.Namespace) -> GlobalConfig:
-    """The --config file's settings, overridden by each flag named after a config field."""
-    overrides = {name: getattr(args, name, None) for name in OVERRIDABLE}
-    return apply_overrides(load_config(args.config), **overrides)
+    """The --config file's settings, overridden by each flag whose dest names a config field."""
+    flags = {name: value for name, value in vars(args).items() if value is not None}
+
+    def override(settings):
+        return replace(settings, **{f.name: flags[f.name] for f in fields(settings) if f.name in flags})
+
+    cfg = load_config(args.config)
+    try:
+        return override(replace(cfg, provider=override(cfg.provider), runner=override(cfg.runner)))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _parse_tiers(spec: str) -> analytics.TierFractions:
@@ -105,7 +113,8 @@ def build_parser() -> _Parser:
     group.add_argument("--batch-size", dest="batch_size", type=int,
                        help="documents per annotation batch")
     p.add_argument("--manifest", required=True, help="manifest of documents to annotate")
-    p.add_argument("--out", required=True, help="output directory for batch files")
+    p.add_argument("--out", dest="output_dir", metavar="OUT", required=True,
+                   help="output directory for batch files")
     p.add_argument("--resume", action="store_true",
                    help="skip batches the checkpoint records with the current plan's digest")
     p.add_argument("--context-asset", dest="context_asset",
@@ -209,26 +218,24 @@ def _make_client(cfg: GlobalConfig, args: argparse.Namespace, out_dir: Path) -> 
 def _cmd_annotate(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     manifest = corpus.load_manifest(args.manifest)
-    # --batch-size, --resume and --skip-oversize reach cfg.runner as overrides.
-    run_cfg = replace(cfg.runner, output_dir=args.out)
 
     asset = None
     if args.context_asset:
         asset = prompts.ContextAsset.from_file(args.context_asset, args.context_description)
     bundle = prompts.build_annotation_prompt(asset=asset, templates_dir=cfg.prompts_dir)
 
-    jobs = runner.plan_batches(manifest, run_cfg, cfg.provider, bundle.estimated_tokens)
+    jobs = runner.plan_batches(manifest, cfg.runner, cfg.provider, bundle.estimated_tokens)
 
     if args.dry_run:
         print(f"plan: {len(jobs)} batches over {len(manifest)} documents")
         print(f"prompt estimate: {bundle.estimated_tokens} tokens")
         for job in jobs:
             print(f"  batch {job.index}: {len(job.doc_ids)} docs, ~{job.tokens} doc tokens "
-                  f"-> {runner.batch_path(run_cfg.output_dir, job.index, 'output')}")
+                  f"-> {runner.batch_path(cfg.runner.output_dir, job.index, 'output')}")
         return 0
 
-    client = _make_client(cfg, args, Path(args.out))
-    summary = runner.run_annotation(jobs, bundle, manifest, client, run_cfg)
+    client = _make_client(cfg, args, Path(cfg.runner.output_dir))
+    summary = runner.run_annotation(jobs, bundle, manifest, client, cfg.runner)
     print(
         f"annotation run: {summary.completed}/{summary.total} batches done, "
         f"{summary.skipped} resumed, {summary.failed} failed, "

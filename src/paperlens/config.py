@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
 from .atomic import PaperlensError, from_json, read_json
@@ -32,14 +32,6 @@ class GlobalConfig:
 
 # The GlobalConfig fields that hold a nested config object, by name.
 _SECTIONS = {f.name: type(f.default) for f in fields(GlobalConfig) if is_dataclass(f.default)}
-
-#: Every name ``apply_overrides`` accepts, mapped to the section holding it
-#: (None for a top-level field).
-OVERRIDABLE: dict[str, str | None] = {
-    **{f.name: None for f in fields(GlobalConfig) if f.name not in _SECTIONS},
-    **{f.name: section for section, cls in _SECTIONS.items() for f in fields(cls)},
-}
-
 
 #: RunnerConfig fields that only an ``annotate`` flag sets, with that flag.
 _FLAG_ONLY = {"output_dir": "--out", "resume": "--resume", "skip_oversize": "--skip-oversize"}
@@ -74,29 +66,3 @@ def load_config(path: str | Path | None = None) -> GlobalConfig:
         if name in raw.get("runner", {}):
             raise ConfigError(f"{path}: runner: {name} is not read from a file; use `annotate {flag}`")
     return _build(GlobalConfig, {**raw, **sections}, str(path))
-
-
-def apply_overrides(config: GlobalConfig, **overrides) -> GlobalConfig:
-    """Apply non-None flag overrides onto a loaded config.
-
-    Provider and runner fields are addressed by their own names (see
-    ``OVERRIDABLE``); unknown names raise to catch wiring mistakes early.
-    """
-    top: dict[str, object] = {}
-    nested: dict[str, dict[str, object]] = {section: {} for section in _SECTIONS}
-    for name, value in overrides.items():
-        if value is None:
-            continue
-        if name not in OVERRIDABLE:
-            raise ConfigError(f"unknown config override {name!r}")
-        section = OVERRIDABLE[name]
-        if section is None:
-            top[name] = value
-        else:
-            nested[section][name] = value
-    try:
-        for section, kwargs in nested.items():
-            top[section] = replace(getattr(config, section), **kwargs)
-        return replace(config, **top)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc

@@ -196,7 +196,7 @@ def ingest(
     src = Path(source_dir)
     if not src.is_dir():
         raise CorpusError(f"source directory not readable: {src}")
-    extractor = _split_extract_cmd(extract_cmd) if extract_cmd else None
+    extractor = _split_extract_cmd(extract_cmd) if extract_cmd is not None else None
 
     entries = read_jsonl(metadata_file, CorpusError, _Metadata)[1] if metadata_file else ()
     metadata = {entry.doc_id: entry for entry in entries}

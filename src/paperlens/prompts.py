@@ -75,8 +75,9 @@ class PromptBundle:
     def estimated_tokens(self) -> int:
         return estimate_tokens(self.text)
 
-    def with_payload_refs(self, refs: tuple[str, ...] | list[str]) -> "PromptBundle":
-        return replace(self, payload_refs=tuple(refs))
+    def with_payload(self, payload: str, refs: tuple[str, ...] = ()) -> "PromptBundle":
+        """This prompt followed by ``payload``, which ``refs`` name."""
+        return replace(self, text=_join(self.text, payload), payload_refs=refs)
 
 
 def _join(*parts: str) -> str:
@@ -109,6 +110,11 @@ def build_annotation_prompt(
     return PromptBundle(PromptKind.ANNOTATION, _join(sections["persona"], instructions, context))
 
 
+def filter_template(templates_dir: str | Path | None = None) -> PromptBundle:
+    """The strict quality-filter prompt without a batch output; ``with_payload`` adds one."""
+    return PromptBundle(PromptKind.FILTER, load_sections(PromptKind.FILTER, templates_dir)["body"])
+
+
 def build_filter_prompt(
     batch_output_text: str,
     templates_dir: str | Path | None = None,
@@ -116,8 +122,7 @@ def build_filter_prompt(
     """Assemble the strict quality-filter prompt around one batch output."""
     if not batch_output_text:
         raise PromptError("filter prompt needs non-empty batch output text")
-    sections = load_sections(PromptKind.FILTER, templates_dir)
-    return PromptBundle(PromptKind.FILTER, _join(sections["body"], batch_output_text))
+    return filter_template(templates_dir).with_payload(batch_output_text)
 
 
 def build_query_prompt(

@@ -30,7 +30,7 @@ from typing import Callable
 from . import provider
 from .atomic import PaperlensError, append_jsonl, read_json, read_text, write_atomic, write_json
 from .corpus import CorpusManifest, DocumentRef, load_text, manifest_digest
-from .prompts import PromptBundle, PromptKind, build_filter_prompt, build_query_prompt, load_sections
+from .prompts import PromptBundle, build_query_prompt, filter_template
 from .records import DOC_HEADER, ExampleRecord, parse_batch_output
 
 logger = logging.getLogger(__name__)
@@ -127,14 +127,21 @@ def plan_batches(
     closes at ``batch_size`` documents, or earlier when its request would
     overflow the context window of ``provider_cfg``, given the
     ``prompt_tokens`` sent ahead of the documents. A job's ``tokens`` plus
-    ``prompt_tokens`` bound the estimate ``ChatClient.complete`` checks. A
-    document that alone exceeds the window is an error unless
+    ``prompt_tokens`` bound the estimate ``ChatClient.complete`` checks.
+    A prompt and ``max_output_tokens`` that leave no room for documents are
+    an error, as is a document that alone exceeds the window unless
     ``skip_oversize`` is set, in which case it is excluded with a warning.
     """
     if len(manifest) == 0:
         raise RunnerError("cannot plan batches over an empty manifest")
 
-    budget = provider_cfg.context_window_tokens - provider_cfg.max_output_tokens - prompt_tokens
+    window, max_output = provider_cfg.context_window_tokens, provider_cfg.max_output_tokens
+    budget = window - max_output - prompt_tokens
+    if budget <= 0:
+        raise RunnerError(
+            f"the prompt (~{prompt_tokens} tokens) and max_output_tokens ({max_output}) leave no room "
+            f"for documents in the {window}-token context window"
+        )
     jobs: list[BatchJob] = []
     batch: list[str] = []
     batch_tokens = 0
@@ -483,8 +490,8 @@ def run_filter(
     warning is flagged when the overall exclusion rate falls short of the
     50% quota. Each call takes the batches at the lowest pass through the
     next one (see ``plan_filter``), which names the call. The inputs and
-    the template are read before anything is written; each batch's request
-    is built only when it is sent. Batches run concurrently up to the
+    the template are read once, before anything is written; each batch's
+    request is built only when it is sent. Batches run concurrently up to the
     provider's in-flight limit, and as each reply lands ``record(index,
     reply)`` (see ``_run_batches``) saves the batch's pass to
     ``filter_state.json`` and its (kept, total) counts to ``per_batch``;
@@ -495,7 +502,7 @@ def run_filter(
     plan = plan_filter(directory)
     state = plan.state
     stats = RetentionStats(pass_number=plan.pass_number)
-    load_sections(PromptKind.FILTER, templates_dir)  # an unreadable template fails here, before any write
+    template = filter_template(templates_dir)  # an unreadable template fails here, before any write
 
     texts = {index: text for index, _, text in plan.inputs}
     pending: list[_Batch] = []
@@ -509,9 +516,7 @@ def run_filter(
             _Batch(
                 index=index,
                 output_path=batch_path(directory, index, "filtered"),
-                request=lambda text=text, name=path.name: build_filter_prompt(
-                    text, templates_dir=templates_dir
-                ).with_payload_refs((name,)),
+                request=lambda text=text, name=path.name: template.with_payload(text, (name,)),
             )
         )
     write_json(state_path, state)

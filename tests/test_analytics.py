@@ -249,6 +249,8 @@ def test_invalid_tiers_rejected():
         TierFractions(1.5, -0.5, 0.0)
     with pytest.raises(AnalyticsError):
         prevalence_estimate(6000, 5000)
+    with pytest.raises(AnalyticsError, match="total papers must be positive"):
+        prevalence_estimate(0, 0)
 
 
 # --- emit_report ----------------------------------------------------------------------

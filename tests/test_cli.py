@@ -7,7 +7,7 @@ import os
 import pkgutil
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
@@ -16,10 +16,11 @@ import paperlens
 from conftest import batch_output_text, make_record, write_corpus
 from paperlens import PaperlensError, cli
 from paperlens.cli import build_parser, main
-from paperlens.config import _FLAG_ONLY, OVERRIDABLE
+from paperlens.config import _FLAG_ONLY, GlobalConfig
 from paperlens.corpus import ingest, load_manifest, save_manifest
 from paperlens.provider import ProviderConfig, stub_key, write_stub_fixture
 from paperlens.records import load_dataset, parse_batch_output
+from paperlens.runner import RunnerConfig
 
 
 def write_config(tmp_path, fixtures_dir, **extra):
@@ -224,6 +225,28 @@ def test_each_skipped_paper_and_failed_batch_is_reported_once(pipeline_dirs):
                    str(manifest_path), "--out", str(base / "run"), "--batch-size", "2")
     assert "0/2 batches done" in err
     assert [err.count(f"batch {i} failed: ") for i in (0, 1)] == [1, 1], err
+
+
+@pytest.mark.parametrize("flags", [[], ["--skip-oversize"], ["--dry-run"], ["--skip-oversize", "--dry-run"]])
+def test_annotate_with_no_room_for_documents_is_one_error_line(pipeline_dirs, capsys, flags):
+    # With --skip-oversize every paper was skipped, and annotating the empty
+    # plan deleted the batches already in --out.
+    tmp_path, manifest_path, fixtures = pipeline_dirs
+    config = write_config(tmp_path, fixtures)
+    run = tmp_path / "run"
+    assert main(["annotate", "--config", str(config), "--manifest", str(manifest_path),
+                 "--out", str(run), "--batch-size", "2"]) == 0
+    before = {path.name: path.read_bytes() for path in run.iterdir()}
+    asset = tmp_path / "asset.txt"
+    asset.write_text("context " * 375, encoding="utf-8")  # 3,000 characters
+    capsys.readouterr()
+
+    assert main(["annotate", "--config", str(config), "--manifest", str(manifest_path), "--out", str(run),
+                 "--context-window", "1500", "--max-output-tokens", "10", "--context-asset", str(asset),
+                 *flags]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "leave no room for documents" in errors[0], errors
+    assert {path.name: path.read_bytes() for path in run.iterdir()} == before
 
 
 def test_resume_through_cli_makes_no_calls(pipeline_dirs, capsys):
@@ -468,6 +491,8 @@ def test_unwritable_output_is_one_error_line(pipeline_dirs, capsys, probe):
     ("sh -c 'awk {print}' {pdf} {txt}", "unknown placeholder {print}"),
     ("cp {pdf} {txt", "expected '}' before end of string"),
     ("cp 'a {pdf} {txt}", "No closing quotation"),
+    ("", "empty command"),
+    ("   ", "empty command"),
 ])
 def test_extract_cmd_is_checked_before_any_extractor_runs(tmp_path, capsys, template, reason):
     # Every PDF has its sidecar, so no extractor would run.
@@ -854,10 +879,12 @@ def test_every_config_field_read_from_a_file_has_a_flag():
     provider_fields = {f.name for f in fields(ProviderConfig)}
     for command in ("annotate", "filter", "query"):
         assert provider_fields | {"prompts_dir"} <= _config_dests(command), command
-    assert "batch_size" in _config_dests("annotate")
+    assert {"batch_size", *_FLAG_ONLY} <= _config_dests("annotate")
     assert "threshold" in _config_dests("verify")
     # A config field without a flag would appear here.
-    read_from_file = set(OVERRIDABLE) - set(_FLAG_ONLY)
+    settings = {f.name for f in fields(GlobalConfig) if not is_dataclass(f.default)}
+    settings |= provider_fields | {f.name for f in fields(RunnerConfig)}
+    read_from_file = settings - set(_FLAG_ONLY)
     assert read_from_file <= provider_fields | {"prompts_dir", "batch_size", "threshold"}
 
 

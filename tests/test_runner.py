@@ -23,7 +23,7 @@ from paperlens.provider import (
     stub_key,
     write_stub_fixture,
 )
-from paperlens import runner
+from paperlens import prompts, runner
 from paperlens.runner import (
     CheckpointMismatch,
     JobStatus,
@@ -143,6 +143,19 @@ def test_plan_oversize_document_is_error():
         plan_batches(manifest, RunnerConfig(), provider_cfg, 0)
     jobs = plan_batches(manifest, RunnerConfig(skip_oversize=True), provider_cfg, 0)
     assert jobs == []
+
+
+@pytest.mark.parametrize("skip_oversize", [False, True])
+@pytest.mark.parametrize("prompt_tokens", [500, 501])
+def test_plan_with_no_room_for_documents_is_error(skip_oversize, prompt_tokens):
+    # Skipping every document would plan no batch, and annotating an empty plan
+    # deletes the batches already in the run directory.
+    provider_cfg = ProviderConfig(dialect="stub", context_window_tokens=1500, max_output_tokens=1000)
+    with pytest.raises(RunnerError) as raised:
+        plan_batches(synthetic_manifest(3), RunnerConfig(skip_oversize=skip_oversize), provider_cfg, prompt_tokens)
+    message = str(raised.value)
+    assert f"~{prompt_tokens} tokens" in message and "max_output_tokens (1000)" in message, message
+    assert "1500-token context window" in message and "doc0" not in message, message
 
 
 # --- run_annotation ------------------------------------------------------------
@@ -688,6 +701,11 @@ def test_interrupt_while_building_a_request_cancels_the_rest(tmp_path, monkeypat
 
     def interrupt(ref):
         if ref.doc_id == "doc2":
+            # Batch 1 was submitted before this build; wait until a worker has
+            # started it, or under load it is still queued and gets cancelled.
+            deadline = time.monotonic() + 10
+            while client.calls < 2 and time.monotonic() < deadline:
+                time.sleep(0.001)
             raise KeyboardInterrupt
 
     reads = _recording_load_text(monkeypatch, interrupt)
@@ -865,6 +883,34 @@ def test_filter_finishes_a_failed_pass_before_starting_the_next(tmp_path):
     assert state == {"batch_passes": {"0": 2, "1": 2}}
     assert (out / "batch_0_filtered.txt").read_text() == batch_output_text(made[0][:1])
     assert (out / "batch_1_filtered.txt").read_text() == batch_output_text(made[1][:1])
+
+
+def test_filter_reads_its_template_once_and_sends_each_prompt_as_built(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    made = _write_batch_outputs(out, {i: 2 for i in range(4)})
+    fixtures = tmp_path / "fixtures"
+    for index, recs in made.items():
+        write_stub_fixture(fixtures, "filter", [f"batch_{index}_output.txt"], batch_output_text(recs[:1]))
+    client = make_stub(fixtures)
+    sent, reads = [], []
+    send, read_text = client._send, prompts.read_text
+
+    def recording_send(prompt, key):
+        sent.append(prompt)
+        return send(prompt, key)
+
+    def recording_read_text(path, *args):
+        reads.append(Path(str(path)))
+        return read_text(path, *args)
+
+    monkeypatch.setattr(client, "_send", recording_send)
+    monkeypatch.setattr(prompts, "read_text", recording_read_text)
+    stats = run_filter(out, client)
+
+    assert [path.parts[-2:] for path in reads] == [("filter", "body.txt")]
+    assert sorted(stats.per_batch) == [0, 1, 2, 3]
+    texts = [(out / f"batch_{index}_output.txt").read_text(encoding="utf-8") for index in range(4)]
+    assert sorted(sent) == sorted(prompts.build_filter_prompt(text).text for text in texts)
 
 
 def test_filter_uses_max_inflight_without_changing_results(tmp_path):

@@ -335,6 +335,7 @@ def test_manifest_value_of_wrong_type_is_user_error(stored, capsys, command, lin
     ("export", 2, {"verification": {"matched": 1, "similarity": 1.0, "threshold_used": 0.85}},
      "verification.matched"),
     ("export", 1, {"filter_pass_count": "x"}, "filter_pass_count"),
+    ("export", 2, {"quality_label": "great"}, "invalid quality_label 'great'"),
 ])
 def test_dataset_value_of_wrong_type_is_user_error(stored, capsys, command, lineno, changes, field):
     base, manifest_path, dataset_path = stored
