@@ -18,6 +18,7 @@ import random
 import re
 import shlex
 import subprocess
+import sys
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -47,6 +48,11 @@ class DocumentRef:
     authors: tuple[str, ...] = ()
     category_tag: str | None = None
     char_count: int = 0
+
+    def __post_init__(self) -> None:
+        # A corpus has few distinct tags: every row shares one copy of each.
+        if type(self.category_tag) is str:
+            object.__setattr__(self, "category_tag", sys.intern(self.category_tag))
 
 
 @dataclass(frozen=True)

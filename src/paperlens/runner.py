@@ -131,6 +131,8 @@ def plan_batches(
     A prompt and ``max_output_tokens`` that leave no room for documents are
     an error, as is a document that alone exceeds the window unless
     ``skip_oversize`` is set, in which case it is excluded with a warning.
+    A plan left with no batch, every document excluded, is an error too:
+    running it would delete every batch already in the output directory.
     """
     if len(manifest) == 0:
         raise RunnerError("cannot plan batches over an empty manifest")
@@ -145,6 +147,7 @@ def plan_batches(
     jobs: list[BatchJob] = []
     batch: list[str] = []
     batch_tokens = 0
+    skipped = 0
 
     def close_batch() -> None:
         nonlocal batch, batch_tokens
@@ -162,6 +165,7 @@ def plan_batches(
                     ref.doc_id,
                     tokens,
                 )
+                skipped += 1
                 continue
             raise RunnerError(
                 f"document {ref.doc_id!r} alone exceeds the context window "
@@ -173,6 +177,11 @@ def plan_batches(
         batch.append(ref.doc_id)
         batch_tokens += tokens
     close_batch()
+    if not jobs:
+        raise RunnerError(
+            f"all {skipped} documents alone exceed the context window (a budget of ~{budget} tokens "
+            "for documents); no batch is left to run"
+        )
     return jobs
 
 

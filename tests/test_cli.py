@@ -249,6 +249,27 @@ def test_annotate_with_no_room_for_documents_is_one_error_line(pipeline_dirs, ca
     assert {path.name: path.read_bytes() for path in run.iterdir()} == before
 
 
+@pytest.mark.parametrize("flags", [[], ["--dry-run"]])
+def test_annotate_that_skips_every_paper_is_one_error_line(tmp_path, capsys, flags):
+    # Each paper alone exceeds the room the window leaves, so --skip-oversize
+    # skips all three; running the empty plan deleted every batch in --out.
+    docs = {f"paper{i}": " ".join(["word"] * 3000) for i in range(3)}
+    manifest_path = tmp_path / "manifest.jsonl"
+    save_manifest(ingest(write_corpus(tmp_path / "src", docs)).manifest, manifest_path)
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "batch_0_output.txt").write_text("- Finding: kept from an earlier run\n", encoding="utf-8")
+    before = {path.name: path.read_bytes() for path in run.iterdir()}
+    capsys.readouterr()
+
+    assert main(["annotate", "--config", str(write_config(tmp_path, tmp_path / "fixtures")),
+                 "--manifest", str(manifest_path), "--out", str(run), "--context-window", "5000",
+                 "--max-output-tokens", "1000", "--skip-oversize", *flags]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "all 3 documents alone exceed the context window" in errors[0], errors
+    assert {path.name: path.read_bytes() for path in run.iterdir()} == before
+
+
 def test_resume_through_cli_makes_no_calls(pipeline_dirs, capsys):
     tmp_path, manifest_path, fixtures = pipeline_dirs
     config = write_config(tmp_path, fixtures)

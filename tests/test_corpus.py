@@ -559,6 +559,15 @@ def test_load_manifest_holds_little_beyond_what_it_returns(tmp_path):
     assert one - held < 0.25 * path.stat().st_size
 
 
+def test_loaded_manifest_holds_one_copy_of_each_category_tag(tmp_path):
+    path = tmp_path / "m.jsonl"
+    save_manifest(synthetic_manifest(5_000), path)
+    loaded = load_manifest(path)
+    assert len({id(ref.category_tag) for ref in loaded.documents}) == 1
+    save_manifest(loaded, tmp_path / "again.jsonl")
+    assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
+
+
 def test_load_manifest_undecodable_byte_on_a_late_line_names_the_file(tmp_path):
     path = tmp_path / "m.jsonl"
     save_manifest(synthetic_manifest(3_000), path)

@@ -141,8 +141,22 @@ def test_plan_oversize_document_is_error():
     provider_cfg = ProviderConfig(dialect="stub", context_window_tokens=10_000, max_output_tokens=1000)
     with pytest.raises(RunnerError, match="huge"):
         plan_batches(manifest, RunnerConfig(), provider_cfg, 0)
-    jobs = plan_batches(manifest, RunnerConfig(skip_oversize=True), provider_cfg, 0)
-    assert jobs == []
+    # Skipped, the one document leaves no batch, which is an error too.
+    with pytest.raises(RunnerError, match="all 1 documents alone exceed"):
+        plan_batches(manifest, RunnerConfig(skip_oversize=True), provider_cfg, 0)
+
+
+def test_plan_that_skips_every_document_is_error():
+    # Each paper alone exceeds the budget, though the budget is positive.
+    # An empty plan would delete every batch already in the run directory.
+    refs = [DocumentRef(doc_id=f"big{i}", path="p", text_path="t", char_count=20_000) for i in range(3)]
+    provider_cfg = ProviderConfig(dialect="stub", context_window_tokens=5000, max_output_tokens=1000)
+    with pytest.raises(RunnerError, match="all 3 documents alone exceed the context window"):
+        plan_batches(CorpusManifest.build(refs), RunnerConfig(skip_oversize=True), provider_cfg, 0)
+    # One paper that fits leaves a plan of one batch.
+    refs.append(DocumentRef(doc_id="small", path="p", text_path="t", char_count=100))
+    jobs = plan_batches(CorpusManifest.build(refs), RunnerConfig(skip_oversize=True), provider_cfg, 0)
+    assert [job.doc_ids for job in jobs] == [("small",)]
 
 
 @pytest.mark.parametrize("skip_oversize", [False, True])

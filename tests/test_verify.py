@@ -11,7 +11,7 @@ import unicodedata
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import traced_peak
@@ -119,22 +119,29 @@ def reference_start_bound(
     """``_StartBounds(quote, codes, min_len, max_len).bound()``, after
     ``reward(*reward)`` when given, with a fresh array for every expression.
 
-    ``_StartBounds`` computes the same ufuncs in the same order in place, so
-    its bounds must equal these bit for bit.
+    The distance bound is held as an integer, rounded up with Python
+    integers; the long-window bound as a float32, rounded to the nearest
+    and then one step up. ``_StartBounds`` stores both that way, so its
+    bounds must equal these bit for bit.
     """
     q, c, m = quote[::-1], codes[::-1].copy(), len(quote)
-    short_lb = verify._best_end_distances(q, c).astype(np.float64)
-    j = np.clip(m + short_lb, m + 1, max_len)
-    long_ub = 1.0 - np.maximum(short_lb, j - m) / j
+    short = verify._best_end_distances(q, c).astype(np.int64)
+    j = np.clip(m + short, m + 1, max_len)
+    long = float32_up(1.0 - np.maximum(short, j - m) / j)
     if reward is not None:
         num, den = reward
-        r = num / den
-        g = verify._rewarded_end_costs(q, c, num, den, max_len) / den
-        short_lb = np.maximum(short_lb, g + r * min_len)
+        g = verify._rewarded_end_costs(q, c, num, den, max_len).astype(np.int64)
+        ceiling = np.array([-(-(int(x) + num * min_len) // den) for x in g])
+        short = np.maximum(short, ceiling)
         j = np.where(g >= 0, max_len, m + 1)
-        long_ub = np.minimum(long_ub, 1.0 - r - g / j)
-    by_end = np.maximum(1.0 - short_lb / m, long_ub)
+        long = np.minimum(long, float32_up((1.0 - num / den) - g / (den * j)))
+    by_end = np.maximum(1.0 - short / m, long.astype(np.float64))
     return by_end[::-1][: len(c) - min_len + 1]
+
+
+def float32_up(x: np.ndarray) -> np.ndarray:
+    """Each value as the float32 one step above its nearest float32."""
+    return np.nextafter(x.astype(np.float32), np.float32(np.inf))
 
 
 def reference_window_scores(
@@ -155,7 +162,9 @@ def reference_window_scores(
     first = np.zeros(width + 1, dtype=bool)
     first[0] = True
     mask = verify._bitmask(np.tile(slot, n_starts))
-    steps = verify._edit_rows(quote, windows.ravel(), mask, verify._bitmask(np.tile(first, n_starts)), mask)
+    text = windows.ravel()
+    eq = {c: verify._bitmask(text == c) for c in set(map(ord, quote))}
+    steps = verify._edit_rows(quote, eq, len(text), mask, verify._bitmask(np.tile(first, n_starts)), mask)
     dist = np.empty((n_starts, width + 1), dtype=np.int32)
     dist[:, 0] = m
     np.cumsum(steps.reshape(n_starts, width + 1)[:, :width], axis=1, out=dist[:, 1:])
@@ -490,6 +499,46 @@ def test_start_bounds_hold_at_every_start(seed, doc_chars, quote_chars, share):
     assert np.all(after <= before)
     assert np.any(after < before)
     assert_same_bits(after, reference_start_bound(q, codepoints(d), lo, hi, (num, den)))
+
+
+def exhaustive_best_at_each_start(q: str, d: str) -> np.ndarray:
+    """The best similarity of the windows of floor(0.8 |q|) to ceil(1.2 |q|)
+    characters at each start 0 .. len(d) - floor(0.8 |q|), from the table."""
+    m, n = len(q), len(d)
+    starts, row = exhaustive_distance_table(q, d)
+    lengths = np.arange(len(row)).reshape(-1, 1)
+    valid = (lengths >= max(1, math.floor(0.8 * m))) & (lengths <= n - starts)
+    return np.where(valid, 1.0 - np.array(row) / np.maximum(m, lengths), -np.inf).max(axis=0)
+
+
+_BOUND_CASE = st.fixed_dictionaries({
+    "quote": st.text("abc", min_size=1, max_size=4) | st.text("abc ", min_size=5, max_size=12),
+    # Filler runs of one character the quote lacks make windows that only
+    # longer quotes' bounds reach across.
+    "doc": st.lists(st.text("abc ", max_size=6) | st.integers(1, 30).map("z".__mul__), max_size=8).map("".join),
+    # Rewards num/den in [0, 1], in the order ``reward`` receives them.
+    "rewards": st.lists(st.integers(1, 40).flatmap(lambda den: st.tuples(st.integers(0, den), st.just(den))),
+                        max_size=3),
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_BOUND_CASE)
+# Bounds that equal the best at a start, where a float32 rounded to the
+# nearest would fall below it: at init, and after a reward.
+@example({"quote": "cbacb", "doc": "cabacb" + "z" * 10, "rewards": []})
+@example({"quote": "ccaccacba", "doc": "ccccc aababcaa bb", "rewards": [(3, 10)]})
+@example({"quote": "acccabbaa", "doc": "bcca ccbacbaaac" + "z" * 24, "rewards": [(9, 10)]})
+def test_start_bounds_stay_above_the_exhaustive_best_at_every_start(case):
+    quote, doc = case["quote"], case["doc"]
+    min_len, max_len = max(1, math.floor(0.8 * len(quote))), math.ceil(1.2 * len(quote))
+    assume(len(doc) >= min_len)
+    best_at = exhaustive_best_at_each_start(quote, doc)
+    bounds = _StartBounds(quote, codepoints(doc), min_len, max_len)
+    assert np.all(bounds.bound() >= best_at)
+    for num, den in case["rewards"]:
+        bounds.reward(num, den)
+        assert np.all(bounds.bound() >= best_at)
 
 
 @settings(max_examples=60, deadline=None)
@@ -955,7 +1004,7 @@ def test_verify_dataset_memory_does_not_grow_with_cited_documents(tmp_path):
 
 @pytest.mark.parametrize(
     "quote_chars,share,budget",
-    [(100, None, 48), (100, 0.1, 48), (600, None, 52)],
+    [(100, None, 12), (100, 0.1, 11), (600, None, 25)],
     ids=["fabricated-100", "near-miss-100", "fabricated-600"],
 )
 def test_best_match_memory_per_document_character(quote_chars, share, budget):
@@ -965,6 +1014,20 @@ def test_best_match_memory_per_document_character(quote_chars, share, budget):
     best_match(quote, doc, 0.85)  # one-time allocations (caches, lazy imports) land here
     _, peak = traced_peak(lambda: best_match(quote, doc, 0.85))
     assert peak <= budget * len(doc), f"{peak / len(doc):.1f} bytes per document character"
+
+
+def test_window_scores_memory_per_packed_bit():
+    # A full block of starts for a 600-character quote, spread over a
+    # 200k-character document as the highest bounds of a pruned search are.
+    quote, text = _strided_case(5, 200_000, 600, None)
+    q, codes = normalize(quote), codepoints(normalize(text))
+    lo, hi = math.floor(0.8 * len(q)), math.ceil(1.2 * len(q))
+    starts = np.linspace(0, len(codes) - lo, verify._BLOCK_BITS // (hi + 1)).astype(np.int64)
+    bits = len(starts) * (hi + 1)
+    assert verify._BLOCK_BITS - (hi + 1) < bits <= verify._BLOCK_BITS
+    verify._window_scores(q, codes, starts, lo, hi)  # one-time allocations land here
+    _, peak = traced_peak(lambda: verify._window_scores(q, codes, starts, lo, hi))
+    assert peak <= 6 * bits, f"{peak / bits:.2f} bytes per packed bit"
 
 
 def test_verification_result_invariants():
