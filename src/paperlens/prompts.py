@@ -75,14 +75,19 @@ class PromptBundle:
     def estimated_tokens(self) -> int:
         return estimate_tokens(self.text)
 
-    def with_payload(self, payload: str, refs: tuple[str, ...] = ()) -> "PromptBundle":
-        """This prompt followed by ``payload``, which ``refs`` name."""
-        return replace(self, text=_join(self.text, payload), payload_refs=refs)
+    def with_payload(self, *parts: str, refs: tuple[str, ...] = ()) -> "PromptBundle":
+        """The request sending this prompt, then each non-empty part after one
+        ``PAYLOAD_SEPARATOR``; ``refs`` name the parts. No other code joins a payload on."""
+        return replace(self, text=_join(self.text, *parts), payload_refs=refs)
+
+
+#: What separates a prompt and each part of its payload in a request.
+PAYLOAD_SEPARATOR = "\n\n"
 
 
 def _join(*parts: str) -> str:
     """The non-empty parts in send order, separated by blank lines."""
-    return "\n\n".join(part for part in parts if part)
+    return PAYLOAD_SEPARATOR.join(part for part in parts if part)
 
 
 def _read_section(kind: PromptKind, name: str, templates_dir: str | Path | None) -> str:
@@ -132,8 +137,8 @@ def build_query_prompt(
 ) -> PromptBundle:
     """Assemble a follow-up query over a previously produced dataset.
 
-    The dataset text itself is supplied as the payload at completion time;
-    the bundle frames it as prior analysis output and appends the question.
+    The bundle frames the dataset as prior analysis output and appends the
+    question; ``run_query`` puts the dataset text behind it with ``with_payload``.
     """
     if not question or not question.strip():
         raise PromptError("query question must be non-empty")

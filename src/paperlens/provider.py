@@ -206,15 +206,14 @@ class ChatClient:
         self.calls = 0
 
     def complete(self, bundle: "PromptBundle", payload_text: str = "") -> ModelResponse:
-        """Send an assembled prompt plus payload and return the response.
+        """Send ``bundle.text`` as it is, or followed by a non-empty ``payload_text``
+        as ``bundle.with_payload`` joins it, and return the response.
 
         Raises ContextOverflow before any network call when the estimated
         total would not fit; retries transient transport failures with
         exponential backoff and jitter up to ``max_retries``.
         """
-        prompt = bundle.text
-        if payload_text:
-            prompt = prompt + "\n\n" + payload_text
+        prompt = bundle.with_payload(payload_text, refs=bundle.payload_refs).text
 
         required = estimate_tokens(prompt) + self.config.max_output_tokens
         if required > self.config.context_window_tokens:

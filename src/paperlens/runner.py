@@ -23,14 +23,14 @@ import re
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
 from . import provider
 from .atomic import PaperlensError, append_jsonl, read_json, read_text, write_atomic, write_json
 from .corpus import CorpusManifest, DocumentRef, load_text, manifest_digest
-from .prompts import PromptBundle, build_query_prompt, filter_template
+from .prompts import PAYLOAD_SEPARATOR, PromptBundle, build_query_prompt, filter_template
 from .records import DOC_HEADER, ExampleRecord, parse_batch_output
 
 logger = logging.getLogger(__name__)
@@ -108,11 +108,11 @@ class RunSummary:
 
 
 def _doc_tokens(ref: DocumentRef) -> int:
-    # One length for the header, the text and the two "\n\n" that join them
-    # into the request, so the estimates of a batch's documents and its prompt
+    # One length for the header, the text and the two separators before them
+    # in the request, so the estimates of a batch's documents and its prompt
     # add up to at least what ChatClient.complete counts for the whole.
     header = DOC_HEADER.format(doc_id=ref.doc_id, title=ref.title)
-    return provider.tokens_for_chars(len(header) + ref.char_count + 4)
+    return provider.tokens_for_chars(len(header) + ref.char_count + 2 * len(PAYLOAD_SEPARATOR))
 
 
 def plan_batches(
@@ -187,13 +187,12 @@ def plan_batches(
 
 def _batch_request(bundle: PromptBundle, job: BatchJob, refs: dict[str, DocumentRef]) -> PromptBundle:
     """The annotation request for ``job``: the prompt, then each document's
-    header and text, joined once so ``ChatClient.complete`` sends it as is."""
-    parts = [bundle.text]
+    header and text as payload parts (an empty text adds none)."""
+    parts = []
     for doc_id in job.doc_ids:
         ref = refs[doc_id]
-        parts.append(DOC_HEADER.format(doc_id=doc_id, title=ref.title))
-        parts.append(load_text(ref))
-    return replace(bundle, text="\n\n".join(parts), payload_refs=job.doc_ids)
+        parts += DOC_HEADER.format(doc_id=doc_id, title=ref.title), load_text(ref)
+    return bundle.with_payload(*parts, refs=job.doc_ids)
 
 
 # A batch that fails with one of these is recorded and the run continues.
@@ -525,7 +524,7 @@ def run_filter(
             _Batch(
                 index=index,
                 output_path=batch_path(directory, index, "filtered"),
-                request=lambda text=text, name=path.name: template.with_payload(text, (name,)),
+                request=lambda text=text, name=path.name: template.with_payload(text, refs=(name,)),
             )
         )
     write_json(state_path, state)
@@ -609,7 +608,7 @@ def run_query(
     bundle = build_query_prompt(dataset_path, question, templates_dir=templates_dir)
 
     try:
-        response = client.complete(bundle, dataset_text)
+        response = client.complete(bundle.with_payload(dataset_text, refs=bundle.payload_refs))
     except provider.ContextOverflow as exc:
         raise provider.ContextOverflow(
             exc.required,

@@ -156,24 +156,20 @@ def _bitmask(flags: np.ndarray) -> int:
 def _occurrences(codes: np.ndarray, c: int) -> np.ndarray:
     """The positions where ``codes`` holds c, in no set order.
 
-    A reversed view is compared in memory order, where numpy's loops are
-    several times faster, and the positions are mapped back.
+    Compared in reverse and mapped back: the matcher passes reversed views
+    (``_StartBounds``), so numpy's loops run in memory order, several times faster.
     """
-    if codes.strides[0] < 0:
-        return len(codes) - 1 - np.flatnonzero(codes[::-1] == c)
-    return np.flatnonzero(codes == c)
+    return len(codes) - 1 - np.flatnonzero(codes[::-1] == c)
 
 
 def _occurrence_mask(codes: np.ndarray, c: int) -> int:
     """The int whose bit t is set exactly where ``codes[t] == c``.
 
-    A reversed view is compared and packed in memory order, most
-    significant bit first, as ``_occurrences`` does.
+    ``codes`` is compared in reverse and packed most significant bit
+    first, as ``_occurrences`` does.
     """
-    if codes.strides[0] < 0:
-        packed = np.packbits(codes[::-1] == c, bitorder="big").tobytes()
-        return int.from_bytes(packed, "big") >> (-len(codes) % 8)
-    return _bitmask(codes == c)
+    packed = np.packbits(codes[::-1] == c, bitorder="big").tobytes()
+    return int.from_bytes(packed, "big") >> (-len(codes) % 8)
 
 
 def _bits(x: int, count: int) -> np.ndarray:

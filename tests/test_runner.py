@@ -19,6 +19,7 @@ from paperlens.provider import (
     ContextOverflow,
     HttpChatClient,
     ProviderConfig,
+    StubFixtureMissing,
     estimate_tokens,
     stub_key,
     write_stub_fixture,
@@ -682,6 +683,45 @@ def test_annotation_request_is_the_prompt_and_payload_joined(tmp_path):
         )
         key = f"annotation-{stub_key('annotation', list(job.doc_ids))}"
         assert sent[key] == BUNDLE.text + "\n\n" + payload
+
+
+def test_a_sidecar_emptied_since_ingest_adds_no_empty_part(tmp_path):
+    manifest = _corpus_on_disk(tmp_path, 2)
+    doc0, doc1 = manifest.documents
+    Path(doc0.text_path).write_text("", encoding="utf-8")
+    job = plan(manifest, RunnerConfig(batch_size=2))[0]
+    request = _batch_request(BUNDLE, job, {ref.doc_id: ref for ref in manifest.documents})
+    assert request.text == "\n\n".join([
+        BUNDLE.text,
+        DOC_HEADER.format(doc_id="doc0", title=doc0.title),
+        DOC_HEADER.format(doc_id="doc1", title=doc1.title),
+        load_text(doc1),
+    ])
+    assert request.payload_refs == ("doc0", "doc1")
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 19")
+def test_stub_misses_once_an_annotation_template_line_changes(tmp_path):
+    # The stub keys a reply by the kind and the payload refs alone, so it
+    # answers the changed prompt with the reply recorded for the old one.
+    manifest = _corpus_on_disk(tmp_path, 2)
+    templates = tmp_path / "templates"
+    (templates / "annotation").mkdir(parents=True)
+    for name, text in prompts.load_sections(PromptKind.ANNOTATION).items():
+        (templates / "annotation" / f"{name}.txt").write_text(text, encoding="utf-8")
+    job = plan(manifest, RunnerConfig(batch_size=2))[0]
+    refs = {ref.doc_id: ref for ref in manifest.documents}
+    fixtures = tmp_path / "fixtures"
+    _fixtures_for_jobs(fixtures, [job], lambda j: "reply to the old prompt")
+    client = make_stub(fixtures)
+    request = _batch_request(build_annotation_prompt(templates_dir=templates), job, refs)
+    assert client.complete(request).text == "reply to the old prompt"
+
+    instructions = templates / "annotation" / "instructions.txt"
+    first, *rest = instructions.read_text(encoding="utf-8").splitlines()
+    instructions.write_text("\n".join([first + " Quote at most two sentences.", *rest]), encoding="utf-8")
+    with pytest.raises(StubFixtureMissing):
+        client.complete(_batch_request(build_annotation_prompt(templates_dir=templates), job, refs))
 
 
 def test_bug_in_a_sent_batch_stops_building_requests(tmp_path, monkeypatch):

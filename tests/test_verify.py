@@ -783,6 +783,32 @@ def test_segmented_quotes_keep_their_pinned_values(quote, doc, similarity, span_
         assert (result.similarity, result.span_start, result.span_end) == (similarity, span_start, span_end)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+def test_math_quote_matches_after_an_earlier_copy_of_its_anchor():
+    # The longest literal, "Then there is", also occurs in the sentence in
+    # front; the walk starts from that copy and the quote scores 0.833.
+    quote = r"Let $x \in X$ and $\varepsilon > 0$. Then there is $\delta > 0$ such that $d(x,y) < \delta$."
+    source = "Let x in X and eps > 0. Then there is delta > 0 such that d(x, y) < delta."
+    assert best_match(quote, source).matched
+    assert best_match(quote, "We recall the lemma. Then there is nothing more to prove in that case. " + source).matched
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+def test_quote_shortened_with_an_ellipsis_matches():
+    # Two genuine 105-character stretches, 400 characters apart, joined by
+    # " ... ": the quote is scored as one window and reads 0.66.
+    rng = random.Random(8)
+    words = ("orbit group bound proof lemma shows that the why structure class "
+             "homotopy sharp counting argument symmetry forces").split()
+    text = ""
+    while len(text) < 1626:
+        text += rng.choice(words) + " "
+    text = text[:1626]
+    start = rng.randrange(1626 - 610)
+    quote = text[start : start + 105] + " ... " + text[start + 505 : start + 610]
+    assert best_match(quote, text).matched
+
+
 #: No whitespace, so every slice of a text over it is normalized.
 _RANGE_ALPHABET = "abcé"
 
@@ -1003,17 +1029,26 @@ def test_verify_dataset_memory_does_not_grow_with_cited_documents(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "quote_chars,share,budget",
-    [(100, None, 12), (100, 0.1, 11), (600, None, 25)],
-    ids=["fabricated-100", "near-miss-100", "fabricated-600"],
+    "quote_chars,share,reverse,budget",
+    [(100, None, False, 12), (100, 0.1, False, 11), (100, None, True, 25), (600, None, False, 25)],
+    ids=["fabricated-100", "near-miss-100", "reversed-100", "fabricated-600"],
 )
-def test_best_match_memory_per_document_character(quote_chars, share, budget):
+def test_best_match_memory_per_document_character(quote_chars, share, reverse, budget, monkeypatch):
     quote, text = _strided_case(5, 200_000, quote_chars, share)
+    if reverse:
+        # Read backwards, the quote is too unlike every window for the first
+        # bounds to prune the search, so a short quote runs a rewarded pass too.
+        quote = quote[::-1]
     doc = verify._NormalizedDoc(normalize(text))
     doc.codes  # encoded once per document, before its first quote is matched
     best_match(quote, doc, 0.85)  # one-time allocations (caches, lazy imports) land here
+    passes = []
+    rewarded_end_costs = verify._rewarded_end_costs
+    monkeypatch.setattr(verify, "_rewarded_end_costs", lambda *args: passes.append(1) or rewarded_end_costs(*args))
     _, peak = traced_peak(lambda: best_match(quote, doc, 0.85))
     assert peak <= budget * len(doc), f"{peak / len(doc):.1f} bytes per document character"
+    # The 25-byte budget is the rewarded pass's; the smaller ones hold searches without one.
+    assert bool(passes) == (budget == 25)
 
 
 def test_window_scores_memory_per_packed_bit():
