@@ -10,7 +10,7 @@ Run: python demos/01_corpus_and_sampling.py
 import tempfile
 from pathlib import Path
 
-from paperlens import ingest, load_text, manifest_to_jsonl, sample, save_manifest
+from paperlens import ingest, load_text, manifest_digest, sample, save_manifest
 
 work_dir = tempfile.TemporaryDirectory(prefix="paperlens-demo-")
 work = Path(work_dir.name)
@@ -46,7 +46,7 @@ print(f"\nnormalized text of {first.doc_id}:\n  {load_text(first)!r}")
 # identical inputs always give byte-identical manifests.
 sample_a = sample(manifest, n=3, seed=7)
 sample_b = sample(manifest, n=3, seed=7)
-assert manifest_to_jsonl(sample_a) == manifest_to_jsonl(sample_b)
+assert manifest_digest(sample_a) == manifest_digest(sample_b)
 print(f"\nsample of 3 with seed 7 (parent size {sample_a.parent_size}):")
 for ref in sample_a.documents:
     print(f"  {ref.doc_id}")

@@ -28,7 +28,6 @@ from .corpus import (
     load_manifest,
     load_text,
     manifest_digest,
-    manifest_to_jsonl,
     sample,
     save_manifest,
 )

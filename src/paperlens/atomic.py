@@ -197,11 +197,6 @@ def jsonl_lines(rows: Iterable[Any], header: Any = None) -> Iterator[str]:
         yield _encode(row) + "\n"
 
 
-def jsonl_text(rows: Iterable[Any], header: Any = None) -> str:
-    """The text ``write_jsonl`` writes: the header line, if any, then one line per row."""
-    return "".join(jsonl_lines(rows, header))
-
-
 def write_json(path: str | Path, obj: Any) -> None:
     """Write one JSON object (a dict or a dataclass instance), on one line, atomically."""
     write_atomic(path, _encode(obj) + "\n")

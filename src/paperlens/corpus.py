@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import pairwise
 from pathlib import Path
 
-from .atomic import PaperlensError, jsonl_lines, jsonl_text, read_jsonl, write_jsonl
+from .atomic import PaperlensError, jsonl_lines, read_jsonl, write_jsonl
 from .verify import normalize
 
 logger = logging.getLogger(__name__)
@@ -388,11 +388,6 @@ class _ManifestHeader:
 
 def _header(manifest: CorpusManifest) -> _ManifestHeader:
     return _ManifestHeader(sample_seed=manifest.sample_seed, parent_size=manifest.parent_size)
-
-
-def manifest_to_jsonl(manifest: CorpusManifest) -> str:
-    """Serialize a manifest to its canonical line-delimited form."""
-    return jsonl_text(manifest.documents, _header(manifest))
 
 
 def save_manifest(manifest: CorpusManifest, path: str | Path) -> None:

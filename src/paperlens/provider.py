@@ -215,7 +215,8 @@ class ChatClient:
         """
         prompt = bundle.with_payload(payload_text, refs=bundle.payload_refs).text
 
-        required = estimate_tokens(prompt) + self.config.max_output_tokens
+        prompt_tokens = estimate_tokens(prompt)
+        required = prompt_tokens + self.config.max_output_tokens
         if required > self.config.context_window_tokens:
             raise ContextOverflow(required, self.config.context_window_tokens)
 
@@ -249,7 +250,7 @@ class ChatClient:
 
         response.attempts = attempts
         if not response.input_tokens:
-            response.input_tokens = estimate_tokens(prompt)
+            response.input_tokens = prompt_tokens
         if not response.output_tokens:
             response.output_tokens = estimate_tokens(response.text)
         self._audit(bundle.kind.value, key, prompt, response)

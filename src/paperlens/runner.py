@@ -319,7 +319,6 @@ def run_annotation(
         output_path = batch_path(out_dir, job.index, "output")
         if previous.digests.get(job.index) == job_digest and output_path.exists():
             checkpoint.digests[job.index] = job_digest
-            job.status = JobStatus.DONE
             continue
         planned[job.index] = job_digest
         pending.append(

@@ -482,8 +482,8 @@ class _StartBounds:
         return alive
 
 
-#: Starts scored first, highest bound first. A document with no more
-#: starts than this has every start scored and no bounding pass.
+#: Starts scored first, highest bound first. The probe round scores every
+#: start of a range with no more starts than this, and no rewarded pass runs.
 _PROBE_STARTS = 32
 #: Upper limit on the bits one ``_window_scores`` call packs.
 _BLOCK_BITS = 1 << 18
@@ -576,8 +576,8 @@ def _match_literal(quote: str, doc: _NormalizedDoc, lo: int = 0, hi: int | None 
     exactly what scoring every window of 0.8x to 1.2x the quote length at
     every start of the range would return, ties going to the earliest start
     and then the shortest window. Windows shorter than 0.8x count only when
-    the whole range is that short. A long range is searched by
-    ``_match_pruned``.
+    the whole range is that short. Every range without an exact occurrence
+    is searched by ``_match_pruned``.
     """
     hi = len(doc) if hi is None else hi
     if lo == hi:
@@ -590,14 +590,8 @@ def _match_literal(quote: str, doc: _NormalizedDoc, lo: int = 0, hi: int | None 
     min_len = max(1, math.floor(0.8 * m))
     max_len = max(1, math.ceil(1.2 * m))
     codes = doc.codes[lo:hi]
-    n = len(codes)
-    if n - min_len + 1 > _PROBE_STARTS:
-        sim, start, end = _match_pruned(quote, codes, min_len, max_len)
-    else:
-        starts = np.arange(max(0, n - min_len) + 1, dtype=np.int64)
-        sims, lens = _window_scores(quote, codes, starts, min_len, max_len)
-        start = int(np.argmax(sims))
-        sim, end = float(sims[start]), start + int(lens[start])
+    # A range shorter than min_len has one start, scored over its whole length.
+    sim, start, end = _match_pruned(quote, codes, min(min_len, len(codes)), max_len)
     return sim, lo + start, lo + end
 
 

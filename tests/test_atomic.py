@@ -12,7 +12,7 @@ from paperlens.atomic import (
     PaperlensError,
     append_jsonl,
     from_json,
-    jsonl_text,
+    jsonl_lines,
     read_json,
     read_jsonl,
     read_text,
@@ -291,13 +291,13 @@ def test_type_hints_are_read_once_per_class(tmp_path, monkeypatch):
 
 
 def test_dataclass_instances_are_written_as_their_fields():
-    text = jsonl_text([Outer("n", inner=Inner(2.0))], header=Inner(1.0))
+    text = "".join(jsonl_lines([Outer("n", inner=Inner(2.0))], header=Inner(1.0)))
     assert text == (
         '{"flag": false, "x": 1.0}\n'
         '{"count": 0, "inner": {"flag": false, "x": 2.0}, "name": "n", "note": null, "tags": []}\n'
     )
     with pytest.raises(TypeError, match="dataclass"):
-        jsonl_text([{"when": object()}])
+        "".join(jsonl_lines([{"when": object()}]))
 
 
 @dataclass(frozen=True)

@@ -546,6 +546,31 @@ def test_resume_reruns_batch_whose_output_is_missing(tmp_path):
     assert (out / "batch_1_output.txt").read_text() == "batch 1"
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_resume_reruns_batch_whose_document_text_changed(tmp_path):
+    # A batch's request digest hashes its doc ids, not their texts, so a
+    # sidecar rewritten since the run is carried over with its old output.
+    manifest = _corpus_on_disk(tmp_path, 4)
+    out = tmp_path / "out"
+    cfg = RunnerConfig(batch_size=2, output_dir=str(out))
+    jobs = plan(manifest, cfg)
+    fixtures = tmp_path / "fixtures"
+    _fixtures_for_jobs(fixtures, jobs, lambda j: f"batch {j.index}")
+    client = make_stub(fixtures)
+    run_annotation(jobs, BUNDLE, manifest, client, cfg)
+    refs = {ref.doc_id: ref for ref in manifest.documents}
+    sidecar = Path(refs[jobs[1].doc_ids[0]].text_path)
+    old = sidecar.read_text(encoding="utf-8")
+    new = old.replace("why", "how")
+    assert new != old and len(new) == len(old)
+    sidecar.write_text(new, encoding="utf-8")
+
+    cfg_resume = RunnerConfig(batch_size=2, output_dir=str(out), resume=True)
+    summary = run_annotation(plan(manifest, cfg_resume), BUNDLE, manifest, client, cfg_resume)
+
+    assert summary.provider_calls == 1 and summary.skipped == 1
+
+
 def test_checkpoint_records_every_batch_under_contention(tmp_path):
     """More workers than cores and a short switch interval: every completion
     must reach checkpoint.json with its digest."""

@@ -830,10 +830,25 @@ def _ranged_literal(draw) -> tuple[str, str, int, int]:
 @example(("abcabcabca", "abcab" * 4, 5, 9))  # shorter than floor(0.8 * 10): scored whole
 @example(("cab", "abc" * 30, 40, 90))  # an exact match, also before the range
 @example(("acbacbbacaccab", "abc" * 30, 2, 88))  # a range long enough to be pruned
+@example(("acbacbbaca", "abc" * 30, 3, 42))  # exactly _PROBE_STARTS starts
+@example(("acbacbbaca", "abc" * 30, 3, 43))  # one start more
 def test_match_literal_on_a_range_equals_the_oracle_on_its_slice(case):
     quote, doc, lo, hi = case
     sim, start, end = exhaustive_best_window(quote, doc[lo:hi])
     assert verify._match_literal(quote, verify._NormalizedDoc(doc), lo, hi) == (sim, lo + start, lo + end)
+
+
+def test_a_range_of_at_most_probe_starts_is_scored_without_a_rewarded_pass(monkeypatch):
+    passes = []
+    rewarded_end_costs = verify._rewarded_end_costs
+    monkeypatch.setattr(verify, "_rewarded_end_costs", lambda *args: passes.append(1) or rewarded_end_costs(*args))
+    quote, doc = "acbacbbaca", verify._NormalizedDoc("abc" * 30)
+    min_len = math.floor(0.8 * len(quote))
+    for hi in range(4, 3 + min_len + verify._PROBE_STARTS):  # 1 to _PROBE_STARTS starts
+        verify._match_literal(quote, doc, 3, hi)
+    assert passes == []
+    verify._match_literal(quote, doc)  # the whole document is pruned with a pass
+    assert passes == [1]
 
 
 def test_monotone_corruption_property():
