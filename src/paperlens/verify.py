@@ -21,13 +21,30 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import os
 import re
 import time
 import unicodedata
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
-import numpy as np
+# numpy's OpenBLAS starts a pool of worker threads when it loads, one per CPU
+# less one, and they spin for a while even though paperlens runs no BLAS
+# routine. OpenBLAS reads its thread count once, at load, from the first of
+# OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS that is set, so
+# unless the caller set one of them it gets one thread here; the environment
+# is put back right after, so child processes (``ingest --extract-cmd``) see
+# it as the caller left it. A process that loaded numpy before paperlens
+# keeps its pool.
+_BLAS_THREADS_SET = ("OPENBLAS_NUM_THREADS" in os.environ or "GOTO_NUM_THREADS" in os.environ
+                     or "OMP_NUM_THREADS" in os.environ)
+if not _BLAS_THREADS_SET:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    import numpy as np
+finally:
+    if not _BLAS_THREADS_SET:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 if TYPE_CHECKING:
     from .corpus import CorpusManifest

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 from typing import Any, Callable
@@ -15,6 +18,8 @@ from paperlens.records import ExampleRecord, render_record
 
 # A fake PDF is enough for everything except embedded-metadata scanning.
 FAKE_PDF = b"%PDF-1.4\n%fake fixture document\n%%EOF\n"
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_corpus(root: Path, docs: dict[str, str]) -> Path:
@@ -58,6 +63,17 @@ def traced_peak(fn: Callable[[], Any]) -> tuple[Any, int]:
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def run_python(code: str, *args: Any, env: dict[str, str] | None = None) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this checkout, with
+    ``env`` (by default this process's) as its environment."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
 
 
 def make_stub(fixtures_dir: Path | None = None, **config_overrides) -> StubChatClient:

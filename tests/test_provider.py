@@ -2,18 +2,15 @@
 
 import json
 import logging
-import os
-import subprocess
 import sys
 import threading
-from pathlib import Path
 
 import pytest
 import requests
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import batch_output_text, make_record, make_stub, write_corpus
+from conftest import batch_output_text, make_record, make_stub, run_python, write_corpus
 from paperlens.corpus import ingest, save_manifest
 from paperlens.prompts import PromptBundle, PromptKind
 from paperlens.provider import (
@@ -387,19 +384,6 @@ def test_persistent_transport_failure_exhausts(monkeypatch):
 
 
 # --- the HTTP stack loads only for an HTTP client ----------------------------
-
-SRC = Path(__file__).resolve().parents[1] / "src"
-
-
-def run_python(code, *args):
-    """Run ``code`` in a fresh interpreter that imports this checkout."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-c", code, *map(str, args)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-
 
 def test_importing_the_package_leaves_requests_unloaded():
     proc = run_python(

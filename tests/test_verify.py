@@ -3,8 +3,10 @@ brute-force oracle where the spec pins one."""
 
 import logging
 import math
+import os
 import random
 import re
+import shlex
 import sys
 import types
 import unicodedata
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import traced_peak
+from conftest import FAKE_PDF, run_python, traced_peak
 from paperlens import corpus, verify
 from paperlens.corpus import CorpusManifest, DocumentRef
 from paperlens.records import Dataset, ExampleRecord
@@ -1086,3 +1088,59 @@ def test_verification_result_invariants():
                            span_start=0, span_end=5)
     with pytest.raises(ValueError):
         VerificationResult(matched=True, similarity=0.9, threshold_used=0.85)
+
+
+# --- numpy's BLAS loads with one thread --------------------------------------
+
+# The variables OpenBLAS takes its thread count from, first one set wins.
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+# Prints the OS threads alive after the import, whether the environment is as
+# it was before it, and how many CPUs this process may use.
+_IMPORT_PROBE = (
+    "import os\n"
+    "before = dict(os.environ)\n"
+    "import paperlens, paperlens.cli\n"
+    "print(len(os.listdir('/proc/self/task')), dict(os.environ) == before, len(os.sched_getaffinity(0)))"
+)
+needs_proc_tasks = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task to count threads"
+)
+
+
+def _env_without_blas_vars() -> dict[str, str]:
+    return {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+
+
+@needs_proc_tasks
+def test_importing_the_package_starts_no_blas_threads_and_leaves_the_environment():
+    proc = run_python(_IMPORT_PROBE, env=_env_without_blas_vars())
+    assert proc.returncode == 0, proc.stderr
+    threads, unchanged, _ = proc.stdout.split()
+    assert (threads, unchanged) == ("1", "True")
+
+
+@needs_proc_tasks
+@pytest.mark.parametrize("name", _BLAS_VARS)
+def test_a_callers_blas_thread_count_wins(name):
+    proc = run_python(_IMPORT_PROBE, env={**_env_without_blas_vars(), name: "2"})
+    assert proc.returncode == 0, proc.stderr
+    threads, unchanged, cpus = proc.stdout.split()
+    assert unchanged == "True"
+    if int(cpus) >= 2:
+        assert threads == "2"
+
+
+def test_extract_cmd_children_see_the_callers_environment(tmp_path):
+    # An extractor that runs its own BLAS work keeps its threads.
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "paper.pdf").write_bytes(FAKE_PDF)
+    script = "import os, pathlib, sys; pathlib.Path(sys.argv[1]).write_text(os.environ.get('OPENBLAS_NUM_THREADS', 'unset'))"
+    proc = run_python(
+        "import sys; from paperlens.cli import main; sys.exit(main(sys.argv[1:]))",
+        "ingest", "--source", src, "--out", tmp_path / "manifest.jsonl",
+        "--extract-cmd", shlex.join([sys.executable, "-c", script]) + " {txt}",
+        env=_env_without_blas_vars(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (src / "paper.txt").read_text(encoding="utf-8") == "unset"
