@@ -32,7 +32,6 @@ from .corpus import (
     save_manifest,
 )
 from .prompts import (
-    ContextAsset,
     PromptBundle,
     PromptKind,
     build_annotation_prompt,

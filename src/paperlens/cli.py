@@ -17,7 +17,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from . import analytics, corpus, prompts, provider, records, runner, taxonomy, verify
-from .atomic import PaperlensError, write_atomic
+from .atomic import PaperlensError, read_text, write_atomic
 from .config import ConfigError, GlobalConfig, load_config
 
 logger = logging.getLogger("paperlens")
@@ -40,7 +40,10 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> argparse._ArgumentGrou
     return group
 
 
-def _add_provider_flags(group: argparse._ArgumentGroup) -> None:
+def _add_client_flags(parser: argparse.ArgumentParser) -> argparse._ArgumentGroup:
+    """The flags of a command that calls the provider: the configuration group,
+    the provider settings in it, and ``--audit``; returns the group."""
+    group = _add_config_flags(parser)
     group.add_argument("--dialect", choices=provider.DIALECTS, help="provider dialect")
     group.add_argument("--base-url", dest="base_url", help="provider base URL")
     group.add_argument("--model", dest="model_name", help="model name")
@@ -63,6 +66,9 @@ def _add_provider_flags(group: argparse._ArgumentGroup) -> None:
                        help="stub dialect: directory of canned responses")
     group.add_argument("--prompts-dir", dest="prompts_dir",
                        help="directory of prompt template sections")
+    parser.add_argument("--audit", action="store_true",
+                        help="log full request/response bodies, without credentials, to an audit file")
+    return group
 
 
 def _config_from_args(args: argparse.Namespace) -> GlobalConfig:
@@ -108,8 +114,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="manifest file to write")
 
     p = sub.add_parser("annotate", help="run the annotation prompt over document batches")
-    group = _add_config_flags(p)
-    _add_provider_flags(group)
+    group = _add_client_flags(p)
     group.add_argument("--batch-size", dest="batch_size", type=int,
                        help="documents per annotation batch")
     p.add_argument("--manifest", required=True, help="manifest of documents to annotate")
@@ -119,22 +124,16 @@ def build_parser() -> _Parser:
                    help="skip batches the checkpoint records with the current plan's digest")
     p.add_argument("--context-asset", dest="context_asset",
                    help="file with the context excerpt appended to the prompt")
-    p.add_argument("--context-description", dest="context_description",
-                   help="how the prompt should describe the context excerpt")
     p.add_argument("--skip-oversize", dest="skip_oversize", action="store_true",
                    help="skip documents that alone exceed the context window")
     p.add_argument("--dry-run", dest="dry_run", action="store_true",
                    help="print the batch plan and token estimates; no provider calls")
-    p.add_argument("--audit", action="store_true",
-                   help="log full request/response bodies, without credentials, to an audit file")
 
     p = sub.add_parser("filter", help="apply the strict quality filter to batch outputs")
-    _add_provider_flags(_add_config_flags(p))
+    _add_client_flags(p)
     p.add_argument("--dir", required=True, help="directory containing batch_*_output.txt")
     p.add_argument("--dry-run", dest="dry_run", action="store_true",
                    help="print the next pass, its input files and token estimates; no provider calls")
-    p.add_argument("--audit", action="store_true",
-                   help="log full request/response bodies, without credentials, to an audit file")
 
     p = sub.add_parser("parse", help="parse batch outputs into a structured dataset")
     p.add_argument("--dir", required=True, help="directory containing batch files")
@@ -160,12 +159,10 @@ def build_parser() -> _Parser:
     p.add_argument("--taxonomy", help="JSON file overriding the tag-to-area table")
 
     p = sub.add_parser("query", help="ask a follow-up question over a dataset")
-    _add_provider_flags(_add_config_flags(p))
+    _add_client_flags(p)
     p.add_argument("--dataset", required=True, help="dataset file to attach")
     p.add_argument("--question", required=True, help="the follow-up question")
     p.add_argument("--log", help="transcript file (default: alongside the dataset)")
-    p.add_argument("--audit", action="store_true",
-                   help="log full request/response bodies, without credentials, to an audit file")
 
     p = sub.add_parser("export", help="render a dataset as a human-readable document")
     p.add_argument("--dataset", required=True, help="dataset file to render")
@@ -219,10 +216,8 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     manifest = corpus.load_manifest(args.manifest)
 
-    asset = None
-    if args.context_asset:
-        asset = prompts.ContextAsset.from_file(args.context_asset, args.context_description)
-    bundle = prompts.build_annotation_prompt(asset=asset, templates_dir=cfg.prompts_dir)
+    excerpt = read_text(args.context_asset, prompts.PromptError) if args.context_asset else ""
+    bundle = prompts.build_annotation_prompt(excerpt, templates_dir=cfg.prompts_dir)
 
     jobs = runner.plan_batches(manifest, cfg.runner, cfg.provider, bundle.estimated_tokens)
 

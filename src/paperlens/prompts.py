@@ -35,33 +35,6 @@ SECTION_FILES: dict[PromptKind, tuple[str, ...]] = {
     PromptKind.QUERY: ("framing",),
 }
 
-_DEFAULT_ASSET_DESCRIPTION = (
-    "an excerpt from Mancosu et al.'s survey article, 'Mathematical Explanation'"
-)
-
-_CONTEXT_INTRO = (
-    "The remainder of the prompt is {description}. It provides further context "
-    "on the target concept(s) of explanation. Don't discuss this article or the "
-    "examples it contains in your analysis of the texts. "
-    "BEGINNING OF CONTEXT EXCERPT:"
-)
-
-
-@dataclass(frozen=True)
-class ContextAsset:
-    """A user-supplied context document appended to the annotation prompt.
-
-    The survey excerpt used for concept context is not shipped with the
-    tool; supply your own file to ``from_file``, which reads it once.
-    """
-
-    text: str
-    description: str = _DEFAULT_ASSET_DESCRIPTION
-
-    @classmethod
-    def from_file(cls, path: str | Path, description: str | None = None) -> "ContextAsset":
-        return cls(text=read_text(path, PromptError), description=description or _DEFAULT_ASSET_DESCRIPTION)
-
 
 @dataclass(frozen=True)
 class PromptBundle:
@@ -100,24 +73,23 @@ def load_sections(kind: PromptKind, templates_dir: str | Path | None = None) -> 
     return {name: _read_section(kind, name, templates_dir) for name in SECTION_FILES[kind]}
 
 
-def build_annotation_prompt(
-    asset: ContextAsset | None = None,
-    templates_dir: str | Path | None = None,
-) -> PromptBundle:
-    """Assemble the annotation prompt, optionally with a context excerpt."""
-    sections = load_sections(PromptKind.ANNOTATION, templates_dir)
-    instructions = "\n\n".join(
-        sections[name] for name in ("phenomena", "proof_types", "instructions")
-    )
-    context = ""
-    if asset is not None and asset.text:
-        context = _CONTEXT_INTRO.format(description=asset.description) + "\n\n" + asset.text
-    return PromptBundle(PromptKind.ANNOTATION, _join(sections["persona"], instructions, context))
+def _assemble(kind: PromptKind, templates_dir: str | Path | None, *extra: str) -> PromptBundle:
+    """The one rule every prompt is built by: its sections in ``SECTION_FILES`` order, then ``extra``."""
+    return PromptBundle(kind, _join(*load_sections(kind, templates_dir).values(), *extra))
+
+
+def build_annotation_prompt(excerpt: str = "", templates_dir: str | Path | None = None) -> PromptBundle:
+    """Assemble the annotation prompt. A context excerpt that is not blank goes
+    last, exactly as given, behind the ``context_intro`` section."""
+    if not excerpt.strip():
+        return _assemble(PromptKind.ANNOTATION, templates_dir)
+    intro = _read_section(PromptKind.ANNOTATION, "context_intro", templates_dir)
+    return _assemble(PromptKind.ANNOTATION, templates_dir, intro, excerpt)
 
 
 def filter_template(templates_dir: str | Path | None = None) -> PromptBundle:
     """The strict quality-filter prompt without a batch output; ``with_payload`` adds one."""
-    return PromptBundle(PromptKind.FILTER, load_sections(PromptKind.FILTER, templates_dir)["body"])
+    return _assemble(PromptKind.FILTER, templates_dir)
 
 
 def build_filter_prompt(
@@ -130,21 +102,9 @@ def build_filter_prompt(
     return filter_template(templates_dir).with_payload(batch_output_text)
 
 
-def build_query_prompt(
-    dataset_path: str | Path,
-    question: str,
-    templates_dir: str | Path | None = None,
-) -> PromptBundle:
-    """Assemble a follow-up query over a previously produced dataset.
-
-    The bundle frames the dataset as prior analysis output and appends the
-    question; ``run_query`` puts the dataset text behind it with ``with_payload``.
-    """
+def build_query_prompt(question: str, templates_dir: str | Path | None = None) -> PromptBundle:
+    """Assemble a follow-up question behind the framing that presents a dataset
+    as prior analysis output; ``run_query`` puts the dataset text behind it with ``with_payload``."""
     if not question or not question.strip():
         raise PromptError("query question must be non-empty")
-    sections = load_sections(PromptKind.QUERY, templates_dir)
-    return PromptBundle(
-        PromptKind.QUERY,
-        sections["framing"] + "\n\n" + question.strip(),
-        payload_refs=(Path(dataset_path).name,),
-    )
+    return _assemble(PromptKind.QUERY, templates_dir, question.strip())

@@ -604,10 +604,10 @@ def run_query(
     """
     dataset_path = Path(dataset_path)
     dataset_text = read_text(dataset_path, RunnerError)
-    bundle = build_query_prompt(dataset_path, question, templates_dir=templates_dir)
+    bundle = build_query_prompt(question, templates_dir=templates_dir)
 
     try:
-        response = client.complete(bundle.with_payload(dataset_text, refs=bundle.payload_refs))
+        response = client.complete(bundle.with_payload(dataset_text, refs=(dataset_path.name,)))
     except provider.ContextOverflow as exc:
         raise provider.ContextOverflow(
             exc.required,

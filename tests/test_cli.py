@@ -16,11 +16,13 @@ import paperlens
 from conftest import batch_output_text, make_record, write_corpus
 from paperlens import PaperlensError, cli
 from paperlens.cli import build_parser, main
-from paperlens.config import _FLAG_ONLY, GlobalConfig
+from paperlens.config import _FLAG_ONLY, GlobalConfig, load_config
 from paperlens.corpus import ingest, load_manifest, save_manifest
-from paperlens.provider import ProviderConfig, stub_key, write_stub_fixture
+from paperlens.provider import ProviderConfig, request_digest, stub_key, write_stub_fixture
 from paperlens.records import load_dataset, parse_batch_output
 from paperlens.runner import RunnerConfig
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def write_config(tmp_path, fixtures_dir, **extra):
@@ -181,6 +183,48 @@ def test_annotate_partial_failure_exits_two(pipeline_dirs, tmp_path):
     assert code == 2
     assert (out_dir / "batch_0_output.txt").exists()
     assert not (out_dir / "batch_1_output.txt").exists()
+
+
+def test_annotate_sends_the_golden_prompt_with_a_context_excerpt(pipeline_dirs):
+    base, manifest_path, fixtures = pipeline_dirs
+    doc_ids = tuple(r.doc_id for r in load_manifest(manifest_path).documents)
+    write_stub_fixture(fixtures, "annotation", doc_ids, "- Finding: none\n")
+    config = write_config(base, fixtures)
+    out_dir = base / "run"
+    assert main(["annotate", "--config", str(config), "--manifest", str(manifest_path), "--out", str(out_dir),
+                 "--batch-size", "4", "--context-asset", str(GOLDEN / "context_excerpt.txt")]) == 0
+    golden = (GOLDEN / "annotation_with_excerpt.txt").read_text(encoding="utf-8")
+    digest = request_digest(load_config(config).provider, doc_ids, golden)
+    assert json.loads((out_dir / "checkpoint.json").read_text(encoding="utf-8"))["digests"] == {"0": digest}
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.parametrize("lost", ["a batch fails for good", "--skip-oversize skips a paper"])
+def test_stats_counts_only_the_papers_read(tmp_path, lost):
+    # Prevalence divides by the manifest, so a paper that was never read
+    # counts as read and found wanting.
+    docs = {f"paper{i}": f"Body of paper {i}, which explains why claim {i} holds." for i in range(3)}
+    if lost == "--skip-oversize skips a paper":
+        docs["paper2"] = " ".join(["word"] * 3000)
+    manifest_path = tmp_path / "manifest.jsonl"
+    save_manifest(ingest(write_corpus(tmp_path / "src", docs)).manifest, manifest_path)
+    fixtures = tmp_path / "fixtures"
+    for i in range(2):  # paper2 has no reply: its batch fails, or it is never sent
+        write_stub_fixture(fixtures, "annotation", [f"paper{i}"],
+                           batch_output_text([make_record(i, doc_id=f"paper{i}")]))
+    run = tmp_path / "run"
+    annotate = ["annotate", "--config", str(write_config(tmp_path, fixtures)), "--manifest",
+                str(manifest_path), "--out", str(run), "--batch-size", "1"]
+    if lost == "a batch fails for good":
+        assert main(annotate) == 2
+    else:
+        assert main([*annotate, "--context-window", "5000", "--max-output-tokens", "1000",
+                     "--skip-oversize"]) == 0
+    dataset = tmp_path / "data.records.jsonl"
+    assert main(["parse", "--dir", str(run), "--out", str(dataset), "--manifest", str(manifest_path)]) == 0
+    assert main(["stats", "--manifest", str(manifest_path), "--dataset", str(dataset),
+                 "--out", str(tmp_path / "stats")]) == 0
+    assert "Contributing papers: 2 of 2\n" in (tmp_path / "stats" / "report.txt").read_text(encoding="utf-8")
 
 
 def test_annotate_with_an_unreadable_document_fails_only_its_batch(pipeline_dirs, capsys, caplog):

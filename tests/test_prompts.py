@@ -1,11 +1,10 @@
-"""Prompt assembly tests: defaults, templates directories, context assets, golden files."""
+"""Prompt assembly tests: defaults, templates directories, context excerpts, golden files."""
 
 from pathlib import Path
 
 import pytest
 
 from paperlens.prompts import (
-    ContextAsset,
     PromptBundle,
     PromptError,
     PromptKind,
@@ -35,42 +34,67 @@ def test_default_annotation_is_byte_stable():
     assert build_annotation_prompt().text == expected  # second assembly identical
 
 
-def test_empty_asset_adds_nothing(tmp_path):
-    asset_file = tmp_path / "excerpt.txt"
-    asset_file.write_text("", encoding="utf-8")
-    asset = ContextAsset.from_file(asset_file)
-    with_empty = build_annotation_prompt(asset=asset)
+def test_empty_asset_adds_nothing():
+    with_empty = build_annotation_prompt("")
     without = build_annotation_prompt()
     assert "BEGINNING OF CONTEXT EXCERPT" not in with_empty.text
     assert with_empty.estimated_tokens == without.estimated_tokens
     assert with_empty.text == without.text
 
 
-def test_asset_appended_after_instructions(tmp_path):
-    asset_file = tmp_path / "excerpt.txt"
-    asset_file.write_text("Historical overview of the target concept.", encoding="utf-8")
-    asset = ContextAsset.from_file(asset_file, description="a survey excerpt")
-    bundle = build_annotation_prompt(asset=asset)
+@pytest.mark.parametrize("excerpt", ["\n", " \t\n"])
+def test_blank_excerpt_adds_nothing(excerpt):
+    # A whitespace-only excerpt file (`echo > excerpt.txt`) added the intro with nothing after it.
+    assert build_annotation_prompt(excerpt).text == build_annotation_prompt().text
+
+
+def test_asset_appended_after_instructions():
+    bundle = build_annotation_prompt("Historical overview of the target concept.")
     text = bundle.text
-    assert text.endswith("Historical overview of the target concept.")
-    assert "The remainder of the prompt is a survey excerpt." in text
+    assert text.startswith(build_annotation_prompt().text + "\n\nThe remainder of the prompt is an excerpt")
+    assert text.endswith("BEGINNING OF CONTEXT EXCERPT:\n\nHistorical overview of the target concept.")
     assert bundle.estimated_tokens > build_annotation_prompt().estimated_tokens
 
 
-def test_missing_asset_file_is_error(tmp_path):
-    with pytest.raises(PromptError, match=r"cannot read .*nope\.txt"):
-        ContextAsset.from_file(tmp_path / "nope.txt")
+def test_annotation_with_excerpt_is_byte_stable():
+    excerpt = (GOLDEN / "context_excerpt.txt").read_text(encoding="utf-8")
+    expected = (GOLDEN / "annotation_with_excerpt.txt").read_text(encoding="utf-8")
+    assert build_annotation_prompt(excerpt).text == expected
+
+
+ANNOTATION_SECTIONS = ("persona", "phenomena", "proof_types", "instructions")
+
+
+def _annotation_templates(root, **texts):
+    """An annotation templates directory holding ``texts``, else ``[name]``, for each section."""
+    directory = root / "annotation"
+    directory.mkdir()
+    for name in ANNOTATION_SECTIONS:
+        (directory / f"{name}.txt").write_text(texts.get(name, f"[{name}]"), encoding="utf-8")
+    return root
 
 
 def test_templates_dir_override(tmp_path):
-    for name in ("persona", "phenomena", "proof_types", "instructions"):
-        d = tmp_path / "annotation"
-        d.mkdir(exist_ok=True)
-        (d / f"{name}.txt").write_text(f"[{name} replaced]", encoding="utf-8")
-    bundle = build_annotation_prompt(templates_dir=tmp_path)
-    assert bundle.text == (
-        "[persona replaced]\n\n[phenomena replaced]\n\n[proof_types replaced]\n\n[instructions replaced]"
-    )
+    bundle = build_annotation_prompt(templates_dir=_annotation_templates(tmp_path))
+    assert bundle.text == "[persona]\n\n[phenomena]\n\n[proof_types]\n\n[instructions]"
+
+
+def test_templates_dir_context_intro_is_read_only_with_an_excerpt(tmp_path):
+    templates = _annotation_templates(tmp_path)
+    without = build_annotation_prompt(templates_dir=templates).text
+    assert build_annotation_prompt(" \n", templates_dir=templates).text == without
+    with pytest.raises(PromptError, match=r"cannot read .*context_intro\.txt"):
+        build_annotation_prompt("An excerpt.", templates_dir=templates)
+    (templates / "annotation" / "context_intro.txt").write_text("[intro]\n", encoding="utf-8")
+    with_excerpt = build_annotation_prompt("An excerpt.\n", templates_dir=templates).text
+    assert with_excerpt == without + "\n\n[intro]\n\nAn excerpt.\n"
+
+
+@pytest.mark.parametrize("empty", ANNOTATION_SECTIONS)
+def test_empty_section_is_left_out(tmp_path, empty):
+    # An empty phenomena.txt left a doubled blank line in the prompt.
+    bundle = build_annotation_prompt(templates_dir=_annotation_templates(tmp_path, **{empty: ""}))
+    assert bundle.text == "\n\n".join(f"[{name}]" for name in ANNOTATION_SECTIONS if name != empty)
 
 
 def test_templates_dir_missing_section(tmp_path):
@@ -118,31 +142,20 @@ def test_estimated_tokens_monotone_in_payload():
 # --- query -------------------------------------------------------------------
 
 
-def test_query_framing_then_question(tmp_path):
-    ds = tmp_path / "data.records.jsonl"
-    ds.write_text("{}", encoding="utf-8")
-    bundle = build_query_prompt(ds, "find tradeoff cases")
-    text = bundle.text
+def test_query_framing_then_question():
+    bundle = build_query_prompt("find tradeoff cases")
     framing = (GOLDEN / "query_framing.txt").read_text(encoding="utf-8")
-    assert text.startswith(framing)
-    assert text.endswith("find tradeoff cases")
+    assert bundle.text == framing + "\n\nfind tradeoff cases"
     assert bundle.kind is PromptKind.QUERY
-    assert bundle.payload_refs == ("data.records.jsonl",)
 
 
-def test_query_empty_question_is_error(tmp_path):
-    ds = tmp_path / "data.records.jsonl"
-    ds.write_text("{}", encoding="utf-8")
+def test_query_empty_question_is_error():
     with pytest.raises(PromptError, match="non-empty"):
-        build_query_prompt(ds, "   ")
+        build_query_prompt("   ")
 
 
-def test_query_pure(tmp_path):
-    ds = tmp_path / "data.records.jsonl"
-    ds.write_text("{}", encoding="utf-8")
-    a = build_query_prompt(ds, "same question")
-    b = build_query_prompt(ds, "same question")
-    assert a == b
+def test_query_pure():
+    assert build_query_prompt("same question") == build_query_prompt("same question")
 
 
 # --- bundle invariants -------------------------------------------------------

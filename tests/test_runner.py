@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import batch_output_text, make_record, make_stub, synthetic_manifest, traced_peak, write_corpus
 from paperlens.corpus import CorpusManifest, DocumentRef, ingest, load_text
-from paperlens.prompts import ContextAsset, PromptBundle, PromptKind, build_annotation_prompt
+from paperlens.prompts import PromptBundle, PromptKind, build_annotation_prompt, build_query_prompt
 from paperlens.records import DOC_HEADER
 from paperlens.provider import (
     ContextOverflow,
@@ -514,11 +514,7 @@ def test_resume_with_changed_context_asset_reruns_every_batch(tmp_path):
     fixtures = tmp_path / "fixtures"
     _fixtures_for_jobs(fixtures, jobs, lambda j: f"batch {j.index}")
     client = make_stub(fixtures)
-    bundles = []
-    for name in ("first", "second"):
-        asset_path = tmp_path / f"{name}_excerpt.txt"
-        asset_path.write_text(f"The {name} survey excerpt.", encoding="utf-8")
-        bundles.append(build_annotation_prompt(asset=ContextAsset.from_file(asset_path)))
+    bundles = [build_annotation_prompt(f"The {name} survey excerpt.") for name in ("first", "second")]
     run_annotation(jobs, bundles[0], manifest, client, cfg)
 
     cfg_resume = RunnerConfig(batch_size=2, output_dir=str(out), resume=True)
@@ -1359,6 +1355,22 @@ def test_query_returns_answer_and_logs(tmp_path):
 
     run_query(ds, "list tradeoff cases", client)
     assert len(log.read_text().splitlines()) == 2  # append-only
+
+
+def test_query_sends_the_question_then_the_dataset_named_by_its_file(tmp_path):
+    ds = tmp_path / "data.records.jsonl"
+    ds.write_text('{"format": "paperlens-records/1"}\n', encoding="utf-8")
+    fixtures = tmp_path / "fixtures"
+    write_stub_fixture(fixtures, "query", ["data.records.jsonl"], "answer")
+    client = make_stub(fixtures)
+    sent = []
+    complete = client.complete
+    client.complete = lambda request: sent.append(request) or complete(request)
+
+    run_query(ds, "find tradeoff cases", client)
+
+    assert [request.payload_refs for request in sent] == [("data.records.jsonl",)]
+    assert sent[0].text == build_query_prompt("find tradeoff cases").text + "\n\n" + ds.read_text(encoding="utf-8")
 
 
 def test_query_log_lines_have_sorted_keys(tmp_path):
