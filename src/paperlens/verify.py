@@ -2,25 +2,20 @@
 
 Extracted text mangles typography (ligatures, line-break hyphenation, soft
 hyphens, whitespace), so both the quote and the document are pushed through
-the same normalization before matching. A quote scores the best normalized
-edit distance over document windows of 0.8x to 1.2x its length; the score
-and span are exactly those of checking every window, ties going to the
-earliest start and then the shortest window. Bit-parallel edit distance
-(Myers 1999) and semi-global passes (Sellers 1980) over the reversed quote
-and document, which bound what each window start can reach, keep that
-affordable on long documents. The passes that reward each spanned
-character take their minimum over skipped document characters within the
-longest window's length, by a log-step scan of elementwise minima (Hillis
-& Steele 1986).
-Mathematical notation inside a quote is treated as a flexible gap because
-extraction renders formulas unpredictably.
+the same normalization before matching. A quote scores 1 - k / |quote|,
+where k is the least edit distance between the quote and any substring of
+the document: Sellers' semi-global distance (1980), computed in one
+bit-parallel pass (Myers 1999) over the document.
+Mathematical notation inside a quote, and an ellipsis, stand for a bounded
+gap: they split the quote into literals, placed in order with one pass per
+literal, because extraction renders formulas unpredictably and an ellipsis
+leaves text out.
 """
 
 from __future__ import annotations
 
 import functools
 import logging
-import math
 import os
 import re
 import time
@@ -58,13 +53,16 @@ _SOFT_HYPHEN = "\u00ad"
 # hyphen then whitespace, so the "-" pass neither makes nor breaks a "\u00ad" one.
 _DEHYPHEN_RES = tuple(re.compile(rf"{h}(?<=\w{h})[ \t]*\r?\n\s*(?=\w)") for h in ("-", _SOFT_HYPHEN))
 
-# Inline math spans as they appear in model-reported quotes.
-_MATH_SPAN_RE = re.compile(r"\$\$.+?\$\$|\$[^$\n]+\$|\\\(.+?\\\)|\\\[.+?\\\]", re.DOTALL)
+# What splits a quote into literals: inline math spans as they appear in
+# model-reported quotes, and ellipses that mark left-out text (NFKC turns
+# U+2026 into "...").
+_GAP_RE = re.compile(r"\$\$.+?\$\$|\$[^$\n]+\$|\\\(.+?\\\)|\\\[.+?\\\]|(?P<ellipsis>\.\.\.)", re.DOTALL)
 
-# A math span may match a document stretch up to this multiple of its length.
+# A math span may stand for up to this multiple of its length, plus 8,
+# document characters.
 _MATH_GAP_FACTOR = 3
-# Literal fragments shorter than this carry no evidence and are skipped.
-_MIN_SEGMENT_CHARS = 4
+# An ellipsis may stand for up to this many document characters.
+_ELLIPSIS_GAP = 2000
 
 
 def normalize(text: str) -> str:
@@ -136,10 +134,9 @@ class _NormalizedDoc(str):
 
     ``best_match`` wraps a raw document once; ``verify_dataset`` wraps each
     source document once and passes it to ``best_match`` for each of the
-    document's quotes, which then does not normalize it again. Every
-    segment of a quote is matched on a range of it, by offsets, never on a
-    slice. Its code points are encoded on the first match that is not an
-    exact substring and kept for the document's later quotes; both go when
+    document's quotes, which then does not normalize it again. Its code
+    points are encoded on the first match that is not an exact substring
+    and kept for the document's later quotes; both go when
     ``verify_dataset`` drops the document after its last quote.
     """
 
@@ -165,28 +162,9 @@ class VerificationResult:
             raise ValueError("span fields must be present exactly when matched")
 
 
-def _bitmask(flags: np.ndarray) -> int:
-    """The int whose bit t is set exactly where ``flags[t]`` is true."""
-    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
-
-
-def _occurrences(codes: np.ndarray, c: int) -> np.ndarray:
-    """The positions where ``codes`` holds c, in no set order.
-
-    Compared in reverse and mapped back: the matcher passes reversed views
-    (``_StartBounds``), so numpy's loops run in memory order, several times faster.
-    """
-    return len(codes) - 1 - np.flatnonzero(codes[::-1] == c)
-
-
-def _occurrence_mask(codes: np.ndarray, c: int) -> int:
-    """The int whose bit t is set exactly where ``codes[t] == c``.
-
-    ``codes`` is compared in reverse and packed most significant bit
-    first, as ``_occurrences`` does.
-    """
-    packed = np.packbits(codes[::-1] == c, bitorder="big").tobytes()
-    return int.from_bytes(packed, "big") >> (-len(codes) % 8)
+def _occurrence_mask(values: np.ndarray, c: int) -> int:
+    """The int whose bit t is set exactly where ``values[t] == c``."""
+    return int.from_bytes(np.packbits(values == c, bitorder="little").tobytes(), "little")
 
 
 def _bits(x: int, count: int) -> np.ndarray:
@@ -195,7 +173,7 @@ def _bits(x: int, count: int) -> np.ndarray:
     return np.unpackbits(raw, count=count, bitorder="little").view(np.int8)
 
 
-def _edit_rows(quote: str, eq: dict[int, int], count: int, pv: int, carry: int, mask: int) -> np.ndarray:
+def _edit_rows(quote: str, eq: dict[int, int], count: int, pv: int, mv: int) -> np.ndarray:
     """Bit-parallel edit-distance DP (Myers, J. ACM 46(3), 1999) of ``quote``
     against a text of ``count`` positions, one quote character per step, one
     bit per text position.
@@ -203,15 +181,14 @@ def _edit_rows(quote: str, eq: dict[int, int], count: int, pv: int, carry: int, 
     Bit t of ``eq[c]`` is set where text position t holds code point c; a
     position set in no mask matches nothing. Row i of the table holds, at
     column t + 1, the cost of aligning ``quote[:i]`` with text ending at
-    position t. The bits of ``pv`` (and of the internal ``mv``) mark the
-    columns where a row rises (falls) by one from the previous column;
-    ``pv`` on entry describes row 0. Bits of ``carry`` mark the columns
-    whose left neighbour is a column-0 cell, which rises by one per quote
-    character; ``mask`` covers every column in use. Returns the last row's
-    steps, +1, 0 or -1 per text position. ``eq`` is emptied before the steps
-    are unpacked, so its masks are not held beside them.
+    position t; column 0 rises by one per quote character. The bits of
+    ``pv`` (``mv``) mark the columns where a row rises (falls) by one from
+    the previous column; on entry they describe row 0, which may be any row
+    whose steps are +1, 0 or -1. Returns the last row's steps, +1, 0 or -1
+    per text position. ``eq`` is emptied before the steps are unpacked, so
+    its masks are not held beside them.
     """
-    mv = 0
+    mask = (1 << count) - 1
     for ch in quote:
         e = eq[ord(ch)]
         xv = e | mv
@@ -220,7 +197,7 @@ def _edit_rows(quote: str, eq: dict[int, int], count: int, pv: int, carry: int, 
         # operations on negative ints are several times slower.
         ph = mv | (mask ^ (xh | pv))
         mh = ((pv & xh) << 1) & mask
-        ph = ((ph << 1) | carry) & mask
+        ph = ((ph << 1) | 1) & mask
         pv = mh | (mask ^ (xv | ph))
         mv = ph & xv
     eq.clear()
@@ -229,485 +206,146 @@ def _edit_rows(quote: str, eq: dict[int, int], count: int, pv: int, carry: int, 
     return steps
 
 
-def _best_end_distances(quote: str, codes: np.ndarray) -> np.ndarray:
-    """``D[e] = min_s editdistance(quote, doc[s:e])`` for ``e`` in ``0..len(doc)``.
-
-    Sellers' semi-global distance (J. Algorithms 1(4), 1980): row 0 is all
-    zeros, so an alignment may start anywhere in the document.
+def _last_row(literal: str, codes: np.ndarray, pv: int, mv: int, first: int) -> np.ndarray:
+    """``dist[e] = min_s row0[s] + editdistance(literal, doc[s:e])`` for ``e``
+    in ``0..len(doc)``, where row 0 starts at ``first`` and steps as ``pv``
+    and ``mv`` say (see ``_edit_rows``). With row 0 all zeros this is
+    Sellers' semi-global distance (J. Algorithms 1(4), 1980).
     """
-    eq = {c: _occurrence_mask(codes, c) for c in set(map(ord, quote))}
-    steps = _edit_rows(quote, eq, len(codes), 0, 1, (1 << len(codes)) - 1)
+    eq = {c: _occurrence_mask(codes, c) for c in set(map(ord, literal))}
+    steps = _edit_rows(literal, eq, len(codes), pv, mv)
     dist = np.empty(len(codes) + 1, dtype=np.int32)
-    dist[0] = len(quote)
+    dist[0] = first + len(literal)
     dist[1:] = steps
     del steps
     # In place: a cumsum that casts the int8 steps would make an int32 copy.
     return np.cumsum(dist, out=dist)
 
 
-def _rewarded_end_costs(quote: str, codes: np.ndarray, num: int, den: int, max_len: int) -> np.ndarray:
-    """A lower bound, for every end ``e``, on ``den * [editdistance(quote, w) - (num/den) * |w|]``
-    over the windows ``w = doc[s:e]`` with ``|w| <= max_len``.
+def _window_min(values: np.ndarray, width: int) -> None:
+    """In place, ``values[e] = min(values[max(0, e - width + 1) : e + 1])``.
 
-    Sellers' pass where each document character a window spans earns
-    ``num/den``; scaling by ``den`` keeps the arithmetic in integers. Row i
-    is stored as its cost minus ``den - num`` per column and minus
-    ``i * den``, which makes the vertical moves (quote characters left out)
-    free and the horizontal moves (document characters left out) a minimum
-    over the row to the left.
-
-    That minimum reaches back a bounded number of columns, not the whole
-    row: a log-step prefix scan (Hillis & Steele, CACM 29(12), 1986) with
-    shifts 1, 2, 4, ..., ``2**k``, the largest power of two no greater than
-    ``min(max_len, n)``, reaches back ``2**(k+1) - 1`` columns, at least
-    ``max_len`` or the whole row, in k + 1 elementwise minima. No run of
-    characters left out of a window of at most ``max_len`` characters is
-    longer, so every alignment with such a window is still a path of the
-    pass, and the value at ``e`` is at most its cost. Only alignments with
-    longer windows can be lost, so each value is at least the plain running
-    minimum's, and equal to it when the reach spans the whole row. Every
-    value the pass computes is the cost of a path, so it lies in
-    ``[-den * (n + m), 0]``, which picks the dtype.
-
-    The pass holds two rows, the second returned as the costs, and the
-    int32 positions of the quote's characters in the document, each
-    character's widened to intp only for the row that reads it: up to 12
-    bytes per document character when the rows are int32.
+    Each step takes the minimum with the value ``step`` places before, so
+    the run of values each entry covers grows to up to twice its length
+    (Hillis & Steele, CACM 29(12), 1986), ceil(log2 width) steps in all.
+    numpy copies the overlapping operand, 4 bytes per entry.
     """
-    n, m = len(codes), len(quote)
-    dtype = np.int32 if den * (n + m) < 2**31 else np.int64
-    shifts = [1 << k for k in range(max(1, min(max_len, n)).bit_length())]
-    # Column e lives at index pad + e of two buffers that take turns as
-    # input and output. The pad holds the dtype's maximum, which no minimum
-    # picks, so each shift is one ufunc call over whole buffers.
-    pad = shifts[-1]
-    found = {}
-    for ch in set(quote):
-        found[ch] = _occurrences(codes, ord(ch)).astype(np.int32)
-        found[ch] += pad + 1
-    prev = np.full(pad + n + 1, np.iinfo(dtype).max, dtype=dtype)
-    cur = prev.copy()
-    _ramp(prev[pad:], 0, num - den)
-    cur[pad] = 0
-    for ch in quote:
-        # Stored, a diagonal move earns den, and den more on a match; a
-        # vertical move keeps the value above.
-        np.subtract(prev[pad:-1], den, out=cur[pad + 1 :])
-        cur[found[ch].astype(np.intp)] -= den
-        np.minimum(cur[pad:], prev[pad:], out=cur[pad:])
-        for s in shifts:
-            np.minimum(cur[s:], cur[:-s], out=prev[s:])
-            prev, cur = cur, prev
-        prev, cur = cur, prev
-    costs = _ramp(cur[pad:], m * den, den - num)
-    costs += prev[pad:]
-    return costs
+    width = min(width, len(values))
+    covered = 1
+    while covered < width:
+        step = min(covered, width - covered)
+        np.minimum(values[step:], values[:-step], out=values[step:])
+        covered += step
 
 
-def _ramp(out: np.ndarray, first: int, step: int) -> np.ndarray:
-    """Fill ``out`` with ``first + step * e`` at index ``e``, in place, and return it.
+def _chain(literals: list[str], gaps: list[int], codes: np.ndarray, anchored: bool = False) -> np.ndarray:
+    """``dist[e]``: the least summed edit distance over in-order placements
+    of ``literals`` in ``codes``, the last one ending at ``e``.
 
-    A running sum of integers, so each value is exact wherever ``out``'s
-    dtype holds every partial sum.
+    A placement of a literal is a substring ``doc[s:e]``, scored by
+    ``editdistance(literal, doc[s:e])``; the placement of literal i + 1
+    starts 0 to ``gaps[i]`` characters after literal i ends. The first
+    starts anywhere, or, when ``anchored``, at 0.
+
+    One pass per literal: row 0 of each pass is the previous pass's last
+    row after ``_window_min`` over the gap, the least total of a placement
+    that leaves room for the literal to start at each column. That is a
+    minimum over a window of a row whose steps are +1, 0 or -1, so its
+    steps are too, and it fits the pass's encoding. Peak memory beside the
+    text's code points is about 8 bytes per character, in ``_window_min``.
     """
-    out.fill(step)
-    out[0] = first
-    return np.cumsum(out, dtype=out.dtype, out=out)
+    n = len(codes)
+    dist = _last_row(literals[0], codes, (1 << n) - 1 if anchored else 0, 0, 0)
+    for literal, gap in zip(literals[1:], gaps):
+        _window_min(dist, gap + 1)
+        steps = np.empty(n, dtype=np.int8)
+        np.subtract(dist[1:], dist[:-1], out=steps, casting="unsafe")
+        first = int(dist[0])
+        del dist
+        pv, mv = _occurrence_mask(steps, 1), _occurrence_mask(steps, -1)
+        del steps
+        dist = _last_row(literal, codes, pv, mv, first)
+    return dist
 
 
-def _window_scores(
-    quote: str,
-    doc_codes: np.ndarray,
-    starts: np.ndarray,
-    min_len: int,
-    max_len: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Best normalized similarity at each window start.
+def _segments(quote: str) -> tuple[list[str], list[int]]:
+    """The literals of a normalized quote and the gap budget between each pair.
 
-    For each start s, computes edit distances of the quote against every
-    prefix d[s:s+j] and returns the best similarity
-    1 - dist/max(|quote|, j) over window lengths j in [min_len, max_len],
-    along with the shortest window length that achieves it. All starts run
-    through one bit-parallel DP, each in its own slot of ``width + 1`` bits;
-    the spare top bit of each slot is never set, so the DP's additions
-    cannot carry from one window into the next.
-
-    Each quote character's mask is gathered from a sliding-window view of
-    one bool buffer over the stretch of the document the starts cover,
-    which marks where the character occurs and is False past the
-    document's end, so no copy of the code points is made. A call holds
-    that buffer, 1 byte per covered document character, and per packed
-    bit the masks (about 1/7.5 byte per distinct quote character), then
-    the DP's int8 steps and the distances (int16, or int32 for quotes of
-    about 15,000 characters or more). Windows are gathered ``_GATHER_BITS``
-    bits at a time and similarities made a band of columns at a time, so
-    neither step holds more than about 1 byte per bit. With a 600-character
-    quote of 21 distinct characters the peak is 4.4 bytes per bit. Each
-    array is released once read.
+    Math spans and ellipses split the quote; each piece of text between
+    them, stripped of spaces, is a literal unless it is empty. The budget
+    between two literals adds up those of the spans and ellipses between
+    them: ``_MATH_GAP_FACTOR * len(span) + 8`` for a math span,
+    ``_ELLIPSIS_GAP`` for an ellipsis. Those before the first literal or
+    after the last bound nothing.
     """
-    m = len(quote)
-    n = len(doc_codes)
-    width = min(max_len, n)
-    n_starts = len(starts)
-    count = n_starts * (width + 1)
-
-    slot = np.ones(width + 1, dtype=bool)
-    slot[width] = False
-    first = np.zeros(width + 1, dtype=bool)
-    first[0] = True
-    mask = _bitmask(np.tile(slot, n_starts))
-    carry = _bitmask(np.tile(first, n_starts))
-
-    lo = int(starts.min())
-    offsets = starts - lo
-    covered = doc_codes[lo : int(starts.max()) + width]
-    hits = np.zeros(int(starts.max()) - lo + width + 1, dtype=bool)
-    windows = np.lib.stride_tricks.sliding_window_view(hits, width + 1)
-    # Rows gathered at a time, a multiple of 8 so that each fills whole bytes.
-    step = max(8, _GATHER_BITS // (width + 1) // 8 * 8)
-    eq = {}
-    for c in set(map(ord, quote)):
-        np.equal(covered, c, out=hits[: len(covered)])
-        packed = []
-        for i in range(0, n_starts, step):
-            gathered = windows[offsets[i : i + step]]
-            gathered[:, width] = False
-            packed.append(np.packbits(gathered, bitorder="little").tobytes())
-        eq[c] = int.from_bytes(b"".join(packed), "little")
-    del covered, hits, windows, gathered, packed
-    steps = _edit_rows(quote, eq, count, mask, carry, mask)
-
-    # Distances reach at most m + width.
-    dist = np.empty((n_starts, width + 1), dtype=np.int16 if m + width < 2**15 else np.int32)
-    dist[:, 0] = m
-    dist[:, 1:] = steps.reshape(n_starts, width + 1)[:, :width]
-    del steps
-    np.cumsum(dist, axis=1, out=dist)
-
-    # Window lengths outside [min_len, max_len] or past the document end
-    # are skipped; when the remaining document is shorter than min_len the
-    # longest available prefix is still allowed. A band of columns at a
-    # time, a later one replacing the best only where it is strictly
-    # better, takes the first best column, as an argmax over all would.
-    remaining = (n - starts).reshape(-1, 1)
-    shortest = np.minimum(min_len, remaining)
-    best_sim = np.full(n_starts, -1.0)
-    best_j = np.zeros(n_starts, dtype=np.intp)
-    rows = np.arange(n_starts)
-    # A band's float64 similarities take about 1 byte per packed bit, or
-    # _GATHER_BITS bytes when there are few starts.
-    band = max(1, (width + 1) // 8, _GATHER_BITS // 8 // n_starts)
-    for a in range(max(1, int(shortest.min())), width + 1, band):
-        lengths = np.arange(a, min(a + band, width + 1), dtype=np.int64)
-        sims = dist[:, a : a + band].astype(np.float64)
-        np.divide(sims, np.maximum(m, lengths), out=sims)
-        np.subtract(1.0, sims, out=sims)
-        sims[(lengths < shortest) | (lengths > remaining)] = -1.0
-        j = np.argmax(sims, axis=1)
-        top = sims[rows, j]
-        better = top > best_sim
-        best_sim[better] = top[better]
-        best_j[better] = j[better] + a
-    return best_sim, best_j
-
-
-def _rounded_up(x: np.ndarray) -> np.ndarray:
-    """``x`` as float32, each value no smaller than the one it stands for."""
-    out = x.astype(np.float32)
-    return np.nextafter(out, np.float32(np.inf), out=out)
-
-
-def _f32_below(x: float) -> np.float32:
-    """The largest float32 no greater than ``x``."""
-    out = np.float32(x)
-    return out if float(out) <= x else np.nextafter(out, np.float32(-np.inf))
-
-
-#: Bits of windows ``_window_scores`` gathers into one bool array at once.
-_GATHER_BITS = 1 << 16
-#: Starts whose bounds one step of a scan over every start reads at once.
-_CHUNK = 1 << 13
-
-
-def _chunks(count: int) -> list[slice]:
-    """Slices of at most ``_CHUNK`` that cover ``range(count)`` in order."""
-    return [slice(lo, min(lo + _CHUNK, count)) for lo in range(0, count, _CHUNK)]
-
-
-class _StartBounds:
-    """Upper bounds on the similarity of every window starting at each position.
-
-    Built from semi-global passes over the reversed quote and document, the
-    document read through a reversed view, in which a window starting at s
-    is one ending at len(doc) - s. ``short`` bounds from below the edit
-    distance of every window, which bounds the similarity of windows no
-    longer than the quote (whose score divides by |quote|); ``long`` bounds
-    the similarity of longer windows directly. Both are kept in start
-    order, for starts 0 .. len(doc) - min_len.
-
-    Edit distances are integers, so ``short`` holds each bound rounded up to
-    one, as int32; ``long`` holds each bound rounded up to a float32. That
-    is 8 bytes per document character. Float64 bounds are made only a chunk
-    of ``_CHUNK`` starts at a time, or for the starts ``bound`` is asked for.
-    While ``reward`` runs, the pass (``_rewarded_end_costs``) adds up to 12
-    bytes per document character; its costs are turned into bounds a chunk
-    at a time.
-    """
-
-    def __init__(self, quote: str, codes: np.ndarray, min_len: int, max_len: int) -> None:
-        self.quote, self.codes = quote[::-1], codes[::-1]
-        self.m, self.min_len, self.max_len = len(quote), min_len, max_len
-        # Index e of a pass over the reversed document is start len(doc) - e.
-        self.short = _best_end_distances(self.quote, self.codes)[::-1][: len(codes) - min_len + 1].copy()
-        # A window of length j > |q| has distance >= max(D, j - |q|), so its
-        # similarity 1 - max(D, j - |q|)/j peaks where those two meet. That
-        # depends on D alone, which the empty window holds to at most |q|.
-        dist = np.arange(self.m + 1, dtype=np.float64)
-        j = np.clip(self.m + dist, self.m + 1, max_len)
-        self.long = _rounded_up(1.0 - np.maximum(dist, j - self.m) / j)[self.short]
-
-    def reward(self, num: int, den: int) -> None:
-        """Tighten with the pass rewarding each spanned character by r = num/den.
-
-        Every window of length j <= max_len has distance >= G + r*j, where G
-        is that pass's value: so short windows have distance >= G + r*min_len,
-        and long windows similarity <= 1 - r - G/j. The pass drops only the
-        alignments of windows longer than max_len, which no start is scored
-        on, so G is at least the value over all windows: the bounds stay
-        valid and only fall.
-        """
-        costs = _rewarded_end_costs(self.quote, self.codes, num, den, self.max_len)[::-1]
-        for part in _chunks(len(self.short)):
-            g = costs[part]  # den * G
-            # The distance bound (den*G + num*min_len) / den, rounded up.
-            np.maximum(self.short[part], -((-num * self.min_len - g) // den), out=self.short[part])
-            # -G/j is largest at the longest window if G >= 0, else the shortest.
-            j = np.where(g >= 0, self.max_len, self.m + 1)
-            np.minimum(self.long[part], _rounded_up(1.0 - num / den - g / (den * j)), out=self.long[part])
-
-    def bound(self, starts: slice | np.ndarray = slice(None)) -> np.ndarray:
-        """The float64 bound at ``starts``, every start by default."""
-        by_start = self.short[starts] / self.m
-        np.subtract(1.0, by_start, out=by_start)
-        return np.maximum(by_start, self.long[starts], out=by_start)
-
-    def live(self, part: slice, sim: float) -> np.ndarray:
-        """Whether the bound at each start of ``part`` is at least ``sim - _TOL``,
-        read from the stored bounds without making the float64 one."""
-        alive = self.short[part] <= math.floor((1.0 - sim + _TOL) * self.m)
-        alive |= self.long[part] >= _f32_below(sim - _TOL)
-        return alive
-
-
-#: Starts scored first, highest bound first. The probe round scores every
-#: start of a range with no more starts than this, and no rewarded pass runs.
-_PROBE_STARTS = 32
-#: Upper limit on the bits one ``_window_scores`` call packs.
-_BLOCK_BITS = 1 << 18
-#: A rewarded pass runs only while more than this many times
-#: len(doc) / max_len starts are left to score. On a 20k-character document
-#: one pass costs as much as scoring 4 (100-character quote) to 8 (600)
-#: times that many starts, but it also prunes every later round: 1 and 2
-#: choose the same passes on the benchmark's fixed inputs and on two
-#: quote-audit corpora, and 3 or 4 skip a pass there only to score 2.6x
-#: the starts in no less time (Python 3.11, numpy 2.4, 2 vCPUs).
-_PASS_COST = 2
-#: Slack for float rounding when a bound is compared with a similarity.
-_TOL = 1e-9
-
-
-def _match_pruned(quote: str, codes: np.ndarray, min_len: int, max_len: int) -> tuple[float, int, int]:
-    """The exact best window, scoring only starts whose bound can still win.
-
-    Each start's bound comes from ``_StartBounds`` alone. A start is scored
-    only while that bound is at least the best similarity found so far, so
-    the first-best start of a full scan is always among those scored.
-
-    Besides ``_StartBounds``, a call holds one bool per start for the
-    starts scored; the best (similarity, start, length) is kept as each
-    block's scores arrive. The starts to score next, the highest bounds
-    first, are picked a chunk of ``_CHUNK`` starts at a time, from the
-    stored bounds, so a call on a long document peaks in a rewarded pass:
-    8 bytes of bounds, 1 of ``pending`` and 12 of the pass per document
-    character, measured at 22.8 with a 600-character quote.
-    """
-    m, n = len(quote), len(codes)
-    bounds = _StartBounds(quote, codes, min_len, max_len)
-    pending = np.ones(len(bounds.short), dtype=bool)
-    chunks = _chunks(len(pending))
-    best = (-1.0, 0, 0)  # similarity, start, window length
-
-    def score(live: np.ndarray) -> None:
-        nonlocal best
-        live = np.sort(live)
-        sims, lens = _window_scores(quote, codes, live, min_len, max_len)
-        pending[live] = False
-        k = int(np.argmax(sims))
-        # Ties go to the earliest start, as an argmax over every start would.
-        if sims[k] > best[0] or (sims[k] == best[0] and live[k] < best[1]):
-            best = float(sims[k]), int(live[k]), int(lens[k])
-
-    def candidates(part: slice) -> np.ndarray:
-        """Whether each start of ``part`` is still to score and can still reach the best."""
-        alive = bounds.live(part, best[0])
-        alive &= pending[part]
-        return alive
-
-    def pick(limit: int) -> np.ndarray:
-        """The candidate starts, or the ``limit`` of them with the highest bounds."""
-        picked = np.empty(0, dtype=np.intp)
-        for part in chunks:
-            picked = np.concatenate((picked, np.flatnonzero(candidates(part)) + part.start))
-            if len(picked) > limit:
-                picked = picked[np.argpartition(-bounds.bound(picked), limit - 1)[:limit]]
-        return picked
-
-    score(pick(_PROBE_STARTS))
-    block = max(1, _BLOCK_BITS // (min(max_len, n) + 1))
-    pass_starts = _PASS_COST * n // max_len
-    # One rewarded pass per fall of the reward. The reward falls only when
-    # the best rises, so the passes end.
-    reward = 2.0
-    while count := sum(int(np.count_nonzero(candidates(part))) for part in chunks):
-        if count > pass_starts:
-            # Reward each spanned character by exactly 1 - best: a window
-            # longer than the quote can beat the best only where that pass
-            # is negative.
-            sim, _, length = best
-            den = max(m, length)
-            num = round((1.0 - sim) * den)
-            if num / den < reward:
-                reward = num / den
-                bounds.reward(num, den)
-                continue
-        score(pick(block))
-
-    sim, s, length = best
-    return sim, s, s + length
-
-
-def _match_literal(quote: str, doc: _NormalizedDoc, lo: int = 0, hi: int | None = None) -> tuple[float, int, int]:
-    """Best window match of a literal (math-free) quote in ``doc[lo:hi]``.
-
-    Returns (similarity, span_start, span_end), offsets into ``doc``:
-    exactly what scoring every window of 0.8x to 1.2x the quote length at
-    every start of the range would return, ties going to the earliest start
-    and then the shortest window. Windows shorter than 0.8x count only when
-    the whole range is that short. Every range without an exact occurrence
-    is searched by ``_match_pruned``.
-    """
-    hi = len(doc) if hi is None else hi
-    if lo == hi:
-        return 0.0, lo, lo
-    idx = doc.find(quote, lo, hi)
-    if idx >= 0:
-        return 1.0, idx, idx + len(quote)
-
-    m = len(quote)
-    min_len = max(1, math.floor(0.8 * m))
-    max_len = max(1, math.ceil(1.2 * m))
-    codes = doc.codes[lo:hi]
-    # A range shorter than min_len has one start, scored over its whole length.
-    sim, start, end = _match_pruned(quote, codes, min(min_len, len(codes)), max_len)
-    return sim, lo + start, lo + end
-
-
-def _split_math(quote: str) -> list[tuple[str, int]]:
-    """Split a quote into literal segments with the math-gap budget after each.
-
-    Returns [(literal, gap_after), ...] where gap_after is the length of the
-    math span following the literal (0 after the last segment).
-    """
-    parts: list[tuple[str, int]] = []
-    pos = 0
-    for m in _MATH_SPAN_RE.finditer(quote):
-        parts.append((quote[pos : m.start()].strip(), m.end() - m.start()))
-        pos = m.end()
-    parts.append((quote[pos:].strip(), 0))
-    return parts
+    literals: list[str] = []
+    gaps: list[int] = []
+    budget = pos = 0
+    for m in [*_GAP_RE.finditer(quote), None]:
+        literal = quote[pos : m.start() if m else None].strip()
+        if literal:
+            if literals:
+                gaps.append(budget)
+            literals.append(literal)
+            budget = 0
+        if m:
+            budget += _ELLIPSIS_GAP if m["ellipsis"] else _MATH_GAP_FACTOR * len(m[0]) + 8
+            pos = m.end()
+    return literals, gaps
 
 
 def best_match(quote: str, doc_text: str, threshold: float = 0.85) -> VerificationResult:
     """Find the closest occurrence of a quote in a document.
 
     Both inputs are normalized first; a ``_NormalizedDoc`` is taken as it
-    is, and raw text is wrapped in one once. An exact substring scores 1.0.
-    Otherwise the similarity is the best over windows of
-    floor(0.8 |q|) to ceil(1.2 |q|) characters of the document:
-    1 - edit_distance / max(window length, quote length). It is exact:
-    the value a check of every window at every start gives. Among equally
-    good windows the span is the earliest-starting, then the shortest.
-    Shorter windows count only when the whole document is shorter than
-    floor(0.8 |q|); it is then scored as one window.
+    is, and raw text is wrapped in one once. The similarity is
+    1 - k / |q|, where k is the least edit distance between the quote q
+    and any substring of the document (Sellers' semi-global distance; an
+    exact substring scores 1.0).
 
-    A quote containing inline math is scored by a procedure, not a
-    definition. Its math spans split it into literals; one shorter than
-    ``_MIN_SEGMENT_CHARS`` adds its length to the gap before it. The
-    longest literal, the earliest on ties, is matched on the whole
-    document by the rule above; each other one, walking forward from it
-    and then backward, on the range reaching ``_MATH_GAP_FACTOR * gap + 8
-    + ceil(1.2 |literal|)`` characters from the previous match. The
-    similarity is the length-weighted mean, and the span runs from the
-    first to the last literal that scored above 0.
+    Inline math spans (``$...$``, ``$$...$$``, ``\\(...\\)``,
+    ``\\[...\\]``) and ellipses (``...``) split the quote into literals,
+    each stripped of spaces; empty ones are dropped. Each literal is placed
+    on its own substring of the document, in order: the next one starts 0
+    to ``3 * len(span) + 8`` characters after the previous one ends across
+    a math span, and 0 to ``_ELLIPSIS_GAP`` (2,000) across an ellipsis;
+    budgets add up across several with no literal between them, and spans
+    before the first literal or after the last bound nothing. The
+    similarity is 1 - (summed distance) / (summed literal length) over the
+    best such placement. With no literal left it is 0.0.
 
-    Span offsets refer to the normalized document text.
+    The span runs from the first literal's start to the last one's end, in
+    the normalized document text: it ends at the earliest end of any best
+    placement, and starts at the latest start of a best placement ending
+    there. It is found by running the chain of ``_chain`` once more, over
+    the reversed literals on the reversed text before that end, anchored at
+    it.
     """
     if not quote:
         raise ValueError("quote must be non-empty")
     if not 0 < threshold <= 1:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
 
-    q = normalize(quote)
     d = doc_text if isinstance(doc_text, _NormalizedDoc) else _NormalizedDoc(normalize(doc_text))
-    if not q:
+    literals, gaps = _segments(normalize(quote))
+    if not literals:
         return VerificationResult(matched=False, similarity=0.0, threshold_used=threshold)
+    if len(literals) == 1 and (start := d.find(literals[0])) >= 0:
+        return VerificationResult(matched=True, similarity=1.0, threshold_used=threshold,
+                                  span_start=start, span_end=start + len(literals[0]))
 
-    segments = _split_math(q)
-    if len(segments) == 1:
-        return _result(*_match_literal(q, d), threshold)
-
-    # Fragments too short to carry evidence are folded into the preceding
-    # segment's gap budget rather than matched on their own.
-    usable: list[list] = []
-    for lit, gap in segments:
-        if len(lit) >= _MIN_SEGMENT_CHARS:
-            usable.append([lit, gap])
-        elif usable:
-            usable[-1][1] += len(lit) + gap
-    if not usable:
-        return VerificationResult(matched=False, similarity=0.0, threshold_used=threshold)
-
-    anchor = max(range(len(usable)), key=lambda i: len(usable[i][0]))
-    lit = usable[anchor][0]
-    sim, *span = _match_literal(lit, d)
-    weighted, total = sim * len(lit), len(lit)
-    # Walk forward from the anchor, then backward. Each literal is matched
-    # within reach of the span's edge on its side, across the gap between
-    # it and its neighbour towards the anchor; a match above 0 moves that edge.
-    for step, side in ((1, 1), (-1, 0)):
-        for i in range(anchor + step, len(usable) if step > 0 else -1, step):
-            lit, gap = usable[i][0], usable[min(i, i - step)][1]
-            reach = _MATH_GAP_FACTOR * gap + 8 + math.ceil(1.2 * len(lit))
-            lo, hi = sorted((span[side], span[side] + step * reach))
-            sim, *found = _match_literal(lit, d, max(lo, 0), min(hi, len(d)))
-            weighted += sim * len(lit)
-            total += len(lit)
-            if sim > 0:
-                span[side] = found[side]
-
-    return _result(weighted / total, *span, threshold)
-
-
-def _result(sim: float, start: int, end: int, threshold: float) -> VerificationResult:
-    sim = max(0.0, min(1.0, sim))
-    matched = sim >= threshold
-    return VerificationResult(
-        matched=matched,
-        similarity=sim,
-        threshold_used=threshold,
-        span_start=start if matched else None,
-        span_end=end if matched else None,
-    )
+    dist = _chain(literals, gaps, d.codes)
+    end = int(np.argmin(dist))
+    k = int(dist[end])
+    total = sum(map(len, literals))
+    sim = 1.0 - k / total
+    if sim < threshold:
+        return VerificationResult(matched=False, similarity=sim, threshold_used=threshold)
+    # A placement is at most its literal's length plus its distance long.
+    lo = max(0, end - total - k - sum(gaps))
+    back = _chain([lit[::-1] for lit in reversed(literals)], gaps[::-1], d.codes[lo:end][::-1], anchored=True)
+    return VerificationResult(matched=True, similarity=sim, threshold_used=threshold,
+                              span_start=end - int(np.argmin(back)), span_end=end)
 
 
 #: Width of the band below the threshold flagged for human review.
