@@ -9,7 +9,8 @@ bit-parallel pass (Myers 1999) over the document.
 Mathematical notation inside a quote, and an ellipsis, stand for a bounded
 gap: they split the quote into literals, placed in order with one pass per
 literal, because extraction renders formulas unpredictably and an ellipsis
-leaves text out.
+leaves text out. A quote whose literals all occur verbatim, in order and
+within their gaps, scores 1.0 and is placed with ``str.find`` alone.
 """
 
 from __future__ import annotations
@@ -135,8 +136,8 @@ class _NormalizedDoc(str):
     ``best_match`` wraps a raw document once; ``verify_dataset`` wraps each
     source document once and passes it to ``best_match`` for each of the
     document's quotes, which then does not normalize it again. Its code
-    points are encoded on the first match that is not an exact substring
-    and kept for the document's later quotes; both go when
+    points are encoded on the first quote with no exact chain (see
+    ``_exact_span``) and kept for the document's later quotes; both go when
     ``verify_dataset`` drops the document after its last quote.
     """
 
@@ -294,6 +295,77 @@ def _segments(quote: str) -> tuple[list[str], list[int]]:
     return literals, gaps
 
 
+def _exact_chain(text: str, literals: list[str], gaps: list[int], last_start: int,
+                 tries: int) -> tuple[int, int] | None:
+    """(start, end) of the exact chain of ``literals`` in ``text`` that ends
+    first, among those whose first literal starts at or before
+    ``last_start``; None if there is none, or if ``tries`` calls of
+    ``str.find`` did not settle it.
+
+    An exact chain places each literal verbatim, ``text[p : p + len]``, and
+    each next one 0 to its gap after the previous one ends. A placement of
+    literal i completes if some exact chain of ``literals[i:]`` starts with
+    it; write E_i(p) for the earliest end of those chains. E_i never
+    decreases as p moves right over the placements that complete. For the
+    last literal E_i(p) is p + len. For an earlier one, if E_{i+1} never
+    decreases, E_i(p) is E_{i+1} at the first completing placement of
+    literal i + 1 in p's window, and that placement never moves left as p
+    moves right: a later window starts later, and what it holds past the
+    earlier window's end lies past everything in that window. So the
+    earliest end is reached from the first placement of literal 0 that
+    completes, taking at each level the first completing successor; that
+    is the chain returned, with its first literal's start.
+
+    The search keeps, per literal, a bound below which no placement in the
+    current window completes, and only raises it. When the next occurrence
+    q of literal i + 1 lies past the window after literal i at p, no
+    placement of literal i before ``q - gap - len`` can reach q or anything
+    after it, so literal i's search resumes there, and each occurrence of
+    each literal is placed at most once.
+    """
+    lengths = [len(lit) for lit in literals]
+    lows = [0] * len(literals)  # where the search for each literal resumes
+    at = [0] * len(literals)  # the chain being built
+    i = 0
+    for _ in range(tries):
+        p = text.find(literals[i], lows[i])
+        if p < 0:
+            return None
+        if p > (at[i - 1] + lengths[i - 1] + gaps[i - 1] if i else last_start):
+            if not i:
+                return None
+            i -= 1
+            lows[i] = max(at[i] + 1, p - gaps[i] - lengths[i])
+            continue
+        at[i] = p
+        if i == len(literals) - 1:
+            return at[0], p + lengths[i]
+        i += 1
+        lows[i] = max(lows[i], p + lengths[i - 1])
+    return None
+
+
+def _exact_span(d: str, literals: list[str], gaps: list[int]) -> tuple[int, int] | None:
+    """``best_match``'s span when an exact chain of ``literals`` occurs in ``d``
+    (see ``_exact_chain``), or None if the search finds none.
+
+    The span ends where the exact chain that ends first does, and starts at
+    the latest start of an exact chain ending there: the earliest end of
+    the reversed literals on the reversed text before that end, the first
+    anchored at it. The search gives up after ``16 + len(d) // 1024``
+    calls of ``str.find`` per literal, which take at most about a tenth of
+    the time of the passes of ``_chain`` on the same document, so that a
+    document built to defeat it costs little more than those passes.
+    """
+    tries = len(literals) * (16 + len(d) // 1024)
+    chain = _exact_chain(d, literals, gaps, len(d), tries)
+    if chain is None:
+        return None
+    first, end = chain
+    back = _exact_chain(d[first:end][::-1], [lit[::-1] for lit in reversed(literals)], gaps[::-1], 0, tries)
+    return None if back is None else (end - back[1], end)
+
+
 def best_match(quote: str, doc_text: str, threshold: float = 0.85) -> VerificationResult:
     """Find the closest occurrence of a quote in a document.
 
@@ -320,6 +392,15 @@ def best_match(quote: str, doc_text: str, threshold: float = 0.85) -> Verificati
     there. It is found by running the chain of ``_chain`` once more, over
     the reversed literals on the reversed text before that end, anchored at
     it.
+
+    An exact chain, every literal verbatim, in order and within its gaps,
+    scores 1.0, so it is looked for first, with ``str.find`` on the text
+    (``_exact_span``, which also finds its span); the document is then
+    neither encoded nor passed over. A verbatim quote of three 200-character
+    literals takes about 0.05 ms on a 216k-character document, where the
+    passes take about 35 ms. Only when that search finds no exact chain
+    does ``_chain`` run; on a document with no exact chain the search costs
+    at most about a tenth of it.
     """
     if not quote:
         raise ValueError("quote must be non-empty")
@@ -330,9 +411,9 @@ def best_match(quote: str, doc_text: str, threshold: float = 0.85) -> Verificati
     literals, gaps = _segments(normalize(quote))
     if not literals:
         return VerificationResult(matched=False, similarity=0.0, threshold_used=threshold)
-    if len(literals) == 1 and (start := d.find(literals[0])) >= 0:
+    if span := _exact_span(d, literals, gaps):
         return VerificationResult(matched=True, similarity=1.0, threshold_used=threshold,
-                                  span_start=start, span_end=start + len(literals[0]))
+                                  span_start=span[0], span_end=span[1])
 
     dist = _chain(literals, gaps, d.codes)
     end = int(np.argmin(dist))

@@ -494,9 +494,77 @@ _DOC = st.lists(
 @example(parts=["ab", "$x$", "c"], doc="ab" + "z" * 16 + "c abzc")  # one past it
 @example(parts=["a", "...", "b", "$x$", "$y$", "c"], doc="a b" + "z" * 30 + "c")  # budgets add up
 @example(parts=["abc", "...", "abc"], doc="")
+@example(parts=["a", "$x$", "bc", "$x$", "a"], doc="a a a b a bc a a")  # the rarest literal in the middle
+@example(parts=["ab", "$x$", "c"], doc="ab ab" + "z" * 20 + "ab c")  # early starts that never complete
+@example(parts=["ab", "$x$", "c", "$x$", "ab"], doc="ab c" + "z" * 20 + "ab c ab")  # one that completes only later
+@example(parts=["ab", "$x$", "c"], doc="ab ab" + "z" * 17 + "c ab c")  # the next start reaches c at the budget
+@example(parts=["aa", "...", "b"], doc="aaab")  # overlapping occurrences
+@example(parts=["aa", "$x$", "b"], doc="aaa" + "z" * 17 + "b aa b")  # the overlapping one completes
+@example(parts=["aa", "$x$", "aa"], doc="aaa")
+@example(parts=["ab", "...", "c"], doc="ab" + "z" * 2000 + "c")  # an ellipsis gap at its budget
+@example(parts=["ab", "...", "c"], doc="ab" + "z" * 2001 + "c")  # one past it
+@example(parts=["a", "$x$", "b"], doc="a a b")  # the latest of two starts ending at the same place
 def test_best_match_equals_the_reference(parts, doc):
     want = reference_match(*_parts_segments(parts), normalize(doc))
     assert matched_at(" ".join(parts), doc) == want
+
+
+@pytest.mark.parametrize(
+    "quote",
+    ["a topological explanation $w$ the orbit set carries a group structure",
+     "we give a topological explanation ... homotopy classes of maps"],
+    ids=["math", "ellipsis"],
+)
+def test_an_exact_chain_leaves_the_document_unencoded(quote):
+    doc = verify._NormalizedDoc(normalize(DOC))
+    found = matched_at(quote, doc)
+    assert found == reference_best_match(quote, DOC)
+    assert found[0] == 1.0
+    assert "codes" not in doc.__dict__
+
+
+@pytest.mark.parametrize(
+    "quote,doc",
+    [
+        ("a topological explanation $w$ the orbit set carries a groop structure", DOC),
+        # Both literals occur verbatim, but further apart than the math span stands for.
+        ("we give $w$ homotopy classes of maps", DOC),
+        # The one exact chain comes after more failed starts than the search tries.
+        ("a $x$ b", ("a" + "c" * 18 + "b") * 200 + "a cc b"),
+    ],
+    ids=["altered-literal", "literals-too-far-apart", "search-gives-up"],
+)
+def test_a_quote_with_no_exact_chain_found_falls_back_to_the_passes(monkeypatch, quote, doc):
+    calls = []
+    real_chain = verify._chain
+
+    def chain(*args, **kwargs):
+        calls.append(args)
+        return real_chain(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "_chain", chain)
+    assert matched_at(quote, doc) == reference_best_match(quote, doc)
+    assert len(calls) == 2  # the forward chain, and the backward one for the span's start
+
+
+def _short_literal_document() -> str:
+    """200,000 characters of a, b, z and spaces, with a c every 20,000 or so."""
+    rng = random.Random(11)
+    chars = rng.choices("abz ", weights=[4, 4, 1, 2], k=200_000)
+    for pos in rng.sample(range(200_000), 10):
+        chars[pos] = "c"
+    return "".join(chars)
+
+
+@pytest.mark.parametrize(
+    "quote",
+    ["ab $x$ ba $y$ a", "ab $x$ c $y$ ba", "zz $x$ b $y$ c", "z $x$ c $y$ zz b", "c $x$ ab $y$ cc", "ba ... c"],
+    ids=["exact-at-once", "rare-in-the-middle", "exact-after-failed-starts", "no-exact-chain",
+         "a-literal-never-occurs", "ellipsis"],
+)
+def test_a_long_document_of_short_literals_matches_the_reference(quote):
+    doc = _short_literal_document()
+    assert matched_at(quote, doc) == reference_best_match(quote, doc)
 
 
 # Segmented quotes with their (similarity, span_start, span_end) at threshold
@@ -793,27 +861,34 @@ def test_verify_dataset_memory_does_not_grow_with_cited_documents(tmp_path):
     assert abs(peak_bytes(40) - peak_bytes(10)) < one_doc
 
 
-def _math_quote(text: str) -> str:
-    """Three 200-character stretches of ``text`` joined by math spans that stand for the gaps between them."""
-    return f"{text[1000:1200]} $x_1$ {text[1205:1405]} $\\alpha$ {text[1410:1610]}"
+def _math_quote(text: str, altered: bool = False) -> str:
+    """Three 200-character stretches of ``text`` joined by math spans that stand for the gaps between them;
+    with ``altered``, the middle one has one character replaced by one the text does not hold."""
+    middle = text[1205:1405]
+    if altered:
+        middle = middle[:100] + "#" + middle[101:]
+    return f"{text[1000:1200]} $x_1$ {middle} $\\alpha$ {text[1410:1610]}"
 
 
 @pytest.mark.parametrize(
     "quote_chars,share,math",
-    [(100, None, False), (100, 0.1, False), (600, None, False), (600, None, True)],
-    ids=["fabricated-100", "near-miss-100", "fabricated-600", "math-3-literals"],
+    [(100, None, None), (100, 0.1, None), (600, None, None), (600, None, "exact"), (600, None, "altered")],
+    ids=["fabricated-100", "near-miss-100", "fabricated-600", "math-3-literals", "math-near-miss"],
 )
 def test_best_match_memory_per_document_character(quote_chars, share, math):
     quote, text = _strided_case(5, 200_000, quote_chars, share)
     doc = verify._NormalizedDoc(normalize(text))
     if math:
-        quote = _math_quote(doc)
-    doc.codes  # encoded once per document, before its first quote is matched
+        quote = _math_quote(doc, altered=math == "altered")
+    if math != "exact":
+        doc.codes  # encoded once per document, before its first quote is matched
     best_match(quote, doc, 0.85)  # one-time allocations (caches, lazy imports) land here
     result, peak = traced_peak(lambda: best_match(quote, doc, 0.85))
-    # The near miss and the math quote match, so their spans are found too.
-    assert result.matched == (share is not None or math)
+    # The near misses and the math quotes match, so their spans are found too.
+    assert result.matched == (share is not None or math is not None)
     assert peak <= 10 * len(doc), f"{peak / len(doc):.1f} bytes per document character"
+    # The verbatim math quote is an exact chain: the document is never encoded.
+    assert ("codes" in doc.__dict__) == (math != "exact")
 
 
 def test_verification_result_invariants():
