@@ -1,10 +1,10 @@
 """Command-line entry point wiring the pipeline end to end.
 
 Subcommands follow the workflow order: ingest -> sample -> annotate ->
-filter -> parse -> verify -> stats -> query. Logs go to stderr; data goes
-to files only. Exit codes: 0 success, 1 user error, 2 partial failure (a
-failed batch, or a source ``verify`` could not read). All randomness
-(sampling) requires an explicit seed.
+filter -> parse (which verifies every quote) -> stats -> query. Logs go to
+stderr; data goes to files only. Exit codes: 0 success, 1 user error, 2
+partial failure (a failed batch, or a source ``parse`` could not read to
+verify its quotes). All randomness (sampling) requires an explicit seed.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="paperlens", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    p = sub.add_parser("ingest", parents=[], help="build a manifest from a directory of papers")
+    p = sub.add_parser("ingest", help="build a manifest from a directory of papers")
     p.add_argument("--source", required=True, help="directory of PDFs with .txt sidecars")
     p.add_argument("--metadata", help="doc_id-keyed metadata file (JSON lines)")
     p.add_argument("--extract-cmd", dest="extract_cmd",
@@ -135,19 +135,15 @@ def build_parser() -> _Parser:
     p.add_argument("--dry-run", dest="dry_run", action="store_true",
                    help="print the next pass, its input files and token estimates; no provider calls")
 
-    p = sub.add_parser("parse", help="parse batch outputs into a structured dataset")
+    p = sub.add_parser("parse", help="parse batch outputs into a dataset and verify its quotes")
     p.add_argument("--dir", required=True, help="directory containing batch files")
     p.add_argument("--out", required=True, help="dataset file to write")
-    p.add_argument("--manifest", help="manifest to record a digest of")
+    p.add_argument("--manifest", required=True,
+                   help="manifest resolving source documents; its digest is recorded")
     p.add_argument("--filtered", action="store_true",
                    help="parse each batch's latest filter pass (its raw output before the first)")
-
-    p = sub.add_parser("verify", help="check record quotes against their source documents")
-    p.add_argument("--dataset", required=True, help="dataset file to verify")
-    p.add_argument("--manifest", required=True, help="manifest resolving source documents")
     p.add_argument("--threshold", type=float,
                    help="similarity threshold (default: the config's, else 0.85)")
-    p.add_argument("--out", help="write the annotated dataset here")
     p.add_argument("--report", help="write the verification summary as JSON here")
     _add_config_flags(p)
 
@@ -262,46 +258,29 @@ def _cmd_filter(args: argparse.Namespace) -> int:
 
 
 def _cmd_parse(args: argparse.Namespace) -> int:
+    threshold = _config_from_args(args).threshold
+    manifest = corpus.load_manifest(args.manifest)
     run = runner.parse_run(args.dir, args.filtered)
     for warning in run.warnings + run.lagging:
         print(f"warning: {warning}", file=sys.stderr)
-    manifest_hash = corpus.manifest_digest(corpus.load_manifest(args.manifest)) if args.manifest else ""
-    ds = records.Dataset(records=run.records, source_manifest_hash=manifest_hash,
+    ds = records.Dataset(records=run.records, source_manifest_hash=corpus.manifest_digest(manifest),
                          filter_pass_count=run.filter_pass_count)
+    ds, summary = verify.verify_dataset(ds, manifest, threshold)
+
     records.save_dataset(ds, args.out)
-    print(
-        f"parsed {len(run.records)} records from {run.files} files "
-        f"({len(run.warnings)} warnings) -> {args.out}",
-        file=sys.stderr,
-    )
-    return 0
-
-
-def _cmd_verify(args: argparse.Namespace) -> int:
-    threshold = _config_from_args(args).threshold
-    manifest = corpus.load_manifest(args.manifest)
-    ds = records.load_dataset(args.dataset, corpus.manifest_digest(manifest))
-
-    annotated, summary = verify.verify_dataset(ds, manifest, threshold)
-
-    print(f"{'result':<12}{'count':>8}")
-    for name, count in summary.counts.items():
-        print(f"{name:<12}{count:>8}")
+    lines = [f"parsed {len(ds.records)} records from {run.files} files "
+             f"({len(run.warnings)} warnings) -> {args.out}", f"{'result':<12}{'count':>8}"]
+    lines += [f"{name:<12}{count:>8}" for name, count in summary.counts.items()]
     if summary.review_records:
-        print(f"\nnear-misses for human review (similarity within {verify.REVIEW_BAND} of threshold):")
-        for record in summary.review_records:
-            sim = record.verification.similarity if record.verification else 0.0
-            print(f"  {record.source_doc_id}: similarity {sim:.3f}")
+        lines.append(f"near-misses for human review (similarity within {verify.REVIEW_BAND} of threshold):")
+        lines += [f"  {r.source_doc_id}: similarity {r.verification.similarity:.3f}"
+                  for r in summary.review_records]
     if summary.unverified_records:
-        print("\nunverified records:")
-        for record in summary.unverified_records:
-            sim = record.verification.similarity if record.verification else 0.0
-            quote = (record.quote or "")[:60]
-            print(f"  batch {record.batch_index} {record.source_doc_id}: {sim:.3f} {quote!r}")
+        lines.append("unverified records:")
+        lines += [f"  batch {r.batch_index} {r.source_doc_id}: {r.verification.similarity:.3f} {r.quote[:60]!r}"
+                  for r in summary.unverified_records]
+    print("\n".join(lines), file=sys.stderr)
 
-    if args.out:
-        records.save_dataset(annotated, args.out)
-        print(f"annotated dataset -> {args.out}", file=sys.stderr)
     if args.report:
         report = {
             "threshold": threshold,
@@ -312,7 +291,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 {
                     "source_doc_id": r.source_doc_id,
                     "batch_index": r.batch_index,
-                    "similarity": r.verification.similarity if r.verification else 0.0,
+                    "similarity": r.verification.similarity,
                 }
                 for r in summary.unverified_records
             ],
@@ -378,7 +357,6 @@ _COMMANDS = {
     "annotate": _cmd_annotate,
     "filter": _cmd_filter,
     "parse": _cmd_parse,
-    "verify": _cmd_verify,
     "stats": _cmd_stats,
     "query": _cmd_query,
     "export": _cmd_export,

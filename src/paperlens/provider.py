@@ -266,7 +266,7 @@ class ChatClient:
             return
         # Bodies are recorded for traceability; credentials never are.
         entry = {
-            "ts": time.strftime("%Y-%m-%dT%H:%M:%S"),
+            "ts": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "kind": kind,
             "key": key,
             "model": self.config.model_name,

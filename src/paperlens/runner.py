@@ -617,7 +617,7 @@ def run_query(
 
     log = Path(log_path) if log_path else dataset_path.with_name(dataset_path.name + QUERY_LOG_SUFFIX)
     append_jsonl(log, {
-        "ts": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        "ts": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "question": question,
         "answer": response.text,
     })

@@ -5,9 +5,13 @@ import importlib
 import json
 import os
 import pkgutil
+import re
+import shlex
 import subprocess
 import sys
-from dataclasses import fields, is_dataclass
+import time
+from dataclasses import fields, is_dataclass, replace
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -17,10 +21,11 @@ from conftest import batch_output_text, make_record, write_corpus
 from paperlens import PaperlensError, cli
 from paperlens.cli import build_parser, main
 from paperlens.config import _FLAG_ONLY, GlobalConfig, load_config
-from paperlens.corpus import ingest, load_manifest, save_manifest
+from paperlens.corpus import ingest, load_manifest, manifest_digest, save_manifest
 from paperlens.provider import ProviderConfig, request_digest, stub_key, write_stub_fixture
-from paperlens.records import load_dataset, parse_batch_output
-from paperlens.runner import RunnerConfig
+from paperlens.records import Dataset, load_dataset, parse_batch_output, save_dataset
+from paperlens.runner import RunnerConfig, parse_run
+from paperlens.verify import verify_dataset
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -72,7 +77,7 @@ def test_unknown_flag_exits_one(capsys):
     err = capsys.readouterr().err
     assert "usage" in err.lower()
     # Subcommands take only the config flags they read.
-    for argv in (["verify", "--dataset", "d", "--manifest", "m", "--dialect", "stub"],
+    for argv in (["parse", "--dir", "d", "--out", "o", "--manifest", "m", "--dialect", "stub"],
                  ["filter", "--dir", "d", "--batch-size", "2"],
                  ["query", "--dataset", "d", "--question", "q", "--batch-size", "2"]):
         assert main(argv) == 1
@@ -82,6 +87,12 @@ def test_unknown_flag_exits_one(capsys):
 def test_unknown_command_exits_one(capsys):
     assert main(["frobnicate"]) == 1
     assert "usage" in capsys.readouterr().err.lower()
+
+
+def test_verify_is_not_a_command(capsys):
+    # `parse` verifies every quote as it writes the dataset.
+    assert main(["verify", "--dataset", "d", "--manifest", "m"]) == 1
+    assert "error: argument COMMAND: invalid choice: 'verify'" in capsys.readouterr().err
 
 
 def test_ingest_and_sample_round(tmp_path, capsys):
@@ -141,16 +152,13 @@ def test_full_pipeline_through_cli(pipeline_dirs, capsys):
 
     dataset_path = tmp_path / "data.records.jsonl"
     assert main(["parse", "--dir", str(out_dir), "--out", str(dataset_path), "--filtered",
-                 "--manifest", str(manifest_path)]) == 0
+                 "--manifest", str(manifest_path), "--report", str(tmp_path / "verify.json")]) == 0
     ds = load_dataset(dataset_path)
     assert len(ds.records) == 2
     assert ds.filter_pass_count == 1
-
-    assert main(["verify", "--dataset", str(dataset_path), "--manifest", str(manifest_path),
-                 "--report", str(tmp_path / "verify.json")]) == 0
+    assert all(record.verification is not None for record in ds.records)
     report = json.loads((tmp_path / "verify.json").read_text())
-    assert report["counts"]["no_quote"] + report["counts"]["verified"] + \
-        report["counts"]["unverified"] + report["counts"]["skipped"] == 2
+    assert report["counts"] == {"verified": 0, "unverified": 2, "skipped": 0, "no_quote": 0}
 
     stats_dir = tmp_path / "stats"
     assert main(["stats", "--manifest", str(manifest_path), "--dataset", str(dataset_path),
@@ -394,10 +402,11 @@ def test_parse_filtered_stamps_lagging_pass_count(pipeline_dirs, capsys):
     capsys.readouterr()
 
     dataset_path = tmp_path / "lagging.records.jsonl"
-    assert main(["parse", "--dir", str(out_dir), "--out", str(dataset_path), "--filtered"]) == 0
+    assert main(["parse", "--dir", str(out_dir), "--out", str(dataset_path), "--filtered",
+                 "--manifest", str(manifest_path)]) == 0
     assert load_dataset(dataset_path).filter_pass_count == 1
-    err = capsys.readouterr().err
-    assert "batch 0" in err and "batch 1" not in err
+    warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+    assert warnings == ["warning: batch 0 holds filter pass 1 of 2; re-run filter to bring it level"]
 
 
 def test_parse_filtered_keeps_a_batch_whose_filter_call_failed(pipeline_dirs, capsys):
@@ -411,15 +420,16 @@ def test_parse_filtered_keeps_a_batch_whose_filter_call_failed(pipeline_dirs, ca
     capsys.readouterr()
 
     dataset_path = tmp_path / "filtered.records.jsonl"
-    assert main(["parse", "--dir", str(out_dir), "--out", str(dataset_path), "--filtered"]) == 0
+    assert main(["parse", "--dir", str(out_dir), "--out", str(dataset_path), "--filtered",
+                 "--manifest", str(manifest_path)]) == 0
 
     ds = load_dataset(dataset_path)
     raw_1 = (out_dir / "batch_1_output.txt").read_text(encoding="utf-8")
     assert [r.batch_index for r in ds.records] == [0, 1, 1]
     assert [r.quote for r in ds.records[1:]] == [r.quote for r in parse_batch_output(raw_1, 1)[0]]
     assert ds.filter_pass_count == 0
-    err = capsys.readouterr().err
-    assert "batch 1 holds filter pass 0 of 1" in err and "batch 0" not in err
+    warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+    assert warnings == ["warning: batch 1 holds filter pass 0 of 1; re-run filter to bring it level"]
 
 
 def test_parse_filtered_before_any_filter_call_reads_the_raw_outputs(pipeline_dirs, capsys):
@@ -429,10 +439,12 @@ def test_parse_filtered_before_any_filter_call_reads_the_raw_outputs(pipeline_di
     main(["annotate", "--config", str(config), "--manifest", str(manifest_path),
           "--out", str(out_dir), "--batch-size", "2"])
     raw_path, filtered_path = tmp_path / "raw.records.jsonl", tmp_path / "filtered.records.jsonl"
-    assert main(["parse", "--dir", str(out_dir), "--out", str(raw_path)]) == 0
+    assert main(["parse", "--dir", str(out_dir), "--out", str(raw_path),
+                 "--manifest", str(manifest_path)]) == 0
     capsys.readouterr()
 
-    assert main(["parse", "--dir", str(out_dir), "--out", str(filtered_path), "--filtered"]) == 0
+    assert main(["parse", "--dir", str(out_dir), "--out", str(filtered_path), "--filtered",
+                 "--manifest", str(manifest_path)]) == 0
 
     ds = load_dataset(filtered_path)
     assert len(ds.records) == 4
@@ -454,7 +466,8 @@ def test_parse_ignores_stray_batch_files(pipeline_dirs, capsys):
     (out_dir / "batch_1_x_output.txt").write_text(stray, encoding="utf-8")
 
     dataset_path = tmp_path / "raw.records.jsonl"
-    assert main(["parse", "--dir", str(out_dir), "--out", str(dataset_path)]) == 0
+    assert main(["parse", "--dir", str(out_dir), "--out", str(dataset_path),
+                 "--manifest", str(manifest_path)]) == 0
     ds = load_dataset(dataset_path)
     assert [(r.batch_index, r.source_doc_id) for r in ds.records] == [
         (0, "paper0"), (0, "paper1"), (1, "paper2"), (1, "paper3"),
@@ -465,7 +478,8 @@ def test_parse_ignores_stray_batch_files(pipeline_dirs, capsys):
 def _unreadable_input(probe, base, manifest_path, config, run):
     """Make the one input ``probe`` reads unreadable; returns the command and that file."""
     batch = run / "batch_1_output.txt"
-    parse = ["parse", "--dir", str(run), "--out", str(base / "parsed.records.jsonl")]
+    parse = ["parse", "--dir", str(run), "--out", str(base / "parsed.records.jsonl"),
+             "--manifest", str(manifest_path)]
     if probe == "parse a directory":
         batch.unlink()
         batch.mkdir()
@@ -521,7 +535,7 @@ def test_unreadable_input_is_one_error_line(pipeline_dirs, capsys, probe):
 
 
 @pytest.mark.parametrize("probe", [
-    "ingest", "sample", "parse", "verify --out", "verify --report", "export", "query --log",
+    "ingest", "sample", "parse", "parse --report", "export", "query --log",
 ])
 def test_unwritable_output_is_one_error_line(pipeline_dirs, capsys, probe):
     base, manifest_path, fixtures = pipeline_dirs
@@ -529,16 +543,15 @@ def test_unwritable_output_is_one_error_line(pipeline_dirs, capsys, probe):
     run, dataset = base / "run", base / "d.records.jsonl"
     assert main(["annotate", "--config", str(config), "--manifest", str(manifest_path),
                  "--out", str(run), "--batch-size", "2"]) == 0
-    assert main(["parse", "--dir", str(run), "--out", str(dataset)]) == 0
+    assert main(["parse", "--dir", str(run), "--out", str(dataset), "--manifest", str(manifest_path)]) == 0
     write_stub_fixture(fixtures, "query", [dataset.name], "an answer")
     path = base / "nodir" / "out"
-    verify = ["verify", "--dataset", str(dataset), "--manifest", str(manifest_path)]
+    parse = ["parse", "--dir", str(run), "--manifest", str(manifest_path)]
     argv = {
         "ingest": ["ingest", "--source", str(base / "src"), "--out", str(path)],
         "sample": ["sample", "--manifest", str(manifest_path), "--n", "2", "--seed", "1", "--out", str(path)],
-        "parse": ["parse", "--dir", str(run), "--out", str(path)],
-        "verify --out": [*verify, "--out", str(path)],
-        "verify --report": [*verify, "--report", str(path)],
+        "parse": [*parse, "--out", str(path)],
+        "parse --report": [*parse, "--out", str(base / "p.records.jsonl"), "--report", str(path)],
         "export": ["export", "--dataset", str(dataset), "--out", str(path)],
         "query --log": ["query", "--config", str(config), "--dataset", str(dataset),
                         "--question", "why?", "--log", str(path)],
@@ -597,8 +610,10 @@ def test_stats_with_tiers_flag(pipeline_dirs, tmp_path, capsys):
 
 def test_missing_files_are_user_errors(pipeline_dirs, tmp_path, capsys):
     assert main(["ingest", "--source", str(tmp_path / "nope"), "--out", "m"]) == 1
-    assert main(["verify", "--dataset", str(tmp_path / "no.jsonl"),
+    assert main(["parse", "--dir", str(tmp_path), "--out", str(tmp_path / "d.jsonl"),
                  "--manifest", str(tmp_path / "no-m.jsonl")]) == 1
+    assert "no-m.jsonl" in capsys.readouterr().err  # read before the run directory
+    assert not (tmp_path / "d.jsonl").exists()
     assert main(["export", "--dataset", str(tmp_path / "no.jsonl"), "--out", "x"]) == 1
 
     _, manifest_path, _ = pipeline_dirs
@@ -614,10 +629,19 @@ def test_missing_files_are_user_errors(pipeline_dirs, tmp_path, capsys):
         assert taxonomy.name in capsys.readouterr().err
 
 
+def _parse_writes_nothing(tmp_path, *flags):
+    """Run ``parse`` with ``flags`` over a missing run and manifest; returns its exit code."""
+    out, report = tmp_path / "d.records.jsonl", tmp_path / "verify.json"
+    code = main(["parse", *flags, "--dir", str(tmp_path / "run"), "--out", str(out),
+                 "--manifest", str(tmp_path / "m.jsonl"), "--report", str(report)])
+    assert not out.exists() and not report.exists()
+    return code
+
+
 def test_config_tiers_section_is_rejected(tmp_path, capsys):
     # Tiers come from `stats --tiers`; the config file has no tiers section.
     config = write_config(tmp_path, tmp_path, tiers={"high": 0.2, "borderline": 0.6, "low": 0.2})
-    assert main(["verify", "--config", str(config), "--dataset", "d", "--manifest", "m"]) == 1
+    assert _parse_writes_nothing(tmp_path, "--config", str(config)) == 1
     assert "unknown section(s) ['tiers']" in capsys.readouterr().err
 
 
@@ -637,12 +661,12 @@ def test_config_threshold_must_be_a_number_in_range(tmp_path, capsys, threshold)
     config = write_config(tmp_path, tmp_path, threshold=threshold)
     with pytest.raises(ConfigError, match="threshold"):
         load_config(config)
-    assert main(["verify", "--config", str(config), "--dataset", "d", "--manifest", "m"]) == 1
+    assert _parse_writes_nothing(tmp_path, "--config", str(config)) == 1
     assert "threshold" in capsys.readouterr().err
 
 
-def test_threshold_flag_out_of_range_is_user_error(capsys):
-    assert main(["verify", "--threshold", "2", "--dataset", "d", "--manifest", "m"]) == 1
+def test_threshold_flag_out_of_range_is_user_error(tmp_path, capsys):
+    assert _parse_writes_nothing(tmp_path, "--threshold", "2") == 1
     assert "threshold must be a number in (0, 1]" in capsys.readouterr().err
 
 
@@ -773,12 +797,11 @@ HELP_FLAGS = {
     "annotate": ["--manifest", "--out", "--resume", "--context-asset", "--dry-run",
                  "--audit", "--skip-oversize", "--config", "--batch-size"],
     "filter": ["--dir", "--dry-run", "--config"],
-    "parse": ["--dir", "--out", "--manifest", "--filtered"],
-    "verify": ["--dataset", "--manifest", "--threshold", "--out", "--report"],
+    "parse": ["--dir", "--out", "--manifest", "--filtered", "--threshold", "--report", "--config"],
+    "prompts": ["--kind", "--prompts-dir"],
     "stats": ["--manifest", "--dataset", "--out", "--tiers", "--taxonomy"],
     "query": ["--dataset", "--question", "--log", "--config"],
     "export": ["--dataset", "--out"],
-    "prompts": ["--kind", "--prompts-dir"],
 }
 
 
@@ -790,6 +813,20 @@ def test_help_names_all_flags(command, flags, capsys):
     help_text = capsys.readouterr().out
     for flag in flags:
         assert flag in help_text, f"{command} --help missing {flag}"
+
+
+def test_every_readme_command_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = [
+        shlex.split(line, comments=True)[1:]
+        for block in re.findall(r"```bash\n(.*?)```", readme, re.S)
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("paperlens ")
+    ]
+    assert len(commands) >= 10, commands
+    parser = build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv).command == argv[0]
 
 
 def test_annotate_dry_run_prints_planned_doc_tokens(pipeline_dirs, capsys):
@@ -838,7 +875,7 @@ def test_malformed_filter_state_is_user_error(pipeline_dirs, capsys, command):
     if command[0] == "filter":
         command = command + ["--config", str(config)]
     else:
-        command = command[:-1] + [str(tmp_path / command[-1])]
+        command = command[:-1] + [str(tmp_path / command[-1]), "--manifest", str(manifest_path)]
     assert main(command + ["--dir", str(out_dir)]) == 1
     assert "filter_state.json" in capsys.readouterr().err
 
@@ -865,41 +902,86 @@ def _quoted_dataset(path, quotes):
     return path
 
 
-def test_verify_out_writes_the_annotated_dataset(pipeline_dirs, capsys):
+def _quoted_run(base, quotes):
+    """A run directory whose one batch output holds a record per (doc id, quote)."""
+    run = base / "quoted-run"
+    run.mkdir()
+    recs = [replace(make_record(i, doc_id=doc_id), quote=quote) for i, (doc_id, quote) in enumerate(quotes)]
+    (run / "batch_0_output.txt").write_text(batch_output_text(recs), encoding="utf-8")
+    return run
+
+
+def test_parse_out_holds_the_verdicts(pipeline_dirs, capsys):
     base, manifest_path, _ = pipeline_dirs
-    ds_path = _quoted_dataset(base / "d.jsonl", [("paper0", "which explains why claim 0 holds")])
+    run = _quoted_run(base, [("paper0", "which explains why claim 0 holds")])
     out = base / "verified.jsonl"
-    assert main(["verify", "--dataset", str(ds_path), "--manifest", str(manifest_path),
-                 "--out", str(out)]) == 0
-    assert f"annotated dataset -> {out}" in capsys.readouterr().err
+    assert main(["parse", "--dir", str(run), "--manifest", str(manifest_path), "--out", str(out)]) == 0
+    assert f"parsed 1 records from 1 files (0 warnings) -> {out}" in capsys.readouterr().err
     (record,) = load_dataset(out).records
     assert record.verification.matched and record.verification.similarity == 1.0
-    assert load_dataset(ds_path).records[0].verification is None
 
 
 def test_verify_lists_near_misses_for_review(pipeline_dirs, capsys):
     base, manifest_path, _ = pipeline_dirs
     # One substitution in 32 characters: similarity 0.969, within 0.05 below 0.99.
-    ds_path = _quoted_dataset(base / "d.jsonl", [("paper1", "which explains why claim 1 folds")])
-    assert main(["verify", "--dataset", str(ds_path), "--manifest", str(manifest_path),
-                 "--threshold", "0.99"]) == 0
-    out = capsys.readouterr().out
-    assert "near-misses for human review (similarity within 0.05 of threshold):" in out
-    assert "  paper1: similarity 0.969" in out
+    run = _quoted_run(base, [("paper1", "which explains why claim 1 folds")])
+    assert main(["parse", "--dir", str(run), "--manifest", str(manifest_path),
+                 "--out", str(base / "d.jsonl"), "--threshold", "0.99"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "near-misses for human review (similarity within 0.05 of threshold):" in captured.err
+    assert "  paper1: similarity 0.969" in captured.err
 
 
 def test_verify_reports_the_readable_documents_when_a_source_is_missing(pipeline_dirs, capsys):
     base, manifest_path, _ = pipeline_dirs
-    quotes = [(f"paper{i}", f"which explains why claim {i} holds") for i in range(4)]
-    ds_path = _quoted_dataset(base / "d.jsonl", quotes)
+    run = _quoted_run(base, [(f"paper{i}", f"which explains why claim {i} holds") for i in range(4)])
     Path(load_manifest(manifest_path).documents[0].text_path).unlink()
-    report = base / "verify.json"
-    assert main(["verify", "--dataset", str(ds_path), "--manifest", str(manifest_path),
+    dataset, report = base / "d.jsonl", base / "verify.json"
+    assert main(["parse", "--dir", str(run), "--manifest", str(manifest_path), "--out", str(dataset),
                  "--report", str(report)]) == 2
     written = json.loads(report.read_text(encoding="utf-8"))
     assert written["counts"] == {"verified": 3, "unverified": 0, "skipped": 1, "no_quote": 0}
     assert written["skipped_doc_ids"] == ["paper0"]
     assert written["unreadable_doc_ids"] == ["paper0"]
+    assert [r.verification is not None for r in load_dataset(dataset).records] == [False, True, True, True]
+
+
+@pytest.mark.parametrize("filtered", [[], ["--filtered"]])
+def test_parse_writes_the_verified_dataset_the_library_calls_write(tmp_path, filtered):
+    docs = {f"paper{i}": f"Body of paper {i}, which explains why claim {i} holds." for i in range(4)}
+    manifest_path = tmp_path / "manifest.jsonl"
+    save_manifest(ingest(write_corpus(tmp_path / "src", docs)).manifest, manifest_path)
+    quotes = [
+        ("paper0", "which explains why claim 0 holds"),  # exact
+        ("paper1", "which explains why claim 1 folds"),  # 0.969, a near-miss below 0.99
+        ("paper2", "a sentence that the paper never wrote"),  # fabricated
+        ("paper3", None),  # no quote
+        ("paper9", "which explains why claim 9 holds"),  # no such document
+    ]
+    text = batch_output_text([replace(make_record(i, doc_id=d), quote=q) for i, (d, q) in enumerate(quotes)])
+    fixtures = tmp_path / "fixtures"
+    write_stub_fixture(fixtures, "annotation", list(docs), text)
+    write_stub_fixture(fixtures, "filter", ["batch_0_output.txt"], text)
+    config = write_config(tmp_path, fixtures)
+    run = tmp_path / "run"
+    assert main(["annotate", "--config", str(config), "--manifest", str(manifest_path), "--out", str(run)]) == 0
+    if filtered:
+        assert main(["filter", "--config", str(config), "--dir", str(run)]) == 0
+    out = tmp_path / "data.records.jsonl"
+
+    assert main(["parse", "--dir", str(run), "--manifest", str(manifest_path), "--out", str(out),
+                 "--threshold", "0.99", *filtered]) == 0
+
+    parsed = parse_run(run, filtered=bool(filtered))
+    manifest = load_manifest(manifest_path)
+    verified, summary = verify_dataset(
+        Dataset(parsed.records, manifest_digest(manifest), parsed.filter_pass_count), manifest, 0.99)
+    assert summary.counts == {"verified": 1, "unverified": 2, "skipped": 1, "no_quote": 1}
+    assert [r.source_doc_id for r in summary.review_records] == ["paper1"]
+    save_dataset(verified, tmp_path / "expected.records.jsonl")
+    assert out.read_bytes() == (tmp_path / "expected.records.jsonl").read_bytes()
+    assert load_dataset(out).filter_pass_count == len(filtered)
 
 
 def test_prompts_show_query(capsys):
@@ -919,6 +1001,33 @@ def test_annotate_audit_writes_into_out(pipeline_dirs):
     assert len(lines) == 2
     assert {json.loads(line)["kind"] for line in lines} == {"annotation"}
     assert not (base / "audit.jsonl").exists()
+
+
+def test_log_timestamps_are_utc(pipeline_dirs, monkeypatch):
+    # Local time without an offset cannot be ordered across machines or a DST change.
+    base, manifest_path, fixtures = pipeline_dirs
+    config = write_config(base, fixtures)
+    run, dataset, log = base / "run", base / "d.records.jsonl", base / "q.jsonl"
+    save_dataset(Dataset(), dataset)
+    write_stub_fixture(fixtures, "query", [dataset.name], "an answer")
+    monkeypatch.setenv("TZ", "XYZ-14")  # fourteen hours ahead of UTC
+    time.tzset()
+    try:
+        assert main(["annotate", "--config", str(config), "--manifest", str(manifest_path),
+                     "--out", str(run), "--batch-size", "2", "--audit"]) == 0
+        assert main(["query", "--config", str(config), "--dataset", str(dataset),
+                     "--question", "why?", "--log", str(log)]) == 0
+    finally:
+        monkeypatch.undo()
+        time.tzset()
+    lines = [*(run / "audit.jsonl").read_text(encoding="utf-8").splitlines(),
+             *log.read_text(encoding="utf-8").splitlines()]
+    assert len(lines) == 3
+    for line in lines:
+        ts = json.loads(line)["ts"]
+        assert ts.endswith("Z"), ts
+        stamped = datetime.strptime(ts, "%Y-%m-%dT%H:%M:%SZ").replace(tzinfo=timezone.utc)
+        assert abs(datetime.now(timezone.utc) - stamped) < timedelta(minutes=5), ts
 
 
 @pytest.mark.parametrize("tiers, message", [
@@ -945,7 +1054,7 @@ def test_every_config_field_read_from_a_file_has_a_flag():
     for command in ("annotate", "filter", "query"):
         assert provider_fields | {"prompts_dir"} <= _config_dests(command), command
     assert {"batch_size", *_FLAG_ONLY} <= _config_dests("annotate")
-    assert "threshold" in _config_dests("verify")
+    assert "threshold" in _config_dests("parse")
     # A config field without a flag would appear here.
     settings = {f.name for f in fields(GlobalConfig) if not is_dataclass(f.default)}
     settings |= provider_fields | {f.name for f in fields(RunnerConfig)}

@@ -308,7 +308,6 @@ def _run(base: Path, command: str, manifest: Path, dataset: Path) -> list[str]:
     return {
         "sample": ["sample", "--manifest", str(manifest), "--n", "1", "--seed", "1", "--out", out],
         "stats": ["stats", "--manifest", str(manifest), "--dataset", str(dataset), "--out", out],
-        "verify": ["verify", "--manifest", str(manifest), "--dataset", str(dataset)],
         "export": ["export", "--dataset", str(dataset), "--out", out],
     }[command]
 
@@ -328,7 +327,7 @@ def test_manifest_value_of_wrong_type_is_user_error(stored, capsys, command, lin
 
 
 @pytest.mark.parametrize("command, lineno, changes, field", [
-    ("verify", 2, {"quote": 5}, "quote"),
+    ("export", 2, {"quote": 5}, "quote"),
     ("stats", 2, {"source_doc_id": None}, "source_doc_id"),
     ("export", 2, {"page": "ten"}, "page"),
     ("export", 2, {"batch_index": "3"}, "batch_index"),
