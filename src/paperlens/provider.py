@@ -121,8 +121,8 @@ class ProviderConfig:
             raise ValueError("max_retries must be >= 0")
         if self.backoff_base_ms <= 0:
             raise ValueError("backoff_base_ms must be positive")
-        if not self.timeout_s > 0:  # NaN too
-            raise ValueError(f"timeout_s must be positive, got {self.timeout_s!r}")
+        if not 0 < self.timeout_s < float("inf"):  # NaN too; requests overflows on inf
+            raise ValueError(f"timeout_s must be positive and finite, got {self.timeout_s!r}")
         if not 0 <= self.temperature < float("inf"):  # NaN too
             raise ValueError(f"temperature must be finite and >= 0, got {self.temperature!r}")
 
@@ -343,10 +343,15 @@ class HttpChatClient(ChatClient):
 
         A reply whose finish reason is other than a natural stop raises
         ``IncompleteReply``; a body without the field is read as complete.
+        A Gemini body with no candidates (a blocked prompt) names its ``blockReason``.
         Text that UTF-8 cannot encode is malformed, like any other bad value.
         """
         try:
             if self.config.dialect == "gemini":
+                if not data.get("candidates"):
+                    feedback = data.get("promptFeedback") or {}
+                    raise ProviderError(f"prompt blocked (blockReason {feedback['blockReason']!r})"
+                                        if "blockReason" in feedback else "reply has no candidates")
                 reply = data["candidates"][0]
                 reason_field, stopped = "finishReason", "STOP"
                 usage = data.get("usageMetadata") or {}

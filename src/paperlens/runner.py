@@ -96,15 +96,21 @@ class RunSummary:
     """Outcome of one annotation run."""
 
     total: int
-    completed: int
-    failed: int
     skipped: int
     provider_calls: int
     failures: list[tuple[int, str]] = field(default_factory=list)
 
     @property
+    def failed(self) -> int:
+        return len(self.failures)
+
+    @property
+    def completed(self) -> int:
+        return self.total - self.failed
+
+    @property
     def ok(self) -> bool:
-        return self.failed == 0
+        return not self.failures
 
 
 def _doc_tokens(ref: DocumentRef) -> int:
@@ -342,8 +348,6 @@ def run_annotation(
         job.status = JobStatus.FAILED if job.index in failed else JobStatus.DONE
     return RunSummary(
         total=len(jobs),
-        completed=sum(1 for j in jobs if j.status is JobStatus.DONE),
-        failed=len(failures),
         skipped=len(jobs) - len(pending),
         provider_calls=client.calls - calls_before,
         failures=failures,
@@ -430,8 +434,7 @@ class FilterState:
     """Filter progress of one output directory (``filter_state.json``).
 
     ``batch_passes`` maps each batch index to the pass its
-    ``batch_{n}_filtered.txt`` holds (a batch whose input was empty counts
-    as filtered without a file); a batch missing from it holds pass 0.
+    ``batch_{n}_filtered.txt`` holds; a batch missing from it holds pass 0.
     """
 
     batch_passes: dict[int, int]
@@ -456,7 +459,9 @@ class FilterPlan:
 def _held(directory: Path) -> tuple[FilterState, dict[int, tuple[int, Path]]]:
     """Each batch with a ``batch_{n}_output.txt``, by n: the pass it holds and
     the file holding that pass's records, its filtered file from pass 1 on
-    (when it exists) and its output before that."""
+    and its output before that. Every recorded pass has its file, so a
+    missing one fails when read: restore it, or delete the batch's output
+    and run ``annotate --resume``, which resets the batch to pass 0."""
     outputs = _batch_files(directory, "output")
     if not outputs:
         raise RunnerError(f"no batch output files found in {directory}")
@@ -464,8 +469,7 @@ def _held(directory: Path) -> tuple[FilterState, dict[int, tuple[int, Path]]]:
     held = {}
     for index, output in outputs:
         n = state.batch_passes.get(index, 0)
-        filtered = batch_path(directory, index, "filtered")
-        held[index] = (n, filtered if n >= 1 and filtered.exists() else output)
+        held[index] = (n, batch_path(directory, index, "filtered") if n else output)
     return state, held
 
 
@@ -493,7 +497,9 @@ def run_filter(
     """Apply the strict filter prompt to the batch files ``plan_filter`` picks.
 
     Writes ``batch_{n}_filtered.txt`` next to each ``batch_{n}_output.txt``
-    and reports retention (kept / input records, counted by the parser). A
+    and reports retention (kept / input records, counted by the parser). An
+    empty input is copied through as its filtered file, with no provider
+    call, before its pass is recorded, so every recorded pass has its file. A
     warning is flagged when the overall exclusion rate falls short of the
     50% quota. Each call takes the batches at the lowest pass through the
     next one (see ``plan_filter``), which names the call. The inputs and
@@ -517,6 +523,7 @@ def run_filter(
         if not text.strip():
             logger.info("skipping empty batch file %s", path.name)
             stats.skipped.append(path.name)
+            write_atomic(batch_path(directory, index, "filtered"), text)
             state.batch_passes[index] = plan.pass_number
             continue
         pending.append(

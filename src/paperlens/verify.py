@@ -435,25 +435,42 @@ REVIEW_BAND = 0.05
 
 @dataclass
 class VerificationSummary:
-    """Counts and record lists from a dataset verification pass."""
+    """A verification pass's findings, each read off the records it annotated.
 
-    verified: int = 0
-    unverified: int = 0
-    skipped: int = 0
-    no_quote: int = 0
-    unverified_records: list["ExampleRecord"] = field(default_factory=list)
-    review_records: list["ExampleRecord"] = field(default_factory=list)
-    skipped_doc_ids: list[str] = field(default_factory=list)  # each once, in first-seen order
-    unreadable_doc_ids: list[str] = field(default_factory=list)  # sources that could not be read
+    ``records`` is the returned dataset's own list: each quoted record holds
+    this pass's verdict, or None when its source is missing from the
+    manifest or could not be read (``unreadable_doc_ids``, in first-seen order).
+    """
+
+    records: list["ExampleRecord"]
+    threshold: float
+    unreadable_doc_ids: list[str] = field(default_factory=list)
 
     @property
     def counts(self) -> dict[str, int]:
+        quoted = [r.verification for r in self.records if r.quote]
+        verified = sum(1 for v in quoted if v and v.matched)
+        skipped = quoted.count(None)
         return {
-            "verified": self.verified,
-            "unverified": self.unverified,
-            "skipped": self.skipped,
-            "no_quote": self.no_quote,
+            "verified": verified,
+            "unverified": len(quoted) - verified - skipped,
+            "skipped": skipped,
+            "no_quote": len(self.records) - len(quoted),
         }
+
+    @property
+    def unverified_records(self) -> list["ExampleRecord"]:
+        return [r for r in self.records if r.quote and r.verification and not r.verification.matched]
+
+    @property
+    def review_records(self) -> list["ExampleRecord"]:
+        """The unverified records within ``REVIEW_BAND`` below the threshold."""
+        return [r for r in self.unverified_records if r.verification.similarity >= self.threshold - REVIEW_BAND]
+
+    @property
+    def skipped_doc_ids(self) -> list[str]:
+        """The sources of the quoted records left unchecked, each once, in first-seen order."""
+        return list(dict.fromkeys(r.source_doc_id for r in self.records if r.quote and r.verification is None))
 
 
 def verify_dataset(
@@ -463,8 +480,9 @@ def verify_dataset(
 ) -> tuple["Dataset", VerificationSummary]:
     """Verify every quoted record in a dataset against its source document.
 
-    Records whose source document is not in the manifest or cannot be read
-    (logged once) are skipped and reported; records without a quote are
+    Each quoted record gets this pass's verdict in place of any it held, or
+    None, counted as skipped, when its source document is not in the
+    manifest or cannot be read (logged once); records without a quote are
     counted separately, not failed.
     Near-misses (similarity within REVIEW_BAND below the threshold) are
     additionally listed for human review. Sources are handled one at a
@@ -475,67 +493,36 @@ def verify_dataset(
     annotated dataset and the summary keep dataset order.
     """
     from .corpus import CorpusError, load_text
-    from .records import Dataset
 
     started = time.perf_counter()
-    summary = VerificationSummary()
     refs = {ref.doc_id: ref for ref in manifest.documents}
     quoted_by_doc: dict[str, list[int]] = {}
     for i, record in enumerate(ds.records):
         if record.quote:
             quoted_by_doc.setdefault(record.source_doc_id, []).append(i)
 
-    results: dict[int, VerificationResult] = {}
-    read = 0
+    records = list(ds.records)
+    summary = VerificationSummary(records, threshold)
     for doc_id, indices in quoted_by_doc.items():
-        if doc_id not in refs:
-            continue
-        try:
-            # load_text returns normalize's output already.
-            doc = _NormalizedDoc(load_text(refs[doc_id]))
-        except CorpusError as exc:
-            logger.error("%s; its quotes are skipped", exc)
-            summary.unreadable_doc_ids.append(doc_id)
-            continue
-        read += 1
+        doc = None
+        if doc_id in refs:
+            try:
+                # load_text returns normalize's output already.
+                doc = _NormalizedDoc(load_text(refs[doc_id]))
+            except CorpusError as exc:
+                logger.error("%s; its quotes are skipped", exc)
+                summary.unreadable_doc_ids.append(doc_id)
         for i in indices:
-            results[i] = best_match(ds.records[i].quote, doc, threshold)
+            verdict = None if doc is None else best_match(records[i].quote, doc, threshold)
+            records[i] = replace(records[i], verification=verdict)
         del doc  # with its cached code points, before the next source is read
 
-    annotated: list["ExampleRecord"] = []
-    perfect = 0
-    for i, record in enumerate(ds.records):
-        if not record.quote:
-            summary.no_quote += 1
-            annotated.append(record)
-            continue
-        result = results.get(i)
-        if result is None:
-            summary.skipped += 1
-            summary.skipped_doc_ids.append(record.source_doc_id)
-            annotated.append(record)
-            continue
-        record = replace(record, verification=result)
-        annotated.append(record)
-        perfect += result.similarity == 1.0
-        if result.matched:
-            summary.verified += 1
-        else:
-            summary.unverified += 1
-            summary.unverified_records.append(record)
-            if threshold - REVIEW_BAND <= result.similarity < threshold:
-                summary.review_records.append(record)
-
-    summary.skipped_doc_ids = list(dict.fromkeys(summary.skipped_doc_ids))
-    quoted = summary.verified + summary.unverified
+    checked = [r for r in records if r.quote and r.verification]
+    perfect = sum(1 for r in checked if r.verification.similarity == 1.0)
     logger.info(
         "verify: %d quoted records against %d documents, %d at similarity 1.0, "
         "%d below, %d skipped, %.2f s",
-        quoted, read, perfect, quoted - perfect, summary.skipped, time.perf_counter() - started,
+        len(checked), len({r.source_doc_id for r in checked}), perfect, len(checked) - perfect,
+        summary.counts["skipped"], time.perf_counter() - started,
     )
-    annotated_ds = Dataset(
-        records=annotated,
-        source_manifest_hash=ds.source_manifest_hash,
-        filter_pass_count=ds.filter_pass_count,
-    )
-    return annotated_ds, summary
+    return replace(ds, records=records), summary

@@ -194,8 +194,8 @@ def test_verifier_suite(tmp_path):
 
         ds = Dataset(records=exact + fabricated)
         annotated, summary = verify_dataset(ds, manifest, threshold=0.85)
-        assert summary.verified == 10  # 100% of planted exact quotes
-        assert summary.unverified == 10  # 100% of fabrications rejected
+        assert summary.counts["verified"] == 10  # 100% of planted exact quotes
+        assert summary.counts["unverified"] == 10  # 100% of fabrications rejected
         for record in annotated.records[:10]:
             assert record.verification.similarity == 1.0  # exact containment
 

@@ -723,7 +723,7 @@ def test_config_float_fields_accept_ints(tmp_path):
     assert (cfg.threshold, cfg.provider.temperature, cfg.provider.timeout_s) == (1.0, 1, 30)
 
 
-@pytest.mark.parametrize("timeout_s", [0, -30, float("nan")])
+@pytest.mark.parametrize("timeout_s", [0, -30, float("nan"), float("inf")])
 def test_config_timeout_must_be_positive(tmp_path, timeout_s):
     from paperlens.config import ConfigError, load_config
 
@@ -735,7 +735,7 @@ def test_config_timeout_must_be_positive(tmp_path, timeout_s):
         load_config(config)
 
 
-@pytest.mark.parametrize("value", ["0", "-1", "nan"])
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
 def test_annotate_timeout_flag_must_be_positive(pipeline_dirs, capsys, value):
     # A zero timeout reached the HTTP library, whose ValueError cancelled every
     # batch and ended the command in a traceback; a dry run accepted it.
@@ -948,7 +948,7 @@ def test_verify_reports_the_readable_documents_when_a_source_is_missing(pipeline
 
 
 @pytest.mark.parametrize("filtered", [[], ["--filtered"]])
-def test_parse_writes_the_verified_dataset_the_library_calls_write(tmp_path, filtered):
+def test_parse_writes_the_verified_dataset_the_library_calls_write(tmp_path, capsys, filtered):
     docs = {f"paper{i}": f"Body of paper {i}, which explains why claim {i} holds." for i in range(4)}
     manifest_path = tmp_path / "manifest.jsonl"
     save_manifest(ingest(write_corpus(tmp_path / "src", docs)).manifest, manifest_path)
@@ -968,10 +968,16 @@ def test_parse_writes_the_verified_dataset_the_library_calls_write(tmp_path, fil
     assert main(["annotate", "--config", str(config), "--manifest", str(manifest_path), "--out", str(run)]) == 0
     if filtered:
         assert main(["filter", "--config", str(config), "--dir", str(run)]) == 0
-    out = tmp_path / "data.records.jsonl"
+    out, report = tmp_path / "data.records.jsonl", tmp_path / "verify.json"
+    capsys.readouterr()
 
     assert main(["parse", "--dir", str(run), "--manifest", str(manifest_path), "--out", str(out),
-                 "--threshold", "0.99", *filtered]) == 0
+                 "--threshold", "0.99", "--report", str(report), *filtered]) == 0
+
+    # The table, the review and unverified lists and the report, byte for byte.
+    err = capsys.readouterr().err.replace(str(tmp_path), "<tmp>")
+    assert err == (GOLDEN / "parse_mixed_run_stderr.txt").read_text(encoding="utf-8")
+    assert report.read_bytes() == (GOLDEN / "parse_mixed_run_report.json").read_bytes()
 
     parsed = parse_run(run, filtered=bool(filtered))
     manifest = load_manifest(manifest_path)
@@ -982,6 +988,37 @@ def test_parse_writes_the_verified_dataset_the_library_calls_write(tmp_path, fil
     save_dataset(verified, tmp_path / "expected.records.jsonl")
     assert out.read_bytes() == (tmp_path / "expected.records.jsonl").read_bytes()
     assert load_dataset(out).filter_pass_count == len(filtered)
+
+
+@pytest.mark.parametrize("empty", [False, True], ids=["deleted", "empty-batch-of-an-earlier-filter"])
+def test_a_filter_pass_without_its_file_is_one_error(pipeline_dirs, capsys, empty):
+    # parse --filtered read such a batch from its unfiltered output, and stamped its pass.
+    tmp_path, manifest_path, fixtures = pipeline_dirs
+    config = write_config(tmp_path, fixtures)
+    run, out = tmp_path / "run", tmp_path / "d.records.jsonl"
+    annotate = ["annotate", "--config", str(config), "--manifest", str(manifest_path), "--out", str(run),
+                "--batch-size", "2"]
+    assert main(annotate) == 0
+    assert main(["filter", "--config", str(config), "--dir", str(run)]) == 0
+    (run / "batch_1_filtered.txt").unlink()
+    if empty:
+        # Before every pass left its file, filter recorded an empty batch's pass and wrote none.
+        (run / "batch_1_output.txt").write_text("", encoding="utf-8")
+    capsys.readouterr()
+    for command in (["filter", "--config", str(config)], ["filter", "--dry-run"],
+                    ["parse", "--filtered", "--manifest", str(manifest_path), "--out", str(out)]):
+        assert main(command + ["--dir", str(run)]) == 1, command
+        (error,) = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
+        assert error.startswith("error: cannot read ") and "batch_1_filtered.txt" in error, command
+    assert not out.exists()
+
+    # The recovery the docs give: drop the batch's output and resume.
+    (run / "batch_1_output.txt").unlink()
+    assert main(annotate + ["--resume"]) == 0
+    assert main(["filter", "--config", str(config), "--dir", str(run)]) == 0
+    assert main(["parse", "--filtered", "--manifest", str(manifest_path), "--out", str(out),
+                 "--dir", str(run)]) == 0
+    assert load_dataset(out).filter_pass_count == 1
 
 
 def test_prompts_show_query(capsys):

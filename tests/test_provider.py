@@ -517,3 +517,17 @@ def test_gemini_candidate_without_content_names_its_finish_reason(monkeypatch, c
     with pytest.raises(ProviderError, match=f"malformed response body: candidate has no content "
                                             f"\\(finishReason {reason}\\)"):
         client.complete(bundle_for(["d"]))
+
+
+@pytest.mark.parametrize("body, message", [
+    ({"promptFeedback": {"blockReason": "SAFETY"}}, "prompt blocked (blockReason 'SAFETY')"),
+    ({"candidates": []}, "no candidates"),
+])
+def test_gemini_reply_without_candidates_names_its_block_reason(monkeypatch, body, message):
+    monkeypatch.setenv("TEST_API_KEY", "k")
+    session = FakeSession([FakeResponse(200, body)])
+    with pytest.raises(ProviderError) as err:
+        http_client("gemini", session).complete(bundle_for(["d"]))
+    assert not isinstance(err.value, TransientError)
+    assert len(session.requests) == 1
+    assert message in str(err.value)

@@ -850,6 +850,9 @@ def test_filter_skips_empty_batch_file(tmp_path):
     stats = run_filter(out, client)
     assert stats.skipped == ["batch_1_output.txt"]
     assert 0 in stats.per_batch and 1 not in stats.per_batch
+    # Its pass has its file, which the next pass reads.
+    assert (out / "batch_1_filtered.txt").read_text(encoding="utf-8") == ""
+    assert runner.plan_filter(out).inputs[1][1] == out / "batch_1_filtered.txt"
 
 
 def test_filter_no_outputs_is_error(tmp_path):

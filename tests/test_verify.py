@@ -780,6 +780,26 @@ def test_verify_dataset_skips_only_the_documents_it_cannot_read(tmp_path, caplog
     assert "'b'" in error and "No such file or directory" in error
 
 
+def test_reverifying_without_a_source_drops_its_old_verdicts(tmp_path):
+    manifest = _disk_corpus(
+        tmp_path,
+        {"a": "The lemma holds because the symmetry forces cancellation.", "b": "Gone soon."},
+    )
+    ds = Dataset(
+        records=[
+            ExampleRecord(source_doc_id="b", finding="f", quote="Gone soon."),
+            ExampleRecord(source_doc_id="a", finding="f", quote="the symmetry forces cancellation"),
+        ]
+    )
+    verified, _ = verify_dataset(ds, manifest, 0.85)
+    assert all(r.verification.matched for r in verified.records)
+    without_b = CorpusManifest.build([ref for ref in manifest.documents if ref.doc_id != "b"])
+    again, summary = verify_dataset(verified, without_b, 0.85)
+    assert [r.verification for r in again.records] == [None, verified.records[1].verification]
+    assert summary.counts == {"verified": 1, "unverified": 0, "skipped": 1, "no_quote": 0}
+    assert summary.skipped_doc_ids == ["b"]
+
+
 def test_verify_dataset_agrees_with_best_match_on_raw_text(tmp_path):
     # The soft hyphen sits between a letter and its combining accent.
     text = "Le th\u00e9or\u00e8me est d\u00e9montr\u00e9 par la caf" + "e\u00ad\u0301 du coin."
