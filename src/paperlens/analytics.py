@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .atomic import PaperlensError, write_atomic
+from .atomic import PaperlensError, file_op, write_atomic
 from .taxonomy import MAIN_AREAS, SubjectArea, classify_tag
 
 if TYPE_CHECKING:
@@ -256,10 +256,8 @@ def emit_report(
     bytes. Each file is replaced atomically. Returns (report path, csv path).
     """
     dest = Path(destination)
-    try:
+    with file_op("write", dest, AnalyticsError):
         dest.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise AnalyticsError(f"cannot write {dest}: {exc.strerror or exc}") from exc
 
     rows = richness_table(corpus, dataset)
     lines: list[str] = []

@@ -3,21 +3,22 @@ JSON, and the one base of its error classes.
 
 Every file a command reads, corpus sidecars apart, goes through
 ``read_text``, and every JSON file paperlens keeps goes through here.
+Every read and every change (a write, a new directory, a removal) runs in
+``file_op``, the one error rule: a failure raises the caller's error class
+(``PaperlensError`` here) as ``cannot <read|write|remove> <path>: <reason>``.
 Writing has one serialiser: sorted keys, non-ASCII characters kept as they
 are, one object per ``\\n``-terminated line, and a dataclass instance
-written as the object of its fields; a file it cannot write raises
-``PaperlensError("cannot write <path>: <reason>")``. One writer replaces a
-file through a temp file, encoding its text chunk by chunk as it writes, so
-a JSON-lines file is written one line at a time and never held whole; a
-chunk UTF-8 cannot encode raises ``UnicodeEncodeError``, removes the temp
-file and leaves the old file as it was.
-Reading has one error rule: a missing, unreadable or non-UTF-8 file, invalid
-JSON, a value that is not an object, a wrong ``format`` header, or a value
-of the wrong type raises the caller's error class naming ``path`` or
-``path:line``. A JSON-lines file is read one line at a time from the open
-file, never whole. Blank lines are skipped. ``from_json`` builds a
-dataclass from an object, each value checked against the type its field
-declares; ``read_json`` and ``read_jsonl`` build their objects with it.
+written as the object of its fields. One writer replaces a file through a
+temp file, encoding its text chunk by chunk as it writes, so a JSON-lines
+file is written one line at a time and never held whole; a chunk UTF-8
+cannot encode raises ``UnicodeEncodeError``, removes the temp file and
+leaves the old file as it was. Reading raises the caller's error class for
+a missing, unreadable or non-UTF-8 file, invalid JSON, a value that is not
+an object, a wrong ``format`` header, or a value of the wrong type, naming
+``path`` or ``path:line``. A JSON-lines file is read one line at a time
+from the open file, never whole. Blank lines are skipped. ``from_json``
+builds a dataclass from an object, each value checked against the type its
+field declares; ``read_json`` and ``read_jsonl`` build their objects with it.
 
 ``PaperlensError`` is the base of every paperlens error class: the CLI
 reports one as a user error, and the runner as the failure of one batch.
@@ -155,6 +156,16 @@ def from_json(cls: type, raw: dict) -> Any:
     return _builder(cls)(raw)
 
 
+@contextlib.contextmanager
+def file_op(verb: str, path: Any, error: type[Exception]) -> Iterator[None]:
+    """Turn an ``OSError``, or in a read a ``UnicodeDecodeError``, into ``error("cannot
+    <verb> <path>: <reason>")``, the reason without the path; ``verb`` is ``read``, ``write`` or ``remove``."""
+    try:
+        yield
+    except ((OSError, UnicodeDecodeError) if verb == "read" else OSError) as exc:
+        raise error(f"cannot {verb} {path}: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
 def _replace(path: str | Path, chunks: Iterable[str]) -> None:
     """Replace ``path`` with ``chunks`` (UTF-8), each encoded as it is written to ``<name>.tmp``, then rename.
 
@@ -164,17 +175,16 @@ def _replace(path: str | Path, chunks: Iterable[str]) -> None:
     """
     target = Path(path)
     tmp = target.with_suffix(target.suffix + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk.encode("utf-8"))
-        tmp.replace(target)
-    except BaseException as exc:
-        with contextlib.suppress(OSError):
-            tmp.unlink()
-        if isinstance(exc, OSError):
-            raise PaperlensError(f"cannot write {path}: {exc.strerror or exc}") from exc
-        raise
+    with file_op("write", path, PaperlensError):
+        try:
+            with open(tmp, "wb") as fh:
+                for chunk in chunks:
+                    fh.write(chunk.encode("utf-8"))
+            tmp.replace(target)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                tmp.unlink()
+            raise
 
 
 def write_atomic(path: str | Path, text: str) -> None:
@@ -210,25 +220,13 @@ def write_jsonl(path: str | Path, rows: Iterable[Any], header: Any = None) -> No
 def append_jsonl(path: str | Path, obj: dict) -> None:
     """Append one JSON object as one line."""
     line = _encode(obj) + "\n"
-    try:
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(line)
-    except OSError as exc:
-        raise PaperlensError(f"cannot write {path}: {exc.strerror or exc}") from exc
-
-
-@contextlib.contextmanager
-def _reading(path: Any, error: type[Exception]) -> Iterator[None]:
-    """Turn a failure to open, read or decode ``path`` into ``error("cannot read <path>: <reason>")``."""
-    try:
-        yield
-    except (OSError, UnicodeDecodeError) as exc:  # an OSError's strerror leaves out the path
-        raise error(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
+    with file_op("write", path, PaperlensError), open(path, "a", encoding="utf-8") as fh:
+        fh.write(line)
 
 
 def read_text(path: str | Path, error: type[Exception]) -> str:
     """A UTF-8 file's text, or ``error("cannot read <path>: <reason>")``; ``path`` may be a package resource."""
-    with _reading(path, error):
+    with file_op("read", path, error):
         return (Path(path) if isinstance(path, str) else path).read_text(encoding="utf-8")
 
 
@@ -268,7 +266,7 @@ def read_jsonl(path: str | Path, error: type[Exception], row: type, header: type
     # Lines end as read_text's text splits on "\n": at "\n", "\r\n" or "\r".
     # U+2028 and the like, which the encoder writes unescaped inside strings,
     # end none (str.splitlines would split there).
-    with _reading(path, error), open(path, encoding="utf-8") as fh:
+    with file_op("read", path, error), open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.removesuffix("\n")  # so JSON errors give the columns of the line alone
             if not line.strip():

@@ -323,10 +323,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_query(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     client = _make_client(cfg, args, Path(args.dataset).parent)
-    answer = runner.run_query(
-        args.dataset, args.question, client, log_path=args.log, templates_dir=cfg.prompts_dir
-    )
-    print(answer)
+    runner.run_query(args.dataset, args.question, client, log_path=args.log,
+                     templates_dir=cfg.prompts_dir, show=print)
     return 0
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .atomic import PaperlensError, append_jsonl, read_text, write_atomic
+from .atomic import PaperlensError, append_jsonl, file_op, read_text, write_atomic
 
 if TYPE_CHECKING:
     import requests
@@ -326,7 +326,7 @@ class HttpChatClient(ChatClient):
 
         if resp.status_code in (401, 403):
             raise AuthError(f"provider rejected credentials (HTTP {resp.status_code})")
-        if resp.status_code == 429 or resp.status_code >= 500:
+        if resp.status_code in (408, 429) or resp.status_code >= 500:
             raise TransientError(f"HTTP {resp.status_code}: {resp.text[:200]}")
         if resp.status_code != 200:
             raise ProviderError(f"HTTP {resp.status_code}: {resp.text[:200]}")
@@ -343,7 +343,8 @@ class HttpChatClient(ChatClient):
 
         A reply whose finish reason is other than a natural stop raises
         ``IncompleteReply``; a body without the field is read as complete.
-        A Gemini body with no candidates (a blocked prompt) names its ``blockReason``.
+        A Gemini body with no candidates (a blocked prompt) names its ``blockReason``,
+        and an OpenAI reply with no content and a ``refusal`` quotes it.
         Text that UTF-8 cannot encode is malformed, like any other bad value.
         """
         try:
@@ -370,6 +371,8 @@ class HttpChatClient(ChatClient):
                                         f"(finishReason {reply.get(reason_field)!r})")
                 text = "".join(p.get("text", "") for p in reply["content"]["parts"])
             else:
+                if reply["message"]["content"] is None and reply["message"].get("refusal"):
+                    raise ProviderError(f"reply refused: {reply['message']['refusal']!r}")
                 text = reply["message"]["content"] or ""
                 if not isinstance(text, str):
                     raise TypeError(f"content is {type(text).__name__}, not a string")
@@ -438,7 +441,8 @@ def write_stub_fixture(
 ) -> Path:
     """Create a canned stub response for (kind, payload refs); returns its path."""
     fixtures_dir = Path(fixtures_dir)
-    fixtures_dir.mkdir(parents=True, exist_ok=True)
+    with file_op("write", fixtures_dir, ProviderError):
+        fixtures_dir.mkdir(parents=True, exist_ok=True)
     path = fixtures_dir / f"{kind}-{stub_key(kind, payload_refs)}.txt"
     write_atomic(path, text)
     return path

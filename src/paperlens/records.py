@@ -10,15 +10,12 @@ everything comes from the input text after markup stripping.
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .atomic import PaperlensError, read_jsonl, write_jsonl
 from .verify import VerificationResult
-
-logger = logging.getLogger(__name__)
 
 DATASET_FORMAT = "paperlens-records/1"
 
@@ -86,10 +83,11 @@ _LABEL_FIELDS = {
     "page": "page",
 }
 
-_LABEL_LINE = re.compile(
-    r"^\s*(?:[-*•+]\s+)?(?P<label>[A-Za-z]+)\s*:\s*(?P<value>.*)$"
-)
+# A label may follow a bullet or a list number ("1.", "2)").
+_LABEL_LINE = re.compile(r"^\s*(?:[-*•+]\s+|\d+[.)]\s+)?(?P<label>[A-Za-z]+)\s*:\s*(?P<value>.*)$")
 _BULLET_RE = re.compile(r"^\s*(?:[-*•+]\s+)")
+# A Markdown heading or rule: it ends an open field, as a blank line does.
+_BREAK = re.compile(r"#{1,6}(?:\s.*)?|[-*_=]{3,}")
 # A file context line: DOC_HEADER, whose title runs to the last ") ===", or a
 # file name, bare or behind "=== FILE:".
 _FILE_HEADER = re.compile(
@@ -272,10 +270,10 @@ def parse_batch_output(text: str, batch_index: int = 0) -> tuple[list[ExampleRec
             continue
 
         # Continuation of the current field, or an unrecognizable stretch.
-        if continues:
+        if continues and not _BREAK.fullmatch(raw_line.strip()):
             current[current_label] = current[current_label] + "\n" + stripped
         elif stripped.startswith("#") or set(stripped) <= set("-=*_"):
-            continue  # headings and rules carry no content
+            current_label, blank_since_field = None, True  # headings and rules carry no content
         else:
             current_label = None
             stray.append((lineno, stripped))
@@ -364,8 +362,8 @@ def load_dataset(path: str | Path, expect_manifest_hash: str | None = None) -> D
     """Load a dataset written by save_dataset.
 
     Malformed lines raise with their line number. A manifest digest passed
-    in ``expect_manifest_hash`` that differs from the stored one logs a
-    warning (the corpus changed since the dataset was built) but loads.
+    in ``expect_manifest_hash`` that differs from a non-empty stored one
+    raises: the dataset was parsed against another manifest.
     """
     header, records = read_jsonl(path, DatasetError, ExampleRecord, _DatasetHeader)
     if header.count is not None and header.count != len(records):
@@ -373,5 +371,6 @@ def load_dataset(path: str | Path, expect_manifest_hash: str | None = None) -> D
             f"{path}: truncated dataset: header says {header.count} records, found {len(records)}"
         )
     if expect_manifest_hash and header.manifest_hash not in ("", expect_manifest_hash):
-        logger.warning("%s: dataset was built against a different manifest (digest mismatch)", path)
+        raise DatasetError(f"{path}: parsed against manifest {header.manifest_hash}, "
+                           f"not the given manifest {expect_manifest_hash}")
     return Dataset(records, header.manifest_hash, header.filter_pass_count)

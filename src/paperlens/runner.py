@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import provider
-from .atomic import PaperlensError, append_jsonl, read_json, read_text, write_atomic, write_json
+from .atomic import PaperlensError, append_jsonl, file_op, read_json, read_text, write_atomic, write_json
 from .corpus import CorpusManifest, DocumentRef, load_text, manifest_digest
 from .prompts import PAYLOAD_SEPARATOR, PromptBundle, build_query_prompt, filter_template
 from .records import DOC_HEADER, ExampleRecord, parse_batch_output
@@ -297,7 +297,8 @@ def run_annotation(
     in-flight limit; checkpoint updates are serialized.
     """
     out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with file_op("write", out_dir, RunnerError):
+        out_dir.mkdir(parents=True, exist_ok=True)
     ck_path = out_dir / CHECKPOINT_FILE
     digest = manifest_digest(manifest)
 
@@ -370,10 +371,8 @@ def _drop_batches(directory: Path, state: FilterState, kept: set[int]) -> None:
     for suffix in ("output", "filtered"):
         for index, path in _batch_files(directory, suffix):
             if index not in kept:
-                try:
+                with file_op("remove", path, RunnerError):
                     path.unlink()
-                except OSError as exc:
-                    raise RunnerError(f"cannot remove {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -602,12 +601,14 @@ def run_query(
     client: provider.ChatClient,
     log_path: str | Path | None = None,
     templates_dir: str | Path | None = None,
+    show: Callable[[str], object] | None = None,
 ) -> str:
     """Ask a follow-up question over a dataset file; returns the answer.
 
     The dataset must fit the provider window alongside the framing prompt;
     otherwise a ContextOverflow explains how much is needed and suggests
     sharding. Every query appends a transcript entry to the query log.
+    ``show`` gets the answer before it is logged, so an unwritable log loses no answer.
     """
     dataset_path = Path(dataset_path)
     dataset_text = read_text(dataset_path, RunnerError)
@@ -622,6 +623,8 @@ def run_query(
             hint="split the dataset into shards and query each shard separately",
         ) from exc
 
+    if show is not None:
+        show(response.text)
     log = Path(log_path) if log_path else dataset_path.with_name(dataset_path.name + QUERY_LOG_SUFFIX)
     append_jsonl(log, {
         "ts": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),

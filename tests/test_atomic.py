@@ -11,6 +11,7 @@ import paperlens
 from paperlens.atomic import (
     PaperlensError,
     append_jsonl,
+    file_op,
     from_json,
     jsonl_lines,
     read_json,
@@ -159,6 +160,21 @@ def test_read_errors_name_the_path_once(tmp_path, read):
     assert str(undecodable.value).startswith(f"cannot read {path}: 'utf-8' codec can't decode byte 0xff")
 
 
+def test_file_op_names_the_verb_and_the_path_once(tmp_path):
+    path = tmp_path / "absent"
+    with pytest.raises(Oops) as removing:
+        with file_op("remove", path, Oops):
+            path.unlink()
+    assert str(removing.value) == f"cannot remove {path}: No such file or directory"
+    with pytest.raises(Oops) as making:
+        with file_op("write", path / "sub", Oops):
+            (path / "sub").mkdir()
+    assert str(making.value) == f"cannot write {path / 'sub'}: No such file or directory"
+    with pytest.raises(UnicodeDecodeError):  # only a read turns a decode error
+        with file_op("write", path, Oops):
+            b"\xff".decode("utf-8")
+
+
 def test_only_atomic_and_corpus_open_files():
     """Every other module reads a file through ``read_text`` and writes one through
     ``write_atomic`` or ``append_jsonl``, so one error rule holds for each."""
@@ -175,6 +191,41 @@ def test_only_atomic_and_corpus_open_files():
                 "open", "read_text", "write_text", "write_bytes"
             ):
                 calls.append(f"{path.name}:{node.lineno} .{node.func.attr}(")
+    assert calls == []
+
+
+_CHANGES = ("mkdir", "unlink", "rmdir", "rename", "touch")
+_OS_CHANGES = ("remove", "rename", "replace", "makedirs", "unlink", "rmdir", "removedirs")
+
+
+def _is_file_op(item: ast.withitem) -> bool:
+    call = item.context_expr
+    func = call.func if isinstance(call, ast.Call) else None
+    return (isinstance(func, ast.Name) and func.id == "file_op") or (
+        isinstance(func, ast.Attribute) and func.attr == "file_op")
+
+
+def test_every_file_change_outside_atomic_runs_inside_file_op():
+    """A new directory, a removal or a rename outside ``atomic`` runs inside
+    ``file_op``, so a failure is one ``cannot write|remove <path>`` error and
+    every change to a run's files passes one place."""
+    calls = []
+    for path in sorted(Path(paperlens.__file__).parent.glob("*.py")):
+        if path.name == "atomic.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        guarded = {id(node) for with_ in ast.walk(tree) if isinstance(with_, ast.With)
+                   and any(map(_is_file_op, with_.items))
+                   for stmt in with_.body for node in ast.walk(stmt)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in guarded:
+                continue
+            func = node.func
+            if not isinstance(func, ast.Attribute):
+                continue
+            owner = func.value.id if isinstance(func.value, ast.Name) else None
+            if func.attr in _CHANGES or (owner == "os" and func.attr in _OS_CHANGES) or owner == "shutil":
+                calls.append(f"{path.name}:{node.lineno} .{func.attr}(")
     assert calls == []
 
 

@@ -535,7 +535,7 @@ def test_unreadable_input_is_one_error_line(pipeline_dirs, capsys, probe):
 
 
 @pytest.mark.parametrize("probe", [
-    "ingest", "sample", "parse", "parse --report", "export", "query --log",
+    "ingest", "sample", "parse", "parse --report", "export", "query --log", "annotate --out",
 ])
 def test_unwritable_output_is_one_error_line(pipeline_dirs, capsys, probe):
     base, manifest_path, fixtures = pipeline_dirs
@@ -545,7 +545,9 @@ def test_unwritable_output_is_one_error_line(pipeline_dirs, capsys, probe):
                  "--out", str(run), "--batch-size", "2"]) == 0
     assert main(["parse", "--dir", str(run), "--out", str(dataset), "--manifest", str(manifest_path)]) == 0
     write_stub_fixture(fixtures, "query", [dataset.name], "an answer")
-    path = base / "nodir" / "out"
+    path, reason = base / "nodir" / "out", "No such file or directory"
+    if probe == "annotate --out":  # a directory to make below an existing file
+        path, reason = dataset / "run", "Not a directory"
     parse = ["parse", "--dir", str(run), "--manifest", str(manifest_path)]
     argv = {
         "ingest": ["ingest", "--source", str(base / "src"), "--out", str(path)],
@@ -555,14 +557,18 @@ def test_unwritable_output_is_one_error_line(pipeline_dirs, capsys, probe):
         "export": ["export", "--dataset", str(dataset), "--out", str(path)],
         "query --log": ["query", "--config", str(config), "--dataset", str(dataset),
                         "--question", "why?", "--log", str(path)],
+        "annotate --out": ["annotate", "--config", str(config), "--manifest", str(manifest_path),
+                           "--out", str(path), "--batch-size", "2"],
     }[probe]
     capsys.readouterr()
 
     assert main(argv) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert "Traceback" not in err
     errors = [line for line in err.splitlines() if line.startswith("error:")]
-    assert errors == [f"error: cannot write {path}: No such file or directory"], err
+    assert errors == [f"error: cannot write {path}: {reason}"], err
+    # The provider has answered and billed the query: the answer is shown all the same.
+    assert out == ("an answer\n" if probe == "query --log" else "")
 
 
 @pytest.mark.parametrize("template, reason", [
@@ -606,6 +612,27 @@ def test_stats_with_tiers_flag(pipeline_dirs, tmp_path, capsys):
     assert "high=0.30" in (stats_dir / "report.txt").read_text()
     assert main(["stats", "--manifest", str(manifest_path), "--dataset", str(ds_path),
                  "--out", str(stats_dir), "--tiers", "0.9,0.9,0.9"]) == 1
+
+
+def test_stats_over_a_sample_dataset_with_the_full_manifest_is_an_error(pipeline_dirs, capsys):
+    # Prevalence would divide by the whole corpus instead of the sample that was read.
+    base, manifest_path, fixtures = pipeline_dirs
+    sample, run, dataset = base / "sample.jsonl", base / "run", base / "d.records.jsonl"
+    assert main(["sample", "--manifest", str(manifest_path), "--n", "2", "--seed", "1", "--out", str(sample)]) == 0
+    doc_ids = [ref.doc_id for ref in load_manifest(sample).documents]
+    write_stub_fixture(fixtures, "annotation", doc_ids, batch_output_text([make_record(0, doc_id=doc_ids[0])]))
+    assert main(["annotate", "--config", str(write_config(base, fixtures)), "--manifest", str(sample),
+                 "--out", str(run), "--batch-size", "2"]) == 0
+    assert main(["parse", "--dir", str(run), "--out", str(dataset), "--manifest", str(sample)]) == 0
+    capsys.readouterr()
+
+    stats = base / "stats"
+    assert main(["stats", "--manifest", str(manifest_path), "--dataset", str(dataset), "--out", str(stats)]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    sample_digest, full_digest = (manifest_digest(load_manifest(p)) for p in (sample, manifest_path))
+    assert errors == [f"error: {dataset}: parsed against manifest {sample_digest}, "
+                      f"not the given manifest {full_digest}"]
+    assert not stats.exists()
 
 
 def test_missing_files_are_user_errors(pipeline_dirs, tmp_path, capsys):

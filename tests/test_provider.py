@@ -344,6 +344,15 @@ def test_rate_limit_retried_then_succeeds(monkeypatch):
     assert response.attempts == 3
 
 
+def test_request_timeout_is_retried_like_a_rate_limit(monkeypatch):
+    monkeypatch.setenv("TEST_API_KEY", "k")
+    monkeypatch.setattr("paperlens.provider.time.sleep", lambda s: None)
+    session = FakeSession([FakeResponse(408, {}), openai_ok("ok")])
+    response = http_client("openai", session).complete(bundle_for(["d"]))
+    assert response.text == "ok"
+    assert len(session.requests) == response.attempts == 2
+
+
 def test_persistent_5xx_exhausts(monkeypatch):
     monkeypatch.setenv("TEST_API_KEY", "k")
     monkeypatch.setattr("paperlens.provider.time.sleep", lambda s: None)
@@ -505,6 +514,26 @@ def test_reply_that_stopped_naturally_is_read(monkeypatch, dialect, body):
     monkeypatch.setenv("TEST_API_KEY", "k")
     response = http_client(dialect, FakeSession([FakeResponse(200, body)])).complete(bundle_for(["d"]))
     assert response.text == "hi"
+
+
+def test_refused_reply_fails_without_a_retry_and_quotes_the_refusal(monkeypatch):
+    # Read as empty text, the batch would be done and its papers read with no examples.
+    monkeypatch.setenv("TEST_API_KEY", "k")
+    body = {"choices": [{"message": {"content": None, "refusal": "I cannot help with that."},
+                         "finish_reason": "stop"}]}
+    session = FakeSession([FakeResponse(200, body)])
+    with pytest.raises(ProviderError) as err:
+        http_client("openai", session).complete(bundle_for(["d"]))
+    assert not isinstance(err.value, TransientError)
+    assert len(session.requests) == 1
+    assert str(err.value) == "reply refused: 'I cannot help with that.'"
+
+
+def test_empty_reply_is_read_as_empty_text(monkeypatch):
+    # A filter pass may keep nothing.
+    monkeypatch.setenv("TEST_API_KEY", "k")
+    body = {"choices": [{"message": {"content": "", "refusal": None}, "finish_reason": "stop"}]}
+    assert http_client("openai", FakeSession([FakeResponse(200, body)])).complete(bundle_for(["d"])).text == ""
 
 
 @pytest.mark.parametrize("candidate, reason", [

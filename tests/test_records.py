@@ -270,6 +270,43 @@ def test_multiline_field_continuation():
     assert "first line of the quote\nsecond line of the quote" == records[0].quote
 
 
+@pytest.mark.parametrize("rule", ["---", "***", "___", "## Next paper", "#", "==="])
+def test_rule_or_heading_after_a_field_ends_it(rule):
+    # Glued onto the quote, it would hide the page and fail a verbatim quote.
+    text = (
+        "- **File:** a\n"
+        '- **Quote:** "the two counts agree term by term" (p. 3).\n'
+        f"{rule}\n"
+        "- **File:** b\n"
+        "- **Finding:** f\n"
+    )
+    records, _ = parse_batch_output(text, 0)
+    assert [(r.source_doc_id, r.quote, r.page) for r in records] == [
+        ("a", "the two counts agree term by term", 3), ("b", None, None),
+    ]
+
+
+def test_wrapped_line_that_only_looks_like_a_heading_or_list_item_continues_its_field():
+    text = (
+        "- Title: Counting\n"
+        "- Finding: the count is\n"
+        "#P-hard, as shown in\n"
+        "2008. That is why it holds.\n"
+        '- Quote: "q q q q"\n'
+    )
+    records, warnings = parse_batch_output(text, 0)
+    assert warnings == []
+    assert [r.finding for r in records] == ["the count is\n#P-hard, as shown in\n2008. That is why it holds."]
+
+
+@pytest.mark.parametrize("marker", ["1. ", "2) ", "10.  "])
+def test_numbered_label_line_is_read_as_a_bulleted_one(marker):
+    text = f"{marker}**File:** a\n{marker}**Quote:** \"q q q q\" (p. 4)\n"
+    records, warnings = parse_batch_output(text, 0)
+    assert warnings == []
+    assert [(r.source_doc_id, r.quote, r.page) for r in records] == [("a", "q q q q", 4)]
+
+
 def test_unrecognizable_stretch_warns():
     text = "Completely freeform rambling with no labels whatsoever.\nMore of it.\n"
     records, warnings = parse_batch_output(text, 5)
@@ -478,13 +515,16 @@ def test_wrong_format_is_rejected(tmp_path):
         load_dataset(path)
 
 
-def test_manifest_digest_mismatch_warns(tmp_path, caplog):
+def test_manifest_digest_mismatch_is_an_error(tmp_path):
     ds = random_dataset(2, seed=3)
     path = tmp_path / "h.records.jsonl"
     save_dataset(ds, path)
-    with caplog.at_level("WARNING"):
+    with pytest.raises(DatasetError, match="manifest deadbeef, not the given manifest different$"):
         load_dataset(path, expect_manifest_hash="different")
-    assert any("different manifest" in m for m in caplog.messages)
+    assert load_dataset(path, expect_manifest_hash="deadbeef") == ds
+    ds.source_manifest_hash = ""  # no digest recorded: loads against any manifest
+    save_dataset(ds, path)
+    assert load_dataset(path, expect_manifest_hash="different") == ds
 
 
 # --- export --------------------------------------------------------------------
